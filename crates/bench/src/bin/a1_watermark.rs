@@ -8,7 +8,7 @@
 
 use augur_bench::{f, header, row, sized, BenchLog, Snapshot};
 use augur_stream::window::CountAggregation;
-use augur_stream::{Broker, PipelineBuilder, Record, TumblingWindows};
+use augur_stream::{Broker, Obs, PipelineBuilder, Record, TumblingWindows};
 use rand::{Rng, SeedableRng};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -60,7 +60,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Arrival order preserves the simulated clock skew — the whole
         // point of this ablation.
         .arrival_order(true)
-        .log(blog.handle(), blog.root().child(bound_ms))
+        .obs(&Obs {
+            parent: blog.root().child(bound_ms),
+            log: Some(blog.handle().clone()),
+            ..Obs::default()
+        })
         .build();
         let (results, metrics) = pipeline.run_windowed(
             TumblingWindows::new(100_000),

@@ -3,8 +3,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // experiment drivers: setup failure is fatal by design
 
 use augur_bench::{f, header, row, smoke, BenchLog, Snapshot};
-use augur_core::traffic::{run_logged, TrafficParams};
-use augur_telemetry::{FlightRecorder, Registry};
+use augur_core::traffic::{run, TrafficParams};
+use augur_core::Obs;
+use augur_telemetry::FlightRecorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     header(
@@ -20,8 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     snap.param_num("vehicles", base.vehicles as f64);
     snap.param_num("duration_s", base.duration_s);
     let blog = BenchLog::new("e10_vanet");
-    let scratch = Registry::new();
-    let recorder = FlightRecorder::new(1 << 14);
+    let obs = Obs {
+        flight: Some(FlightRecorder::new(1 << 14)),
+        log: Some(blog.handle().clone()),
+        ..Obs::default()
+    };
     row(&[
         "period s".into(),
         "coverage%".into(),
@@ -30,14 +34,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "near misses".into(),
     ]);
     for &period in &[0.2f64, 0.5, 1.0, 2.0, 4.0] {
-        let r = run_logged(
+        let r = run(
             &TrafficParams {
                 share_period_s: period,
                 ..base.clone()
             },
-            &scratch,
-            &recorder,
-            blog.handle(),
+            &obs,
         )?;
         let p = format!("{period}");
         let labels = [("share_period_s", p.as_str())];
@@ -60,14 +62,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "lost".into(),
     ]);
     for &loss in &[0.0f64, 0.05, 0.15, 0.3, 0.5] {
-        let r = run_logged(
+        let r = run(
             &TrafficParams {
                 loss,
                 ..base.clone()
             },
-            &scratch,
-            &recorder,
-            blog.handle(),
+            &obs,
         )?;
         let l = format!("{loss}");
         let labels = [("loss", l.as_str())];

@@ -13,7 +13,8 @@ use augur_profile::Profile;
 use augur_sample::Sampler;
 use augur_stream::window::CountAggregation;
 use augur_stream::{
-    Broker, CheckpointStore, ModeledCosts, PipelineBuilder, Record, TumblingWindows, WindowState,
+    Broker, CheckpointStore, ModeledCosts, Obs, PipelineBuilder, Record, TumblingWindows,
+    WindowState,
 };
 use augur_telemetry::{FlightRecorder, ManualTime, Registry, TraceContext};
 use rand::{Rng, SeedableRng};
@@ -73,28 +74,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // under --profile the same child contexts parent both signals.
     let blog = BenchLog::new("e12_stream");
     let recorder = FlightRecorder::new(1 << 16);
+    let obs = Obs {
+        flight: profiling.then(|| recorder.clone()),
+        log: Some(blog.handle().clone()),
+        ..Obs::default()
+    };
     let flight_root = TraceContext::root(12, 0xE12);
     for &parts in &[1u32, 2, 4, 8, 16] {
         let broker = Broker::new();
         broker.create_topic("events", parts)?;
         fill(&broker, "events", n, 3, parts as u64);
-        let collect_ctx = flight_root.child(u64::from(parts));
-        let mut builder = PipelineBuilder::new(broker.clone(), "events", decode)
-            .registry(snap.registry())
-            .log(blog.handle(), collect_ctx);
-        if profiling {
-            builder = builder.flight(&recorder, collect_ctx);
-        }
-        let mut pipeline = builder.build();
+        let mut pipeline = PipelineBuilder::new(broker.clone(), "events", decode)
+            .obs(&Obs {
+                registry: snap.registry().clone(),
+                parent: flight_root.child(u64::from(parts)),
+                ..obs.clone()
+            })
+            .build();
         let (_items, metrics) = pipeline.collect()?;
-        let windowed_ctx = flight_root.child(u64::from(parts) | 0x100);
-        let mut builder = PipelineBuilder::new(broker, "events", decode)
+        let mut windowed = PipelineBuilder::new(broker, "events", decode)
             .watermark_bound_us(1_000)
-            .log(blog.handle(), windowed_ctx);
-        if profiling {
-            builder = builder.flight(&recorder, windowed_ctx);
-        }
-        let mut windowed = builder.build();
+            .obs(&Obs {
+                registry: Registry::new(),
+                parent: flight_root.child(u64::from(parts) | 0x100),
+                ..obs.clone()
+            })
+            .build();
         let (results, wm) = windowed.run_windowed(
             TumblingWindows::new(1_000_000),
             CountAggregation,
@@ -128,9 +133,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     broker.create_topic("cp", 4)?;
     fill(&broker, "cp", cp_n, 3, 99);
     let store: CheckpointStore<WindowState<u64>> = CheckpointStore::new(4);
+    let log_only = |parent| Obs {
+        parent,
+        log: Some(blog.handle().clone()),
+        ..Obs::default()
+    };
     let mut p1 = PipelineBuilder::new(broker.clone(), "cp", decode)
         .watermark_bound_us(1_000)
-        .log(blog.handle(), flight_root.child(0x201))
+        .obs(&log_only(flight_root.child(0x201)))
         .build();
     let ((partial, _), crash_run_us) = timed(|| {
         p1.run_windowed(
@@ -144,7 +154,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let mut p2 = PipelineBuilder::new(broker.clone(), "cp", decode)
         .watermark_bound_us(1_000)
-        .log(blog.handle(), flight_root.child(0x202))
+        .obs(&log_only(flight_root.child(0x202)))
         .build();
     let ((rest, m2), resume_us) = timed(|| {
         p2.run_windowed(
@@ -158,7 +168,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let mut p_ref = PipelineBuilder::new(broker, "cp", decode)
         .watermark_bound_us(1_000)
-        .log(blog.handle(), flight_root.child(0x203))
+        .obs(&log_only(flight_root.child(0x203)))
         .build();
     let ((want, _), full_us) = timed(|| {
         p_ref
@@ -235,25 +245,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let xn = sized(20_000, 5_000) as u64;
         let time = Arc::new(ManualTime::new());
-        let xreg = Registry::new();
         let xrec = FlightRecorder::new(1 << 16);
+        let xobs = Obs {
+            flight: Some(xrec.clone()),
+            sampler: Some(sampler.clone()),
+            ..Obs::default()
+        };
+        let xreg = &xobs.registry;
         let xroot = TraceContext::root(12, 0xE12A);
         let broker = Broker::new();
         broker.create_topic("xray", 4)?;
         fill(&broker, "xray", xn, 3, 7);
         let mut p = PipelineBuilder::new(broker.clone(), "xray", decode)
-            .registry(&xreg)
             .modeled_costs(&time, costs)
-            .flight(&xrec, xroot.child(1))
-            .sample(&sampler)
+            .obs(&Obs {
+                parent: xroot.child(1),
+                ..xobs.clone()
+            })
             .build();
         let _ = p.collect()?;
         let mut w = PipelineBuilder::new(broker, "xray", decode)
             .watermark_bound_us(1_000)
-            .registry(&xreg)
             .modeled_costs(&time, costs)
-            .flight(&xrec, xroot.child(2))
-            .sample(&sampler)
+            .obs(&Obs {
+                parent: xroot.child(2),
+                ..xobs.clone()
+            })
             .build();
         let _ = w.run_windowed(
             TumblingWindows::new(1_000_000),

@@ -18,8 +18,8 @@
 //! committed baseline must fail naming stage `produce` and lane
 //! `producer-2`.
 //!
-//! Part two runs the continuous pipeline with
-//! [`PipelineBuilder::lanes`] on the wall clock: printed only (never
+//! Part two runs the continuous pipeline with lanes attached through
+//! [`PipelineBuilder::obs`] on the wall clock: printed only (never
 //! written to artifacts), it shows real channel-contention accounting
 //! on the pump/worker lanes.
 #![allow(clippy::unwrap_used, clippy::expect_used)] // experiment drivers: setup failure is fatal by design
@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use augur_bench::{f, header, out_dir, row, sized, write_xray, xray_requested, Snapshot};
-use augur_stream::{Broker, ConsumerGroup, PartitionId, PipelineBuilder, Record};
+use augur_stream::{Broker, ConsumerGroup, Obs, PartitionId, PipelineBuilder, Record};
 use augur_telemetry::{render_chrome_trace_with_lanes, BlockedSite, Clock, Lanes, ManualTime};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -203,7 +203,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(u64::from_le_bytes)
     })
     .channel_capacity(2)
-    .lanes(&live_lanes)
+    .obs(&Obs {
+        lanes: Some(live_lanes.clone()),
+        ..Obs::default()
+    })
     .build()
     .spawn_continuous(|_| std::thread::sleep(std::time::Duration::from_micros(100)))?;
     std::thread::sleep(std::time::Duration::from_millis(50));

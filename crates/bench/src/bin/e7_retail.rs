@@ -2,8 +2,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // experiment drivers: setup failure is fatal by design
 
 use augur_bench::{f, header, row, smoke, BenchLog, Snapshot};
-use augur_core::retail::{run_logged, RetailParams};
-use augur_telemetry::{FlightRecorder, Registry};
+use augur_core::retail::{run, RetailParams};
+use augur_core::Obs;
+use augur_telemetry::FlightRecorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     header("E7", "§3.1: recommendation hit-rate@10 vs log scale");
@@ -15,12 +16,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut snap = Snapshot::new("e7_retail");
     snap.param_num("top_k", 10.0);
     snap.param_num("scale_points", scales.len() as f64);
-    // The logged scenario narrates shelf-declutter drops (WARN) and the
-    // per-run summary (INFO); scratch registry keeps scenario-internal
-    // metrics out of the baselined snapshot.
+    // The scenario narrates shelf-declutter drops (WARN) and the
+    // per-run summary (INFO); the Obs's private registry keeps
+    // scenario-internal metrics out of the baselined snapshot.
     let blog = BenchLog::new("e7_retail");
-    let scratch = Registry::new();
-    let recorder = FlightRecorder::new(1 << 14);
+    let obs = Obs {
+        flight: Some(FlightRecorder::new(1 << 14)),
+        log: Some(blog.handle().clone()),
+        ..Obs::default()
+    };
     row(&[
         "users".into(),
         "log size".into(),
@@ -30,14 +34,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "uplift".into(),
     ]);
     for &users in scales {
-        let report = run_logged(
+        let report = run(
             &RetailParams {
                 users,
                 ..RetailParams::default()
             },
-            &scratch,
-            &recorder,
-            blog.handle(),
+            &obs,
         )?;
         let ul = users.to_string();
         let labels = [("users", ul.as_str())];

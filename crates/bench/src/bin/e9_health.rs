@@ -3,8 +3,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // experiment drivers: setup failure is fatal by design
 
 use augur_bench::{f, header, row, smoke, BenchLog, Snapshot};
-use augur_core::healthcare::{run_logged, HealthcareParams};
-use augur_telemetry::{FlightRecorder, Registry};
+use augur_core::healthcare::{run, HealthcareParams};
+use augur_core::Obs;
+use augur_telemetry::FlightRecorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     header("E9", "§3.3: alerting quality vs confirmation strictness");
@@ -17,8 +18,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     snap.param_num("patients", base.patients as f64);
     snap.param_num("duration_s", base.duration_s);
     let blog = BenchLog::new("e9_health");
-    let scratch = Registry::new();
-    let recorder = FlightRecorder::new(1 << 14);
+    let obs = Obs {
+        flight: Some(FlightRecorder::new(1 << 14)),
+        log: Some(blog.handle().clone()),
+        ..Obs::default()
+    };
     row(&[
         "confirm m".into(),
         "recall%".into(),
@@ -28,14 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "throughput r/s".into(),
     ]);
     for &m in &[1usize, 2, 3, 5] {
-        let report = run_logged(
+        let report = run(
             &HealthcareParams {
                 confirm_m: m,
                 ..base.clone()
             },
-            &scratch,
-            &recorder,
-            blog.handle(),
+            &obs,
         )?;
         let ml = m.to_string();
         let labels = [("confirm_m", ml.as_str())];

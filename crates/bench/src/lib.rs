@@ -18,7 +18,7 @@ use std::time::Instant;
 use augur_log::writer::{err_line, out_line};
 use augur_log::{render_human, Arg, EventLog, Level, LogSite};
 use augur_profile::Profile;
-use augur_telemetry::{escape_json, json_f64, Registry, TraceContext};
+use augur_telemetry::{escape_json, fnv1a64, json_f64, Registry, TraceContext};
 
 /// True when the binary should run a fast smoke-sized workload: the
 /// `--smoke` flag is present or `AUGUR_SMOKE` is set in the environment.
@@ -124,19 +124,16 @@ impl BenchLog {
     /// derived from the bench name (FNV-1a), so exported ids are stable
     /// across runs.
     pub fn new(bench: &str) -> BenchLog {
-        let key = bench.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        });
         BenchLog {
             log: EventLog::with_min_level(1 << 14, log_level()),
             site: LogSite::unlimited(),
-            root: TraceContext::root(0, key),
+            root: TraceContext::root(0, fnv1a64(bench.as_bytes())),
             t0: Instant::now(),
         }
     }
 
-    /// The underlying event log, for `builder.log(...)`, `run_logged`,
-    /// and the other instrumentation hooks.
+    /// The underlying event log, to attach as the `log` of an
+    /// [`augur_stream::Obs`] handed to pipelines and scenario runs.
     pub fn handle(&self) -> &EventLog {
         &self.log
     }

@@ -12,15 +12,15 @@ use std::collections::HashMap;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use augur_log::{Arg, EventLog};
-use augur_telemetry::{FlightRecorder, ManualTime, Registry, TimeSource, TraceContext, Tracer};
+use augur_log::Arg;
+use augur_telemetry::{ManualTime, TimeSource, TraceContext, Tracer};
 use augur_watch::{
     BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig, WatchSession,
 };
 
 use augur_analytics::ThresholdDetector;
 use augur_sensor::{VitalsGenerator, VitalsParams};
-use augur_stream::{Broker, PipelineBuilder, Record};
+use augur_stream::{Broker, Obs, PipelineBuilder, Record};
 
 use crate::codec::{decode_vitals, encode_vitals};
 use crate::error::CoreError;
@@ -87,107 +87,25 @@ pub struct HealthcareReport {
     pub pipeline_throughput_rps: f64,
 }
 
-/// Runs the scenario.
+/// Runs the scenario, reporting into `obs` (see
+/// [the module docs](crate::scenario)). The registry receives the
+/// per-stage breakdown (`span_duration_us{span="healthcare/…"}`) and the
+/// broker pipeline's own stage spans and counters, since the pipeline
+/// runs against the same sinks and manual clock. With a flight recorder,
+/// a root span covers the run with the four stages as children, and
+/// patient 0's vitals samples carry per-record root trace contexts
+/// through the broker, so the pipeline's per-record spans link back to
+/// the producing sample. With an event log, the pipeline logs its
+/// run/checkpoint/late-drop rationale under the run root, each
+/// undetected episode gets a WARN (`healthcare/missed_episode`), and
+/// the run closes with an INFO (`healthcare/summary`).
 ///
 /// # Errors
 ///
 /// [`CoreError::InvalidScenario`] for degenerate parameters; stream and
 /// analytics errors propagate.
-pub fn run(params: &HealthcareParams) -> Result<HealthcareReport, CoreError> {
-    run_instrumented(params, &Registry::new())
-}
-
-/// [`run`] with a per-stage latency breakdown recorded into `registry`
-/// as span histograms (`span_duration_us{span="healthcare/…"}`), using
-/// the modeled-work-unit convention described in
-/// [the module docs](crate::scenario). The broker pipeline itself runs
-/// against the same registry and manual clock, so its stage spans and
-/// counters land beside the scenario's.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_instrumented(
-    params: &HealthcareParams,
-    registry: &Registry,
-) -> Result<HealthcareReport, CoreError> {
-    run_inner(params, registry, None, None, None)
-}
-
-/// [`run_instrumented`] plus causal flight-recorder emission. A root
-/// span covers the run with the four stages as children; patient 0's
-/// vitals samples additionally carry per-record root trace contexts
-/// through the broker, so the pipeline's per-record spans link back to
-/// the producing sample via `parent_span_id` (the broker pipeline itself
-/// is wired with [`PipelineBuilder::flight`]). Everything is timestamped
-/// on the scenario's manual clock — byte-identical traces under the
-/// same seed.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_traced(
-    params: &HealthcareParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-) -> Result<HealthcareReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, None)
-}
-
-/// [`run_traced`] plus a structured event log of the run's decisions:
-/// the vitals pipeline logs its run/checkpoint/late-drop rationale under
-/// the run root (see [`PipelineBuilder::log`]), each undetected episode
-/// gets a WARN (`healthcare/missed_episode`) during scoring, and the run
-/// closes with an INFO (`healthcare/summary`). Log records share the
-/// flight spans' trace ids, and same-seed runs render byte-identical
-/// JSONL.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_logged(
-    params: &HealthcareParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-    log: &EventLog,
-) -> Result<HealthcareReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, Some(log))
-}
-
-/// [`run_traced`] folded into a deterministic profile
-/// (`healthcare;healthcare/detect`, …): per-stack-path
-/// inclusive/exclusive modeled time plus allocation stats when the
-/// counting allocator is installed. Same-seed runs render
-/// byte-identical artifacts.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_profiled(
-    params: &HealthcareParams,
-    registry: &Registry,
-) -> Result<(HealthcareReport, augur_profile::Profile), CoreError> {
-    super::profiled_run("healthcare", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
-}
-
-/// [`run_traced`] analyzed into an [`augur_xray::XrayReport`]:
-/// critical-path ranking, work/span parallel speedup bounds, and a
-/// per-stage queueing model over the run's spans (plus live pipeline
-/// queue occupancy where the scenario runs one). Same-seed runs render
-/// byte-identical xray JSON.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_xray(
-    params: &HealthcareParams,
-    registry: &Registry,
-) -> Result<(HealthcareReport, augur_xray::XrayReport), CoreError> {
-    super::xray_run("healthcare", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
+pub fn run(params: &HealthcareParams, obs: &Obs) -> Result<HealthcareReport, CoreError> {
+    run_inner(params, obs, None)
 }
 
 /// Detector records processed per observed watch cycle (see
@@ -277,7 +195,7 @@ pub fn watch_config(seed: u64) -> WatchConfig {
     }
 }
 
-/// [`run_traced`] under live health monitoring: stage boundaries tick
+/// [`run`] under live health monitoring: stage boundaries tick
 /// the session's rollup clock, the detect stage reports one observed
 /// cycle per [`WATCH_CHUNK`] records, and every detected episode's
 /// sample-to-alert latency lands in
@@ -291,26 +209,13 @@ pub fn run_watched(
     params: &HealthcareParams,
     session: &mut WatchSession,
 ) -> Result<HealthcareReport, CoreError> {
-    let registry = session.registry();
-    let recorder = session.recorder();
-    let log = session.log();
-    let report = run_inner(
-        params,
-        &registry,
-        Some(&recorder),
-        Some(session),
-        Some(&log),
-    )?;
-    session.finish();
-    Ok(report)
+    super::watched(session, |obs, s| run_inner(params, obs, Some(s)))
 }
 
 fn run_inner(
     params: &HealthcareParams,
-    registry: &Registry,
-    recorder: Option<&FlightRecorder>,
+    obs: &Obs,
     mut watch: Option<&mut WatchSession>,
-    log: Option<&EventLog>,
 ) -> Result<HealthcareReport, CoreError> {
     if params.patients == 0 {
         return Err(CoreError::InvalidScenario("patients must be positive"));
@@ -319,10 +224,8 @@ fn run_inner(
         return Err(CoreError::InvalidScenario("durations must be positive"));
     }
     let clock = ManualTime::shared();
-    let tracer = Tracer::with_labels(registry, clock.clone(), &[("scenario", "healthcare")]);
-    let flight =
-        super::ScenarioFlight::start(recorder, "healthcare", params.seed, clock.now_micros());
-    let slog = super::ScenarioLog::start(log, "healthcare", params.seed);
+    let so = super::ScenarioObs::start(obs, "healthcare", params.seed, clock.now_micros());
+    let tracer = Tracer::with_labels(&obs.registry, clock.clone(), &[("scenario", "healthcare")]);
     let generate_t0 = clock.now_micros();
     let generate_span = tracer.span("healthcare/generate");
     let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed);
@@ -338,9 +241,7 @@ fn run_inner(
     let (samples, episodes) = VitalsGenerator::new(gen_params).generate(&mut rng);
     clock.advance_micros(samples.len() as u64);
     generate_span.end();
-    if let Some(f) = &flight {
-        f.stage("healthcare/generate", generate_t0, clock.now_micros());
-    }
+    so.stage("healthcare/generate", generate_t0, clock.now_micros());
     if let Some(s) = watch.as_deref_mut() {
         s.tick_clock(&clock);
     }
@@ -358,16 +259,18 @@ fn run_inner(
     // a producer span (modeled production order within the generate
     // window, one work unit apiece) and carries its context through the
     // broker so the pipeline's per-record spans link back to it.
-    let sample_name = recorder.map(|r| r.intern("healthcare/sample"));
+    let sample_wire = obs
+        .flight
+        .as_ref()
+        .map(|r| (r, r.intern("healthcare/sample")));
     broker.append_batch(
         "vitals",
         samples.iter().enumerate().map(|(i, s)| {
             let rec = Record::new(s.patient as u64, encode_vitals(s), s.time.as_micros());
-            match (&flight, sample_name) {
-                (Some(f), Some(name)) if s.patient == 0 => {
+            match sample_wire {
+                Some((r, name)) if s.patient == 0 => {
                     let ctx = TraceContext::root(params.seed, i as u64);
-                    f.recorder()
-                        .record_span(ctx, name, generate_t0 + i as u64, 1);
+                    r.record_span(ctx, name, generate_t0 + i as u64, 1);
                     rec.with_trace(ctx)
                 }
                 _ => rec,
@@ -376,16 +279,9 @@ fn run_inner(
     )?;
 
     let pipeline_clock = clock.clone();
-    let mut builder = PipelineBuilder::new(broker, "vitals", |r| decode_vitals(&r.payload))
-        .registry(registry)
-        .clock(clock.clone());
-    if let Some(f) = &flight {
-        builder = builder.flight(f.recorder(), f.root());
-    }
-    if let Some(l) = &slog {
-        builder = builder.log(l.handle(), l.root());
-    }
-    let mut pipeline = builder
+    let mut pipeline = PipelineBuilder::new(broker, "vitals", |r| decode_vitals(&r.payload))
+        .obs(&so.child_obs())
+        .clock(clock.clone())
         .map(move |v| {
             pipeline_clock.advance_micros(1);
             v
@@ -393,9 +289,7 @@ fn run_inner(
         .build();
     let (records, metrics) = pipeline.collect()?;
     stream_span.end();
-    if let Some(f) = &flight {
-        f.stage("healthcare/stream", stream_t0, clock.now_micros());
-    }
+    so.stage("healthcare/stream", stream_t0, clock.now_micros());
     if let Some(s) = watch.as_deref_mut() {
         s.tick_clock(&clock);
     }
@@ -451,9 +345,7 @@ fn run_inner(
         }
     }
     detect_span.end();
-    if let Some(f) = &flight {
-        f.stage("healthcare/detect", detect_t0, clock.now_micros());
-    }
+    so.stage("healthcare/detect", detect_t0, clock.now_micros());
 
     // Score against episode ground truth.
     let score_t0 = clock.now_micros();
@@ -463,8 +355,9 @@ fn run_inner(
     // Sample-to-alert latency distribution, for the declared
     // `healthcare_alert_p95` objective (and anyone else scraping the
     // registry). Sim time, microseconds.
-    let alert_latency =
-        registry.histogram_labeled("alert_latency_us", &[("scenario", "healthcare")]);
+    let alert_latency = obs
+        .registry
+        .histogram_labeled("alert_latency_us", &[("scenario", "healthcare")]);
     for ep in &episodes {
         let hit = alerts
             .iter()
@@ -480,8 +373,8 @@ fn run_inner(
             detected += 1;
             latencies.push(hit);
             alert_latency.record((hit * 1e6) as u64);
-        } else if let Some(l) = &slog {
-            l.warn(
+        } else {
+            so.warn(
                 "healthcare/missed_episode",
                 clock.now_micros(),
                 &[
@@ -513,22 +406,18 @@ fn run_inner(
     let patient_hours = params.patients as f64 * params.duration_s / 3600.0;
     clock.advance_micros(episodes.len() as u64);
     score_span.end();
-    if let Some(f) = flight {
-        f.stage("healthcare/score", score_t0, clock.now_micros());
-        f.finish(clock.now_micros());
-    }
-    if let Some(l) = &slog {
-        l.info(
-            "healthcare/summary",
-            clock.now_micros(),
-            &[
-                ("episodes", Arg::U64(episodes.len() as u64)),
-                ("detected", Arg::U64(detected as u64)),
-                ("false_alarms", Arg::U64(false_alarms as u64)),
-                ("samples", Arg::U64(metrics.records_in)),
-            ],
-        );
-    }
+    so.stage("healthcare/score", score_t0, clock.now_micros());
+    so.finish(clock.now_micros());
+    so.info(
+        "healthcare/summary",
+        clock.now_micros(),
+        &[
+            ("episodes", Arg::U64(episodes.len() as u64)),
+            ("detected", Arg::U64(detected as u64)),
+            ("false_alarms", Arg::U64(false_alarms as u64)),
+            ("samples", Arg::U64(metrics.records_in)),
+        ],
+    );
     Ok(HealthcareReport {
         episodes: episodes.len(),
         detected,
@@ -572,7 +461,7 @@ mod tests {
 
     #[test]
     fn detects_most_episodes_quickly() {
-        let r = run(&small()).unwrap();
+        let r = run(&small(), &Obs::default()).unwrap();
         assert!(r.episodes > 0, "generator should inject episodes");
         assert!(r.recall > 0.85, "recall {}", r.recall);
         // m-of-n with m=2 at 1 Hz: detection within a few seconds.
@@ -582,7 +471,7 @@ mod tests {
 
     #[test]
     fn false_alarm_rate_is_low() {
-        let r = run(&small()).unwrap();
+        let r = run(&small(), &Obs::default()).unwrap();
         assert!(
             r.false_alarm_rate_per_patient_hour < 2.0,
             "rate {}",
@@ -592,7 +481,7 @@ mod tests {
 
     #[test]
     fn streams_every_sample() {
-        let r = run(&small()).unwrap();
+        let r = run(&small(), &Obs::default()).unwrap();
         // patients × signs × (duration / period)
         assert_eq!(r.samples_streamed, 20 * 3 * 900);
         assert!(r.pipeline_throughput_rps > 0.0);
@@ -600,8 +489,8 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let a = run(&small()).unwrap();
-        let b = run(&small()).unwrap();
+        let a = run(&small(), &Obs::default()).unwrap();
+        let b = run(&small(), &Obs::default()).unwrap();
         assert_eq!(a.episodes, b.episodes);
         assert_eq!(a.detected, b.detected);
         assert_eq!(a.false_alarms, b.false_alarms);
@@ -610,9 +499,9 @@ mod tests {
     #[test]
     fn instrumented_spans_cover_scenario_and_pipeline_stages() {
         let snapshot_of = || {
-            let reg = Registry::new();
-            run_instrumented(&small(), &reg).unwrap();
-            reg.snapshot()
+            let obs = Obs::default();
+            run(&small(), &obs).unwrap();
+            obs.registry.snapshot()
         };
         let a = snapshot_of();
         let b = snapshot_of();
@@ -641,15 +530,15 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_params() {
-        assert!(run(&HealthcareParams {
+        let params = HealthcareParams {
             patients: 0,
             ..Default::default()
-        })
-        .is_err());
-        assert!(run(&HealthcareParams {
+        };
+        assert!(run(&params, &Obs::default()).is_err());
+        let params = HealthcareParams {
             period_s: 0.0,
             ..Default::default()
-        })
-        .is_err());
+        };
+        assert!(run(&params, &Obs::default()).is_err());
     }
 }

@@ -8,8 +8,9 @@
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use augur_log::{Arg, EventLog};
-use augur_telemetry::{FlightRecorder, ManualTime, Registry, TimeSource, TraceContext, Tracer};
+use augur_log::Arg;
+use augur_stream::Obs;
+use augur_telemetry::{ManualTime, TimeSource, TraceContext, Tracer};
 use augur_watch::{
     BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig, WatchSession,
 };
@@ -109,97 +110,20 @@ pub fn purchase_log(params: &RetailParams) -> Vec<Interaction> {
     log
 }
 
-/// Runs the scenario.
+/// Runs the scenario, reporting into `obs` (see
+/// [the module docs](crate::scenario)). The registry receives the
+/// per-stage breakdown (`span_duration_us{span="retail/…"}`). With a
+/// flight recorder, a root span covers the run with `retail/log`,
+/// `retail/train`, `retail/evaluate` and `retail/session` as children.
+/// With an event log, a WARN (`retail/declutter_drop`) marks an AR
+/// session whose decluttered shelf layout had to drop labels, and the
+/// run closes with an INFO (`retail/summary`).
 ///
 /// # Errors
 ///
 /// [`CoreError::InvalidScenario`] for degenerate parameters.
-pub fn run(params: &RetailParams) -> Result<RetailReport, CoreError> {
-    run_instrumented(params, &Registry::new())
-}
-
-/// [`run`] with a per-stage latency breakdown recorded into `registry`
-/// as span histograms (`span_duration_us{span="retail/…"}`), using the
-/// modeled-work-unit convention described in [the module docs](crate::scenario).
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_instrumented(
-    params: &RetailParams,
-    registry: &Registry,
-) -> Result<RetailReport, CoreError> {
-    run_inner(params, registry, None, None, None)
-}
-
-/// [`run_instrumented`] plus causal flight-recorder emission: a root
-/// span covers the run, with `retail/log`, `retail/train`,
-/// `retail/evaluate`, and `retail/session` as children on the same
-/// manual clock — byte-identical traces under the same seed.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_traced(
-    params: &RetailParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-) -> Result<RetailReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, None)
-}
-
-/// [`run_traced`] plus a structured event log of the run's decisions: a
-/// WARN (`retail/declutter_drop`) when the AR session's decluttered
-/// shelf layout had to drop labels, and a closing INFO
-/// (`retail/summary`) with the headline report numbers. Log records
-/// share the flight spans' trace ids, and same-seed runs render
-/// byte-identical JSONL.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_logged(
-    params: &RetailParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-    log: &EventLog,
-) -> Result<RetailReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, Some(log))
-}
-
-/// [`run_traced`] folded into a deterministic profile
-/// (`retail;retail/train`, …): per-stack-path inclusive/exclusive
-/// modeled time plus allocation stats when the counting allocator is
-/// installed. Same-seed runs render byte-identical artifacts.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_profiled(
-    params: &RetailParams,
-    registry: &Registry,
-) -> Result<(RetailReport, augur_profile::Profile), CoreError> {
-    super::profiled_run("retail", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
-}
-
-/// [`run_traced`] analyzed into an [`augur_xray::XrayReport`]:
-/// critical-path ranking, work/span parallel speedup bounds, and a
-/// per-stage queueing model over the run's spans (plus live pipeline
-/// queue occupancy where the scenario runs one). Same-seed runs render
-/// byte-identical xray JSON.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_xray(
-    params: &RetailParams,
-    registry: &Registry,
-) -> Result<(RetailReport, augur_xray::XrayReport), CoreError> {
-    super::xray_run("retail", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
+pub fn run(params: &RetailParams, obs: &Obs) -> Result<RetailReport, CoreError> {
+    run_inner(params, obs, None)
 }
 
 /// The scenario's declared service-level objective: p95 stage latency
@@ -246,7 +170,7 @@ pub fn watch_config(seed: u64) -> WatchConfig {
     }
 }
 
-/// [`run_traced`] under live health monitoring: each pipeline stage
+/// [`run`] under live health monitoring: each pipeline stage
 /// (log, train, evaluate, session) is reported to `session` as one
 /// observed cycle, and the session is finished when the run ends.
 ///
@@ -257,26 +181,13 @@ pub fn run_watched(
     params: &RetailParams,
     session: &mut WatchSession,
 ) -> Result<RetailReport, CoreError> {
-    let registry = session.registry();
-    let recorder = session.recorder();
-    let log = session.log();
-    let report = run_inner(
-        params,
-        &registry,
-        Some(&recorder),
-        Some(session),
-        Some(&log),
-    )?;
-    session.finish();
-    Ok(report)
+    super::watched(session, |obs, s| run_inner(params, obs, Some(s)))
 }
 
 fn run_inner(
     params: &RetailParams,
-    registry: &Registry,
-    recorder: Option<&FlightRecorder>,
+    obs: &Obs,
     mut watch: Option<&mut WatchSession>,
-    event_log: Option<&EventLog>,
 ) -> Result<RetailReport, CoreError> {
     if params.users == 0 || params.groups == 0 || params.products_per_group == 0 {
         return Err(CoreError::InvalidScenario("retail sizes must be positive"));
@@ -285,17 +196,14 @@ fn run_inner(
         return Err(CoreError::InvalidScenario("top_k must be positive"));
     }
     let clock = ManualTime::shared();
-    let tracer = Tracer::with_labels(registry, clock.clone(), &[("scenario", "retail")]);
-    let flight = super::ScenarioFlight::start(recorder, "retail", params.seed, clock.now_micros());
-    let slog = super::ScenarioLog::start(event_log, "retail", params.seed);
+    let so = super::ScenarioObs::start(obs, "retail", params.seed, clock.now_micros());
+    let tracer = Tracer::with_labels(&obs.registry, clock.clone(), &[("scenario", "retail")]);
     let log_t0 = clock.now_micros();
     let log_span = tracer.span("retail/log");
     let log = purchase_log(params);
     clock.advance_micros(log.len() as u64);
     log_span.end();
-    if let Some(f) = &flight {
-        f.stage("retail/log", log_t0, clock.now_micros());
-    }
+    so.stage("retail/log", log_t0, clock.now_micros());
     // Each observed stage cycle carries a tagged deterministic trace
     // root, so the cycle histogram's exemplars name a distinct trace
     // per stage (tag keeps the ids clear of other scenario roots).
@@ -312,9 +220,7 @@ fn run_inner(
     let rnd_model = RandomRecommender::train(&train, params.seed);
     clock.advance_micros(train.len() as u64);
     train_span.end();
-    if let Some(f) = &flight {
-        f.stage("retail/train", train_t0, clock.now_micros());
-    }
+    so.stage("retail/train", train_t0, clock.now_micros());
     if let Some(s) = watch.as_deref_mut() {
         s.observe_cycle_traced("retail", &clock, train_t0, cycle_ctx(1));
     }
@@ -326,9 +232,7 @@ fn run_inner(
     let random = evaluate(&rnd_model, &held, params.top_k);
     clock.advance_micros(3 * held.len() as u64);
     eval_span.end();
-    if let Some(f) = &flight {
-        f.stage("retail/evaluate", eval_t0, clock.now_micros());
-    }
+    so.stage("retail/evaluate", eval_t0, clock.now_micros());
     if let Some(s) = watch.as_deref_mut() {
         s.observe_cycle_traced("retail", &clock, eval_t0, cycle_ctx(2));
     }
@@ -388,38 +292,32 @@ fn run_inner(
     let naive = LayoutMetrics::measure(&labels, &naive_layout(&labels, vp));
     let decluttered = LayoutMetrics::measure(&labels, &greedy_layout(&labels, vp));
     if decluttered.drop_ratio > 0.0 {
-        if let Some(l) = &slog {
-            l.warn(
-                "retail/declutter_drop",
-                clock.now_micros(),
-                &[
-                    ("labels", Arg::U64(labels.len() as u64)),
-                    ("drop_ratio", Arg::F64(decluttered.drop_ratio)),
-                ],
-            );
-        }
+        so.warn(
+            "retail/declutter_drop",
+            clock.now_micros(),
+            &[
+                ("labels", Arg::U64(labels.len() as u64)),
+                ("drop_ratio", Arg::F64(decluttered.drop_ratio)),
+            ],
+        );
     }
     clock.advance_micros((directives.len() + labels.len()) as u64);
     session_span.end();
     if let Some(s) = watch {
         s.observe_cycle_traced("retail", &clock, session_t0, cycle_ctx(3));
     }
-    if let Some(f) = flight {
-        f.stage("retail/session", session_t0, clock.now_micros());
-        f.finish(clock.now_micros());
-    }
-    if let Some(l) = &slog {
-        l.info(
-            "retail/summary",
-            clock.now_micros(),
-            &[
-                ("log_size", Arg::U64(log.len() as u64)),
-                ("overlays", Arg::U64(directives.len() as u64)),
-                ("cf_hit_rate", Arg::F64(cf.hit_rate)),
-                ("pop_hit_rate", Arg::F64(popularity.hit_rate)),
-            ],
-        );
-    }
+    so.stage("retail/session", session_t0, clock.now_micros());
+    so.finish(clock.now_micros());
+    so.info(
+        "retail/summary",
+        clock.now_micros(),
+        &[
+            ("log_size", Arg::U64(log.len() as u64)),
+            ("overlays", Arg::U64(directives.len() as u64)),
+            ("cf_hit_rate", Arg::F64(cf.hit_rate)),
+            ("pop_hit_rate", Arg::F64(popularity.hit_rate)),
+        ],
+    );
 
     Ok(RetailReport {
         uplift_vs_popularity: if popularity.hit_rate > 0.0 {
@@ -443,7 +341,7 @@ mod tests {
 
     #[test]
     fn cf_beats_baselines_at_default_scale() {
-        let report = run(&RetailParams::default()).unwrap();
+        let report = run(&RetailParams::default(), &Obs::default()).unwrap();
         assert!(
             report.cf.hit_rate > report.popularity.hit_rate,
             "cf {} vs pop {}",
@@ -457,7 +355,7 @@ mod tests {
 
     #[test]
     fn session_produces_decluttered_overlays() {
-        let report = run(&RetailParams::default()).unwrap();
+        let report = run(&RetailParams::default(), &Obs::default()).unwrap();
         assert!(report.overlays_shown > 0);
         assert!(report.decluttered_layout.overlap_ratio <= report.naive_layout.overlap_ratio);
         assert_eq!(report.decluttered_layout.overlap_ratio, 0.0);
@@ -465,36 +363,36 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let a = run(&RetailParams::default()).unwrap();
-        let b = run(&RetailParams::default()).unwrap();
+        let a = run(&RetailParams::default(), &Obs::default()).unwrap();
+        let b = run(&RetailParams::default(), &Obs::default()).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn rejects_degenerate_params() {
-        assert!(run(&RetailParams {
+        let params = RetailParams {
             users: 0,
             ..Default::default()
-        })
-        .is_err());
-        assert!(run(&RetailParams {
+        };
+        assert!(run(&params, &Obs::default()).is_err());
+        let params = RetailParams {
             top_k: 0,
             ..Default::default()
-        })
-        .is_err());
+        };
+        assert!(run(&params, &Obs::default()).is_err());
     }
 
     #[test]
     fn smaller_scale_still_orders_correctly() {
-        let report = run(&RetailParams {
+        let params = RetailParams {
             users: 200,
             products_per_group: 40,
             groups: 4,
             interactions_per_user: 10,
             top_k: 8,
             seed: 5,
-        })
-        .unwrap();
+        };
+        let report = run(&params, &Obs::default()).unwrap();
         assert!(report.cf.hit_rate >= report.random.hit_rate);
     }
 }

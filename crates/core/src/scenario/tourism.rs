@@ -8,10 +8,9 @@
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use augur_log::{Arg, EventLog};
-use augur_telemetry::{
-    FlightRecorder, ManualTime, NameId, Registry, TimeSource, TraceContext, Tracer,
-};
+use augur_log::Arg;
+use augur_stream::Obs;
+use augur_telemetry::{FlightRecorder, ManualTime, NameId, TimeSource, TraceContext, Tracer};
 use augur_watch::{
     BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig, WatchSession,
 };
@@ -83,102 +82,26 @@ pub struct TourismReport {
     pub declutter_drop_ratio: f64,
 }
 
-/// Runs the scenario.
+/// Runs the scenario, reporting into `obs` (see
+/// [the module docs](crate::scenario)). The registry receives the
+/// per-stage breakdown (`span_duration_us{span="tourism/…"}`). With a
+/// flight recorder, each rendered frame becomes a **root** span
+/// (`TraceContext::root(seed, frame_idx)`) with `tourism/retrieve`,
+/// `tourism/occlusion` and `tourism/layout` children, and the
+/// setup/tracking stages hang off a per-run root. With an event log, each
+/// frame whose decluttered layout dropped labels gets a rate-limited WARN
+/// (`tourism/declutter_drop`), and the run closes with an INFO
+/// (`tourism/summary`) carrying the headline numbers. Every stage also
+/// runs inside a `tourism/<stage>` allocation scope, so an
+/// [`augur_profile::AllocCapture`] named `tourism` sees per-stage
+/// allocation stats when the counting allocator is installed.
 ///
 /// # Errors
 ///
 /// [`CoreError::InvalidScenario`] for degenerate parameters; geospatial
 /// errors propagate.
-pub fn run(params: &TourismParams) -> Result<TourismReport, CoreError> {
-    run_instrumented(params, &Registry::new())
-}
-
-/// [`run`] with a per-stage latency breakdown recorded into `registry`
-/// as span histograms (`span_duration_us{span="tourism/…"}`), using the
-/// modeled-work-unit convention described in [the module docs](crate::scenario).
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_instrumented(
-    params: &TourismParams,
-    registry: &Registry,
-) -> Result<TourismReport, CoreError> {
-    run_inner(params, registry, None, None, None)
-}
-
-/// [`run_instrumented`] plus causal flight-recorder emission: each
-/// rendered frame becomes a **root** span (`TraceContext::root(seed,
-/// frame_idx)`) with `tourism/retrieve`, `tourism/occlusion`, and
-/// `tourism/layout` children, and the setup/tracking stages hang off a
-/// per-run root. Timestamps come from the scenario's manual clock, so
-/// two runs under the same seed emit byte-identical traces.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_traced(
-    params: &TourismParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-) -> Result<TourismReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, None)
-}
-
-/// [`run_traced`] plus a structured event log of the run's decisions:
-/// one rate-limited WARN (`tourism/declutter_drop`) per frame whose
-/// decluttered layout dropped labels, and a final INFO
-/// (`tourism/summary`) with the headline report numbers. Log records
-/// share the flight spans' trace ids (same seed + scenario-name root),
-/// so [`augur_log::render_chrome_trace_with_logs`] interleaves them,
-/// and same-seed runs render byte-identical JSONL.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_logged(
-    params: &TourismParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-    log: &EventLog,
-) -> Result<TourismReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, Some(log))
-}
-
-/// [`run_traced`] folded into a deterministic profile: per-frame root
-/// stacks (`tourism/frame;tourism/retrieve`, …) with inclusive and
-/// exclusive modeled time, plus per-stage allocation stats when the
-/// counting allocator is installed (see [`augur_profile::alloc`]).
-/// Same-seed runs render byte-identical folded/speedscope artifacts.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_profiled(
-    params: &TourismParams,
-    registry: &Registry,
-) -> Result<(TourismReport, augur_profile::Profile), CoreError> {
-    super::profiled_run("tourism", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
-}
-
-/// [`run_traced`] analyzed into an [`augur_xray::XrayReport`]:
-/// critical-path ranking, work/span parallel speedup bounds, and a
-/// per-stage queueing model over the run's spans (plus live pipeline
-/// queue occupancy where the scenario runs one). Same-seed runs render
-/// byte-identical xray JSON.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_xray(
-    params: &TourismParams,
-    registry: &Registry,
-) -> Result<(TourismReport, augur_xray::XrayReport), CoreError> {
-    super::xray_run("tourism", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
+pub fn run(params: &TourismParams, obs: &Obs) -> Result<TourismReport, CoreError> {
+    run_inner(params, obs, None)
 }
 
 /// The scenario's declared service-level objectives: a 60 FPS frame
@@ -241,7 +164,7 @@ pub fn watch_config(seed: u64) -> WatchConfig {
     }
 }
 
-/// [`run_traced`] under live health monitoring: every rendered frame is
+/// [`run`] under live health monitoring: every rendered frame is
 /// reported to `session` as an observed cycle (so the session's rollup
 /// windows, SLO verdicts, and burn-rate alerts advance on the scenario's
 /// own manual clock), and the session is finished when the run ends. The
@@ -256,18 +179,7 @@ pub fn run_watched(
     params: &TourismParams,
     session: &mut WatchSession,
 ) -> Result<TourismReport, CoreError> {
-    let registry = session.registry();
-    let recorder = session.recorder();
-    let log = session.log();
-    let report = run_inner(
-        params,
-        &registry,
-        Some(&recorder),
-        Some(session),
-        Some(&log),
-    )?;
-    session.finish();
-    Ok(report)
+    super::watched(session, |obs, s| run_inner(params, obs, Some(s)))
 }
 
 /// Interned frame-stage names, so the per-frame loop never takes the
@@ -282,10 +194,8 @@ struct FrameWire<'a> {
 
 fn run_inner(
     params: &TourismParams,
-    registry: &Registry,
-    recorder: Option<&FlightRecorder>,
+    obs: &Obs,
     mut watch: Option<&mut WatchSession>,
-    log: Option<&EventLog>,
 ) -> Result<TourismReport, CoreError> {
     if params.pois == 0 || params.k == 0 {
         return Err(CoreError::InvalidScenario("pois and k must be positive"));
@@ -294,10 +204,9 @@ fn run_inner(
         return Err(CoreError::InvalidScenario("duration must be positive"));
     }
     let clock = ManualTime::shared();
-    let tracer = Tracer::with_labels(registry, clock.clone(), &[("scenario", "tourism")]);
-    let flight = super::ScenarioFlight::start(recorder, "tourism", params.seed, clock.now_micros());
-    let slog = super::ScenarioLog::start(log, "tourism", params.seed);
-    let wire = recorder.map(|rec| FrameWire {
+    let so = super::ScenarioObs::start(obs, "tourism", params.seed, clock.now_micros());
+    let tracer = Tracer::with_labels(&obs.registry, clock.clone(), &[("scenario", "tourism")]);
+    let wire = obs.flight.as_ref().map(|rec| FrameWire {
         rec,
         frame: rec.intern("tourism/frame"),
         retrieve: rec.intern("tourism/retrieve"),
@@ -326,9 +235,7 @@ fn run_inner(
     clock.advance_micros(params.pois as u64);
     drop(setup_alloc);
     setup_span.end();
-    if let Some(f) = &flight {
-        f.stage("tourism/setup", setup_t0, clock.now_micros());
-    }
+    so.stage("tourism/setup", setup_t0, clock.now_micros());
     if let Some(s) = watch.as_deref_mut() {
         s.tick_clock(&clock);
     }
@@ -363,9 +270,7 @@ fn run_inner(
     clock.advance_micros(truth.len() as u64);
     drop(tracking_alloc);
     tracking_span.end();
-    if let Some(f) = &flight {
-        f.stage("tourism/tracking", tracking_t0, clock.now_micros());
-    }
+    so.stage("tourism/tracking", tracking_t0, clock.now_micros());
     if let Some(s) = watch.as_deref_mut() {
         s.tick_clock(&clock);
     }
@@ -474,17 +379,15 @@ fn run_inner(
             declutter_overlap_sum += greedy.overlap_ratio;
             drop_sum += greedy.drop_ratio;
             if greedy.drop_ratio > 0.0 {
-                if let Some(l) = &slog {
-                    l.warn(
-                        "tourism/declutter_drop",
-                        clock.now_micros(),
-                        &[
-                            ("frame", Arg::U64(i as u64)),
-                            ("labels", Arg::U64(labels.len() as u64)),
-                            ("drop_ratio", Arg::F64(greedy.drop_ratio)),
-                        ],
-                    );
-                }
+                so.warn(
+                    "tourism/declutter_drop",
+                    clock.now_micros(),
+                    &[
+                        ("frame", Arg::U64(i as u64)),
+                        ("labels", Arg::U64(labels.len() as u64)),
+                        ("drop_ratio", Arg::F64(greedy.drop_ratio)),
+                    ],
+                );
             }
         }
         clock.advance_micros(labels.len() as u64);
@@ -510,22 +413,18 @@ fn run_inner(
                 .record_span(frame_ctx, w.frame, frame_t0, clock.now_micros() - frame_t0);
         }
     }
-    if let Some(f) = flight {
-        f.finish(clock.now_micros());
-    }
+    so.finish(clock.now_micros());
     let q = queries.max(1) as f64;
-    if let Some(l) = &slog {
-        l.info(
-            "tourism/summary",
-            clock.now_micros(),
-            &[
-                ("queries", Arg::U64(queries as u64)),
-                ("pois_surfaced", Arg::U64(pois_surfaced as u64)),
-                ("xray_reveals", Arg::U64(reveals as u64)),
-                ("drop_ratio", Arg::F64(drop_sum / q)),
-            ],
-        );
-    }
+    so.info(
+        "tourism/summary",
+        clock.now_micros(),
+        &[
+            ("queries", Arg::U64(queries as u64)),
+            ("pois_surfaced", Arg::U64(pois_surfaced as u64)),
+            ("xray_reveals", Arg::U64(reveals as u64)),
+            ("drop_ratio", Arg::F64(drop_sum / q)),
+        ],
+    );
     let knn_indexed_work = knn_total_work as f64 / q;
     let scan_work = scan_total_work as f64 / q;
     Ok(TourismReport {
@@ -562,7 +461,7 @@ mod tests {
 
     #[test]
     fn index_beats_scan_and_pois_surface() {
-        let r = run(&small()).unwrap();
+        let r = run(&small(), &Obs::default()).unwrap();
         assert!(r.queries >= 29);
         assert!(r.pois_surfaced > 0);
         assert!(
@@ -575,7 +474,7 @@ mod tests {
 
     #[test]
     fn tracking_error_is_bounded() {
-        let r = run(&small()).unwrap();
+        let r = run(&small(), &Obs::default()).unwrap();
         assert!(
             r.tracking_error_m < 15.0,
             "fused tracking error {} m",
@@ -585,11 +484,11 @@ mod tests {
 
     #[test]
     fn declutter_improves_overlap() {
-        let r = run(&TourismParams {
+        let params = TourismParams {
             pois: 8_000,
             ..small()
-        })
-        .unwrap();
+        };
+        let r = run(&params, &Obs::default()).unwrap();
         assert!(r.decluttered_overlap <= r.naive_overlap);
         assert_eq!(r.decluttered_overlap, 0.0);
     }
@@ -597,9 +496,9 @@ mod tests {
     #[test]
     fn instrumented_span_breakdown_is_deterministic() {
         let snapshot_of = || {
-            let reg = Registry::new();
-            run_instrumented(&small(), &reg).unwrap();
-            reg.snapshot()
+            let obs = Obs::default();
+            run(&small(), &obs).unwrap();
+            obs.registry.snapshot()
         };
         let a = snapshot_of();
         let b = snapshot_of();
@@ -639,11 +538,11 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_params() {
-        assert!(run(&TourismParams { pois: 0, ..small() }).is_err());
-        assert!(run(&TourismParams {
+        assert!(run(&TourismParams { pois: 0, ..small() }, &Obs::default()).is_err());
+        let params = TourismParams {
             duration_s: 0.0,
             ..small()
-        })
-        .is_err());
+        };
+        assert!(run(&params, &Obs::default()).is_err());
     }
 }

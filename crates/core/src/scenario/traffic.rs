@@ -13,8 +13,9 @@ use std::collections::HashMap;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use augur_log::{Arg, EventLog};
-use augur_telemetry::{FlightRecorder, ManualTime, Registry, TimeSource, TraceContext, Tracer};
+use augur_log::Arg;
+use augur_stream::Obs;
+use augur_telemetry::{ManualTime, TimeSource, TraceContext, Tracer};
 use augur_watch::{
     BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig, WatchSession,
 };
@@ -114,97 +115,20 @@ fn predicted_min_distance(a: &Beacon, b: &Beacon, now_s: f64, horizon_s: f64) ->
     (dx * dx + dy * dy).sqrt()
 }
 
-/// Runs the scenario.
+/// Runs the scenario, reporting into `obs` (see
+/// [the module docs](crate::scenario)). The registry receives the
+/// per-stage breakdown (`span_duration_us{span="traffic/…"}`). With a
+/// flight recorder, a root span covers the run with `traffic/setup`,
+/// `traffic/simulate` and `traffic/score` as children. With an event
+/// log, each collision warning a windshield display raises gets a
+/// rate-limited WARN (`traffic/warning_raised`), and the run closes with
+/// an INFO (`traffic/summary`).
 ///
 /// # Errors
 ///
 /// [`CoreError::InvalidScenario`] for degenerate parameters.
-pub fn run(params: &TrafficParams) -> Result<TrafficReport, CoreError> {
-    run_instrumented(params, &Registry::new())
-}
-
-/// [`run`] with a per-stage latency breakdown recorded into `registry`
-/// as span histograms (`span_duration_us{span="traffic/…"}`), using the
-/// modeled-work-unit convention described in [the module docs](crate::scenario).
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_instrumented(
-    params: &TrafficParams,
-    registry: &Registry,
-) -> Result<TrafficReport, CoreError> {
-    run_inner(params, registry, None, None, None)
-}
-
-/// [`run_instrumented`] plus causal flight-recorder emission: a root
-/// span covers the run, with `traffic/setup`, `traffic/simulate`, and
-/// `traffic/score` as children on the same manual clock —
-/// byte-identical traces under the same seed.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_traced(
-    params: &TrafficParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-) -> Result<TrafficReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, None)
-}
-
-/// [`run_traced`] plus a structured event log of the run's decisions: a
-/// rate-limited WARN (`traffic/warning_raised`) each time a vehicle's
-/// windshield display raises a collision warning, and a closing INFO
-/// (`traffic/summary`) with the headline report numbers. Log records
-/// share the flight spans' trace ids, and same-seed runs render
-/// byte-identical JSONL.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_logged(
-    params: &TrafficParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-    log: &EventLog,
-) -> Result<TrafficReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, Some(log))
-}
-
-/// [`run_traced`] folded into a deterministic profile
-/// (`traffic;traffic/simulate`, …): per-stack-path inclusive/exclusive
-/// modeled time plus allocation stats when the counting allocator is
-/// installed. Same-seed runs render byte-identical artifacts.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_profiled(
-    params: &TrafficParams,
-    registry: &Registry,
-) -> Result<(TrafficReport, augur_profile::Profile), CoreError> {
-    super::profiled_run("traffic", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
-}
-
-/// [`run_traced`] analyzed into an [`augur_xray::XrayReport`]:
-/// critical-path ranking, work/span parallel speedup bounds, and a
-/// per-stage queueing model over the run's spans (plus live pipeline
-/// queue occupancy where the scenario runs one). Same-seed runs render
-/// byte-identical xray JSON.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_xray(
-    params: &TrafficParams,
-    registry: &Registry,
-) -> Result<(TrafficReport, augur_xray::XrayReport), CoreError> {
-    super::xray_run("traffic", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
+pub fn run(params: &TrafficParams, obs: &Obs) -> Result<TrafficReport, CoreError> {
+    run_inner(params, obs, None)
 }
 
 /// The scenario's declared service-level objective: p95 per-step beacon
@@ -251,7 +175,7 @@ pub fn watch_config(seed: u64) -> WatchConfig {
     }
 }
 
-/// [`run_traced`] under live health monitoring: every simulation step
+/// [`run`] under live health monitoring: every simulation step
 /// is reported to `session` as an observed cycle, and the session is
 /// finished when the run ends.
 ///
@@ -262,26 +186,13 @@ pub fn run_watched(
     params: &TrafficParams,
     session: &mut WatchSession,
 ) -> Result<TrafficReport, CoreError> {
-    let registry = session.registry();
-    let recorder = session.recorder();
-    let log = session.log();
-    let report = run_inner(
-        params,
-        &registry,
-        Some(&recorder),
-        Some(session),
-        Some(&log),
-    )?;
-    session.finish();
-    Ok(report)
+    super::watched(session, |obs, s| run_inner(params, obs, Some(s)))
 }
 
 fn run_inner(
     params: &TrafficParams,
-    registry: &Registry,
-    recorder: Option<&FlightRecorder>,
+    obs: &Obs,
     mut watch: Option<&mut WatchSession>,
-    log: Option<&EventLog>,
 ) -> Result<TrafficReport, CoreError> {
     if params.vehicles < 2 {
         return Err(CoreError::InvalidScenario("need at least two vehicles"));
@@ -295,9 +206,8 @@ fn run_inner(
         return Err(CoreError::InvalidScenario("loss must be in [0, 1)"));
     }
     let clock = ManualTime::shared();
-    let tracer = Tracer::with_labels(registry, clock.clone(), &[("scenario", "traffic")]);
-    let flight = super::ScenarioFlight::start(recorder, "traffic", params.seed, clock.now_micros());
-    let slog = super::ScenarioLog::start(log, "traffic", params.seed);
+    let so = super::ScenarioObs::start(obs, "traffic", params.seed, clock.now_micros());
+    let tracer = Tracer::with_labels(&obs.registry, clock.clone(), &[("scenario", "traffic")]);
     let setup_t0 = clock.now_micros();
     let setup_span = tracer.span("traffic/setup");
     let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed);
@@ -323,9 +233,7 @@ fn run_inner(
     }
     clock.advance_micros(params.vehicles as u64);
     setup_span.end();
-    if let Some(f) = &flight {
-        f.stage("traffic/setup", setup_t0, clock.now_micros());
-    }
+    so.stage("traffic/setup", setup_t0, clock.now_micros());
     if let Some(s) = watch.as_deref_mut() {
         s.tick_clock(&clock);
     }
@@ -401,17 +309,15 @@ fn run_inner(
                     if pred < params.warn_threshold_m && !active {
                         warned_at.insert(pair, now_s);
                         warnings.push((pair, now_s));
-                        if let Some(l) = &slog {
-                            l.warn(
-                                "traffic/warning_raised",
-                                clock.now_micros(),
-                                &[
-                                    ("vehicle", Arg::U64(i as u64)),
-                                    ("neighbour", Arg::U64(j as u64)),
-                                    ("predicted_m", Arg::F64(pred)),
-                                ],
-                            );
-                        }
+                        so.warn(
+                            "traffic/warning_raised",
+                            clock.now_micros(),
+                            &[
+                                ("vehicle", Arg::U64(i as u64)),
+                                ("neighbour", Arg::U64(j as u64)),
+                                ("predicted_m", Arg::F64(pred)),
+                            ],
+                        );
                     } else if pred >= params.warn_threshold_m * 2.0 && active {
                         warned_at.remove(&pair);
                     }
@@ -432,9 +338,7 @@ fn run_inner(
     }
 
     simulate_span.end();
-    if let Some(f) = &flight {
-        f.stage("traffic/simulate", simulate_t0, clock.now_micros());
-    }
+    so.stage("traffic/simulate", simulate_t0, clock.now_micros());
 
     // Score: a near miss is covered if a warning for the pair was raised
     // within [event - horizon, event]; a warning is a false alarm if no
@@ -469,22 +373,18 @@ fn run_inner(
     };
     clock.advance_micros((warnings.len() + near_miss_events.len()) as u64);
     score_span.end();
-    if let Some(f) = flight {
-        f.stage("traffic/score", score_t0, clock.now_micros());
-        f.finish(clock.now_micros());
-    }
-    if let Some(l) = &slog {
-        l.info(
-            "traffic/summary",
-            clock.now_micros(),
-            &[
-                ("near_misses", Arg::U64(near_miss_events.len() as u64)),
-                ("warned_in_time", Arg::U64(warned_in_time as u64)),
-                ("false_alarms", Arg::U64(false_alarms as u64)),
-                ("beacons_lost", Arg::U64(beacons_lost)),
-            ],
-        );
-    }
+    so.stage("traffic/score", score_t0, clock.now_micros());
+    so.finish(clock.now_micros());
+    so.info(
+        "traffic/summary",
+        clock.now_micros(),
+        &[
+            ("near_misses", Arg::U64(near_miss_events.len() as u64)),
+            ("warned_in_time", Arg::U64(warned_in_time as u64)),
+            ("false_alarms", Arg::U64(false_alarms as u64)),
+            ("beacons_lost", Arg::U64(beacons_lost)),
+        ],
+    );
     Ok(TrafficReport {
         near_misses: near_miss_events.len(),
         warned_in_time,
@@ -519,7 +419,7 @@ mod tests {
 
     #[test]
     fn produces_near_misses_and_warnings() {
-        let r = run(&small()).unwrap();
+        let r = run(&small(), &Obs::default()).unwrap();
         assert!(r.near_misses > 0, "grid traffic should produce near misses");
         assert!(r.warned_in_time > 0);
         assert!(r.coverage > 0.5, "coverage {}", r.coverage);
@@ -528,11 +428,11 @@ mod tests {
 
     #[test]
     fn loss_accounting_matches_probability() {
-        let r = run(&TrafficParams {
+        let params = TrafficParams {
             loss: 0.3,
             ..small()
-        })
-        .unwrap();
+        };
+        let r = run(&params, &Obs::default()).unwrap();
         let total = (r.beacons_delivered + r.beacons_lost) as f64;
         let rate = r.beacons_lost as f64 / total;
         assert!((rate - 0.3).abs() < 0.02, "loss rate {rate}");
@@ -540,18 +440,18 @@ mod tests {
 
     #[test]
     fn sparser_sharing_degrades_coverage() {
-        let dense = run(&TrafficParams {
+        let dense_params = TrafficParams {
             share_period_s: 0.2,
             seed: 77,
             ..small()
-        })
-        .unwrap();
-        let sparse = run(&TrafficParams {
+        };
+        let dense = run(&dense_params, &Obs::default()).unwrap();
+        let sparse_params = TrafficParams {
             share_period_s: 4.0,
             seed: 77,
             ..small()
-        })
-        .unwrap();
+        };
+        let sparse = run(&sparse_params, &Obs::default()).unwrap();
         assert!(
             sparse.coverage <= dense.coverage + 0.05,
             "sparse {} vs dense {}",
@@ -562,36 +462,36 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_params() {
-        assert!(run(&TrafficParams {
+        let params = TrafficParams {
             vehicles: 1,
             ..small()
-        })
-        .is_err());
-        assert!(run(&TrafficParams {
+        };
+        assert!(run(&params, &Obs::default()).is_err());
+        let params = TrafficParams {
             loss: 1.0,
             ..small()
-        })
-        .is_err());
-        assert!(run(&TrafficParams {
+        };
+        assert!(run(&params, &Obs::default()).is_err());
+        let params = TrafficParams {
             dt_s: 0.0,
             ..small()
-        })
-        .is_err());
+        };
+        assert!(run(&params, &Obs::default()).is_err());
     }
 
     #[test]
     fn deterministic_under_seed() {
-        let a = run(&small()).unwrap();
-        let b = run(&small()).unwrap();
+        let a = run(&small(), &Obs::default()).unwrap();
+        let b = run(&small(), &Obs::default()).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn instrumented_span_breakdown_is_deterministic() {
         let snapshot_of = || {
-            let reg = Registry::new();
-            run_instrumented(&small(), &reg).unwrap();
-            reg.snapshot()
+            let obs = Obs::default();
+            run(&small(), &obs).unwrap();
+            obs.registry.snapshot()
         };
         let a = snapshot_of();
         let b = snapshot_of();

@@ -9,9 +9,9 @@ use std::collections::{HashMap, HashSet};
 
 use augur_core::scenario::healthcare;
 use augur_core::scenario::tourism;
-use augur_core::{HealthcareParams, TourismParams};
+use augur_core::{HealthcareParams, Obs, TourismParams};
 use augur_semantic::json::JsonValue;
-use augur_telemetry::{render_chrome_trace, FlightEvent, FlightRecorder, Registry};
+use augur_telemetry::{render_chrome_trace, FlightEvent, FlightRecorder};
 
 fn small_tourism() -> TourismParams {
     TourismParams {
@@ -38,18 +38,24 @@ fn small_healthcare() -> HealthcareParams {
 }
 
 fn traced_tourism() -> Vec<FlightEvent> {
-    let registry = Registry::new();
     let recorder = FlightRecorder::new(1 << 16);
-    let report = tourism::run_traced(&small_tourism(), &registry, &recorder);
+    let obs = Obs {
+        flight: Some(recorder.clone()),
+        ..Obs::default()
+    };
+    let report = tourism::run(&small_tourism(), &obs);
     assert!(report.is_ok(), "tourism run failed: {report:?}");
     assert_eq!(recorder.dropped_events(), 0, "ring must not overflow");
     recorder.drain()
 }
 
 fn traced_healthcare() -> Vec<FlightEvent> {
-    let registry = Registry::new();
     let recorder = FlightRecorder::new(1 << 16);
-    let report = healthcare::run_traced(&small_healthcare(), &registry, &recorder);
+    let obs = Obs {
+        flight: Some(recorder.clone()),
+        ..Obs::default()
+    };
+    let report = healthcare::run(&small_healthcare(), &obs);
     assert!(report.is_ok(), "healthcare run failed: {report:?}");
     assert_eq!(recorder.dropped_events(), 0, "ring must not overflow");
     recorder.drain()

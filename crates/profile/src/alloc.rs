@@ -189,6 +189,47 @@ pub fn export_alloc_to_registry(stats: &[ScopeStat], registry: &Registry) {
     }
 }
 
+/// Allocation accounting for one profiled run: charges the thread's
+/// allocations to a named top-level scope until finished, then reports
+/// that scope's activity plus that of its `<scope>/…` stage scopes.
+#[derive(Debug)]
+pub struct AllocCapture {
+    scope: String,
+    snapshot: AllocSnapshot,
+    guard: AllocScope,
+}
+
+impl AllocCapture {
+    /// Enters the scope named `scope` on the current thread and captures
+    /// the counters it will be diffed against.
+    pub fn enter(scope: &str) -> AllocCapture {
+        let id = register_scope(scope);
+        let snapshot = AllocSnapshot::capture();
+        AllocCapture {
+            scope: scope.to_string(),
+            snapshot,
+            guard: AllocScope::enter(id),
+        }
+    }
+
+    /// Leaves the scope and returns the activity of it and its stage
+    /// scopes since [`AllocCapture::enter`], also exported into
+    /// `registry` (see [`export_alloc_to_registry`]). Attach the stats to
+    /// the run's profile with `Profile::attach_alloc`.
+    pub fn finish(self, registry: &Registry) -> Vec<ScopeStat> {
+        drop(self.guard);
+        let prefix = format!("{}/", self.scope);
+        let stats: Vec<ScopeStat> = self
+            .snapshot
+            .delta()
+            .into_iter()
+            .filter(|s| s.name == self.scope || s.name.starts_with(&prefix))
+            .collect();
+        export_alloc_to_registry(&stats, registry);
+        stats
+    }
+}
+
 /// Charges one allocation of `size` bytes to the thread's active scope
 /// (no-op outside a scope). Atomic adds only — safe inside the
 /// allocator hook.

@@ -51,8 +51,8 @@ mod fold;
 
 /// Scope-tagged allocation accounting (see [`alloc`]).
 pub use alloc::{
-    counting_enabled, export_alloc_to_registry, register_scope, AllocScope, AllocSnapshot, ScopeId,
-    ScopeStat,
+    counting_enabled, export_alloc_to_registry, register_scope, AllocCapture, AllocScope,
+    AllocSnapshot, ScopeId, ScopeStat,
 };
 /// Folded-profile diffing (see [`diff`]).
 pub use diff::{diff_folded, parse_folded, render_diff_markdown, FrameDelta};

@@ -15,6 +15,7 @@
 //! - [`pipeline`]: a threaded dataflow executor (source → operators →
 //!   sink) with bounded channels providing backpressure.
 //! - [`checkpoint`]: offset + operator-state snapshots and recovery.
+//! - [`obs`]: the one observability handle runs report to.
 //!
 //! Absolute throughput differs from a real cluster; the *semantics* —
 //! ordering per partition, event-time windows, exactly-once-style
@@ -41,6 +42,8 @@ pub mod broker;
 pub mod checkpoint;
 /// The crate error type.
 pub mod error;
+/// The observability handle: registry, trace parent, and optional sinks.
+pub mod obs;
 /// Dataflow pipelines over the broker.
 pub mod pipeline;
 /// Record, offset, and partition types.
@@ -56,6 +59,8 @@ pub use broker::{Broker, ConsumerGroup, TopicStats};
 pub use checkpoint::{Checkpoint, CheckpointStore};
 /// The crate error type, re-exported from [`error`].
 pub use error::StreamError;
+/// The observability handle, re-exported from [`obs`].
+pub use obs::Obs;
 /// Pipeline types re-exported from [`pipeline`].
 pub use pipeline::{ModeledCosts, Pipeline, PipelineBuilder, PipelineMetrics, StopHandle};
 /// Record types re-exported from [`record`].

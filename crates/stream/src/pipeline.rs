@@ -14,8 +14,9 @@
 //! Every run is instrumented through `augur-telemetry`: per-stage spans
 //! (`span_duration_us{span="pipeline/…", topic}`), record/byte counters,
 //! a per-record latency histogram, and a watermark-lateness histogram all
-//! land in the builder's [`Registry`] (a private one by default; plug in
-//! [`Registry::global`] or a shared one via [`PipelineBuilder::registry`]).
+//! land in the builder's [`augur_telemetry::Registry`] (a private one by
+//! default; plug in a shared one, plus flight/log/sampler/lane sinks, via
+//! [`PipelineBuilder::obs`]).
 //! Time is read through the pluggable [`Clock`] — [`MonotonicTime`] by
 //! default, a [`augur_telemetry::ManualTime`] for deterministic runs.
 
@@ -26,13 +27,14 @@ use augur_log::{EventLog, Level, LogSite, SymId, Value};
 use augur_sample::Sampler;
 use augur_telemetry::{
     BlockedSite, Clock, Counter, FlightRecorder, Gauge, Histogram, Lane, LaneBlock, LaneWork,
-    Lanes, ManualTime, MonotonicTime, NameId, Registry, TraceContext, Tracer,
+    Lanes, ManualTime, MonotonicTime, NameId, TraceContext, Tracer,
 };
 use crossbeam::channel;
 
 use crate::broker::Broker;
 use crate::checkpoint::CheckpointStore;
 use crate::error::StreamError;
+use crate::obs::Obs;
 use crate::record::{PartitionId, Record};
 use crate::watermark::{BoundedOutOfOrderness, WatermarkGenerator};
 use crate::window::{Aggregation, WindowAssigner, WindowResult, WindowState, WindowedAggregator};
@@ -108,13 +110,9 @@ pub struct PipelineBuilder<T> {
     poll_batch: usize,
     channel_capacity: usize,
     arrival_order: bool,
-    registry: Registry,
+    obs: Obs,
     clock: Clock,
     modeled: Option<(Arc<ManualTime>, ModeledCosts)>,
-    flight: Option<(FlightRecorder, TraceContext)>,
-    log: Option<(EventLog, TraceContext)>,
-    lanes: Option<Lanes>,
-    sampler: Option<Sampler>,
 }
 
 impl<T> std::fmt::Debug for PipelineBuilder<T> {
@@ -145,23 +143,40 @@ impl<T: Send + 'static> PipelineBuilder<T> {
             poll_batch: 1024,
             channel_capacity: 4096,
             arrival_order: false,
-            registry: Registry::new(),
+            obs: Obs::default(),
             clock: MonotonicTime::shared(),
             modeled: None,
-            flight: None,
-            log: None,
-            lanes: None,
-            sampler: None,
         }
     }
 
-    /// Records this pipeline's metrics and spans into `registry` instead
-    /// of the builder's private default registry. Pass
-    /// [`Registry::global`] (or any shared registry) to make the
-    /// pipeline's counters, latency histograms, and stage spans visible
-    /// to exporters.
-    pub fn registry(mut self, registry: &Registry) -> Self {
-        self.registry = registry.clone();
+    /// Reports this pipeline into `obs` instead of the builder's private
+    /// default registry:
+    ///
+    /// - **registry**: counters, latency histograms and stage spans.
+    /// - **flight**: each bounded run emits a `pipeline/run` span (a
+    ///   child of `obs.parent`) with `pipeline/read` /
+    ///   `pipeline/transform` / `pipeline/window` stage children;
+    ///   records carrying their own [`TraceContext`] also get
+    ///   per-record events on the *producer's* chain, so a slow frame
+    ///   can be traced through the stream layer.
+    /// - **log**: run summaries and checkpoint/resume decisions at INFO,
+    ///   late-drop and backpressure decisions at WARN (rate-limited per
+    ///   site). Records carry the *same* span ids as the run's flight
+    ///   spans, so Perfetto shows them inline via
+    ///   `render_chrome_trace_with_logs`.
+    /// - **sampler**: every flight-bound context — the per-run context
+    ///   and each record's producer context — passes through the policy
+    ///   first, so rejected chains record nothing. The verdict is a pure
+    ///   function of `(seed, trace_id)`. Log records are never sampled.
+    /// - **lanes**: the continuous-mode source pump and transform worker
+    ///   each register a deterministic [`augur_telemetry::LaneId`] at
+    ///   spawn; time blocked on the bounded channel is recorded as
+    ///   `blocked/…` spans plus lane busy/blocked counters. Bounded runs
+    ///   execute on the caller's thread and are unaffected.
+    ///
+    /// Every emit path is lock-free; a sink left `None` costs nothing.
+    pub fn obs(mut self, obs: &Obs) -> Self {
+        self.obs = obs.clone();
         self
     }
 
@@ -183,61 +198,6 @@ impl<T: Send + 'static> PipelineBuilder<T> {
     pub fn modeled_costs(mut self, time: &Arc<ManualTime>, costs: ModeledCosts) -> Self {
         self.clock = time.clone();
         self.modeled = Some((Arc::clone(time), costs));
-        self
-    }
-
-    /// Records causal flight events into `recorder`, parented under
-    /// `parent`. Each bounded run emits a `pipeline/run` span with
-    /// `pipeline/read` / `pipeline/transform` / `pipeline/window` stage
-    /// children; records carrying their own [`TraceContext`] additionally
-    /// get per-record events linked to the *producer's* chain, so a slow
-    /// frame can be traced through the stream layer. The recorder's hot
-    /// path is lock-free; leaving this unset costs nothing.
-    pub fn flight(mut self, recorder: &FlightRecorder, parent: TraceContext) -> Self {
-        self.flight = Some((recorder.clone(), parent));
-        self
-    }
-
-    /// Emits structured log records into `log`, correlated under
-    /// `parent`: run summaries and checkpoint/resume decisions at INFO,
-    /// late-drop and backpressure decisions at WARN (rate-limited per
-    /// site, so a storm of drops cannot flood the ring). Pass the same
-    /// `parent` as [`PipelineBuilder::flight`] and the log records
-    /// carry the *same* span ids as the run's spans — Perfetto shows
-    /// them inline via `render_chrome_trace_with_logs`. The emit path
-    /// is lock-free; leaving this unset costs nothing.
-    pub fn log(mut self, log: &EventLog, parent: TraceContext) -> Self {
-        self.log = Some((log.clone(), parent));
-        self
-    }
-
-    /// Registers this pipeline's continuous-mode threads as worker
-    /// lanes in `lanes`: the source pump and the transform worker each
-    /// get a deterministic [`augur_telemetry::LaneId`] at spawn, their
-    /// spans land on per-lane rings, and time spent blocked on the
-    /// bounded channel (send on full, receive on empty) is measured on
-    /// the pipeline clock and recorded as `blocked/…` spans plus the
-    /// lane busy/blocked counters — the inputs to xray's *measured*
-    /// parallel efficiency. Bounded runs are unaffected (they execute
-    /// on the caller's thread, the control lane).
-    pub fn lanes(mut self, lanes: &Lanes) -> Self {
-        self.lanes = Some(lanes.clone());
-        self
-    }
-
-    /// Applies deterministic head sampling to this pipeline's flight
-    /// instrumentation: every trace context the pipeline touches — the
-    /// per-run context and each record's producer context — passes
-    /// through `sampler` first, so chains the policy rejects record
-    /// nothing (the recorder's hot path early-returns on the unsampled
-    /// bit). The verdict is a pure function of `(seed, trace_id)`:
-    /// identical on every lane and every same-seed run. Structured log
-    /// records are deliberately *not* sampled — WARN+ decisions must
-    /// always survive (tail retention keeps their traces). Leaving this
-    /// unset keeps every trace, byte-identically to before the hook
-    /// existed.
-    pub fn sample(mut self, sampler: &Sampler) -> Self {
-        self.sampler = Some(sampler.clone());
         self
     }
 
@@ -281,14 +241,7 @@ impl<T: Send + 'static> PipelineBuilder<T> {
     /// Finalises the pipeline, registering its metric families up front
     /// so the record hot path touches only pre-registered atomic handles.
     pub fn build(self) -> Pipeline<T> {
-        let instruments = Instruments::new(
-            &self.registry,
-            &self.clock,
-            &self.topic,
-            self.flight.clone(),
-            self.log.clone(),
-            self.sampler.clone(),
-        );
+        let instruments = Instruments::new(&self.obs, &self.clock, &self.topic);
         Pipeline {
             inner: self,
             instruments,
@@ -296,13 +249,12 @@ impl<T: Send + 'static> PipelineBuilder<T> {
     }
 }
 
-/// Flight-recorder wiring for one pipeline: the recorder, the causal
-/// parent every run hangs off, and names interned once at build time so
-/// the per-record path never takes the interner lock.
+/// Flight-recorder wiring for one pipeline: the recorder and names
+/// interned once at build time so the per-record path never takes the
+/// interner lock.
 #[derive(Clone)]
 struct FlightWire {
     recorder: FlightRecorder,
-    parent: TraceContext,
     run_name: NameId,
     read_name: NameId,
     transform_name: NameId,
@@ -312,7 +264,7 @@ struct FlightWire {
 }
 
 impl FlightWire {
-    fn new(recorder: FlightRecorder, parent: TraceContext) -> FlightWire {
+    fn new(recorder: FlightRecorder) -> FlightWire {
         FlightWire {
             run_name: recorder.intern("pipeline/run"),
             read_name: recorder.intern("pipeline/read"),
@@ -321,17 +273,15 @@ impl FlightWire {
             record_name: recorder.intern("pipeline/record"),
             late_name: recorder.intern("pipeline/late_drop"),
             recorder,
-            parent,
         }
     }
 }
 
-/// Structured-log wiring for one pipeline: the log, the causal parent,
-/// messages and keys interned once at build time, and per-site token
-/// buckets so noisy decision paths rate-limit themselves.
+/// Structured-log wiring for one pipeline: the log, messages and keys
+/// interned once at build time, and per-site token buckets so noisy
+/// decision paths rate-limit themselves.
 struct LogWire {
     log: EventLog,
-    parent: TraceContext,
     run_msg: SymId,
     late_msg: SymId,
     checkpoint_msg: SymId,
@@ -355,7 +305,7 @@ struct LogWire {
 }
 
 impl LogWire {
-    fn new(log: EventLog, parent: TraceContext, topic: &str) -> LogWire {
+    fn new(log: EventLog, topic: &str) -> LogWire {
         LogWire {
             run_msg: log.intern("pipeline/run"),
             late_msg: log.intern("pipeline/late_drop"),
@@ -375,7 +325,6 @@ impl LogWire {
             drop_site: LogSite::new(16, 100),
             backpressure_site: LogSite::new(4, 10),
             log,
-            parent,
         }
     }
 }
@@ -404,6 +353,9 @@ struct Instruments {
     dequeued: Counter,
     queue_depth: Gauge,
     queue_occupancy: Histogram,
+    /// The causal parent every run hangs off, on the flight ring and in
+    /// the log alike.
+    parent: TraceContext,
     flight: Option<FlightWire>,
     log: Option<Arc<LogWire>>,
     /// Head-sampling policy every flight-bound trace context passes
@@ -439,14 +391,8 @@ struct RunStart {
 }
 
 impl Instruments {
-    fn new(
-        registry: &Registry,
-        clock: &Clock,
-        topic: &str,
-        flight: Option<(FlightRecorder, TraceContext)>,
-        log: Option<(EventLog, TraceContext)>,
-        sampler: Option<Sampler>,
-    ) -> Instruments {
+    fn new(obs: &Obs, clock: &Clock, topic: &str) -> Instruments {
+        let registry = &obs.registry;
         let labels = [("topic", topic)];
         Instruments {
             tracer: Tracer::with_labels(registry, Arc::clone(clock), &labels),
@@ -472,9 +418,13 @@ impl Instruments {
             dequeued: registry.counter_labeled("pipeline_dequeued_total", &labels),
             queue_depth: registry.gauge_labeled("pipeline_queue_depth", &labels),
             queue_occupancy: registry.histogram_labeled("pipeline_queue_occupancy", &labels),
-            flight: flight.map(|(rec, parent)| FlightWire::new(rec, parent)),
-            log: log.map(|(log, parent)| Arc::new(LogWire::new(log, parent, topic))),
-            sampler,
+            parent: obs.parent,
+            flight: obs.flight.clone().map(FlightWire::new),
+            log: obs
+                .log
+                .clone()
+                .map(|log| Arc::new(LogWire::new(log, topic))),
+            sampler: obs.sampler.clone(),
             runs: AtomicU64::new(0),
         }
     }
@@ -494,21 +444,16 @@ impl Instruments {
         self.runs.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The flight context for bounded run `ordinal`: a `pipeline/run`
-    /// child of the configured parent.
-    fn run_ctx(&self, ordinal: u64) -> Option<TraceContext> {
-        self.flight
-            .as_ref()
-            .map(|w| self.sample_ctx(w.parent.child(ordinal ^ 0x70_69_70_65))) // "pipe" salt
-    }
-
-    /// The log context for bounded run `ordinal` — derived exactly like
-    /// [`Instruments::run_ctx`], so wiring flight and log to the same
-    /// parent makes log records share the run span's ids.
-    fn log_ctx(&self, ordinal: u64) -> Option<TraceContext> {
-        self.log
-            .as_ref()
-            .map(|w| w.parent.child(ordinal ^ 0x70_69_70_65))
+    /// The contexts for bounded run `ordinal`, `(flight, log)`: one
+    /// `pipeline/run` child of the parent, so log records share the run
+    /// span's ids. The flight copy passes through the sampler; the log
+    /// copy does not. Each is `None` when its sink is not wired.
+    fn run_ctx(&self, ordinal: u64) -> (Option<TraceContext>, Option<TraceContext>) {
+        let ctx = self.parent.child(ordinal ^ 0x70_69_70_65); // "pipe" salt
+        (
+            self.flight.as_ref().map(|_| self.sample_ctx(ctx)),
+            self.log.as_ref().map(|_| ctx),
+        )
     }
 
     /// Closes a stage at the current clock: charges the elapsed time to
@@ -690,8 +635,7 @@ impl<T: Send + 'static> Pipeline<T> {
     pub fn collect(&mut self) -> Result<(Vec<T>, PipelineMetrics), StreamError> {
         let run = self.instruments.run_start();
         let ordinal = self.instruments.next_run();
-        let run_ctx = self.instruments.run_ctx(ordinal);
-        let log_ctx = self.instruments.log_ctx(ordinal);
+        let (run_ctx, log_ctx) = self.instruments.run_ctx(ordinal);
         let run_t0 = self.instruments.clock.now_micros();
         let stats = self.inner.broker.stats(&self.inner.topic)?;
         let read_t0 = run_t0;
@@ -798,8 +742,7 @@ impl<T: Send + 'static> Pipeline<T> {
                 .unwrap_or(&0);
         }
         let ordinal = self.instruments.next_run();
-        let run_ctx = self.instruments.run_ctx(ordinal);
-        let log_ctx = self.instruments.log_ctx(ordinal);
+        let (run_ctx, log_ctx) = self.instruments.run_ctx(ordinal);
         // Resume is a recovery *decision*: worth a log record saying
         // where the merged cursor restarted.
         if resume {
@@ -962,12 +905,16 @@ impl<T: Send + 'static> Pipeline<T> {
         let records_in = self.instruments.records_in.clone();
         let records_out = self.instruments.records_out.clone();
         let log_wire = self.instruments.log.as_ref().map(Arc::clone);
+        let parent = self.instruments.parent;
         let sampler = self.instruments.sampler.clone();
         let clock = Arc::clone(&self.instruments.clock);
         let channel_capacity = self.inner.channel_capacity;
         // Channel occupancy accounting: an approximate depth counter
         // shared by both threads, exported as a gauge plus an enqueue-time
         // occupancy histogram — the live inputs to xray's queue report.
+        // The worker may dequeue a record before the pump counts it in,
+        // briefly wrapping the counter below zero; the pump's increment
+        // therefore wraps too, landing back on the true depth.
         let depth = Arc::new(AtomicU64::new(0));
         let depth_src = Arc::clone(&depth);
         let depth_worker = Arc::clone(&depth);
@@ -979,7 +926,7 @@ impl<T: Send + 'static> Pipeline<T> {
         // Lane registration happens here, on the *spawning* thread, so
         // lane ids are assigned in program order (pump then worker) no
         // matter how the OS schedules the threads.
-        let pump_io = self.inner.lanes.as_ref().map(|l| {
+        let pump_io = self.inner.obs.lanes.as_ref().map(|l| {
             LaneIo::register(
                 l,
                 &format!("{}/pump", self.inner.topic),
@@ -987,7 +934,7 @@ impl<T: Send + 'static> Pipeline<T> {
                 &clock,
             )
         });
-        let worker_io = self.inner.lanes.as_ref().map(|l| {
+        let worker_io = self.inner.obs.lanes.as_ref().map(|l| {
             LaneIo::register(
                 l,
                 &format!("{}/worker", self.inner.topic),
@@ -1041,7 +988,8 @@ impl<T: Send + 'static> Pipeline<T> {
                             match tx.try_send(flow) {
                                 Ok(()) => {
                                     enqueued.inc();
-                                    let d = depth_src.fetch_add(1, Ordering::Relaxed) + 1;
+                                    let d =
+                                        depth_src.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
                                     queue_occupancy.record(d);
                                     queue_depth_src.set_u64(d);
                                 }
@@ -1050,7 +998,7 @@ impl<T: Send + 'static> Pipeline<T> {
                                         w.log.record(
                                             &w.backpressure_site,
                                             Level::Warn,
-                                            w.parent.child_named("pipeline/backpressure"),
+                                            parent.child_named("pipeline/backpressure"),
                                             w.backpressure_msg,
                                             clock.now_micros(),
                                             &[
@@ -1077,8 +1025,9 @@ impl<T: Send + 'static> Pipeline<T> {
                                         match tx.try_send(flow) {
                                             Ok(()) => {
                                                 enqueued.inc();
-                                                let d =
-                                                    depth_src.fetch_add(1, Ordering::Relaxed) + 1;
+                                                let d = depth_src
+                                                    .fetch_add(1, Ordering::Relaxed)
+                                                    .wrapping_add(1);
                                                 queue_occupancy.record(d);
                                                 queue_depth_src.set_u64(d);
                                                 break;
@@ -1105,6 +1054,15 @@ impl<T: Send + 'static> Pipeline<T> {
             }
         });
         let mut transforms = self.inner.transforms;
+        // An idle worker spins in place when the host has a core to
+        // spare. Yielding hands the core to a pump that shares it, and
+        // two threads trading one core keep each other cache-hot, so the
+        // scheduler never moves either away: the pipeline would run on
+        // one core or on two depending on where its threads started, and
+        // its CPU cost and latency would change from run to run. On a
+        // single core the worker must yield, or the pump would wait out
+        // the worker's whole time slice for every record.
+        let spin_in_place = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
         let stop_worker = Arc::clone(&stop);
         let processed_worker = Arc::clone(&processed);
         let worker = std::thread::spawn(move || {
@@ -1150,7 +1108,11 @@ impl<T: Send + 'static> Pipeline<T> {
                                 .as_ref()
                                 .map(|io| io.block(None, BlockedSite::ChannelRecv));
                         }
-                        std::thread::yield_now();
+                        if spin_in_place {
+                            std::hint::spin_loop();
+                        } else {
+                            std::thread::yield_now();
+                        }
                     }
                     Err(channel::TryRecvError::Disconnected) => break,
                 }
@@ -1238,11 +1200,11 @@ mod tests {
     fn metrics_are_a_registry_view_and_deterministic_under_manual_time() {
         use augur_telemetry::ManualTime;
         let b = setup(2, 60);
-        let reg = Registry::new();
+        let obs = Obs::default();
         let clock = ManualTime::shared();
         let mut p = PipelineBuilder::new(b, "t", decode)
             .filter(|v| v % 3 == 0)
-            .registry(&reg)
+            .obs(&obs)
             .clock(clock.clone())
             .build();
         let (items, metrics) = p.collect().unwrap();
@@ -1251,7 +1213,7 @@ mod tests {
         assert_eq!(metrics.elapsed_s, 0.0);
         assert_eq!(metrics.p50_latency_us, 0.0);
         // The same numbers are visible through the registry.
-        let snap = reg.snapshot();
+        let snap = obs.registry.snapshot();
         let counter = |name: &str| {
             snap.counters
                 .iter()
@@ -1278,7 +1240,7 @@ mod tests {
         // A second run diffs cleanly: per-run metrics, cumulative registry.
         let (_, m2) = p.collect().unwrap();
         assert_eq!(m2.records_in, 60);
-        let snap2 = reg.snapshot();
+        let snap2 = obs.registry.snapshot();
         assert_eq!(
             snap2
                 .counters
@@ -1306,8 +1268,12 @@ mod tests {
         let rec = FlightRecorder::new(1 << 12);
         let parent = TraceContext::root(11, 0xFFFF);
         let mut p = PipelineBuilder::new(b, "t", decode)
-            .flight(&rec, parent)
-            .sample(&sampler)
+            .obs(&Obs {
+                parent,
+                flight: Some(rec.clone()),
+                sampler: Some(sampler.clone()),
+                ..Obs::default()
+            })
             .build();
         let (items, _) = p.collect().unwrap();
         assert_eq!(items.len(), 64, "sampling drops telemetry, never data");
@@ -1343,11 +1309,11 @@ mod tests {
             b.append("t", Record::new(1, t.to_le_bytes().to_vec(), t))
                 .unwrap();
         }
-        let reg = Registry::new();
+        let obs = Obs::default();
         let mut p = PipelineBuilder::new(b, "t", decode)
             .watermark_bound_us(0)
             .arrival_order(true)
-            .registry(&reg)
+            .obs(&obs)
             .build();
         let (_, m) = p
             .run_windowed(
@@ -1359,7 +1325,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(m.late_dropped, 2);
-        let snap = reg.snapshot();
+        let snap = obs.registry.snapshot();
         let lateness = snap
             .histograms
             .iter()
@@ -1398,7 +1364,11 @@ mod tests {
         let clock = ManualTime::shared();
         let mut p = PipelineBuilder::new(b, "t", decode)
             .clock(clock.clone())
-            .flight(&recorder, parent)
+            .obs(&Obs {
+                parent,
+                flight: Some(recorder.clone()),
+                ..Obs::default()
+            })
             .build();
         p.collect().unwrap();
         let events = recorder.drain();
@@ -1453,7 +1423,11 @@ mod tests {
         let mut p = PipelineBuilder::new(b, "t", decode)
             .watermark_bound_us(0)
             .arrival_order(true)
-            .flight(&recorder, TraceContext::root(7, u64::MAX))
+            .obs(&Obs {
+                parent: TraceContext::root(7, u64::MAX),
+                flight: Some(recorder.clone()),
+                ..Obs::default()
+            })
             .build();
         let (_, m) = p
             .run_windowed(
@@ -1496,7 +1470,11 @@ mod tests {
             .watermark_bound_us(0)
             .arrival_order(true)
             .clock(ManualTime::shared())
-            .log(&log, parent)
+            .obs(&Obs {
+                parent,
+                log: Some(log.clone()),
+                ..Obs::default()
+            })
             .build();
         // Crash after 3 records (checkpointing every 2), then resume.
         p.run_windowed(
@@ -1744,7 +1722,10 @@ mod tests {
         let lanes = Lanes::new(5, 4096);
         let p = PipelineBuilder::new(b, "live", decode)
             .channel_capacity(2)
-            .lanes(&lanes)
+            .obs(&Obs {
+                lanes: Some(lanes.clone()),
+                ..Obs::default()
+            })
             .build();
         // A slow sink keeps the 2-slot channel full, so the pump must
         // spend measurable time blocked on send.
@@ -1806,5 +1787,70 @@ mod tests {
         }
         handle.stop();
         assert_eq!(count.load(Ordering::Relaxed), 2_000);
+    }
+
+    #[test]
+    fn observability_never_changes_outputs() {
+        // Out-of-order event times on traced producer chains, so late
+        // drops, per-record spans, checkpoints and their log records all
+        // fire when the sinks are attached.
+        let b = Broker::new();
+        b.create_topic("t", 2).unwrap();
+        b.append_batch(
+            "t",
+            (0..400u64).map(|i| {
+                let t = (i * 7_919) % 50_000;
+                Record::new(i % 10, t.to_le_bytes().to_vec(), t)
+                    .with_trace(TraceContext::root(3, i))
+            }),
+        )
+        .unwrap();
+        let costs = ModeledCosts {
+            read_us: 1,
+            transform_us: 3,
+            window_us: 2,
+        };
+        let outputs = |obs: Option<&Obs>| {
+            let time = ManualTime::shared();
+            let build = || {
+                let builder = PipelineBuilder::new(b.clone(), "t", decode)
+                    .filter(|v| v % 3 != 0)
+                    .watermark_bound_us(2_000)
+                    .arrival_order(true)
+                    .modeled_costs(&time, costs);
+                match obs {
+                    Some(obs) => builder.obs(obs),
+                    None => builder,
+                }
+                .build()
+            };
+            let collected = build().collect().unwrap();
+            let store = CheckpointStore::new(4);
+            let windowed = build()
+                .run_windowed(
+                    TumblingWindows::new(5_000),
+                    CountAggregation,
+                    Some((&store, 50)),
+                    None,
+                    false,
+                )
+                .unwrap();
+            (collected, windowed)
+        };
+        let obs = Obs {
+            parent: TraceContext::root(3, u64::MAX),
+            flight: Some(FlightRecorder::new(1 << 12)),
+            log: Some(EventLog::new(1 << 10)),
+            sampler: Some(Sampler::new(3, 2)),
+            ..Obs::default()
+        };
+        let plain = outputs(None);
+        assert_eq!(plain, outputs(Some(&obs)));
+        assert!(
+            plain.1 .1.late_dropped > 0,
+            "input must exercise late drops"
+        );
+        assert!(!obs.flight.unwrap().drain().is_empty());
+        assert!(!obs.log.unwrap().drain().is_empty());
     }
 }

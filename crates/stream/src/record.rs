@@ -100,12 +100,7 @@ pub struct PolledRecord {
 /// FNV-1a hash used for key → partition routing (stable across runs and
 /// platforms, unlike `DefaultHasher`).
 pub(crate) fn route(key: u64, partitions: u32) -> u32 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.to_le_bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash % partitions as u64) as u32
+    (augur_telemetry::fnv1a64(&key.to_le_bytes()) % partitions as u64) as u32
 }
 
 #[cfg(test)]

@@ -97,8 +97,9 @@ pub use registry::{
 pub use span::{SpanGuard, Tracer, SPAN_LABEL, SPAN_METRIC};
 /// Pluggable clocks.
 pub use time::{Clock, ManualTime, MonotonicTime, TimeSource};
-/// Causal trace identity carried across layer boundaries, and the
-/// SplitMix64 mix shared with deterministic sampling policies.
-pub use trace::{mix64, TraceContext};
+/// Causal trace identity carried across layer boundaries, the
+/// SplitMix64 mix shared with deterministic sampling policies, and the
+/// FNV-1a hash behind stable names, shards and routes.
+pub use trace::{fnv1a64, mix64, TraceContext};
 /// The reconstructed span forest and its nodes.
 pub use tree::{SpanForest, SpanNode};

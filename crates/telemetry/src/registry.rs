@@ -51,12 +51,7 @@ struct Inner {
 
 /// FNV-1a over the metric name, used only to pick a shard.
 fn shard_of(name: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h as usize) % SHARDS
+    (crate::trace::fnv1a64(name.as_bytes()) as usize) % SHARDS
 }
 
 /// A point-in-time readout of one counter family member.

@@ -42,15 +42,20 @@ pub fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// 64-bit FNV-1a over `bytes`: the workspace's one stable string and
+/// key hash (child-span salts, registry shards, partition routing,
+/// scenario and bench trace roots). Unlike `DefaultHasher` it is fixed
+/// across runs and platforms, so the ids it feeds are reproducible.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// FNV-1a over a name, used to salt child-span derivation so siblings
 /// with different stage names get distinct span ids.
 fn name_salt(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a64(name.as_bytes())
 }
 
 /// Span id 0 is reserved to mean "no parent" (a root); derived ids are

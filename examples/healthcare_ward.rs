@@ -18,11 +18,14 @@
 //! parallel-speedup bounds, per-stage queueing model) to
 //! `results/healthcare_ward.xray.json` — byte-identical across
 //! same-seed runs, diffable with `augur-doctor --xray`.
+//!
+//! `--trace` and `--xray` combine: the scenario runs once against one
+//! `Obs` carrying a flight recorder, and each flag exports its artifact
+//! from what that run recorded.
 
-use augur::core::healthcare::{
-    run_instrumented, run_traced, run_watched, run_xray, watch_config, HealthcareParams,
-};
-use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder, Registry};
+use augur::core::healthcare::{run, run_watched, watch_config, HealthcareParams};
+use augur::core::Obs;
+use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder};
 use augur::watch::WatchSession;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,36 +39,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         params.duration_s / 60.0,
         1.0 / params.period_s
     );
-    let registry = Registry::new();
+    let obs = Obs {
+        flight: (trace || xray_run).then(|| FlightRecorder::new(1 << 16)),
+        ..Obs::default()
+    };
     let mut watch_session = None;
     let report = if watch {
         let mut session = WatchSession::new(watch_config(params.seed))?;
         let report = run_watched(&params, &mut session)?;
         watch_session = Some(session);
         report
-    } else if xray_run {
-        let (report, xray) = run_xray(&params, &registry)?;
-        std::fs::create_dir_all("results")?;
-        let path = "results/healthcare_ward.xray.json";
-        std::fs::write(path, xray.render_json())?;
-        print!("{}", xray.render_panel());
-        println!("xray: wrote {path}");
-        report
-    } else if trace {
-        let recorder = FlightRecorder::new(1 << 16);
-        let report = run_traced(&params, &registry, &recorder)?;
-        let events = recorder.drain();
-        std::fs::create_dir_all("results")?;
-        let path = "results/healthcare.trace.json";
-        std::fs::write(path, render_chrome_trace("healthcare", &events))?;
-        println!(
-            "trace: wrote {path} ({} events, {} dropped)",
-            events.len(),
-            recorder.dropped_events()
-        );
-        report
     } else {
-        run_instrumented(&params, &registry)?
+        let report = run(&params, &obs)?;
+        if let Some(recorder) = &obs.flight {
+            std::fs::create_dir_all("results")?;
+            let events = recorder.drain();
+            if xray_run {
+                let xray = augur::xray::analyze("healthcare", &events, recorder.dropped_events())
+                    .with_registry(&obs.registry.snapshot());
+                let path = "results/healthcare_ward.xray.json";
+                std::fs::write(path, xray.render_json())?;
+                print!("{}", xray.render_panel());
+                println!("xray: wrote {path}");
+            }
+            if trace {
+                let path = "results/healthcare.trace.json";
+                std::fs::write(path, render_chrome_trace("healthcare", &events))?;
+                println!(
+                    "trace: wrote {path} ({} events, {} dropped)",
+                    events.len(),
+                    recorder.dropped_events()
+                );
+            }
+        }
+        report
     };
     println!("\nstreaming:");
     println!("  samples through broker  {}", report.samples_streamed);
@@ -84,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nper-stage breakdown (modeled work units, deterministic under the seed):");
     let snapshot = match &watch_session {
         Some(session) => session.registry().snapshot(),
-        None => registry.snapshot(),
+        None => obs.registry.snapshot(),
     };
     print!("{}", render_span_breakdown(&snapshot));
     if let Some(session) = &watch_session {

@@ -17,11 +17,14 @@
 //! parallel-speedup bounds, per-stage queueing model) to
 //! `results/retail_store.xray.json` — byte-identical across same-seed
 //! runs, diffable with `augur-doctor --xray`.
+//!
+//! `--trace` and `--xray` combine: the scenario runs once against one
+//! `Obs` carrying a flight recorder, and each flag exports its artifact
+//! from what that run recorded.
 
-use augur::core::retail::{
-    run_instrumented, run_traced, run_watched, run_xray, watch_config, RetailParams,
-};
-use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder, Registry};
+use augur::core::retail::{run, run_watched, watch_config, RetailParams};
+use augur::core::Obs;
+use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder};
 use augur::watch::WatchSession;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,36 +36,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "retail scenario: {} users × {} interactions, {} product groups",
         params.users, params.interactions_per_user, params.groups
     );
-    let registry = Registry::new();
+    let obs = Obs {
+        flight: (trace || xray_run).then(|| FlightRecorder::new(1 << 16)),
+        ..Obs::default()
+    };
     let mut watch_session = None;
     let report = if watch {
         let mut session = WatchSession::new(watch_config(params.seed))?;
         let report = run_watched(&params, &mut session)?;
         watch_session = Some(session);
         report
-    } else if xray_run {
-        let (report, xray) = run_xray(&params, &registry)?;
-        std::fs::create_dir_all("results")?;
-        let path = "results/retail_store.xray.json";
-        std::fs::write(path, xray.render_json())?;
-        print!("{}", xray.render_panel());
-        println!("xray: wrote {path}");
-        report
-    } else if trace {
-        let recorder = FlightRecorder::new(1 << 16);
-        let report = run_traced(&params, &registry, &recorder)?;
-        let events = recorder.drain();
-        std::fs::create_dir_all("results")?;
-        let path = "results/retail.trace.json";
-        std::fs::write(path, render_chrome_trace("retail", &events))?;
-        println!(
-            "trace: wrote {path} ({} events, {} dropped)",
-            events.len(),
-            recorder.dropped_events()
-        );
-        report
     } else {
-        run_instrumented(&params, &registry)?
+        let report = run(&params, &obs)?;
+        if let Some(recorder) = &obs.flight {
+            std::fs::create_dir_all("results")?;
+            let events = recorder.drain();
+            if xray_run {
+                let xray = augur::xray::analyze("retail", &events, recorder.dropped_events())
+                    .with_registry(&obs.registry.snapshot());
+                let path = "results/retail_store.xray.json";
+                std::fs::write(path, xray.render_json())?;
+                print!("{}", xray.render_panel());
+                println!("xray: wrote {path}");
+            }
+            if trace {
+                let path = "results/retail.trace.json";
+                std::fs::write(path, render_chrome_trace("retail", &events))?;
+                println!(
+                    "trace: wrote {path} ({} events, {} dropped)",
+                    events.len(),
+                    recorder.dropped_events()
+                );
+            }
+        }
+        report
     };
     println!(
         "\nrecommender quality (leave-one-out, hit-rate@{}):",
@@ -97,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nper-stage breakdown (modeled work units, deterministic under the seed):");
     let snapshot = match &watch_session {
         Some(session) => session.registry().snapshot(),
-        None => registry.snapshot(),
+        None => obs.registry.snapshot(),
     };
     print!("{}", render_span_breakdown(&snapshot));
     if let Some(session) = &watch_session {

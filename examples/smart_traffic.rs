@@ -18,11 +18,14 @@
 //! parallel-speedup bounds, per-stage queueing model) to
 //! `results/smart_traffic.xray.json` — byte-identical across same-seed
 //! runs, diffable with `augur-doctor --xray`.
+//!
+//! `--trace` and `--xray` combine: the scenario runs once against one
+//! `Obs` carrying a flight recorder, and each flag exports its artifact
+//! from what that run recorded.
 
-use augur::core::traffic::{
-    run, run_instrumented, run_traced, run_watched, run_xray, watch_config, TrafficParams,
-};
-use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder, Registry};
+use augur::core::traffic::{run, run_watched, watch_config, TrafficParams};
+use augur::core::Obs;
+use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder};
 use augur::watch::WatchSession;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,36 +40,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         params.share_period_s,
         params.loss * 100.0
     );
-    let registry = Registry::new();
+    let obs = Obs {
+        flight: (trace || xray_run).then(|| FlightRecorder::new(1 << 16)),
+        ..Obs::default()
+    };
     let mut watch_session = None;
     let report = if watch {
         let mut session = WatchSession::new(watch_config(params.seed))?;
         let report = run_watched(&params, &mut session)?;
         watch_session = Some(session);
         report
-    } else if xray_run {
-        let (report, xray) = run_xray(&params, &registry)?;
-        std::fs::create_dir_all("results")?;
-        let path = "results/smart_traffic.xray.json";
-        std::fs::write(path, xray.render_json())?;
-        print!("{}", xray.render_panel());
-        println!("xray: wrote {path}");
-        report
-    } else if trace {
-        let recorder = FlightRecorder::new(1 << 16);
-        let report = run_traced(&params, &registry, &recorder)?;
-        let events = recorder.drain();
-        std::fs::create_dir_all("results")?;
-        let path = "results/traffic.trace.json";
-        std::fs::write(path, render_chrome_trace("traffic", &events))?;
-        println!(
-            "trace: wrote {path} ({} events, {} dropped)",
-            events.len(),
-            recorder.dropped_events()
-        );
-        report
     } else {
-        run_instrumented(&params, &registry)?
+        let report = run(&params, &obs)?;
+        if let Some(recorder) = &obs.flight {
+            std::fs::create_dir_all("results")?;
+            let events = recorder.drain();
+            if xray_run {
+                let xray = augur::xray::analyze("traffic", &events, recorder.dropped_events())
+                    .with_registry(&obs.registry.snapshot());
+                let path = "results/smart_traffic.xray.json";
+                std::fs::write(path, xray.render_json())?;
+                print!("{}", xray.render_panel());
+                println!("xray: wrote {path}");
+            }
+            if trace {
+                let path = "results/traffic.trace.json";
+                std::fs::write(path, render_chrome_trace("traffic", &events))?;
+                println!(
+                    "trace: wrote {path} ({} events, {} dropped)",
+                    events.len(),
+                    recorder.dropped_events()
+                );
+            }
+        }
+        report
     };
     println!("\nchannel:");
     println!(
@@ -84,10 +91,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sweep the sharing period to show the timeliness trade.
     println!("\nsharing-period sweep (coverage / lead time):");
     for period in [0.2, 0.5, 1.0, 2.0, 4.0] {
-        let r = run(&TrafficParams {
-            share_period_s: period,
-            ..params.clone()
-        })?;
+        let r = run(
+            &TrafficParams {
+                share_period_s: period,
+                ..params.clone()
+            },
+            &Obs::default(),
+        )?;
         println!(
             "  {:>4.1} s  →  {:>5.1}%  /  {:.2} s",
             period,
@@ -98,7 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nper-stage breakdown (modeled work units, deterministic under the seed):");
     let snapshot = match &watch_session {
         Some(session) => session.registry().snapshot(),
-        None => registry.snapshot(),
+        None => obs.registry.snapshot(),
     };
     print!("{}", render_span_breakdown(&snapshot));
     if let Some(session) = &watch_session {

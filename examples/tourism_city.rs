@@ -32,13 +32,16 @@
 //! `results/tourism_city.xray.json` — the artifact `augur-doctor
 //! --xray` diffs against a committed baseline. Byte-identical across
 //! same-seed runs.
+//!
+//! The flags combine: the tour runs once against one `Obs` carrying a
+//! flight recorder (and an event log under `--log`), and each flag
+//! exports its artifact from what that run recorded.
 
-use augur::core::tourism::{
-    run_instrumented, run_logged, run_profiled, run_traced, run_watched, run_xray, watch_config,
-    TourismParams,
-};
+use augur::core::tourism::{run, run_watched, watch_config, TourismParams};
+use augur::core::Obs;
 use augur::log::{render_jsonl, EventLog};
-use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder, Registry};
+use augur::profile::{AllocCapture, Profile};
+use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder};
 use augur::watch::WatchSession;
 
 /// The value following `name` in the argument list, if present.
@@ -69,7 +72,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "tourism scenario: {} POIs, {:.0} s tour, k={} per retrieval",
         params.pois, params.duration_s, params.k
     );
-    let registry = Registry::new();
+    let obs = Obs {
+        flight: (trace || profile_run || xray_run || log_run).then(|| FlightRecorder::new(1 << 16)),
+        log: log_run.then(|| EventLog::new(1 << 14)),
+        ..Obs::default()
+    };
     let mut watch_session = None;
     let report = if watch {
         let mut config = watch_config(params.seed);
@@ -78,57 +85,58 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let report = run_watched(&params, &mut session)?;
         watch_session = Some(session);
         report
-    } else if profile_run {
-        let (report, profile) = run_profiled(&params, &registry)?;
-        std::fs::create_dir_all("results")?;
-        let folded = "results/tourism_city.folded";
-        std::fs::write(folded, profile.render_folded())?;
-        let speedscope = "results/tourism_city.speedscope.json";
-        std::fs::write(speedscope, profile.render_speedscope("tourism_city"))?;
-        println!("profile: wrote {folded} and {speedscope}");
-        report
-    } else if xray_run {
-        let (report, xray) = run_xray(&params, &registry)?;
-        std::fs::create_dir_all("results")?;
-        let path = "results/tourism_city.xray.json";
-        std::fs::write(path, xray.render_json())?;
-        print!("{}", xray.render_panel());
-        println!("xray: wrote {path}");
-        report
-    } else if log_run {
-        // A denser tour (more labels per retrieval) forces the
-        // declutterer to shed bubbles, so the baseline fingerprint set
-        // exercises the WARN path, not just the summary record.
-        params.k = 64;
-        params.radius_m = 400.0;
-        let recorder = FlightRecorder::new(1 << 16);
-        let log = EventLog::new(1 << 14);
-        let report = run_logged(&params, &registry, &recorder, &log)?;
-        let records = log.drain();
-        std::fs::create_dir_all("results")?;
-        let path = "results/tourism.log.jsonl";
-        std::fs::write(path, render_jsonl(&records))?;
-        println!(
-            "log: wrote {path} ({} records, {} dropped)",
-            records.len(),
-            log.dropped_records()
-        );
-        report
-    } else if trace {
-        let recorder = FlightRecorder::new(1 << 16);
-        let report = run_traced(&params, &registry, &recorder)?;
-        let events = recorder.drain();
-        std::fs::create_dir_all("results")?;
-        let path = "results/tourism.trace.json";
-        std::fs::write(path, render_chrome_trace("tourism", &events))?;
-        println!(
-            "trace: wrote {path} ({} events, {} dropped)",
-            events.len(),
-            recorder.dropped_events()
-        );
-        report
     } else {
-        run_instrumented(&params, &registry)?
+        if log_run {
+            // A denser tour (more labels per retrieval) forces the
+            // declutterer to shed bubbles, so the baseline fingerprint set
+            // exercises the WARN path, not just the summary record.
+            params.k = 64;
+            params.radius_m = 400.0;
+        }
+        let allocs = profile_run.then(|| AllocCapture::enter("tourism"));
+        let report = run(&params, &obs)?;
+        let alloc_stats = allocs.map(|allocs| allocs.finish(&obs.registry));
+        if let Some(recorder) = &obs.flight {
+            std::fs::create_dir_all("results")?;
+            let events = recorder.drain();
+            if let Some(stats) = alloc_stats {
+                let mut profile = Profile::from_events(&events);
+                profile.attach_alloc(&stats);
+                let folded = "results/tourism_city.folded";
+                std::fs::write(folded, profile.render_folded())?;
+                let speedscope = "results/tourism_city.speedscope.json";
+                std::fs::write(speedscope, profile.render_speedscope("tourism_city"))?;
+                println!("profile: wrote {folded} and {speedscope}");
+            }
+            if xray_run {
+                let xray = augur::xray::analyze("tourism", &events, recorder.dropped_events())
+                    .with_registry(&obs.registry.snapshot());
+                let path = "results/tourism_city.xray.json";
+                std::fs::write(path, xray.render_json())?;
+                print!("{}", xray.render_panel());
+                println!("xray: wrote {path}");
+            }
+            if trace {
+                let path = "results/tourism.trace.json";
+                std::fs::write(path, render_chrome_trace("tourism", &events))?;
+                println!(
+                    "trace: wrote {path} ({} events, {} dropped)",
+                    events.len(),
+                    recorder.dropped_events()
+                );
+            }
+        }
+        if let Some(log) = &obs.log {
+            let records = log.drain();
+            let path = "results/tourism.log.jsonl";
+            std::fs::write(path, render_jsonl(&records))?;
+            println!(
+                "log: wrote {path} ({} records, {} dropped)",
+                records.len(),
+                log.dropped_records()
+            );
+        }
+        report
     };
     println!("\nretrieval ({} queries):", report.queries);
     println!(
@@ -156,7 +164,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nper-stage breakdown (modeled work units, deterministic under the seed):");
     let snapshot = match &watch_session {
         Some(session) => session.registry().snapshot(),
-        None => registry.snapshot(),
+        None => obs.registry.snapshot(),
     };
     print!("{}", render_span_breakdown(&snapshot));
     if let Some(session) = &watch_session {
