@@ -3,8 +3,9 @@
 //! as instant events, in one Perfetto-loadable document — so a WARN
 //! about a late drop renders *inside* the frame span that caused it.
 //!
-//! The span rendering matches `augur_telemetry::render_chrome_trace`
-//! (same `ph`/`cat`/`args` shape, same lane-keyed thread rows); log
+//! Spans and thread rows are written by telemetry's own Chrome helpers,
+//! so without logs the output equals
+//! [`render_chrome_trace`](augur_telemetry::render_chrome_trace); log
 //! records add `"cat":"log"` instants whose `args` carry the level and
 //! the typed fields. Worker-lane spans render on `tid == lane id` with
 //! a named `thread_name` row; control-lane events and logs are
@@ -16,8 +17,8 @@
 
 use std::fmt::Write as _;
 
-use augur_telemetry::chrome::CONTROL_TID_BASE;
-use augur_telemetry::{escape_json, json_f64, FlightEvent, FlightEventKind, LaneId};
+use augur_telemetry::chrome::{begin_trace, chain_tid, event_tid, render_event};
+use augur_telemetry::{escape_json, json_f64, FlightEvent, LaneId};
 
 use crate::export::canonical_order;
 use crate::ring::{FieldValue, LogRecord};
@@ -33,19 +34,19 @@ pub fn render_chrome_trace_with_logs(
     let mut sorted_logs: Vec<LogRecord> = logs.to_vec();
     canonical_order(&mut sorted_logs);
     // Worker lanes present, and the lane each lane-borne trace ran on.
-    let mut worker_lanes: Vec<LaneId> = Vec::new();
+    let mut worker_lanes: Vec<(LaneId, &str)> = Vec::new();
     let mut lane_of_trace: Vec<(u64, LaneId)> = Vec::new();
     for e in spans {
         if e.lane.is_worker() {
-            if !worker_lanes.contains(&e.lane) {
-                worker_lanes.push(e.lane);
+            if !worker_lanes.iter().any(|(id, _)| *id == e.lane) {
+                worker_lanes.push((e.lane, ""));
             }
             if !lane_of_trace.iter().any(|(t, _)| *t == e.trace_id) {
                 lane_of_trace.push((e.trace_id, e.lane));
             }
         }
     }
-    worker_lanes.sort();
+    worker_lanes.sort_by_key(|(id, _)| *id);
     let lane_of = |trace_id: u64| -> Option<LaneId> {
         lane_of_trace
             .iter()
@@ -64,77 +65,23 @@ pub fn render_chrome_trace_with_logs(
             chains.push(r.trace_id);
         }
     }
-    let tid_of = |trace_id: u64, lane: LaneId| -> u64 {
-        if lane.is_worker() {
-            return u64::from(lane.0);
-        }
-        if let Some(l) = lane_of(trace_id) {
-            return u64::from(l.0);
-        }
-        let pos = chains.iter().position(|t| *t == trace_id).unwrap_or(0);
-        CONTROL_TID_BASE + pos as u64
+    // Control-lane spans and logs of a trace that ran on a worker lane
+    // join that lane's row.
+    let control_tid = |trace_id: u64| -> u64 {
+        lane_of(trace_id).map_or_else(|| chain_tid(trace_id, &chains), |l| u64::from(l.0))
     };
-    let mut out = String::from("{\"traceEvents\":[");
-    let _ = write!(
-        out,
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        escape_json(process_name)
-    );
-    for lane in &worker_lanes {
-        out.push(',');
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-             \"args\":{{\"name\":\"lane-{}\"}}}}",
-            lane.0, lane.0
-        );
-    }
-    for (idx, _) in chains.iter().enumerate() {
-        out.push(',');
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-             \"args\":{{\"name\":\"trace-{idx}\"}}}}",
-            CONTROL_TID_BASE + idx as u64,
-        );
-    }
+    let mut out = begin_trace(process_name, &worker_lanes, &chains);
     for e in spans {
-        let tid = tid_of(e.trace_id, e.lane);
+        let tid = if e.lane.is_worker() {
+            event_tid(e, &chains)
+        } else {
+            control_tid(e.trace_id)
+        };
         out.push(',');
-        match e.kind {
-            FlightEventKind::Span => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":1,\"tid\":{tid},\"args\":{{\"trace_id\":\"{:016x}\",\
-                     \"span_id\":\"{:016x}\",\"parent_span_id\":\"{:016x}\"}}}}",
-                    escape_json(&e.name),
-                    e.ts_us,
-                    e.dur_us,
-                    e.trace_id,
-                    e.span_id,
-                    e.parent_span_id
-                );
-            }
-            FlightEventKind::Instant => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-                     \"pid\":1,\"tid\":{tid},\"args\":{{\"trace_id\":\"{:016x}\",\
-                     \"span_id\":\"{:016x}\",\"parent_span_id\":\"{:016x}\",\"arg\":{}}}}}",
-                    escape_json(&e.name),
-                    e.ts_us,
-                    e.trace_id,
-                    e.span_id,
-                    e.parent_span_id,
-                    e.arg
-                );
-            }
-        }
+        render_event(&mut out, e, tid);
     }
     for r in &sorted_logs {
-        let tid = tid_of(r.trace_id, LaneId::CONTROL);
+        let tid = control_tid(r.trace_id);
         out.push(',');
         let _ = write!(
             out,
@@ -175,7 +122,8 @@ mod tests {
     use crate::level::Level;
     use crate::ring::EventLog;
     use crate::site::LogSite;
-    use augur_telemetry::{FlightRecorder, TraceContext};
+    use augur_telemetry::chrome::CONTROL_TID_BASE;
+    use augur_telemetry::{render_chrome_trace, FlightRecorder, Lanes, TraceContext};
 
     fn sample() -> (Vec<FlightEvent>, Vec<LogRecord>) {
         let rec = FlightRecorder::new(16);
@@ -222,6 +170,31 @@ mod tests {
         assert_eq!(
             render_chrome_trace_with_logs("p", &spans, &logs),
             render_chrome_trace_with_logs("p", &spans, &logs)
+        );
+    }
+
+    #[test]
+    fn without_logs_the_span_rows_match_the_telemetry_renderer() {
+        let control = FlightRecorder::new(16);
+        let frame = control.intern("frame \"q\"");
+        let root = TraceContext::root(7, 0);
+        control.record_span(root, frame, 0, 1_000);
+        control.record_instant(root.child_named("drop"), control.intern("drop"), 600, 3);
+        control.record_span(TraceContext::root(7, 1), frame, 1_000, 500);
+        let lanes = Lanes::new(9, 16);
+        for (i, lane) in [lanes.register("pump"), lanes.register("worker-0")]
+            .iter()
+            .enumerate()
+        {
+            let poll = lane.recorder().intern("poll");
+            lane.recorder()
+                .record_span(lane.root(), poll, 10 * i as u64, 5);
+        }
+        let mut spans = control.drain();
+        spans.extend(lanes.merge_drains().events);
+        assert_eq!(
+            render_chrome_trace_with_logs("p", &spans, &[]),
+            render_chrome_trace("p", &spans)
         );
     }
 }

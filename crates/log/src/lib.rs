@@ -11,8 +11,9 @@
 //!   `trace_id`/`span_id` correlation from the
 //!   [`TraceContext`](augur_telemetry::TraceContext) already flowing
 //!   through the pipeline. Records land in a bounded lock-free MPSC
-//!   ring (the `FlightRecorder` slot protocol — never blocks a hot
-//!   path) with exact drop accounting:
+//!   ring (telemetry's [`SeqRing`](augur_telemetry::SeqRing), shared
+//!   with the `FlightRecorder` — never blocks a hot path) with exact
+//!   drop accounting:
 //!   `drained + dropped == total_records` at quiescence.
 //! - [`LogSite`]: per-call-site token buckets. A noisy WARN path
 //!   suppresses deterministically under

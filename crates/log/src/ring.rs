@@ -1,26 +1,19 @@
 //! The bounded lock-free MPSC log ring.
 //!
-//! Same slot protocol as the telemetry
-//! [`FlightRecorder`](augur_telemetry::FlightRecorder) (see its module
-//! docs for the torn-read proof): a producer takes a ticket from one
-//! `fetch_add` on the write cursor, marks the slot `BUSY`, stores the
-//! payload cells with `Release`, and publishes the ticket — **no lock,
-//! no allocation, never blocks**. Overwritten or torn tickets are
-//! charged to [`EventLog::dropped_records`], so at quiescence
-//! `drained + dropped == total_records` exactly.
+//! Records are pushed into telemetry's [`SeqRing`] (see
+//! [`augur_telemetry::ring`] for the slot protocol) — **no lock, no
+//! allocation, never blocks**. Overwritten or torn records are charged
+//! to [`EventLog::dropped_records`], so at quiescence
+//! `drained + dropped == total_records` exactly. This module only
+//! encodes records into ring cells and decodes them back.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-
-use augur_telemetry::TraceContext;
+use augur_telemetry::{Interner, SeqRing, TraceContext};
 
 use crate::level::Level;
 use crate::site::LogSite;
-
-/// Marks a slot whose payload is mid-write (or never written).
-const BUSY: u64 = 1 << 63;
 
 /// Fields beyond this many are truncated at emit time (the count that
 /// survives is encoded in the slot, so truncation is visible, not
@@ -115,42 +108,16 @@ fn encode(value: Value) -> (u64, u64) {
     }
 }
 
-#[derive(Debug)]
-struct Slot {
-    seq: AtomicU64,
-    trace_id: AtomicU64,
-    span_id: AtomicU64,
-    /// `(msg_id << 16) | (n_fields << 8) | level`.
-    meta: AtomicU64,
-    ts_us: AtomicU64,
-    /// Per field: `(tag << 32) | key_id`, then the value bits.
-    fields: [(AtomicU64, AtomicU64); MAX_FIELDS],
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            seq: AtomicU64::new(BUSY | u64::MAX >> 1),
-            trace_id: AtomicU64::new(0),
-            span_id: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
-            ts_us: AtomicU64::new(0),
-            fields: std::array::from_fn(|_| (AtomicU64::new(0), AtomicU64::new(0))),
-        }
-    }
-}
+/// Ring cells per record: trace id, span id, `(msg_id << 16) |
+/// (n_fields << 8) | level`, timestamp, then per field
+/// `(tag << 32) | key_id` and the value bits.
+const CELLS: usize = 4 + 2 * MAX_FIELDS;
 
 #[derive(Debug)]
 struct LogInner {
-    slots: Vec<Slot>,
-    mask: u64,
-    /// Next ticket to hand out; also the total records admitted.
-    write: AtomicU64,
-    /// Tickets below this have been consumed (drained or dropped).
-    read: Mutex<u64>,
-    dropped: AtomicU64,
+    ring: SeqRing<CELLS>,
     /// Interned symbols; written only on the registration path.
-    syms: RwLock<Vec<String>>,
+    syms: Interner,
     min_level: AtomicU8,
 }
 
@@ -175,15 +142,10 @@ impl EventLog {
 
     /// A log with an explicit severity floor.
     pub fn with_min_level(capacity: usize, min_level: Level) -> EventLog {
-        let cap = capacity.max(8).next_power_of_two();
         EventLog {
             inner: Arc::new(LogInner {
-                slots: (0..cap).map(|_| Slot::empty()).collect(),
-                mask: cap as u64 - 1,
-                write: AtomicU64::new(0),
-                read: Mutex::new(0),
-                dropped: AtomicU64::new(0),
-                syms: RwLock::new(Vec::new()),
+                ring: SeqRing::new(capacity),
+                syms: Interner::default(),
                 min_level: AtomicU8::new(min_level as u8),
             }),
         }
@@ -191,7 +153,7 @@ impl EventLog {
 
     /// Ring capacity in records.
     pub fn capacity(&self) -> usize {
-        self.inner.slots.len()
+        self.inner.ring.capacity()
     }
 
     /// The current severity floor.
@@ -212,25 +174,20 @@ impl EventLog {
     /// Interns a symbol, returning the id hot paths pass to
     /// [`EventLog::record`]. Takes a short lock — call at setup.
     pub fn intern(&self, s: &str) -> SymId {
-        let mut syms = self.inner.syms.write();
-        if let Some(pos) = syms.iter().position(|n| n == s) {
-            return SymId(pos as u32);
-        }
-        syms.push(s.to_string());
-        SymId((syms.len() - 1) as u32)
+        SymId(self.inner.syms.intern(s))
     }
 
     /// Records admitted so far (drained, pending, or dropped). Level- or
     /// rate-suppressed emits never reach this count; suppression is
     /// visible per site via [`LogSite::suppressed`].
     pub fn total_records(&self) -> u64 {
-        self.inner.write.load(Ordering::Relaxed)
+        self.inner.ring.total()
     }
 
-    /// Records overwritten before a drain could read them (plus torn
-    /// slots rejected mid-drain). Monotonic; updated at drain time.
+    /// Records overwritten before a drain could read them (plus
+    /// abandoned or torn slots). Monotonic; updated at drain time.
     pub fn dropped_records(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
+        self.inner.ring.dropped()
     }
 
     /// Emits a record with pre-interned message and keys. Lock-free and
@@ -250,27 +207,15 @@ impl EventLog {
         if !ctx.sampled || !self.enabled(level) || !site.admit(ts_us) {
             return;
         }
-        let inner = &*self.inner;
-        let ticket = inner.write.fetch_add(1, Ordering::Relaxed);
-        let Some(slot) = inner.slots.get((ticket & inner.mask) as usize) else {
-            return; // unreachable: mask < slots.len()
-        };
-        let n = fields.len().min(MAX_FIELDS);
-        slot.seq.store(ticket | BUSY, Ordering::Relaxed);
-        slot.trace_id.store(ctx.trace_id, Ordering::Release);
-        slot.span_id.store(ctx.span_id, Ordering::Release);
-        slot.meta.store(
-            (u64::from(msg.0) << 16) | ((n as u64) << 8) | level as u64,
-            Ordering::Release,
-        );
-        slot.ts_us.store(ts_us, Ordering::Release);
-        for (cell, field) in slot.fields.iter().zip(fields.iter().take(MAX_FIELDS)) {
-            let (tag, bits) = encode(field.1);
-            cell.0
-                .store((tag << 32) | u64::from(field.0 .0), Ordering::Release);
-            cell.1.store(bits, Ordering::Release);
+        let n = fields.len().min(MAX_FIELDS) as u64;
+        let meta = (u64::from(msg.0) << 16) | (n << 8) | level as u64;
+        let mut cells = [0; CELLS];
+        cells[..4].copy_from_slice(&[ctx.trace_id, ctx.span_id, meta, ts_us]);
+        for (pair, (key, value)) in cells[4..].as_chunks_mut().0.iter_mut().zip(fields) {
+            let (tag, bits) = encode(*value);
+            *pair = [(tag << 32) | u64::from(key.0), bits];
         }
-        slot.seq.store(ticket, Ordering::Release);
+        self.inner.ring.push(cells);
     }
 
     /// Convenience emit that interns the message, keys, and string
@@ -313,74 +258,28 @@ impl EventLog {
     /// [`EventLog::dropped_records`]. At quiescence
     /// `drained_total + dropped_records == total_records` exactly.
     pub fn drain(&self) -> Vec<LogRecord> {
-        let inner = &*self.inner;
-        let mut read = inner.read.lock();
-        let w = inner.write.load(Ordering::Acquire);
-        let cap = inner.slots.len() as u64;
-        let mut r = *read;
-        if w.saturating_sub(r) > cap {
-            // The ring lapped the reader: everything below w - cap is gone.
-            inner.dropped.fetch_add(w - cap - r, Ordering::Relaxed);
-            r = w - cap;
-        }
-        let syms = inner.syms.read();
-        let resolve = |id: u64| -> String {
-            syms.get(id as usize)
-                .cloned()
-                .unwrap_or_else(|| String::from("?"))
-        };
-        let mut out = Vec::with_capacity((w - r) as usize);
-        for ticket in r..w {
-            let Some(slot) = inner.slots.get((ticket & inner.mask) as usize) else {
-                continue; // unreachable: mask < slots.len()
-            };
-            if slot.seq.load(Ordering::Acquire) != ticket {
-                inner.dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let trace_id = slot.trace_id.load(Ordering::Acquire);
-            let span_id = slot.span_id.load(Ordering::Acquire);
-            let meta = slot.meta.load(Ordering::Acquire);
-            let ts_us = slot.ts_us.load(Ordering::Acquire);
-            let mut raw_fields = [(0u64, 0u64); MAX_FIELDS];
-            for (dst, cell) in raw_fields.iter_mut().zip(slot.fields.iter()) {
-                *dst = (
-                    cell.0.load(Ordering::Acquire),
-                    cell.1.load(Ordering::Acquire),
-                );
-            }
-            if slot.seq.load(Ordering::Acquire) != ticket {
-                // A writer raced us mid-read; its BUSY marker (made
-                // visible by the Acquire payload loads) fails this check.
-                inner.dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let n = ((meta >> 8) & 0xff) as usize;
-            let fields = raw_fields
-                .iter()
-                .take(n.min(MAX_FIELDS))
-                .map(|&(key_tag, bits)| {
+        let syms = &self.inner.syms;
+        let decode = |[trace_id, span_id, meta, ts_us, body @ ..]: [u64; CELLS]| LogRecord {
+            ts_us,
+            level: Level::from_u8((meta & 0xff) as u8),
+            msg: syms.resolve(meta >> 16),
+            trace_id,
+            span_id,
+            fields: (body.as_chunks().0.iter())
+                .take(((meta >> 8) & 0xff) as usize)
+                .map(|&[key_tag, bits]| {
                     let value = match key_tag >> 32 {
                         TAG_U64 => FieldValue::U64(bits),
                         TAG_I64 => FieldValue::I64(bits as i64),
                         TAG_F64 => FieldValue::F64(f64::from_bits(bits)),
                         TAG_BOOL => FieldValue::Bool(bits != 0),
-                        _ => FieldValue::Str(resolve(bits)),
+                        _ => FieldValue::Str(syms.resolve(bits)),
                     };
-                    (resolve(key_tag & 0xffff_ffff), value)
+                    (syms.resolve(key_tag & 0xffff_ffff), value)
                 })
-                .collect();
-            out.push(LogRecord {
-                ts_us,
-                level: Level::from_u8((meta & 0xff) as u8),
-                msg: resolve(meta >> 16),
-                trace_id,
-                span_id,
-                fields,
-            });
-        }
-        *read = w;
-        out
+                .collect(),
+        };
+        self.inner.ring.drain().into_iter().map(decode).collect()
     }
 }
 

@@ -74,6 +74,21 @@ pub fn render_chrome_trace_with_lanes(
         }
     }
 
+    let mut out = begin_trace(process_name, &worker_lanes, &chains);
+    for e in events {
+        let tid = event_tid(e, &chains);
+        out.push(',');
+        render_event(&mut out, e, tid);
+    }
+    out.push_str("],\"displayTimeUnit\":\"ms\"}");
+    out
+}
+
+/// Opens a trace document: the `process_name` row, a `thread_name` row
+/// per worker lane (named `lane-<id>` when its name is empty), and a
+/// `trace-<n>` row per control chain (see the module docs). Callers
+/// append `,`-prefixed events and close with `],"displayTimeUnit":"ms"}`.
+pub fn begin_trace(process_name: &str, worker_lanes: &[(LaneId, &str)], chains: &[u64]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let _ = write!(
         out,
@@ -81,24 +96,18 @@ pub fn render_chrome_trace_with_lanes(
          \"args\":{{\"name\":\"{}\"}}}}",
         escape_json(process_name)
     );
-    for (id, name) in &worker_lanes {
-        out.push(',');
-        if name.is_empty() {
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"name\":\"lane-{}\"}}}}",
-                id.0, id.0
-            );
+    for (id, name) in worker_lanes {
+        let name = if name.is_empty() {
+            format!("lane-{}", id.0)
         } else {
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                id.0,
-                escape_json(name)
-            );
-        }
+            escape_json(name)
+        };
+        let _ = write!(
+            out,
+            ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
+             \"args\":{{\"name\":\"{name}\"}}}}",
+            id.0
+        );
     }
     for (idx, _) in chains.iter().enumerate() {
         out.push(',');
@@ -109,29 +118,28 @@ pub fn render_chrome_trace_with_lanes(
             CONTROL_TID_BASE + idx as u64,
         );
     }
-    for e in events {
-        let tid = event_tid(e, &chains);
-        out.push(',');
-        render_event(&mut out, e, tid);
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
     out
 }
 
-/// The stable tid for one event: the lane id for worker lanes, or the
-/// causal chain's synthetic tid above [`CONTROL_TID_BASE`].
-pub(crate) fn event_tid(e: &FlightEvent, chains: &[u64]) -> u64 {
+/// The stable tid for one event: the lane id for worker lanes, or its
+/// causal chain's tid (see [`chain_tid`]).
+pub fn event_tid(e: &FlightEvent, chains: &[u64]) -> u64 {
     if e.lane.is_worker() {
         u64::from(e.lane.0)
     } else {
-        let pos = chains.iter().position(|t| *t == e.trace_id).unwrap_or(0);
-        CONTROL_TID_BASE + pos as u64
+        chain_tid(e.trace_id, chains)
     }
 }
 
-/// Writes one span/instant row (shared with the log-merged renderer's
-/// span half via duplication kept byte-compatible).
-fn render_event(out: &mut String, e: &FlightEvent, tid: u64) {
+/// The synthetic tid of a control chain: its position in `chains`,
+/// offset above [`CONTROL_TID_BASE`].
+pub fn chain_tid(trace_id: u64, chains: &[u64]) -> u64 {
+    let pos = chains.iter().position(|t| *t == trace_id).unwrap_or(0);
+    CONTROL_TID_BASE + pos as u64
+}
+
+/// Writes one span/instant row at `tid`.
+pub fn render_event(out: &mut String, e: &FlightEvent, tid: u64) {
     match e.kind {
         FlightEventKind::Span => {
             let _ = write!(

@@ -2,34 +2,14 @@
 //! span/event records.
 //!
 //! Producers on hot paths call [`FlightRecorder::record_span`] /
-//! [`FlightRecorder::record_instant`]; each record is a ticket from one
-//! `fetch_add` on the write cursor plus a handful of atomic stores into a
-//! fixed-size slot — **no lock, no allocation, never blocks**. When the
-//! ring wraps before a drain, old entries are overwritten and counted in
-//! [`FlightRecorder::dropped_events`]; losing telemetry is acceptable,
-//! stalling a frame is not (the paper's timeliness constraint, §4).
-//!
-//! ## Slot protocol (why this is torn-proof without `unsafe`)
-//!
-//! Each slot is a fixed set of `AtomicU64` cells plus a `seq` cell. A
-//! writer with ticket `t`:
-//!
-//! 1. stores `t | BUSY` into `seq` (the slot is now visibly in flux),
-//! 2. stores the payload cells with `Release`,
-//! 3. stores `t` into `seq` with `Release` (publish).
-//!
-//! A drainer accepts ticket `t` only if `seq == t` both **before and
-//! after** reading the payload. If a concurrent writer had published any
-//! payload cell in between, the drainer's `Acquire` load of that cell
-//! synchronizes with the writer's `Release` store, which makes the
-//! writer's earlier `BUSY` marker visible — so the second `seq` check
-//! fails and the ticket is counted as dropped instead of surfacing torn
-//! data. Every ticket is therefore accounted **exactly once**: drained,
-//! or dropped (`drained + dropped == total_events` at quiescence — the
-//! invariant `tests/flight_stress.rs` asserts under 4-producer overflow).
-//!
-//! Draining takes a `parking_lot` mutex around the read cursor only;
-//! drains are control-plane operations and never sit on a hot path.
+//! [`FlightRecorder::record_instant`]; each record is pushed into a
+//! [`SeqRing`] — **no lock, no allocation, never blocks** (see
+//! [`crate::ring`] for the slot protocol and why it is torn-proof).
+//! When the ring wraps before a drain, old entries are overwritten and
+//! counted in [`FlightRecorder::dropped_events`]: at quiescence
+//! `drained + dropped_events == total_events` exactly, the invariant
+//! `tests/flight_stress.rs` asserts under 4-producer overflow. This
+//! module only encodes events into ring cells and decodes them back.
 //!
 //! # Example
 //!
@@ -46,17 +26,12 @@
 //! assert_eq!(rec.dropped_events(), 0);
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-
 use crate::lane::LaneId;
+use crate::ring::{Interner, SeqRing};
 use crate::time::Clock;
 use crate::trace::TraceContext;
-
-/// Marks a slot whose payload is mid-write (or never written).
-const BUSY: u64 = 1 << 63;
 
 /// An interned event name: hot paths carry this copyable id instead of a
 /// string. Intern names once at setup via [`FlightRecorder::intern`].
@@ -96,45 +71,14 @@ pub struct FlightEvent {
     pub lane: LaneId,
 }
 
-#[derive(Debug)]
-struct Slot {
-    seq: AtomicU64,
-    trace_id: AtomicU64,
-    span_id: AtomicU64,
-    parent_span_id: AtomicU64,
-    /// `(name_id << 8) | kind`.
-    meta: AtomicU64,
-    ts_us: AtomicU64,
-    dur_us: AtomicU64,
-    arg: AtomicU64,
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            seq: AtomicU64::new(BUSY | u64::MAX >> 1),
-            trace_id: AtomicU64::new(0),
-            span_id: AtomicU64::new(0),
-            parent_span_id: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
-            ts_us: AtomicU64::new(0),
-            dur_us: AtomicU64::new(0),
-            arg: AtomicU64::new(0),
-        }
-    }
-}
+/// Ring cells per event: trace, span and parent ids, `(name << 8) |
+/// kind`, timestamp, duration and arg.
+const CELLS: usize = 7;
 
 #[derive(Debug)]
 struct FlightInner {
-    slots: Vec<Slot>,
-    mask: u64,
-    /// Next ticket to hand out; also the total number of records accepted.
-    write: AtomicU64,
-    /// Tickets below this have been consumed (drained or dropped).
-    read: Mutex<u64>,
-    dropped: AtomicU64,
-    /// Interned names; written only on the registration path.
-    names: RwLock<Vec<String>>,
+    ring: SeqRing<CELLS>,
+    names: Interner,
     /// Stamped onto every drained event; the ring belongs to one lane.
     lane: LaneId,
 }
@@ -164,15 +108,10 @@ impl FlightRecorder {
     /// worker lane, so lanes never share a write cursor. Normally
     /// constructed through [`crate::Lanes::register`].
     pub fn for_lane(capacity: usize, lane: LaneId) -> FlightRecorder {
-        let cap = capacity.max(8).next_power_of_two();
         FlightRecorder {
             inner: Arc::new(FlightInner {
-                slots: (0..cap).map(|_| Slot::empty()).collect(),
-                mask: cap as u64 - 1,
-                write: AtomicU64::new(0),
-                read: Mutex::new(0),
-                dropped: AtomicU64::new(0),
-                names: RwLock::new(Vec::new()),
+                ring: SeqRing::new(capacity),
+                names: Interner::default(),
                 lane,
             }),
         }
@@ -185,85 +124,57 @@ impl FlightRecorder {
 
     /// Ring capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.inner.slots.len()
+        self.inner.ring.capacity()
     }
 
     /// Interns `name`, returning the id hot paths pass to the record
     /// calls. Takes a short lock — call at setup, not per event.
     pub fn intern(&self, name: &str) -> NameId {
-        let mut names = self.inner.names.write();
-        if let Some(pos) = names.iter().position(|n| n == name) {
-            return NameId(pos as u32);
-        }
-        names.push(name.to_string());
-        NameId((names.len() - 1) as u32)
+        NameId(self.inner.names.intern(name))
     }
 
     /// Total records accepted so far (drained, pending, or dropped).
     pub fn total_events(&self) -> u64 {
-        self.inner.write.load(Ordering::Relaxed)
+        self.inner.ring.total()
     }
 
-    /// Records overwritten before a drain could read them (plus torn
-    /// slots rejected mid-drain). Monotonic; updated at drain time.
+    /// Records overwritten before a drain could read them (plus
+    /// abandoned or torn slots). Monotonic; updated at drain time.
     pub fn dropped_events(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
+        self.inner.ring.dropped()
     }
 
-    /// Live loss estimate: already-charged drops **plus** tickets the
-    /// ring has overwritten since the last drain. Unlike
+    /// Live loss count: already-charged drops **plus** what a drain
+    /// would charge right now (exact at quiescence). Unlike
     /// [`FlightRecorder::dropped_events`] this moves between drains, so
     /// monitors (e.g. the watch session's trace-loss SLO) can alert on
     /// span loss while a run is still in flight. Takes the read-cursor
     /// lock briefly; call from control-plane code, not hot paths.
     pub fn lost_events(&self) -> u64 {
-        let inner = &*self.inner;
-        let r = *inner.read.lock();
-        let w = inner.write.load(Ordering::Acquire);
-        let pending_overwrites = w.saturating_sub(r).saturating_sub(inner.slots.len() as u64);
-        inner.dropped.load(Ordering::Relaxed) + pending_overwrites
+        self.inner.ring.lost()
     }
 
-    fn record(
-        &self,
-        ctx: TraceContext,
-        name: NameId,
-        kind: u64,
-        ts_us: u64,
-        dur_us: u64,
-        arg: u64,
-    ) {
-        if !ctx.sampled {
-            return;
+    fn record(&self, ctx: TraceContext, name: NameId, kind: FlightEventKind, cells: [u64; 3]) {
+        if ctx.sampled {
+            let [ts_us, dur_us, arg] = cells;
+            let meta = (u64::from(name.0) << 8) | kind as u64;
+            let (trace, span, parent) = (ctx.trace_id, ctx.span_id, ctx.parent_span_id);
+            self.inner
+                .ring
+                .push([trace, span, parent, meta, ts_us, dur_us, arg]);
         }
-        let inner = &*self.inner;
-        let ticket = inner.write.fetch_add(1, Ordering::Relaxed);
-        let Some(slot) = inner.slots.get((ticket & inner.mask) as usize) else {
-            return; // unreachable: mask < slots.len()
-        };
-        slot.seq.store(ticket | BUSY, Ordering::Relaxed);
-        slot.trace_id.store(ctx.trace_id, Ordering::Release);
-        slot.span_id.store(ctx.span_id, Ordering::Release);
-        slot.parent_span_id
-            .store(ctx.parent_span_id, Ordering::Release);
-        slot.meta
-            .store((u64::from(name.0) << 8) | kind, Ordering::Release);
-        slot.ts_us.store(ts_us, Ordering::Release);
-        slot.dur_us.store(dur_us, Ordering::Release);
-        slot.arg.store(arg, Ordering::Release);
-        slot.seq.store(ticket, Ordering::Release);
     }
 
     /// Records a completed span (`start_us..start_us + dur_us`).
     /// Lock-free, allocation-free; a no-op for unsampled contexts.
     pub fn record_span(&self, ctx: TraceContext, name: NameId, start_us: u64, dur_us: u64) {
-        self.record(ctx, name, 0, start_us, dur_us, 0);
+        self.record(ctx, name, FlightEventKind::Span, [start_us, dur_us, 0]);
     }
 
     /// Records a point event with a free-form `arg` payload.
     /// Lock-free, allocation-free; a no-op for unsampled contexts.
     pub fn record_instant(&self, ctx: TraceContext, name: NameId, ts_us: u64, arg: u64) {
-        self.record(ctx, name, 1, ts_us, arg, 0);
+        self.record(ctx, name, FlightEventKind::Instant, [ts_us, 0, arg]);
     }
 
     /// Starts a span guard that records `ctx` when dropped, timed on
@@ -285,65 +196,32 @@ impl FlightRecorder {
     /// [`FlightRecorder::total_events`] exactly.
     pub fn drain(&self) -> Vec<FlightEvent> {
         let inner = &*self.inner;
-        let mut read = inner.read.lock();
-        let w = inner.write.load(Ordering::Acquire);
-        let cap = inner.slots.len() as u64;
-        let mut r = *read;
-        if w.saturating_sub(r) > cap {
-            // The ring lapped the reader: everything below w - cap is gone.
-            inner.dropped.fetch_add(w - cap - r, Ordering::Relaxed);
-            r = w - cap;
+        inner
+            .ring
+            .drain()
+            .into_iter()
+            .map(|c| inner.decode(c))
+            .collect()
+    }
+}
+
+impl FlightInner {
+    fn decode(&self, cells: [u64; CELLS]) -> FlightEvent {
+        let [trace_id, span_id, parent_span_id, meta, ts_us, dur_us, arg] = cells;
+        FlightEvent {
+            trace_id,
+            span_id,
+            parent_span_id,
+            name: self.names.resolve(meta >> 8),
+            kind: match meta & 0xff {
+                0 => FlightEventKind::Span,
+                _ => FlightEventKind::Instant,
+            },
+            ts_us,
+            dur_us,
+            arg,
+            lane: self.lane,
         }
-        let names = inner.names.read();
-        let mut out = Vec::with_capacity((w - r) as usize);
-        for ticket in r..w {
-            let Some(slot) = inner.slots.get((ticket & inner.mask) as usize) else {
-                continue; // unreachable: mask < slots.len()
-            };
-            if slot.seq.load(Ordering::Acquire) != ticket {
-                inner.dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let trace_id = slot.trace_id.load(Ordering::Acquire);
-            let span_id = slot.span_id.load(Ordering::Acquire);
-            let parent_span_id = slot.parent_span_id.load(Ordering::Acquire);
-            let meta = slot.meta.load(Ordering::Acquire);
-            let ts_us = slot.ts_us.load(Ordering::Acquire);
-            let dur_us = slot.dur_us.load(Ordering::Acquire);
-            let arg = slot.arg.load(Ordering::Acquire);
-            if slot.seq.load(Ordering::Acquire) != ticket {
-                // A writer raced us mid-read; its BUSY marker (made
-                // visible by the Acquire payload loads) fails this check.
-                inner.dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let name = names
-                .get((meta >> 8) as usize)
-                .cloned()
-                .unwrap_or_else(|| String::from("?"));
-            let kind = if meta & 0xff == 0 {
-                FlightEventKind::Span
-            } else {
-                FlightEventKind::Instant
-            };
-            let (dur_us, arg) = match kind {
-                FlightEventKind::Span => (dur_us, 0),
-                FlightEventKind::Instant => (0, dur_us.max(arg)),
-            };
-            out.push(FlightEvent {
-                trace_id,
-                span_id,
-                parent_span_id,
-                name,
-                kind,
-                ts_us,
-                dur_us,
-                arg,
-                lane: inner.lane,
-            });
-        }
-        *read = w;
-        out
     }
 }
 

@@ -63,6 +63,8 @@ pub mod lane;
 pub mod metric;
 /// Sharded registry of labeled metric families.
 pub mod registry;
+/// The seqlock ring and interner behind the flight recorder and log.
+pub mod ring;
 /// Span tracing recorded as duration histograms.
 pub mod span;
 /// Pluggable time sources (`ManualTime`, `MonotonicTime`).
@@ -93,6 +95,8 @@ pub use metric::{
 pub use registry::{
     CounterSnapshot, GaugeSnapshot, HistogramFamilySnapshot, Labels, Registry, RegistrySnapshot,
 };
+/// The one lock-free record ring and its string interner.
+pub use ring::{Interner, SeqRing};
 /// Span tracing.
 pub use span::{SpanGuard, Tracer, SPAN_LABEL, SPAN_METRIC};
 /// Pluggable clocks.

@@ -1,9 +1,9 @@
 //! Flight-recorder overflow stress: 4 producer threads hammer a small
 //! ring far past capacity, then a single drain must account for every
 //! ticket exactly — `drained + dropped_events == total_events` — with no
-//! torn reads surfacing as garbage events. The seqlock-style slot
-//! protocol this exercises only shows races under optimized builds, so
-//! CI runs the test suite with `--release` semantics in mind; the
+//! torn reads surfacing as garbage events. The seqlock slot protocol
+//! this exercises (`src/ring.rs`) races most under optimized builds, so
+//! CI also runs the telemetry, log and xray tests with `--release`; the
 //! invariants hold at any opt level.
 
 use std::collections::HashSet;
