@@ -162,6 +162,33 @@ impl Broker {
         from: u64,
         max: usize,
     ) -> Result<Vec<PolledRecord>, StreamError> {
+        self.visit(topic, partition, from, max, |start, records| {
+            records
+                .iter()
+                .zip(start..)
+                .map(|(r, offset)| PolledRecord {
+                    offset: Offset(offset),
+                    record: r.clone(),
+                })
+                .collect()
+        })
+    }
+
+    /// Calls `visit(start, records)` on up to `max` records of
+    /// `partition` from offset `from` (`start` is the first one's offset,
+    /// `from` clamped to the partition's end), borrowed straight from the
+    /// log, and returns its result. The one partition-slice read path.
+    ///
+    /// `visit` runs under the partition's read lock: it must not append
+    /// to this topic, or it deadlocks on the write lock.
+    pub(crate) fn visit<R>(
+        &self,
+        topic: &str,
+        partition: PartitionId,
+        from: u64,
+        max: usize,
+        visit: impl FnOnce(u64, &[Record]) -> R,
+    ) -> Result<R, StreamError> {
         let t = self.topic(topic)?;
         let p = t
             .partitions
@@ -172,15 +199,8 @@ impl Broker {
             })?
             .read();
         let start = (from as usize).min(p.records.len());
-        let end = (start + max).min(p.records.len());
-        Ok(p.records[start..end]
-            .iter()
-            .enumerate()
-            .map(|(i, r)| PolledRecord {
-                offset: Offset((start + i) as u64),
-                record: r.clone(),
-            })
-            .collect())
+        let end = start.saturating_add(max).min(p.records.len());
+        Ok(visit(start as u64, &p.records[start..end]))
     }
 
     /// The end offset (next offset to be written) of a partition.
@@ -189,16 +209,8 @@ impl Broker {
     ///
     /// [`StreamError::UnknownTopic`] / [`StreamError::UnknownPartition`].
     pub fn end_offset(&self, topic: &str, partition: PartitionId) -> Result<u64, StreamError> {
-        let t = self.topic(topic)?;
-        let p = t
-            .partitions
-            .get(partition.0 as usize)
-            .ok_or(StreamError::UnknownPartition {
-                topic: topic.to_string(),
-                partition: partition.0,
-            })?
-            .read();
-        Ok(p.records.len() as u64)
+        // An empty visit past the end starts at the end offset.
+        self.visit(topic, partition, u64::MAX, 0, |end, _| end)
     }
 
     /// Number of partitions in a topic.

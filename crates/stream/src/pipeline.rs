@@ -27,7 +27,7 @@ use augur_log::{EventLog, Level, LogSite, SymId, Value};
 use augur_sample::Sampler;
 use augur_telemetry::{
     BlockedSite, Clock, Counter, FlightRecorder, Gauge, Histogram, Lane, LaneBlock, LaneWork,
-    Lanes, ManualTime, MonotonicTime, NameId, TraceContext, Tracer,
+    Lanes, LocalHistogram, ManualTime, MonotonicTime, NameId, TraceContext, Tracer,
 };
 use crossbeam::channel;
 
@@ -129,6 +129,10 @@ impl<T: Send + 'static> PipelineBuilder<T> {
     /// Starts a builder reading `topic` from `broker`, decoding payloads
     /// with `decoder` (records failing to decode are skipped — the
     /// "Variety" reality of mixed-schema topics).
+    ///
+    /// Bounded runs call `decoder` on records borrowed from the log while
+    /// holding their partition's read lock, so it must not append to the
+    /// topic it reads: that would deadlock on the partition's write lock.
     pub fn new(
         broker: Broker,
         topic: &str,
@@ -522,7 +526,7 @@ impl Instruments {
         &self,
         start: &RunStart,
         bytes_in: u64,
-        latency: Option<&Histogram>,
+        latency: Option<&LocalHistogram>,
     ) -> PipelineMetrics {
         let elapsed_ns = self.clock.now_nanos().saturating_sub(start.start_nanos);
         PipelineMetrics {
@@ -585,44 +589,95 @@ struct Flow<T> {
     value: T,
 }
 
+/// One bounded read of a topic.
+struct Scan<T> {
+    /// Decoded items in arrival (partition-then-offset) order.
+    flows: Vec<Flow<T>>,
+    /// The order the run visits `flows` in, as indices into it.
+    order: Vec<usize>,
+    /// Payload bytes of every record read, decoded or not.
+    bytes: u64,
+}
+
+/// Reorders `items` in place so that the item at `order[k]` lands at
+/// `k`. Each cycle of the permutation is followed once, so every item is
+/// swapped into its place directly and no second copy of `items` exists.
+fn permute<F>(items: &mut [F], mut order: Vec<usize>) {
+    const PLACED: usize = usize::MAX;
+    for start in 0..order.len() {
+        let mut k = start;
+        while order[k] != PLACED {
+            let src = std::mem::replace(&mut order[k], PLACED);
+            if src != start {
+                items.swap(k, src);
+            }
+            k = src;
+        }
+    }
+}
+
 impl<T: Send + 'static> Pipeline<T> {
-    fn read_all(&self) -> Result<Vec<Flow<T>>, StreamError> {
-        // Snapshot end offsets, then drain each partition to that point,
-        // merging by event time to approximate arrival interleaving.
+    /// Reads everything the topic holds at the start of the run. Every
+    /// partition's end offset is snapshotted first, so records appended
+    /// during the read are left out. Each partition is then drained to
+    /// its snapshot in `poll_batch` chunks, decoded straight from the log
+    /// under the partition's read lock. The visit order is event time
+    /// (ties in arrival order), or arrival order under
+    /// [`PipelineBuilder::arrival_order`].
+    fn read_all(&self) -> Result<Scan<T>, StreamError> {
         let b = &self.inner.broker;
-        let parts = b.partition_count(&self.inner.topic)?;
-        let mut flows: Vec<Flow<T>> = Vec::new();
-        for p in 0..parts {
-            let end = b.end_offset(&self.inner.topic, PartitionId(p))?;
+        let topic = &self.inner.topic;
+        let ends = (0..b.partition_count(topic)?)
+            .map(|p| b.end_offset(topic, PartitionId(p)))
+            .collect::<Result<Vec<u64>, _>>()?;
+        let mut flows: Vec<Flow<T>> = Vec::with_capacity(ends.iter().sum::<u64>() as usize);
+        let mut bytes = 0u64;
+        for (p, &end) in (0..).map(PartitionId).zip(&ends) {
             let mut from = 0u64;
             while from < end {
-                let batch = b.poll(
-                    &self.inner.topic,
-                    PartitionId(p),
-                    from,
-                    self.inner.poll_batch,
-                )?;
-                let Some(last) = batch.last() else { break };
-                from = last.offset.0 + 1;
-                for pr in batch {
-                    if let Some(v) = (self.inner.decoder)(&pr.record) {
-                        flows.push(Flow {
-                            key: pr.record.key,
-                            time_us: pr.record.event_time_us,
-                            // Head sampling decides here, once per record,
-                            // so every downstream per-record flight event
-                            // inherits the verdict.
-                            trace: pr.record.trace.map(|c| self.instruments.sample_ctx(c)),
-                            value: v,
-                        });
+                let max = (end - from).min(self.inner.poll_batch as u64) as usize;
+                let read = b.visit(topic, p, from, max, |_, records| {
+                    for r in records {
+                        bytes += r.payload.len() as u64;
+                        if let Some(v) = (self.inner.decoder)(r) {
+                            flows.push(Flow {
+                                key: r.key,
+                                time_us: r.event_time_us,
+                                // Head sampling decides here, once per
+                                // record, so every downstream per-record
+                                // flight event inherits the verdict.
+                                trace: r.trace.map(|c| self.instruments.sample_ctx(c)),
+                                value: v,
+                            });
+                        }
                     }
+                    records.len()
+                })?;
+                if read == 0 {
+                    break;
                 }
+                from += read as u64;
             }
         }
-        if !self.inner.arrival_order {
-            flows.sort_by_key(|f| f.time_us);
-        }
-        Ok(flows)
+        let order = if self.inner.arrival_order {
+            (0..flows.len()).collect()
+        } else {
+            // Sort compact (time, arrival index) keys, never the flows:
+            // the index breaks ties, so this is exactly the permutation a
+            // stable sort by event time gives.
+            let mut keys: Vec<(u64, usize)> = flows
+                .iter()
+                .enumerate()
+                .map(|(i, f)| (f.time_us, i))
+                .collect();
+            keys.sort_unstable();
+            keys.into_iter().map(|(_, i)| i).collect()
+        };
+        Ok(Scan {
+            flows,
+            order,
+            bytes,
+        })
     }
 
     /// Processes everything currently in the topic through the
@@ -637,21 +692,24 @@ impl<T: Send + 'static> Pipeline<T> {
         let ordinal = self.instruments.next_run();
         let (run_ctx, log_ctx) = self.instruments.run_ctx(ordinal);
         let run_t0 = self.instruments.clock.now_micros();
-        let stats = self.inner.broker.stats(&self.inner.topic)?;
-        let read_t0 = run_t0;
-        let flows = {
+        let Scan {
+            mut flows,
+            order,
+            bytes,
+        } = {
             let _read = self.instruments.tracer.span("pipeline/read");
             self.read_all()?
         };
         if let Some((time, costs)) = &self.inner.modeled {
             time.advance_micros(costs.read_us.saturating_mul(flows.len() as u64));
         }
-        self.instruments.flight_stage(run_ctx, Stage::Read, read_t0);
+        self.instruments.flight_stage(run_ctx, Stage::Read, run_t0);
         self.instruments.records_in.add(flows.len() as u64);
-        // Run-local histogram for the per-run quantile view, folded into
-        // the shared `pipeline_record_latency_ns` family once at run end
-        // (`Histogram::merge`) — one atomic path per record, not two.
-        let run_latency = Histogram::new();
+        permute(&mut flows, order);
+        // Run-local, non-atomic histogram for the per-run quantile view,
+        // folded into the shared `pipeline_record_latency_ns` family once
+        // at run end (`Histogram::merge_local`).
+        let mut run_latency = LocalHistogram::new();
         let mut out = Vec::new();
         {
             let _transform = self.instruments.tracer.span("pipeline/transform");
@@ -671,7 +729,6 @@ impl<T: Send + 'static> Pipeline<T> {
                 if let Some(x) = v {
                     let dt = self.instruments.clock.now_nanos().saturating_sub(t0);
                     run_latency.record(dt);
-                    self.instruments.records_out.inc();
                     // A record carrying its producer's context gets a
                     // per-record span on that chain: the cross-layer link.
                     if let (Some(w), Some(ctx)) = (&self.instruments.flight, flow.trace) {
@@ -688,11 +745,10 @@ impl<T: Send + 'static> Pipeline<T> {
             self.instruments
                 .flight_stage(run_ctx, Stage::Transform, transform_t0);
         }
-        self.instruments.record_latency_ns.merge(&run_latency);
+        self.instruments.records_out.add(out.len() as u64);
+        self.instruments.record_latency_ns.merge_local(&run_latency);
         self.instruments.flight_stage(run_ctx, Stage::Run, run_t0);
-        let metrics = self
-            .instruments
-            .per_run(&run, stats.bytes, Some(&run_latency));
+        let metrics = self.instruments.per_run(&run, bytes, Some(&run_latency));
         self.instruments.log_run_summary(log_ctx, &metrics);
         Ok((out, metrics))
     }
@@ -764,7 +820,11 @@ impl<T: Send + 'static> Pipeline<T> {
         // The bounded run reads a time-ordered merge of all partitions;
         // the "offset" we checkpoint is the index into that merged order,
         // stored under partition u32::MAX (single logical cursor).
-        let flows = {
+        let Scan {
+            flows,
+            order,
+            bytes,
+        } = {
             let _read = self.instruments.tracer.span("pipeline/read");
             self.read_all()?
         };
@@ -772,22 +832,23 @@ impl<T: Send + 'static> Pipeline<T> {
             time.advance_micros(costs.read_us.saturating_mul(flows.len() as u64));
         }
         self.instruments.flight_stage(run_ctx, Stage::Read, run_t0);
+        // This run visits merged positions `first..stop`: a resume skips
+        // what its checkpoint covers, and `crash_after` stops the run at
+        // that position.
+        let first = usize::try_from(processed_before)
+            .unwrap_or(usize::MAX)
+            .min(order.len());
+        let stop = crash_after.map_or(order.len(), |limit| limit.clamp(first, order.len()));
+        let crashed = stop < order.len();
+        // Run-local, non-atomic lateness histogram, folded into the
+        // shared `watermark_lateness_us` family once at run end.
+        let mut run_lateness = LocalHistogram::new();
         let mut emitted: Vec<WindowResult<A::Acc>> = Vec::new();
-        let mut crashed = false;
         {
             let _window = self.instruments.tracer.span("pipeline/window");
             let window_t0 = self.instruments.clock.now_micros();
-            for (i, flow) in flows.iter().enumerate() {
-                if (i as u64) < processed_before {
-                    continue;
-                }
-                if let Some(limit) = crash_after {
-                    if i >= limit {
-                        crashed = true;
-                        break;
-                    }
-                }
-                self.instruments.records_in.inc();
+            for (i, &j) in (first..stop).zip(&order[first..stop]) {
+                let flow = &flows[j];
                 if let Some((time, costs)) = &self.inner.modeled {
                     time.advance_micros(costs.window_us);
                 }
@@ -806,7 +867,7 @@ impl<T: Send + 'static> Pipeline<T> {
                     // on-time records, positive for stragglers — the
                     // distribution A1 uses to size the disorder bound.
                     let lateness = wm.current().0.saturating_sub(flow.time_us);
-                    self.instruments.lateness_us.record(lateness);
+                    run_lateness.record(lateness);
                     let accepted = agg.offer(flow.key, flow.time_us, &x);
                     // Late drops become flight instants on the producer's
                     // chain: the trace shows *which* frame lost data.
@@ -873,11 +934,12 @@ impl<T: Send + 'static> Pipeline<T> {
             self.instruments
                 .flight_stage(run_ctx, Stage::Window, window_t0);
         }
+        self.instruments.records_in.add((stop - first) as u64);
+        self.instruments.lateness_us.merge_local(&run_lateness);
         self.instruments.flight_stage(run_ctx, Stage::Run, run_t0);
         self.instruments.records_out.add(emitted.len() as u64);
         self.instruments.late_dropped.add(agg.late_dropped());
-        let stats = self.inner.broker.stats(&self.inner.topic)?;
-        let metrics = self.instruments.per_run(&run, stats.bytes, None);
+        let metrics = self.instruments.per_run(&run, bytes, None);
         self.instruments.log_run_summary(log_ctx, &metrics);
         Ok((emitted, metrics))
     }

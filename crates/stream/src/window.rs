@@ -65,8 +65,10 @@ impl std::fmt::Display for Window {
 
 /// Assigns windows to event times.
 pub trait WindowAssigner {
-    /// The windows an event at `t_us` belongs to.
-    fn assign(&self, t_us: u64) -> Vec<Window>;
+    /// Replaces the contents of `out` with the windows an event at
+    /// `t_us` belongs to, in ascending start order. The caller owns and
+    /// reuses `out`, so assignment allocates nothing once it has grown.
+    fn assign(&self, t_us: u64, out: &mut Vec<Window>);
 
     /// `Some(gap)` if windows must be merged session-style.
     fn session_gap_us(&self) -> Option<u64> {
@@ -93,9 +95,10 @@ impl TumblingWindows {
 }
 
 impl WindowAssigner for TumblingWindows {
-    fn assign(&self, t_us: u64) -> Vec<Window> {
+    fn assign(&self, t_us: u64, out: &mut Vec<Window>) {
         let start = (t_us / self.size_us) * self.size_us;
-        vec![Window::new(start, start + self.size_us)]
+        out.clear();
+        out.push(Window::new(start, start + self.size_us));
     }
 }
 
@@ -123,8 +126,8 @@ impl SlidingWindows {
 }
 
 impl WindowAssigner for SlidingWindows {
-    fn assign(&self, t_us: u64) -> Vec<Window> {
-        let mut out = Vec::new();
+    fn assign(&self, t_us: u64, out: &mut Vec<Window>) {
+        out.clear();
         let last_start = (t_us / self.slide_us) * self.slide_us;
         let mut start = last_start;
         loop {
@@ -140,7 +143,6 @@ impl WindowAssigner for SlidingWindows {
             }
         }
         out.reverse();
-        out
     }
 }
 
@@ -163,8 +165,9 @@ impl SessionWindows {
 }
 
 impl WindowAssigner for SessionWindows {
-    fn assign(&self, t_us: u64) -> Vec<Window> {
-        vec![Window::new(t_us, t_us + self.gap_us)]
+    fn assign(&self, t_us: u64, out: &mut Vec<Window>) {
+        out.clear();
+        out.push(Window::new(t_us, t_us + self.gap_us));
     }
 
     fn session_gap_us(&self) -> Option<u64> {
@@ -328,6 +331,8 @@ where
     state: BTreeMap<(u64, u64, u64), A::Acc>, // (end_us, key, start_us)
     emitted_watermark: Watermark,
     late_dropped: u64,
+    /// Scratch buffer [`WindowAssigner::assign`] refills on every offer.
+    windows: Vec<Window>,
     _marker: std::marker::PhantomData<fn(&T)>,
 }
 
@@ -344,6 +349,7 @@ where
             state: BTreeMap::new(),
             emitted_watermark: Watermark(0),
             late_dropped: 0,
+            windows: Vec::new(),
             _marker: std::marker::PhantomData,
         }
     }
@@ -360,16 +366,21 @@ where
 
     /// Offers an item. Returns `false` if it was dropped as late.
     pub fn offer(&mut self, key: u64, event_time_us: u64, item: &T) -> bool {
-        let windows = self.assigner.assign(event_time_us);
+        self.assigner.assign(event_time_us, &mut self.windows);
         // Late if every window it belongs to has already been emitted.
-        if windows.iter().all(|w| w.end_us <= self.emitted_watermark.0) {
+        if self
+            .windows
+            .iter()
+            .all(|w| w.end_us <= self.emitted_watermark.0)
+        {
             self.late_dropped += 1;
             return false;
         }
         if let Some(_gap) = self.assigner.session_gap_us() {
-            self.offer_session(key, windows[0], item);
+            let window = self.windows[0];
+            self.offer_session(key, window, item);
         } else {
-            for w in windows {
+            for w in &self.windows {
                 if w.end_us <= self.emitted_watermark.0 {
                     continue; // this pane already fired; drop silently
                 }
@@ -410,36 +421,25 @@ where
             return Vec::new();
         }
         self.emitted_watermark = watermark;
-        let mut fired = Vec::new();
-        // All keys with end_us <= watermark: range up to (watermark+1, 0, 0).
+        // All keys with end_us <= watermark: the prefix below
+        // (watermark+1, 0, 0), detached in one split. Most advances fire
+        // nothing, and a split allocates, so look before splitting.
         let boundary = (watermark.0 + 1, 0u64, 0u64);
-        let to_fire: Vec<(u64, u64, u64)> = self.state.range(..boundary).map(|(k, _)| *k).collect();
-        for k in to_fire {
-            if let Some(value) = self.state.remove(&k) {
-                fired.push(WindowResult {
-                    key: k.1,
-                    window: Window::new(k.2, k.0),
-                    value,
-                });
-            }
+        if self
+            .state
+            .first_key_value()
+            .is_none_or(|(k, _)| *k >= boundary)
+        {
+            return Vec::new();
         }
-        fired
+        let pending = self.state.split_off(&boundary);
+        emit(std::mem::replace(&mut self.state, pending))
     }
 
-    /// Emits everything regardless of the watermark (end of stream).
+    /// Emits everything regardless of the watermark (end of stream),
+    /// ordered by (end, key, start).
     pub fn flush(&mut self) -> Vec<WindowResult<A::Acc>> {
-        let mut fired: Vec<WindowResult<A::Acc>> = self
-            .state
-            .iter()
-            .map(|(k, v)| WindowResult {
-                key: k.1,
-                window: Window::new(k.2, k.0),
-                value: v.clone(),
-            })
-            .collect();
-        self.state.clear();
-        fired.sort_by_key(|r| (r.window.end_us, r.key));
-        fired
+        emit(std::mem::take(&mut self.state))
     }
 
     /// Snapshot of the internal state for checkpointing.
@@ -459,6 +459,19 @@ where
     }
 }
 
+/// Moves fired accumulators out of `fired` as results, in the map's
+/// (end, key, start) order.
+fn emit<Acc>(fired: BTreeMap<(u64, u64, u64), Acc>) -> Vec<WindowResult<Acc>> {
+    fired
+        .into_iter()
+        .map(|((end_us, key, start_us), value)| WindowResult {
+            key,
+            window: Window::new(start_us, end_us),
+            value,
+        })
+        .collect()
+}
+
 /// Checkpointable window-operator state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowState<Acc> {
@@ -471,19 +484,25 @@ pub struct WindowState<Acc> {
 mod tests {
     use super::*;
 
+    fn assigned(assigner: &impl WindowAssigner, t_us: u64) -> Vec<Window> {
+        let mut out = Vec::new();
+        assigner.assign(t_us, &mut out);
+        out
+    }
+
     #[test]
     fn tumbling_assignment() {
         let w = TumblingWindows::new(1_000);
-        assert_eq!(w.assign(0), vec![Window::new(0, 1_000)]);
-        assert_eq!(w.assign(999), vec![Window::new(0, 1_000)]);
-        assert_eq!(w.assign(1_000), vec![Window::new(1_000, 2_000)]);
+        assert_eq!(assigned(&w, 0), vec![Window::new(0, 1_000)]);
+        assert_eq!(assigned(&w, 999), vec![Window::new(0, 1_000)]);
+        assert_eq!(assigned(&w, 1_000), vec![Window::new(1_000, 2_000)]);
     }
 
     #[test]
     fn sliding_assignment_covers_event() {
         let w = SlidingWindows::new(1_000, 250);
         let t = 1_100;
-        let windows = w.assign(t);
+        let windows = assigned(&w, t);
         assert_eq!(windows.len(), 4);
         for win in &windows {
             assert!(win.contains(t), "{win} should contain {t}");
@@ -499,7 +518,7 @@ mod tests {
         let s = SlidingWindows::new(500, 500);
         let t = TumblingWindows::new(500);
         for time in [0u64, 499, 500, 1_250] {
-            assert_eq!(s.assign(time), t.assign(time));
+            assert_eq!(assigned(&s, time), assigned(&t, time));
         }
     }
 

@@ -76,7 +76,8 @@ proptest! {
     #[test]
     fn tumbling_windows_partition_the_timeline(size in 1u64..10_000, t in 0u64..1_000_000) {
         let assigner = TumblingWindows::new(size);
-        let windows = assigner.assign(t);
+        let mut windows = Vec::new();
+        assigner.assign(t, &mut windows);
         prop_assert_eq!(windows.len(), 1);
         prop_assert!(windows[0].contains(t));
         prop_assert_eq!(windows[0].len_us(), size);
@@ -91,7 +92,8 @@ proptest! {
     ) {
         let size = slide * factor;
         let assigner = SlidingWindows::new(size, slide);
-        let windows = assigner.assign(t);
+        let mut windows = Vec::new();
+        assigner.assign(t, &mut windows);
         // Near the epoch there are no negative window starts, so fewer
         // than `factor` panes exist.
         let expected = factor.min(t / slide + 1);

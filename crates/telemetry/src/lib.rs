@@ -11,7 +11,8 @@
 //! - [`Counter`] / [`Gauge`] / [`Histogram`]: `Arc`-shared atomic cells;
 //!   the record path is wait-free and allocation-free. The histogram is
 //!   log-linear (32 sub-buckets per power of two) with a documented
-//!   quantile relative-error bound of 1/32.
+//!   quantile relative-error bound of 1/32. A [`LocalHistogram`] folds
+//!   one thread's samples in plain cells and merges them once.
 //! - [`Registry`]: sharded, labeled metric families. Registration takes a
 //!   short shard lock (`parking_lot`, the workspace standard); the hot
 //!   path holds pre-registered handles and never touches the registry.
@@ -90,6 +91,7 @@ pub use lane::{
 /// Lock-free instruments and the bucket-layout helpers for aggregators.
 pub use metric::{
     bucket_midpoint, bucket_upper_edge, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot,
+    LocalHistogram,
 };
 /// Labeled metric families and snapshots.
 pub use registry::{

@@ -4,7 +4,8 @@
 //! handle shares the underlying cells, so the same metric can be updated
 //! from any number of threads while a registry (or a test) reads it. The
 //! record paths are wait-free single atomic RMW operations and perform no
-//! allocation.
+//! allocation. [`LocalHistogram`] is the single-owner exception: plain
+//! cells for one thread's samples, published with one merge.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -358,20 +359,14 @@ impl Histogram {
     /// the rank-`⌈q·count⌉` sample; 0 when empty. See the type docs for
     /// the error bound.
     pub fn quantile(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 || !q.is_finite() {
-            return 0;
-        }
-        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-        let mut seen = 0u64;
-        for (idx, b) in self.inner.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_value(idx);
-            }
-        }
-        // Racy concurrent records can leave `seen < rank`; fall back to max.
-        self.inner.max.load(Ordering::Relaxed)
+        quantile_of(
+            self.inner.buckets.iter().map(|b| b.load(Ordering::Relaxed)),
+            self.count(),
+            // Racy concurrent records can leave the bucket total short of
+            // the rank; fall back to max.
+            self.inner.max.load(Ordering::Relaxed),
+            q,
+        )
     }
 
     /// Number of recorded samples whose bucket lies entirely at or above
@@ -442,6 +437,25 @@ impl Histogram {
             .fetch_max(other.inner.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
+    /// Folds a [`LocalHistogram`]'s samples into `self` with one atomic
+    /// add per non-empty bucket plus one each for count, sum, min and
+    /// max. The result is exactly what recording each of its samples
+    /// here would have left: counts, sums, buckets, min and max alike.
+    pub fn merge_local(&self, other: &LocalHistogram) {
+        if other.count == 0 {
+            return;
+        }
+        for (dst, &n) in self.inner.buckets.iter().zip(other.buckets.iter()) {
+            if n > 0 {
+                dst.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.inner.count.fetch_add(other.count, Ordering::Relaxed);
+        self.inner.sum.fetch_add(other.sum, Ordering::Relaxed);
+        self.inner.min.fetch_min(other.min, Ordering::Relaxed);
+        self.inner.max.fetch_max(other.max, Ordering::Relaxed);
+    }
+
     /// A consistent-enough point-in-time readout (individual cells are
     /// loaded independently; under concurrent writes the fields may be
     /// off by in-flight samples, which is fine for reporting).
@@ -458,6 +472,87 @@ impl Histogram {
             p95: self.quantile(0.95),
             p99: self.quantile(0.99),
         }
+    }
+}
+
+/// The rank-`⌈q·count⌉` bucket midpoint over `buckets` (in index
+/// order), or `fallback` when the buckets hold fewer samples than that.
+fn quantile_of(buckets: impl Iterator<Item = u64>, count: u64, fallback: u64, q: f64) -> u64 {
+    if count == 0 || !q.is_finite() {
+        return 0;
+    }
+    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+    let mut seen = 0u64;
+    for (idx, n) in buckets.enumerate() {
+        seen += n;
+        if seen >= rank {
+            return bucket_value(idx);
+        }
+    }
+    fallback
+}
+
+/// A [`Histogram`] owned by one thread: the same bucket layout in plain
+/// `u64` cells, so recording a sample costs no atomic operation. A run
+/// folds its per-record samples here and publishes them once with
+/// [`Histogram::merge_local`].
+///
+/// # Example
+///
+/// ```
+/// use augur_telemetry::{Histogram, LocalHistogram};
+///
+/// let mut local = LocalHistogram::new();
+/// for v in 1..=100u64 {
+///     local.record(v);
+/// }
+/// let shared = Histogram::new();
+/// shared.merge_local(&local);
+/// assert_eq!(shared.count(), 100);
+/// assert_eq!(shared.quantile(0.5), local.quantile(0.5));
+/// ```
+#[derive(Debug, Clone)]
+pub struct LocalHistogram {
+    buckets: Vec<u64>,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl Default for LocalHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LocalHistogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
+        LocalHistogram {
+            buckets: vec![0; BUCKETS],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+
+    /// Records one sample. The sum wraps as [`Histogram::record`]'s
+    /// atomic add does.
+    pub fn record(&mut self, v: u64) {
+        if let Some(b) = self.buckets.get_mut(bucket_index(v)) {
+            *b += 1;
+        }
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    /// The `q`-quantile, read exactly as [`Histogram::quantile`] reads it.
+    pub fn quantile(&self, q: f64) -> u64 {
+        quantile_of(self.buckets.iter().copied(), self.count, self.max, q)
     }
 }
 
@@ -555,6 +650,36 @@ mod tests {
         let before = a.snapshot();
         a.merge(&a.clone());
         assert_eq!(a.snapshot(), before);
+    }
+
+    #[test]
+    fn merge_local_equals_recording_each_sample() {
+        let samples = [0u64, 7, 31, 32, 1_000, 1_000, 65_535, 1 << 40, u64::MAX];
+        let direct = Histogram::new();
+        let merged = Histogram::new();
+        let mut local = LocalHistogram::new();
+        // Both sides start from the same earlier samples.
+        for h in [&direct, &merged] {
+            h.record(500);
+            h.record(2);
+        }
+        for &v in &samples {
+            direct.record(v);
+            local.record(v);
+        }
+        merged.merge_local(&local);
+        assert_eq!(merged.snapshot(), direct.snapshot());
+        assert_eq!(merged.nonzero_buckets(), direct.nonzero_buckets());
+        for q in [0.01, 0.5, 0.9, 0.99, 1.0] {
+            let only_local = Histogram::new();
+            only_local.merge_local(&local);
+            assert_eq!(local.quantile(q), only_local.quantile(q), "q={q}");
+        }
+        // An empty local histogram leaves min untouched.
+        let before = merged.snapshot();
+        merged.merge_local(&LocalHistogram::new());
+        assert_eq!(merged.snapshot(), before);
+        assert_eq!(LocalHistogram::new().quantile(0.5), 0);
     }
 
     #[test]
