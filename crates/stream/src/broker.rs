@@ -137,15 +137,19 @@ impl Broker {
     ) -> Result<usize, StreamError> {
         let t = self.topic(topic)?;
         let n_parts = t.partitions.len() as u32;
-        let mut grouped: HashMap<u32, Vec<Record>> = HashMap::new();
+        let mut grouped: Vec<Vec<Record>> = t.partitions.iter().map(|_| Vec::new()).collect();
         let mut n = 0usize;
         for r in records {
-            grouped.entry(route(r.key, n_parts)).or_default().push(r);
+            grouped[route(r.key, n_parts) as usize].push(r);
             n += 1;
         }
-        for (pid, batch) in grouped {
-            let mut p = t.partitions[pid as usize].write();
-            p.records.extend(batch);
+        // Partitions are extended in index order, the same in every run;
+        // a hash map's order would change from run to run, and with it
+        // the order the partition logs grow and reallocate in.
+        for (partition, batch) in t.partitions.iter().zip(grouped) {
+            if !batch.is_empty() {
+                partition.write().records.extend(batch);
+            }
         }
         Ok(n)
     }

@@ -589,27 +589,98 @@ struct Flow<T> {
     value: T,
 }
 
+/// Flows per storage chunk of a bounded read.
+const FLOW_CHUNK: usize = 1024;
+
+/// Decoded flows in arrival (partition-then-offset) order, kept in
+/// chunks of [`FLOW_CHUNK`] instead of one vector sized to the whole
+/// read. One allocation that large is served from memory the process
+/// already holds only when the heap has a single free hole that big, so
+/// a run's peak resident memory would hinge on how earlier work left the
+/// heap fragmented; chunks fit the holes there are.
+struct Flows<T> {
+    chunks: Vec<Vec<Flow<T>>>,
+    len: usize,
+}
+
+impl<T> Flows<T> {
+    /// Room for `n` flows in the chunk table; chunks are made as filled.
+    fn with_capacity(n: usize) -> Self {
+        Flows {
+            chunks: Vec::with_capacity(n.div_ceil(FLOW_CHUNK)),
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, flow: Flow<T>) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < FLOW_CHUNK => chunk.push(flow),
+            _ => {
+                let mut chunk = Vec::with_capacity(FLOW_CHUNK);
+                chunk.push(flow);
+                self.chunks.push(chunk);
+            }
+        }
+        self.len += 1;
+    }
+
+    fn get(&self, i: usize) -> &Flow<T> {
+        &self.chunks[i / FLOW_CHUNK][i % FLOW_CHUNK]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Flow<T>> {
+        self.chunks.iter().flatten()
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        let (ca, cb) = (a / FLOW_CHUNK, b / FLOW_CHUNK);
+        if ca == cb {
+            self.chunks[ca].swap(a % FLOW_CHUNK, b % FLOW_CHUNK);
+        } else {
+            let (lo, hi) = if ca < cb { (a, b) } else { (b, a) };
+            let (head, tail) = self.chunks.split_at_mut(hi / FLOW_CHUNK);
+            std::mem::swap(
+                &mut head[lo / FLOW_CHUNK][lo % FLOW_CHUNK],
+                &mut tail[0][hi % FLOW_CHUNK],
+            );
+        }
+    }
+}
+
+impl<T> IntoIterator for Flows<T> {
+    type Item = Flow<T>;
+    type IntoIter = std::iter::Flatten<std::vec::IntoIter<Vec<Flow<T>>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.chunks.into_iter().flatten()
+    }
+}
+
 /// One bounded read of a topic.
 struct Scan<T> {
     /// Decoded items in arrival (partition-then-offset) order.
-    flows: Vec<Flow<T>>,
+    flows: Flows<T>,
     /// The order the run visits `flows` in, as indices into it.
     order: Vec<usize>,
     /// Payload bytes of every record read, decoded or not.
     bytes: u64,
 }
 
-/// Reorders `items` in place so that the item at `order[k]` lands at
-/// `k`. Each cycle of the permutation is followed once, so every item is
-/// swapped into its place directly and no second copy of `items` exists.
-fn permute<F>(items: &mut [F], mut order: Vec<usize>) {
+/// Reorders `flows` in place so that the flow at `order[k]` lands at
+/// `k`. Each cycle of the permutation is followed once, so every flow is
+/// swapped into its place directly and no second copy of `flows` exists.
+fn permute<T>(flows: &mut Flows<T>, mut order: Vec<usize>) {
     const PLACED: usize = usize::MAX;
     for start in 0..order.len() {
         let mut k = start;
         while order[k] != PLACED {
             let src = std::mem::replace(&mut order[k], PLACED);
             if src != start {
-                items.swap(k, src);
+                flows.swap(k, src);
             }
             k = src;
         }
@@ -630,7 +701,7 @@ impl<T: Send + 'static> Pipeline<T> {
         let ends = (0..b.partition_count(topic)?)
             .map(|p| b.end_offset(topic, PartitionId(p)))
             .collect::<Result<Vec<u64>, _>>()?;
-        let mut flows: Vec<Flow<T>> = Vec::with_capacity(ends.iter().sum::<u64>() as usize);
+        let mut flows = Flows::with_capacity(ends.iter().sum::<u64>() as usize);
         let mut bytes = 0u64;
         for (p, &end) in (0..).map(PartitionId).zip(&ends) {
             let mut from = 0u64;
@@ -848,7 +919,7 @@ impl<T: Send + 'static> Pipeline<T> {
             let _window = self.instruments.tracer.span("pipeline/window");
             let window_t0 = self.instruments.clock.now_micros();
             for (i, &j) in (first..stop).zip(&order[first..stop]) {
-                let flow = &flows[j];
+                let flow = flows.get(j);
                 if let Some((time, costs)) = &self.inner.modeled {
                     time.advance_micros(costs.window_us);
                 }

@@ -277,6 +277,39 @@ proptest! {
     }
 }
 
+/// A read holds its decoded records in fixed-size chunks, which the
+/// proptest's small topics never fill past the first. Over a few thousand
+/// records, scattered in time with many duplicates, both runs still
+/// match the reference in both orders.
+#[test]
+fn reads_spanning_many_storage_chunks_match_the_reference() {
+    let inputs: Vec<Input> = (0..5_000u64)
+        .map(|i| {
+            let slot = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 53;
+            (i % 7, slot * 250, (i % 6 != 5).then_some(i))
+        })
+        .collect();
+    let broker = topic(3, &inputs);
+    let arrival_recs = arrival_order(&broker, 3, &inputs);
+    let event_recs = event_order(&arrival_recs);
+    for (arrival, order) in [(false, &event_recs), (true, &arrival_recs)] {
+        let (got, _) = PipelineBuilder::new(broker.clone(), TOPIC, decode)
+            .watermark_bound_us(1_000)
+            .arrival_order(arrival)
+            .build()
+            .run_windowed(SlidingWindows::new(8_000, 4_000), Values, None, None, false)
+            .unwrap();
+        assert_eq!(panes(got), reference_fold(order, 8_000, 4_000, 1_000).0);
+        let (items, _) = PipelineBuilder::new(broker.clone(), TOPIC, decode)
+            .arrival_order(arrival)
+            .build()
+            .collect()
+            .unwrap();
+        let want: Vec<u64> = order.iter().map(|&(_, _, v)| v).collect();
+        assert_eq!(items, want);
+    }
+}
+
 /// A fixed topic on three partitions whose arrivals run backwards far
 /// enough to be dropped as late under arrival order, plus undecodable
 /// records.
