@@ -127,12 +127,12 @@ pub const RULES: [RuleDoc; 19] = [
     ),
     (
         "print-confined",
-        "Console-print macros are confined to the log crate's writer module.",
+        "Console-print macros are confined to the telemetry log's writer module.",
         "`println!`/`eprintln!`/`print!`/`eprint!`/`dbg!` in library code bypass levels, \
          per-site rate limits, and the deterministic JSONL exporters — and they litter bench \
-         stdout CI has to parse. Emit a structured event through `augur-log`; a genuine \
-         console line (progress tables, exporter summaries) goes through \
-         crates/log/src/writer.rs, the sole sanctioned library print site. Binaries, CLIs, \
+         stdout CI has to parse. Emit a structured event through `augur_telemetry::log`; a \
+         genuine console line (progress tables, exporter summaries) goes through \
+         crates/telemetry/src/log/writer.rs, the sole sanctioned library print site. Binaries, CLIs, \
          and tests are exempt and may print directly.",
     ),
     (

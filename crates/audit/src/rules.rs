@@ -56,7 +56,7 @@ pub struct FilePolicy {
     /// by declaring their own).
     pub deny_global_alloc: bool,
     /// `println!`/`eprintln!`/`dbg!` are denied: library code emits
-    /// structured events through `augur-log`, or routes a genuine console
+    /// structured events through `augur_telemetry::log`, or routes a genuine console
     /// line through the sanctioned writer
     /// ([`crate::scan::PRINT_EXEMPT`]). Bins, CLIs, and tests are exempt.
     pub deny_prints: bool,
@@ -322,8 +322,9 @@ pub fn check_source(file: &str, src: &str, policy: FilePolicy, out: &mut Vec<Vio
                         Severity::Deny,
                         format!(
                             "`{pat}` in library code: emit a structured event through \
-                             `augur-log`, or route a genuine console line through the \
-                             sanctioned writer (crates/log/src/writer.rs); ad-hoc prints \
+                             `augur_telemetry::log`, or route a genuine console line \
+                             through the sanctioned writer \
+                             (crates/telemetry/src/log/writer.rs); ad-hoc prints \
                              bypass levels, rate limits, and the deterministic exporters"
                         ),
                     );

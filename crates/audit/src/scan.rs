@@ -68,11 +68,12 @@ pub const NET_EXEMPT: &str = "crates/watch/src/serve.rs";
 /// implementation to audit.
 pub const ALLOC_EXEMPT: &str = "crates/profile/src/alloc.rs";
 
-/// The one sanctioned console-print site: the log crate's writer module.
-/// Library code that genuinely needs a console line routes it through
-/// `augur_log`'s writer; everything else emits structured events. Bins,
-/// CLIs, and tests stay exempt and may print directly.
-pub const PRINT_EXEMPT: &str = "crates/log/src/writer.rs";
+/// The one sanctioned console-print site: the telemetry log's writer
+/// module. Library code that genuinely needs a console line routes it
+/// through `augur_telemetry::log::writer`; everything else emits
+/// structured events. Bins, CLIs, and tests stay exempt and may print
+/// directly.
+pub const PRINT_EXEMPT: &str = "crates/telemetry/src/log/writer.rs";
 
 /// Sanctioned `thread::spawn` sites: the sharded engine's worker pool and
 /// the watch endpoint's listener thread. Keeping one spawn surface gives
@@ -346,7 +347,7 @@ pub fn policy_for(rel: &str) -> FilePolicy {
         // they enable the counting allocator via the `global-alloc`
         // feature rather than declaring their own.
         deny_global_alloc: rel != ALLOC_EXEMPT,
-        // Library code logs through augur-log; only the sanctioned writer
+        // Library code logs through the telemetry log; only the sanctioned writer
         // and process entry points (bins, CLIs) touch stdio directly.
         deny_prints: !is_entry && rel != PRINT_EXEMPT,
         advise_indexing: hot && !is_bin,
@@ -440,8 +441,8 @@ mod tests {
     #[test]
     fn print_confinement_policy_mapping() {
         // The log writer is the sole sanctioned library print site.
-        assert!(!policy_for("crates/log/src/writer.rs").deny_prints);
-        assert!(policy_for("crates/log/src/export.rs").deny_prints);
+        assert!(!policy_for("crates/telemetry/src/log/writer.rs").deny_prints);
+        assert!(policy_for("crates/telemetry/src/log/export.rs").deny_prints);
         assert!(policy_for("crates/bench/src/lib.rs").deny_prints);
         assert!(policy_for("crates/stream/src/pipeline.rs").deny_prints);
         // Bins and CLI entry points own their stdout.

@@ -194,7 +194,7 @@ pub fn spawn_worker<F: FnOnce() + Send + 'static>(
 "#;
 
 /// Clean fixture for print confinement: console macros are allowed only at
-/// `crates/log/src/writer.rs`, the sanctioned console sink every library
+/// `crates/telemetry/src/log/writer.rs`, the sanctioned console sink every library
 /// crate routes genuine console lines through.
 const CLEAN_PRINT_WRITER: &str = r#"//! Clean fixture: the sanctioned console sink.
 
@@ -282,7 +282,11 @@ fn run_in(root: &Path) -> Result<(), String> {
     write_fixture(root, "crates/watch/src/serve.rs", CLEAN_NET_ENDPOINT)?;
     write_fixture(root, "crates/profile/src/alloc.rs", CLEAN_ALLOC_SITE)?;
     write_fixture(root, "crates/stream/src/pipeline.rs", CLEAN_SPAWN_SITE)?;
-    write_fixture(root, "crates/log/src/writer.rs", CLEAN_PRINT_WRITER)?;
+    write_fixture(
+        root,
+        "crates/telemetry/src/log/writer.rs",
+        CLEAN_PRINT_WRITER,
+    )?;
     write_fixture(
         root,
         "crates/telemetry/src/metric.rs",
@@ -355,7 +359,7 @@ fn run_in(root: &Path) -> Result<(), String> {
         "crates/stream/src/pipeline.rs",
         "crates/telemetry/src/metric.rs",
         "crates/telemetry/src/allowed_relaxed.rs",
-        "crates/log/src/writer.rs",
+        "crates/telemetry/src/log/writer.rs",
     ] {
         let denials: Vec<_> = report.denials().filter(|v| v.file == sanctioned).collect();
         if !denials.is_empty() {

@@ -8,7 +8,8 @@
 
 use augur_bench::{f, header, row, sized, BenchLog, Snapshot};
 use augur_stream::window::CountAggregation;
-use augur_stream::{Broker, Obs, PipelineBuilder, Record, TumblingWindows};
+use augur_stream::{Broker, PipelineBuilder, Record, TumblingWindows};
+use augur_telemetry::Obs;
 use rand::{Rng, SeedableRng};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -4,7 +4,7 @@
 
 use augur_bench::{f, header, row, sized, timed, timed_mean, BenchLog, Snapshot};
 use augur_store::{LsmParams, LsmStore};
-use augur_telemetry::{Clock, ManualTime};
+use augur_telemetry::{Clock, ManualTime, Obs};
 use rand::{Rng, SeedableRng};
 
 fn main() {
@@ -47,9 +47,14 @@ fn main() {
             memtable_flush_entries: flush,
             compaction_trigger_runs: compact,
         });
-        db.instrument(snap.registry(), &format!("lsm_{flush}_{compact}"));
         manual.advance_micros(1_000_000);
-        db.instrument_log(blog.handle(), &clock, blog.root().child(config as u64));
+        let obs = Obs {
+            registry: snap.registry().clone(),
+            parent: blog.root().child(config as u64),
+            log: Some(blog.handle().clone()),
+            ..Obs::default()
+        };
+        db.instrument(&obs, &format!("lsm_{flush}_{compact}"), &clock);
         let (_, write_us) = timed(|| {
             for _ in 0..writes {
                 let k: u32 = rng.gen_range(0..20_000);

@@ -5,7 +5,7 @@ use augur_analytics::recommend::{evaluate, leave_one_out};
 use augur_analytics::{ItemItemRecommender, Recommender};
 use augur_bench::{f, header, row, sized, timed, BenchLog, Snapshot};
 use augur_core::retail::{purchase_log, RetailParams};
-use augur_log::Arg;
+use augur_telemetry::log::Arg;
 
 fn main() {
     header("A3", "CF neighbourhood size vs hit-rate@10 and cost");

@@ -4,8 +4,8 @@
 
 use augur_bench::{f, header, row, smoke, BenchLog, Snapshot};
 use augur_core::traffic::{run, TrafficParams};
-use augur_core::Obs;
 use augur_telemetry::FlightRecorder;
+use augur_telemetry::Obs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     header(

@@ -6,10 +6,10 @@ use std::collections::HashMap;
 
 use augur_bench::{f, header, row, sized, BenchLog, Snapshot};
 use augur_geo::Enu;
-use augur_log::Arg;
 use augur_privacy::{
     cloak_k_anonymous, geo_indistinguishable, laplace_mechanism, ReidentificationAttack, Trace,
 };
+use augur_telemetry::log::Arg;
 use rand::{Rng, SeedableRng};
 
 /// Synthetic population: each user has home/work anchors (González-style

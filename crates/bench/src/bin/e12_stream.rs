@@ -10,13 +10,12 @@ use augur_bench::{
     Snapshot,
 };
 use augur_profile::Profile;
-use augur_sample::Sampler;
 use augur_stream::window::CountAggregation;
 use augur_stream::{
-    Broker, CheckpointStore, ModeledCosts, Obs, PipelineBuilder, Record, TumblingWindows,
-    WindowState,
+    Broker, CheckpointStore, ModeledCosts, PipelineBuilder, Record, TumblingWindows, WindowState,
 };
-use augur_telemetry::{FlightRecorder, ManualTime, Registry, TraceContext};
+use augur_telemetry::sample::Sampler;
+use augur_telemetry::{FlightRecorder, ManualTime, Obs, Registry, TraceContext};
 use rand::{Rng, SeedableRng};
 
 fn fill(broker: &Broker, topic: &str, n: u64, schema_families: u32, seed: u64) {

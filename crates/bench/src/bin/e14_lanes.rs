@@ -27,8 +27,8 @@
 use std::sync::Arc;
 
 use augur_bench::{f, header, out_dir, row, sized, write_xray, xray_requested, Snapshot};
-use augur_stream::{Broker, ConsumerGroup, Obs, PartitionId, PipelineBuilder, Record};
-use augur_telemetry::{render_chrome_trace_with_lanes, BlockedSite, Clock, Lanes, ManualTime};
+use augur_stream::{Broker, ConsumerGroup, PartitionId, PipelineBuilder, Record};
+use augur_telemetry::{render_chrome_trace_with_lanes, BlockedSite, Clock, Lanes, ManualTime, Obs};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     header(

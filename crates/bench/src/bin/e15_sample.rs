@@ -22,7 +22,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use augur_bench::{f, header, out_dir, row, sized, write_xray, xray_requested, Snapshot};
-use augur_sample::{
+use augur_telemetry::sample::{
     cost::inject_multiplier, retained_events, Sampler, SelfCost, TailReservoir,
     OBS_OVERHEAD_BUDGET, SAMPLE_RATE_ENV,
 };

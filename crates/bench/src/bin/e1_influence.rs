@@ -2,8 +2,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // experiment drivers: setup failure is fatal by design
 
 use augur_bench::{f, header, row, smoke, BenchLog, Snapshot};
-use augur_core::{healthcare, influence_report, retail, tourism, traffic, Obs};
-use augur_telemetry::FlightRecorder;
+use augur_core::{healthcare, influence_report, retail, tourism, traffic};
+use augur_telemetry::{FlightRecorder, Obs};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     header("E1", "Figure 5: influence of AR × big data per field");

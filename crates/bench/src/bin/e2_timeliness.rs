@@ -10,8 +10,8 @@ use augur_bench::{
     f, header, profile_requested, row, smoke, timed, timed_mean, write_profile, write_xray,
     xray_requested, BenchLog, Snapshot,
 };
-use augur_log::Arg;
 use augur_profile::Profile;
+use augur_telemetry::log::Arg;
 use augur_telemetry::{FlightRecorder, ManualTime, TimeSource, TraceContext};
 use rand::{Rng, SeedableRng};
 

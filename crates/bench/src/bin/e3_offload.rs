@@ -7,11 +7,11 @@ use augur_bench::{
     Snapshot,
 };
 use augur_cloud::{
-    best_plan_logged, estimate, estimate_flight, estimate_traced, ComputeResource, EnergyParams,
-    NetworkProfile, OffloadPlan, TaskGraph,
+    best_plan_logged, estimate, estimate_traced, ComputeResource, EnergyParams, NetworkProfile,
+    OffloadPlan, TaskGraph,
 };
 use augur_profile::Profile;
-use augur_telemetry::{FlightRecorder, ManualTime, TraceContext, Tracer};
+use augur_telemetry::{FlightRecorder, Obs, TraceContext};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     header(
@@ -30,7 +30,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut snap = Snapshot::new("e3_offload");
     snap.param_num("frame_bytes", frame_bytes as f64);
     snap.param_num("demand_points", demands.len() as f64);
-    let tracer = Tracer::new(snap.registry(), ManualTime::shared());
     // Every planning decision logs its rationale (INFO "offload/plan"):
     // which plan won, against what all-device baseline.
     let blog = BenchLog::new("e3_offload");
@@ -39,7 +38,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let xraying = xray_requested();
     let recording = profiling || xraying;
     let recorder = FlightRecorder::new(1 << 16);
-    let flight_root = TraceContext::root(3, 0xE3);
+    // Re-estimating the winning plan lands per-task spans and headline
+    // gauges in the snapshot registry; under --profile / --xray the
+    // flight ring also records the per-task span tree.
+    let estimate_obs = Obs {
+        registry: snap.registry().clone(),
+        parent: TraceContext::root(3, 0xE3),
+        flight: recording.then(|| recorder.clone()),
+        ..Obs::default()
+    };
 
     for net in NetworkProfile::presets() {
         println!(
@@ -74,35 +81,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &energy,
             )?;
             plan_seq += 1;
-            let (plan, best) = best_plan_logged(
-                &graph,
-                &phone,
-                &cloud,
-                &net,
-                &energy,
-                blog.handle(),
-                blog.root().child(plan_seq),
-                plan_seq,
-            )?;
-            // Re-estimate the winning plan traced so per-task spans and
-            // headline gauges land in the snapshot registry; under
-            // --profile / --xray the flight variant also records the
-            // per-task span tree (identical metrics otherwise).
-            if recording {
-                let _ = estimate_flight(
-                    &graph,
-                    &plan,
-                    &phone,
-                    &cloud,
-                    &net,
-                    &energy,
-                    &tracer,
-                    &recorder,
-                    flight_root,
-                )?;
-            } else {
-                let _ = estimate_traced(&graph, &plan, &phone, &cloud, &net, &energy, &tracer)?;
-            }
+            let plan_obs = Obs {
+                parent: blog.root().child(plan_seq),
+                log: Some(blog.handle().clone()),
+                ..Obs::default()
+            };
+            let (plan, best) =
+                best_plan_logged(&graph, &phone, &cloud, &net, &energy, &plan_obs, plan_seq)?;
+            let _ = estimate_traced(&graph, &plan, &phone, &cloud, &net, &energy, &estimate_obs)?;
             if remote.latency_ms < local.latency_ms && break_even.is_none() {
                 break_even = Some(g);
             }

@@ -3,8 +3,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // experiment drivers: setup failure is fatal by design
 
 use augur_bench::{f, header, row, smoke, timed, BenchLog, Snapshot};
-use augur_log::Arg;
 use augur_render::{force_layout, greedy_layout, naive_layout, LabelBox, LayoutMetrics, Viewport};
+use augur_telemetry::log::Arg;
 use rand::{Rng, SeedableRng};
 
 fn labels(n: usize, seed: u64) -> Vec<LabelBox> {

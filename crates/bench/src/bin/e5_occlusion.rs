@@ -4,8 +4,8 @@
 
 use augur_bench::{f, header, row, sized, smoke, timed_mean, BenchLog, Snapshot};
 use augur_geo::{CityModel, CityParams, Enu};
-use augur_log::Arg;
 use augur_render::{classify_visibility, OcclusionClass, OcclusionIndex, ViewCamera, Viewport};
+use augur_telemetry::log::Arg;
 use rand::{Rng, SeedableRng};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -4,11 +4,11 @@
 
 use augur_bench::{f, header, row, smoke, BenchLog, Snapshot};
 use augur_geo::Enu;
-use augur_log::Arg;
 use augur_sensor::{
     CameraModel, GpsParams, GpsSensor, ImuParams, ImuSensor, MotionState, RandomWaypoint,
     Trajectory, TrajectoryParams,
 };
+use augur_telemetry::log::Arg;
 use augur_track::{
     registration::{registration_error_px, run_tracker, RegistrationSummary},
     ComplementaryParams, ComplementaryTracker, GpsOnlyTracker, KalmanParams, KalmanTracker,

@@ -3,8 +3,8 @@
 
 use augur_bench::{f, header, row, smoke, BenchLog, Snapshot};
 use augur_core::retail::{run, RetailParams};
-use augur_core::Obs;
 use augur_telemetry::FlightRecorder;
+use augur_telemetry::Obs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     header("E7", "§3.1: recommendation hit-rate@10 vs log scale");

@@ -4,7 +4,7 @@
 
 use augur_bench::{f, header, row, sized, smoke, timed_mean, BenchLog, Snapshot};
 use augur_geo::{poi::synthetic_database, GeoPoint, QuadTree, Rect};
-use augur_log::Arg;
+use augur_telemetry::log::Arg;
 use rand::{Rng, SeedableRng};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

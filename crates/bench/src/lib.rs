@@ -15,9 +15,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use augur_log::writer::{err_line, out_line};
-use augur_log::{render_human, Arg, EventLog, Level, LogSite};
 use augur_profile::Profile;
+use augur_telemetry::log::writer::{err_line, out_line};
+use augur_telemetry::log::{render_human, Arg, EventLog, Level, LogSite};
 use augur_telemetry::{escape_json, fnv1a64, json_f64, Registry, TraceContext};
 
 /// True when the binary should run a fast smoke-sized workload: the
@@ -133,7 +133,7 @@ impl BenchLog {
     }
 
     /// The underlying event log, to attach as the `log` of an
-    /// [`augur_stream::Obs`] handed to pipelines and scenario runs.
+    /// [`augur_telemetry::Obs`] handed to pipelines and scenario runs.
     pub fn handle(&self) -> &EventLog {
         &self.log
     }

@@ -33,8 +33,8 @@ pub use executor::ComputeResource;
 pub use network::NetworkProfile;
 /// Offloading machinery re-exported from [`offload`].
 pub use offload::{
-    best_plan, best_plan_logged, estimate, estimate_flight, estimate_traced, EnergyParams,
-    Estimate, OffloadPlan, Placement,
+    best_plan, best_plan_logged, estimate, estimate_traced, EnergyParams, Estimate, OffloadPlan,
+    Placement,
 };
 /// Task graphs re-exported from [`task`].
 pub use task::{Task, TaskGraph, TaskId};

@@ -8,8 +8,8 @@
 //! all valid plans — AR pipelines are small DAGs, so exhaustive search
 //! is exact and fast — giving experiment E3 its optimum curve.
 
-use augur_log::{Arg, EventLog, Level, LogSite};
-use augur_telemetry::{FlightRecorder, TraceContext, Tracer};
+use augur_telemetry::log::{Arg, Level, LogSite};
+use augur_telemetry::{Obs, Registry, TraceContext, SPAN_LABEL, SPAN_METRIC};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CloudError;
@@ -128,18 +128,26 @@ pub fn estimate(
     network: &NetworkProfile,
     energy: &EnergyParams,
 ) -> Result<Estimate, CloudError> {
-    estimate_inner(graph, plan, device, cloud, network, energy, None, None)
+    estimate_inner(graph, plan, device, cloud, network, energy, None)
 }
 
-/// [`estimate`] with per-task telemetry: each task's modeled compute time
-/// lands in the span family `span_duration_us{span="offload/<task>",
-/// placement}` via `tracer`, boundary transfers land in
-/// `span_duration_us{span="offload/transfer"}`, and the plan's totals are
-/// published as the gauges `offload_latency_ms` /
-/// `offload_device_energy_mj` and counter `offload_transferred_bytes_total`.
+/// [`estimate`] reported through `obs`:
 ///
-/// The spans are *modeled* durations (the estimator's arithmetic), so
-/// they are deterministic regardless of the tracer's clock.
+/// - **registry**: each task's modeled compute time lands in the span
+///   family `span_duration_us{span="offload/<task>"}`, boundary
+///   transfers in `span_duration_us{span="offload/transfer"}`, and the
+///   plan's totals in the gauges `offload_latency_ms` /
+///   `offload_device_energy_mj` and the counter
+///   `offload_transferred_bytes_total`.
+/// - **flight**: every task span lands on the ring as a child of its
+///   critical-path predecessor (the dependency whose finish time gated
+///   the task's start), rooted under `obs.parent`; boundary transfers
+///   become children of the *producing* task. The resulting Chrome
+///   trace renders the offload DAG as a timeline whose parent links
+///   spell out exactly which edge made the plan slow.
+///
+/// All times are the estimator's modeled arithmetic, so with a fixed
+/// graph and plan the metrics and events are bit-for-bit deterministic.
 ///
 /// # Errors
 ///
@@ -151,64 +159,10 @@ pub fn estimate_traced(
     cloud: &ComputeResource,
     network: &NetworkProfile,
     energy: &EnergyParams,
-    tracer: &Tracer,
+    obs: &Obs,
 ) -> Result<Estimate, CloudError> {
-    let est = estimate_inner(
-        graph,
-        plan,
-        device,
-        cloud,
-        network,
-        energy,
-        Some(tracer),
-        None,
-    )?;
-    publish_totals(tracer, &est);
-    Ok(est)
-}
-
-/// [`estimate_traced`] plus **causal flight events**: every task span
-/// lands on `recorder` as a child of its critical-path predecessor (the
-/// dependency whose finish time gated the task's start), rooted under
-/// `parent`; boundary transfers become children of the *producing* task.
-/// The resulting Chrome trace renders the offload DAG as a timeline whose
-/// parent links spell out exactly which edge made the plan slow.
-///
-/// Modeled times are the estimator's arithmetic, so with a fixed graph
-/// and plan the emitted events are bit-for-bit deterministic.
-///
-/// # Errors
-///
-/// Same contract as [`estimate`].
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_flight(
-    graph: &TaskGraph,
-    plan: &OffloadPlan,
-    device: &ComputeResource,
-    cloud: &ComputeResource,
-    network: &NetworkProfile,
-    energy: &EnergyParams,
-    tracer: &Tracer,
-    recorder: &FlightRecorder,
-    parent: TraceContext,
-) -> Result<Estimate, CloudError> {
-    let est = estimate_inner(
-        graph,
-        plan,
-        device,
-        cloud,
-        network,
-        energy,
-        Some(tracer),
-        Some((recorder, parent)),
-    )?;
-    publish_totals(tracer, &est);
-    Ok(est)
-}
-
-/// Publishes a plan's headline numbers to the tracer's registry.
-fn publish_totals(tracer: &Tracer, est: &Estimate) {
-    let registry = tracer.registry();
+    let est = estimate_inner(graph, plan, device, cloud, network, energy, Some(obs))?;
+    let registry = &obs.registry;
     registry.gauge("offload_latency_ms").set(est.latency_ms);
     registry
         .gauge("offload_device_energy_mj")
@@ -216,6 +170,14 @@ fn publish_totals(tracer: &Tracer, est: &Estimate) {
     registry
         .counter("offload_transferred_bytes_total")
         .add(est.transferred_bytes);
+    Ok(est)
+}
+
+/// Records a modeled span duration into `span_duration_us{span=name}`.
+fn record_span(registry: &Registry, name: &str, us: u64) {
+    registry
+        .histogram_labeled(SPAN_METRIC, &[(SPAN_LABEL, name)])
+        .record(us);
 }
 
 /// Milliseconds (modeled, f64) to whole non-negative microseconds.
@@ -227,7 +189,6 @@ fn ms_to_us(ms: f64) -> u64 {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn estimate_inner(
     graph: &TaskGraph,
     plan: &OffloadPlan,
@@ -235,8 +196,7 @@ fn estimate_inner(
     cloud: &ComputeResource,
     network: &NetworkProfile,
     energy: &EnergyParams,
-    tracer: Option<&Tracer>,
-    flight: Option<(&FlightRecorder, TraceContext)>,
+    obs: Option<&Obs>,
 ) -> Result<Estimate, CloudError> {
     if plan.placements.len() != graph.len() {
         return Err(CloudError::PlanShapeMismatch {
@@ -247,6 +207,8 @@ fn estimate_inner(
     if !plan.respects_pinning(graph) {
         return Err(CloudError::InvalidParameter("plan violates device pinning"));
     }
+    let registry = obs.map(|o| &o.registry);
+    let flight = obs.and_then(|o| o.flight.as_ref().map(|rec| (rec, o.parent)));
     let mut finish = vec![0.0f64; graph.len()];
     // Per-task flight contexts: a task hangs off its critical-path
     // predecessor so parent links follow the latency-determining edges.
@@ -271,8 +233,8 @@ fn estimate_inner(
                 at += ms;
                 radio_ms += ms;
                 transferred += dep_task.output_bytes;
-                if let Some(tr) = tracer {
-                    tr.record_span_micros("offload/transfer", ms_to_us(ms));
+                if let Some(reg) = registry {
+                    record_span(reg, "offload/transfer", ms_to_us(ms));
                 }
                 if let Some((rec, parent)) = flight {
                     // The transfer is caused by the producing task.
@@ -298,8 +260,8 @@ fn estimate_inner(
         let mut span = String::with_capacity(8 + t.name.len());
         span.push_str("offload/");
         span.push_str(&t.name);
-        if let Some(tr) = tracer {
-            tr.record_span_micros(&span, ms_to_us(compute_ms));
+        if let Some(reg) = registry {
+            record_span(reg, &span, ms_to_us(compute_ms));
         }
         if let Some((rec, parent)) = flight {
             let base = match gating {
@@ -382,28 +344,30 @@ pub fn best_plan(
     best.ok_or(CloudError::InvalidParameter("no offload plan evaluated"))
 }
 
-/// [`best_plan`] with the selection **rationale** on the structured log:
-/// one INFO `offload/plan` record under `ctx` (timestamped `now_us`)
+/// [`best_plan`] with the selection **rationale** on `obs.log`: one
+/// INFO `offload/plan` record under `obs.parent` (timestamped `now_us`)
 /// saying how many tasks went to the cloud, the winning latency, how
 /// many milliseconds that saves over running everything on the device,
 /// and the device energy spent. Plan selection is a rare, deliberate
-/// decision, so the record is never rate-limited.
+/// decision, so the record is never rate-limited. Without a log this is
+/// [`best_plan`].
 ///
 /// # Errors
 ///
 /// Same contract as [`best_plan`].
-#[allow(clippy::too_many_arguments)]
 pub fn best_plan_logged(
     graph: &TaskGraph,
     device: &ComputeResource,
     cloud: &ComputeResource,
     network: &NetworkProfile,
     energy: &EnergyParams,
-    log: &EventLog,
-    ctx: TraceContext,
+    obs: &Obs,
     now_us: u64,
 ) -> Result<(OffloadPlan, Estimate), CloudError> {
     let (plan, est) = best_plan(graph, device, cloud, network, energy)?;
+    let Some(log) = &obs.log else {
+        return Ok((plan, est));
+    };
     let baseline = estimate(
         graph,
         &OffloadPlan::all_device(graph),
@@ -412,11 +376,10 @@ pub fn best_plan_logged(
         network,
         energy,
     )?;
-    let site = LogSite::unlimited();
     log.event(
-        &site,
+        &LogSite::unlimited(),
         Level::Info,
-        ctx,
+        obs.parent,
         "offload/plan",
         now_us,
         &[
@@ -432,6 +395,7 @@ pub fn best_plan_logged(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use augur_telemetry::log::FieldValue;
 
     fn setup() -> (TaskGraph, ComputeResource, ComputeResource, EnergyParams) {
         (
@@ -444,17 +408,22 @@ mod tests {
 
     #[test]
     fn best_plan_logged_records_the_selection_rationale() {
+        use augur_telemetry::log::EventLog;
         let (g, phone, cloud, energy) = setup();
         let log = EventLog::new(16);
         let ctx = TraceContext::root(11, 3).child_named("offload");
+        let obs = Obs {
+            parent: ctx,
+            log: Some(log.clone()),
+            ..Obs::default()
+        };
         let (plan, est) = best_plan_logged(
             &g,
             &phone,
             &cloud,
             &NetworkProfile::wifi(),
             &energy,
-            &log,
-            ctx,
+            &obs,
             2_500,
         )
         .unwrap();
@@ -467,17 +436,17 @@ mod tests {
         assert_eq!(records.len(), 1);
         let r = &records[0];
         assert_eq!(r.msg, "offload/plan");
-        assert_eq!(r.level, augur_log::Level::Info);
+        assert_eq!(r.level, Level::Info);
         assert_eq!((r.trace_id, r.span_id), (ctx.trace_id, ctx.span_id));
         assert_eq!(r.ts_us, 2_500);
         let field = |k: &str| r.fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
         assert_eq!(
             field("offloaded"),
-            Some(&augur_log::FieldValue::U64(plan.offloaded_count() as u64))
+            Some(&FieldValue::U64(plan.offloaded_count() as u64))
         );
         // Offloading the heavy analysis on wifi must save latency.
         match field("saved_ms") {
-            Some(augur_log::FieldValue::F64(saved)) => assert!(*saved > 0.0, "{saved}"),
+            Some(FieldValue::F64(saved)) => assert!(*saved > 0.0, "{saved}"),
             other => panic!("saved_ms missing or mistyped: {other:?}"),
         }
     }
@@ -580,16 +549,14 @@ mod tests {
 
     #[test]
     fn traced_estimate_matches_plain_and_records_spans() {
-        use augur_telemetry::{ManualTime, Registry, SPAN_LABEL, SPAN_METRIC};
         let (g, phone, cloud, energy) = setup();
         let net = NetworkProfile::wifi();
         let plan = OffloadPlan::all_cloud(&g);
         let plain = estimate(&g, &plan, &phone, &cloud, &net, &energy).unwrap();
-        let reg = Registry::new();
-        let tracer = Tracer::new(&reg, ManualTime::shared());
-        let traced = estimate_traced(&g, &plan, &phone, &cloud, &net, &energy, &tracer).unwrap();
+        let obs = Obs::default();
+        let traced = estimate_traced(&g, &plan, &phone, &cloud, &net, &energy, &obs).unwrap();
         assert_eq!(plain, traced, "tracing must not change the estimate");
-        let snap = reg.snapshot();
+        let snap = obs.registry.snapshot();
         // One span family per task plus the transfer family.
         let span_names: Vec<&str> = snap
             .histograms
@@ -623,19 +590,19 @@ mod tests {
 
     #[test]
     fn flight_estimate_emits_causally_linked_task_spans() {
-        use augur_telemetry::{ManualTime, Registry};
+        use augur_telemetry::FlightRecorder;
         let (g, phone, cloud, energy) = setup();
         let net = NetworkProfile::wifi();
         let plan = OffloadPlan::all_cloud(&g);
-        let reg = Registry::new();
-        let tracer = Tracer::new(&reg, ManualTime::shared());
         let recorder = FlightRecorder::new(128);
         let parent = TraceContext::root(11, 0);
+        let obs = Obs {
+            parent,
+            flight: Some(recorder.clone()),
+            ..Obs::default()
+        };
         let plain = estimate(&g, &plan, &phone, &cloud, &net, &energy).unwrap();
-        let est = estimate_flight(
-            &g, &plan, &phone, &cloud, &net, &energy, &tracer, &recorder, parent,
-        )
-        .unwrap();
+        let est = estimate_traced(&g, &plan, &phone, &cloud, &net, &energy, &obs).unwrap();
         assert_eq!(plain, est, "flight recording must not change the estimate");
         let events = recorder.drain();
         // One span per task plus at least one boundary transfer.
@@ -660,12 +627,8 @@ mod tests {
             }
         }
         // Determinism: a second identical run emits identical events.
-        let recorder2 = FlightRecorder::new(128);
-        estimate_flight(
-            &g, &plan, &phone, &cloud, &net, &energy, &tracer, &recorder2, parent,
-        )
-        .unwrap();
-        assert_eq!(events, recorder2.drain());
+        estimate_traced(&g, &plan, &phone, &cloud, &net, &energy, &obs).unwrap();
+        assert_eq!(events, recorder.drain());
     }
 
     #[test]

@@ -37,9 +37,6 @@ pub mod platform;
 /// End-to-end application scenarios (§3 of the paper).
 pub mod scenario;
 
-/// The observability handle every scenario and pipeline run reports
-/// to, re-exported from `augur-stream`.
-pub use augur_stream::Obs;
 /// Vitals codec re-exported from [`codec`].
 pub use codec::{decode_vitals, encode_vitals, VitalsRecord};
 /// Collaboration types re-exported from [`collab`].

@@ -12,15 +12,15 @@ use std::collections::HashMap;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use augur_log::Arg;
-use augur_telemetry::{ManualTime, TimeSource, TraceContext, Tracer};
+use augur_telemetry::log::Arg;
+use augur_telemetry::{ManualTime, Obs, TimeSource, TraceContext, Tracer};
 use augur_watch::{
     BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig, WatchSession,
 };
 
 use augur_analytics::ThresholdDetector;
 use augur_sensor::{VitalsGenerator, VitalsParams};
-use augur_stream::{Broker, Obs, PipelineBuilder, Record};
+use augur_stream::{Broker, PipelineBuilder, Record};
 
 use crate::codec::{decode_vitals, encode_vitals};
 use crate::error::CoreError;

@@ -12,9 +12,9 @@
 //!   tourism) with the stage work as children. An event log receives the
 //!   run's decisions — stream drop/checkpoint/resume rationale, stage
 //!   summaries, scenario warnings — on the same trace ids as the spans,
-//!   so Perfetto shows them inline via
-//!   [`augur_log::render_chrome_trace_with_logs`]. A broker pipeline the
-//!   scenario runs reports into the same sinks under the scenario root.
+//!   so a record's `span_id` finds the span that emitted it. A broker
+//!   pipeline the scenario runs reports into the same sinks under the
+//!   scenario root.
 //!   [`Obs::default`] is a private registry with every sink off; the
 //!   sinks never change the report. For a flamegraph, drain the recorder
 //!   into `augur_profile::Profile::from_events` (wrap the run in an
@@ -40,8 +40,8 @@ pub mod retail;
 pub mod tourism;
 pub mod traffic;
 
-use augur_log::{Arg, Level, LogSite};
-use augur_stream::Obs;
+use augur_telemetry::log::{Arg, Level, LogSite};
+use augur_telemetry::Obs;
 use augur_telemetry::{fnv1a64, NameId, TraceContext};
 use augur_watch::{BurnRule, Objective, SloSpec, WatchSession};
 
@@ -100,7 +100,7 @@ pub(crate) fn log_error_slo() -> SloSpec {
 /// The shared observability-self-cost objective every scenario's
 /// `watch_config` declares: the modeled cost of recording telemetry
 /// (`augur_obs_record_ns_total`, maintained by the session's
-/// [`augur_sample::SelfCost`] meter) must stay below 1% of the busy
+/// [`augur_telemetry::sample::SelfCost`] meter) must stay below 1% of the busy
 /// time it observes (`augur_obs_busy_ns_total`). Observability that
 /// eats the latency budget it is supposed to protect is an incident
 /// in its own right — `augur-doctor` gates the same share via the
@@ -231,10 +231,11 @@ impl<'a> ScenarioObs<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use augur_log::{render_jsonl, EventLog};
+    use augur_telemetry::log::{render_jsonl, EventLog};
+    use augur_telemetry::log::{FieldValue, LogRecord};
     use augur_telemetry::FlightRecorder;
 
-    fn tourism_logged() -> (Vec<augur_log::LogRecord>, Vec<augur_telemetry::FlightEvent>) {
+    fn tourism_logged() -> (Vec<LogRecord>, Vec<augur_telemetry::FlightEvent>) {
         let params = tourism::TourismParams {
             pois: 3_000,
             duration_s: 30.0,
@@ -278,7 +279,7 @@ mod tests {
             .iter()
             .find(|(k, _)| k == "queries")
             .expect("queries field");
-        assert_eq!(queries.1, augur_log::FieldValue::U64(30));
+        assert_eq!(queries.1, FieldValue::U64(30));
     }
 
     #[test]
@@ -321,7 +322,7 @@ mod tests {
         assert!(pipeline_run
             .fields
             .iter()
-            .any(|(k, v)| k == "topic" && *v == augur_log::FieldValue::Str("vitals".to_string())));
+            .any(|(k, v)| k == "topic" && *v == FieldValue::Str("vitals".to_string())));
     }
 
     #[test]
@@ -359,7 +360,9 @@ mod tests {
             .iter()
             .find(|r| r.msg == "traffic/summary")
             .expect("summary record");
-        assert!(summary.fields.iter().any(|(k, v)| k == "near_misses"
-            && *v == augur_log::FieldValue::U64(report.near_misses as u64)));
+        assert!(summary
+            .fields
+            .iter()
+            .any(|(k, v)| k == "near_misses" && *v == FieldValue::U64(report.near_misses as u64)));
     }
 }

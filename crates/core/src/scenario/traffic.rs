@@ -13,8 +13,8 @@ use std::collections::HashMap;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use augur_log::Arg;
-use augur_stream::Obs;
+use augur_telemetry::log::Arg;
+use augur_telemetry::Obs;
 use augur_telemetry::{ManualTime, TimeSource, TraceContext, Tracer};
 use augur_watch::{
     BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig, WatchSession,

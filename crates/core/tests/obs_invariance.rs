@@ -6,9 +6,9 @@
 
 use std::fmt::Debug;
 
-use augur_core::{healthcare, retail, tourism, traffic, CoreError, Obs};
-use augur_log::EventLog;
-use augur_telemetry::FlightRecorder;
+use augur_core::{healthcare, retail, tourism, traffic, CoreError};
+use augur_telemetry::log::EventLog;
+use augur_telemetry::{FlightRecorder, Obs};
 use augur_watch::{WatchConfig, WatchSession};
 
 fn assert_invariant<P, R: PartialEq + Debug>(

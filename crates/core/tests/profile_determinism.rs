@@ -6,9 +6,9 @@
 //! mirror the scenario's stage names.
 #![allow(clippy::expect_used)]
 
-use augur_core::{healthcare, retail, tourism, traffic, CoreError, Obs};
+use augur_core::{healthcare, retail, tourism, traffic, CoreError};
 use augur_profile::{AllocCapture, Profile};
-use augur_telemetry::{FlightRecorder, Registry};
+use augur_telemetry::{FlightRecorder, Obs, Registry};
 
 /// Runs `run` against a fresh flight ring inside a `scope` allocation
 /// capture, then folds the drained spans into a profile carrying the

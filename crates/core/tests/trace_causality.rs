@@ -9,9 +9,9 @@ use std::collections::{HashMap, HashSet};
 
 use augur_core::scenario::healthcare;
 use augur_core::scenario::tourism;
-use augur_core::{HealthcareParams, Obs, TourismParams};
+use augur_core::{HealthcareParams, TourismParams};
 use augur_semantic::json::JsonValue;
-use augur_telemetry::{render_chrome_trace, FlightEvent, FlightRecorder};
+use augur_telemetry::{render_chrome_trace, FlightEvent, FlightRecorder, Obs};
 
 fn small_tourism() -> TourismParams {
     TourismParams {

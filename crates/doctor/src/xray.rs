@@ -204,7 +204,7 @@ pub fn parse_xray_report(text: &str) -> io::Result<XraySummary> {
             .unwrap_or(0)
     };
     // Sampling section: optional, so baselines committed before
-    // augur-sample existed keep parsing (they read as unsampled).
+    // sampling existed keep parsing (they read as unsampled).
     let sampled = doc
         .field("sampling")
         .and_then(|s| s.field("sampled"))

@@ -9,6 +9,11 @@ use std::fmt::Write as _;
 
 use crate::error::SemanticError;
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so the bound keeps hostile input (a long run
+/// of `[`) from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -31,11 +36,12 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// [`SemanticError::JsonParse`] with the byte offset of the problem.
+    /// [`SemanticError::JsonParse`] with the byte offset of the problem,
+    /// including nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<JsonValue, SemanticError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err(pos, "trailing characters"));
@@ -227,12 +233,14 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, SemanticError> {
+/// Parses the value at `pos`, nested `depth` arrays/objects deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, SemanticError> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(err(*pos, "nesting too deep")),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::String(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -309,17 +317,23 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, SemanticError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| err(*pos, "invalid utf-8"))?;
-                let c = s.chars().next().ok_or_else(|| err(*pos, "invalid utf-8"))?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one go.
+                // Both are ASCII, so the run ends on a char boundary and
+                // every byte is validated once.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|c| matches!(c, b'"' | b'\\'))
+                    .map_or(b.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&b[*pos..end])
+                    .map_err(|e| err(*pos + e.valid_up_to(), "invalid utf-8"))?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, SemanticError> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, SemanticError> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -328,7 +342,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, SemanticError> {
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => {
@@ -343,7 +357,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, SemanticError> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, SemanticError> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, SemanticError> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -362,7 +376,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, SemanticError> {
             return Err(err(*pos, "expected ':'"));
         }
         *pos += 1;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         map.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -459,6 +473,28 @@ mod tests {
     fn canonical_object_key_order() {
         let v = JsonValue::parse(r#"{"b":1,"a":2}"#).unwrap();
         assert_eq!(v.to_json(), r#"{"a":2,"b":1}"#);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        match JsonValue::parse(&deep) {
+            Err(SemanticError::JsonParse { offset, .. }) => assert_eq!(offset, MAX_DEPTH),
+            other => panic!("expected a depth error, got {other:?}"),
+        }
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(JsonValue::parse(&objects).is_err());
+        // Exactly at the limit still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn megabyte_string_parses() {
+        let body: String = "aé\u{1F600}\\\"".repeat(1 << 17);
+        let doc = JsonValue::String(body.clone()).to_json();
+        assert!(doc.len() > 1 << 20, "{} bytes", doc.len());
+        assert_eq!(JsonValue::parse(&doc).unwrap(), JsonValue::String(body));
     }
 
     #[test]

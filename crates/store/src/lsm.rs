@@ -9,9 +9,10 @@
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
-use augur_log::{EventLog, Level, LogSite, SymId, Value};
-use augur_telemetry::{Clock, Counter, FlightRecorder, Histogram, NameId, Registry, TraceContext};
+use augur_telemetry::log::{EventLog, Level, LogSite, SymId, Value};
+use augur_telemetry::{Clock, Counter, FlightRecorder, Histogram, NameId, Obs, TraceContext};
 use bytes::Bytes;
 
 use crate::error::StoreError;
@@ -75,55 +76,41 @@ pub struct LsmStore {
     memtable: BTreeMap<Bytes, Option<Bytes>>,
     runs: Vec<Vec<RunEntry>>, // newest last; each sorted by key
     metrics: LsmMetrics,
-    flight: Option<LsmFlight>,
-    log: Option<LsmLog>,
+    trace: Option<LsmTrace>,
 }
 
-/// Flight-recorder wiring (see [`LsmStore::instrument_flight`]): flush
-/// and compaction work become causally linked spans on the ring.
+/// Trace wiring (see [`LsmStore::instrument`]): each flush and
+/// compaction becomes a causal span on the flight ring and an INFO
+/// decision record on the event log, whichever the [`Obs`] carries.
 #[derive(Clone)]
-struct LsmFlight {
-    recorder: FlightRecorder,
+struct LsmTrace {
     clock: Clock,
     parent: TraceContext,
-    flush_name: NameId,
-    compact_name: NameId,
-    /// Ordinal salting each event's span id so repeated flushes stay
+    /// The ring and its interned `[lsm/flush, lsm/compact]` span names.
+    flight: Option<(FlightRecorder, [NameId; 2])>,
+    /// The log and its interned [`LOG_SYMS`].
+    log: Option<(EventLog, [SymId; 7])>,
+    /// Unlimited: flushes and compactions are rare, deliberate decisions.
+    site: Arc<LogSite>,
+    /// Ordinal salting each op's span id so repeated flushes stay
     /// distinct (and deterministic) within one store's trace.
     ops: u64,
 }
 
-impl std::fmt::Debug for LsmFlight {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LsmFlight")
-            .field("parent", &self.parent)
-            .field("ops", &self.ops)
-            .finish_non_exhaustive()
-    }
-}
+/// Message, field-key and trigger symbols the log records use.
+const LOG_SYMS: [&str; 7] = [
+    "lsm/flush",
+    "lsm/compact",
+    "entries",
+    "runs",
+    "trigger",
+    "threshold",
+    "forced",
+];
 
-/// Structured-log wiring (see [`LsmStore::instrument_log`]): flush and
-/// compaction *decisions* — what fired and why — become INFO records.
-#[derive(Clone)]
-struct LsmLog {
-    log: EventLog,
-    clock: Clock,
-    parent: TraceContext,
-    flush_msg: SymId,
-    compact_msg: SymId,
-    key_entries: SymId,
-    key_runs: SymId,
-    key_trigger: SymId,
-    trigger_threshold: SymId,
-    trigger_forced: SymId,
-    site: std::sync::Arc<LogSite>,
-    /// Ordinal salting each record's span id, mirroring [`LsmFlight`].
-    ops: u64,
-}
-
-impl std::fmt::Debug for LsmLog {
+impl std::fmt::Debug for LsmTrace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LsmLog")
+        f.debug_struct("LsmTrace")
             .field("parent", &self.parent)
             .field("ops", &self.ops)
             .finish_non_exhaustive()
@@ -166,10 +153,9 @@ impl Clone for LsmStore {
                 compactions: Counter::with_value(self.metrics.compactions.get()),
                 read_amp: Histogram::new(),
             },
-            // The clone keeps recording to the same (shared) ring; its op
+            // The clone keeps recording to the same (shared) sinks; its op
             // ordinal carries over so span ids stay distinct.
-            flight: self.flight.clone(),
-            log: self.log.clone(),
+            trace: self.trace.clone(),
         }
     }
 }
@@ -188,17 +174,32 @@ impl LsmStore {
             memtable: BTreeMap::new(),
             runs: Vec::new(),
             metrics: LsmMetrics::detached(),
-            flight: None,
-            log: None,
+            trace: None,
         }
     }
 
-    /// Publishes this store's metrics through `registry` under the
-    /// families `lsm_flushes_total`, `lsm_compactions_total`, and
-    /// `lsm_read_amplification`, all labeled `{store=name}`. Counts
-    /// accumulated so far carry over; read-amplification history does not
-    /// (histograms cannot be seeded).
-    pub fn instrument(&mut self, registry: &Registry, name: &str) {
+    /// Reports this store through `obs`:
+    ///
+    /// - **registry**: the families `lsm_flushes_total`,
+    ///   `lsm_compactions_total`, and `lsm_read_amplification`, all
+    ///   labeled `{store=name}`. Counts accumulated so far carry over;
+    ///   read-amplification history does not (histograms cannot be
+    ///   seeded).
+    /// - **flight**: flush and compaction work as causal spans under
+    ///   `obs.parent`. `lsm/flush` spans carry a **modeled** duration of
+    ///   one microsecond per entry written (the workspace's work-unit
+    ///   convention), `lsm/compact` one per entry merged.
+    /// - **log**: one INFO record per flush and compaction, carrying its
+    ///   span's ids, saying what fired (`lsm/flush`, `lsm/compact`), how
+    ///   much it moved (`entries`, `runs`), and **why**
+    ///   (`trigger=threshold` when the memtable or run count crossed its
+    ///   configured limit, `trigger=forced` for explicit calls).
+    ///
+    /// Spans and records are timestamped on `clock`; with a manual clock
+    /// and a fixed workload they are bit-for-bit reproducible. The
+    /// sampler and lanes are pipeline policies and do not apply here.
+    pub fn instrument(&mut self, obs: &Obs, name: &str, clock: &Clock) {
+        let registry = &obs.registry;
         let labels = [("store", name)];
         let flushes = registry.counter_labeled("lsm_flushes_total", &labels);
         flushes.add(self.metrics.flushes.get());
@@ -209,97 +210,62 @@ impl LsmStore {
             compactions,
             read_amp: registry.histogram_labeled("lsm_read_amplification", &labels),
         };
-    }
-
-    /// Records flush and compaction work as causal flight spans under
-    /// `parent`: `lsm/flush` spans carry a **modeled** duration of one
-    /// microsecond per entry written (the workspace's work-unit
-    /// convention), `lsm/compact` one per entry merged, both timestamped
-    /// on `clock`. With a deterministic clock and workload the emitted
-    /// events are bit-for-bit reproducible.
-    pub fn instrument_flight(
-        &mut self,
-        recorder: &FlightRecorder,
-        clock: &Clock,
-        parent: TraceContext,
-    ) {
-        self.flight = Some(LsmFlight {
-            flush_name: recorder.intern("lsm/flush"),
-            compact_name: recorder.intern("lsm/compact"),
-            recorder: recorder.clone(),
+        let flight = obs.flight.as_ref().map(|rec| {
+            let names = [rec.intern("lsm/flush"), rec.intern("lsm/compact")];
+            (rec.clone(), names)
+        });
+        let log = obs
+            .log
+            .as_ref()
+            .map(|log| (log.clone(), LOG_SYMS.map(|s| log.intern(s))));
+        self.trace = (flight.is_some() || log.is_some()).then(|| LsmTrace {
             clock: clock.clone(),
-            parent,
+            parent: obs.parent,
+            flight,
+            log,
+            site: Arc::new(LogSite::unlimited()),
             ops: 0,
         });
     }
 
-    /// Attaches a structured log: every flush and compaction records an
-    /// INFO entry under `parent` saying what fired (`lsm/flush`,
-    /// `lsm/compact`), how much it moved (`entries`, `runs`), and **why**
-    /// (`trigger=threshold` when the memtable or run count crossed its
-    /// configured limit, `trigger=forced` for explicit calls) —
-    /// timestamped on `clock`, deterministic under a manual one.
-    pub fn instrument_log(&mut self, log: &EventLog, clock: &Clock, parent: TraceContext) {
-        self.log = Some(LsmLog {
-            flush_msg: log.intern("lsm/flush"),
-            compact_msg: log.intern("lsm/compact"),
-            key_entries: log.intern("entries"),
-            key_runs: log.intern("runs"),
-            key_trigger: log.intern("trigger"),
-            trigger_threshold: log.intern("threshold"),
-            trigger_forced: log.intern("forced"),
-            site: std::sync::Arc::new(LogSite::unlimited()),
-            log: log.clone(),
-            clock: clock.clone(),
-            parent,
-            ops: 0,
-        });
-    }
-
-    /// Emits one flush/compaction decision record (no-op when
-    /// [`LsmStore::instrument_log`] was never called).
-    fn log_decision(&mut self, compact: bool, entries: u64, runs: u64, forced: bool) {
-        if let Some(l) = &mut self.log {
-            let (msg, salt) = if compact {
-                (l.compact_msg, 0x636f_6d70u64)
-            } else {
-                (l.flush_msg, 0x666c_7573u64)
-            };
-            let ctx = l.parent.child(salt ^ (l.ops << 32));
-            l.ops += 1;
-            let trigger = if forced {
-                l.trigger_forced
-            } else {
-                l.trigger_threshold
-            };
-            l.log.record(
-                &l.site,
+    /// Emits one flush/compaction span and decision record (a no-op
+    /// unless [`LsmStore::instrument`] attached a flight ring or a log).
+    fn trace_op(&mut self, compact: bool, entries: u64, runs: u64, forced: bool) {
+        let Some(t) = &mut self.trace else {
+            return;
+        };
+        let salt = if compact {
+            0x636f_6d70u64 // "comp"
+        } else {
+            0x666c_7573u64 // "flus"
+        };
+        let ctx = t.parent.child(salt ^ (t.ops << 32));
+        t.ops += 1;
+        let now = t.clock.now_micros();
+        if let Some((rec, [flush, compaction])) = &t.flight {
+            let name = if compact { *compaction } else { *flush };
+            rec.record_span(ctx, name, now, entries);
+        }
+        if let Some((
+            log,
+            [flush, compaction, key_entries, key_runs, key_trigger, threshold, forced_sym],
+        )) = &t.log
+        {
+            log.record(
+                &t.site,
                 Level::Info,
                 ctx,
-                msg,
-                l.clock.now_micros(),
+                if compact { *compaction } else { *flush },
+                now,
                 &[
-                    (l.key_entries, Value::U64(entries)),
-                    (l.key_runs, Value::U64(runs)),
-                    (l.key_trigger, Value::Sym(trigger)),
+                    (*key_entries, Value::U64(entries)),
+                    (*key_runs, Value::U64(runs)),
+                    (
+                        *key_trigger,
+                        Value::Sym(if forced { *forced_sym } else { *threshold }),
+                    ),
                 ],
             );
-        }
-    }
-
-    /// Emits one flush/compaction span on the flight ring (no-op when
-    /// [`LsmStore::instrument_flight`] was never called).
-    fn flight_span(&mut self, compact: bool, modeled_entries: u64) {
-        if let Some(f) = &mut self.flight {
-            let (name, salt) = if compact {
-                (f.compact_name, 0x636f_6d70u64) // "comp"
-            } else {
-                (f.flush_name, 0x666c_7573u64) // "flus"
-            };
-            let ctx = f.parent.child(salt ^ (f.ops << 32));
-            f.ops += 1;
-            f.recorder
-                .record_span(ctx, name, f.clock.now_micros(), modeled_entries);
         }
     }
 
@@ -394,8 +360,7 @@ impl LsmStore {
         let entries = run.len() as u64;
         self.runs.push(run);
         self.metrics.flushes.inc();
-        self.flight_span(false, entries);
-        self.log_decision(false, entries, self.runs.len() as u64, forced);
+        self.trace_op(false, entries, self.runs.len() as u64, forced);
         if self.runs.len() >= self.params.compaction_trigger_runs {
             self.compact_inner(false);
         }
@@ -431,8 +396,7 @@ impl LsmStore {
             self.runs.push(compacted);
         }
         self.metrics.compactions.inc();
-        self.flight_span(true, merged_entries);
-        self.log_decision(true, merged_entries, runs_before, forced);
+        self.trace_op(true, merged_entries, runs_before, forced);
     }
 
     /// Statistics snapshot (a view over the telemetry counters).
@@ -474,6 +438,7 @@ impl LsmStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use augur_telemetry::log::{FieldValue, LogRecord};
 
     fn small() -> LsmStore {
         LsmStore::new(LsmParams {
@@ -494,7 +459,14 @@ mod tests {
             memtable_flush_entries: 4,
             compaction_trigger_runs: 2,
         });
-        db.instrument_flight(&recorder, &clock, parent);
+        let log = EventLog::new(64);
+        let obs = Obs {
+            parent,
+            flight: Some(recorder.clone()),
+            log: Some(log.clone()),
+            ..Obs::default()
+        };
+        db.instrument(&obs, "traced", &clock);
         // 12 distinct keys through a 4-entry memtable: 3 flushes, and the
         // 2-run compaction trigger fires along the way.
         for i in 0..12u8 {
@@ -517,6 +489,17 @@ mod tests {
         for f in &flushes {
             assert_eq!(f.dur_us, 4, "modeled 1 us per flushed entry");
         }
+        // Each decision record carries its span's ids.
+        let spans: Vec<(u64, &str)> = events
+            .iter()
+            .map(|e| (e.span_id, e.name.as_str()))
+            .collect();
+        let records = log.drain();
+        let logged: Vec<(u64, &str)> = records
+            .iter()
+            .map(|r| (r.span_id, r.msg.as_str()))
+            .collect();
+        assert_eq!(logged, spans);
     }
 
     #[test]
@@ -531,7 +514,12 @@ mod tests {
             memtable_flush_entries: 4,
             compaction_trigger_runs: 2,
         });
-        db.instrument_log(&log, &clock, parent);
+        let obs = Obs {
+            parent,
+            log: Some(log.clone()),
+            ..Obs::default()
+        };
+        db.instrument(&obs, "logged", &clock);
         for i in 0..8u8 {
             db.put(vec![i], vec![i]);
         }
@@ -539,12 +527,12 @@ mod tests {
         db.flush(); // explicit: must say trigger=forced
         let records = log.drain();
         assert_eq!(log.dropped_records(), 0);
-        let trigger_of = |r: &augur_log::LogRecord| -> String {
+        let trigger_of = |r: &LogRecord| -> String {
             r.fields
                 .iter()
                 .find(|(k, _)| k == "trigger")
                 .map(|(_, v)| match v {
-                    augur_log::FieldValue::Str(s) => s.clone(),
+                    FieldValue::Str(s) => s.clone(),
                     other => format!("{other:?}"),
                 })
                 .unwrap_or_default()
@@ -559,7 +547,7 @@ mod tests {
         assert_eq!(trigger_of(flushes[1]), "threshold");
         assert_eq!(trigger_of(flushes[2]), "forced");
         assert!(compacts.iter().all(|r| trigger_of(r) == "threshold"));
-        assert!(records.iter().all(|r| r.level == augur_log::Level::Info));
+        assert!(records.iter().all(|r| r.level == Level::Info));
         assert!(records.iter().all(|r| r.trace_id == parent.trace_id));
         // Span ids stay distinct across ops (ordinal-salted).
         let ids: std::collections::HashSet<u64> = records.iter().map(|r| r.span_id).collect();
@@ -568,7 +556,7 @@ mod tests {
         assert!(flushes[0]
             .fields
             .iter()
-            .any(|(k, v)| k == "entries" && *v == augur_log::FieldValue::U64(4)));
+            .any(|(k, v)| k == "entries" && *v == FieldValue::U64(4)));
     }
 
     #[test]
@@ -667,8 +655,10 @@ mod tests {
         for i in 0..16u8 {
             db.put(vec![i], vec![i]);
         }
-        let reg = Registry::new();
-        db.instrument(&reg, "hot");
+        let obs = Obs::default();
+        let reg = &obs.registry;
+        let clock: Clock = augur_telemetry::ManualTime::shared();
+        db.instrument(&obs, "hot", &clock);
         // Pre-instrumentation flushes carried over into the registry.
         let pre = db.stats().flushes;
         assert!(pre >= 2);

@@ -10,8 +10,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use augur_log::{EventLog, Level, LogSite};
-use augur_telemetry::{BlockedSite, Clock, Lane, Registry, TraceContext};
+use augur_telemetry::log::{EventLog, Level, LogSite, SymId, Value};
+use augur_telemetry::{BlockedSite, Clock, Lane, Obs, Registry, TraceContext};
 use parking_lot::{Mutex, RwLock};
 
 use crate::error::StreamError;
@@ -267,27 +267,26 @@ pub struct ConsumerGroup {
     broker: Broker,
     committed: Mutex<HashMap<(String, u32), u64>>,
     members: Mutex<Vec<String>>,
-    telemetry: Mutex<Option<Registry>>,
-    log: Mutex<Option<GroupLog>>,
+    obs: Mutex<Option<GroupObs>>,
 }
 
-/// Structured-log wiring for a consumer group: pre-interned symbols plus
-/// an unlimited site (membership changes are rare lifecycle events).
-struct GroupLog {
-    log: EventLog,
-    ctx: TraceContext,
+/// Observability wiring (see [`ConsumerGroup::instrument`]).
+struct GroupObs {
+    registry: Registry,
+    parent: TraceContext,
     clock: Clock,
-    rebalance_msg: augur_log::SymId,
-    key_group: augur_log::SymId,
-    key_member: augur_log::SymId,
-    key_members: augur_log::SymId,
-    group_sym: augur_log::SymId,
+    /// The log and its interned `group/rebalance`, `group`, `member`
+    /// and `members` symbols plus the group's own name.
+    log: Option<(EventLog, [SymId; 5])>,
+    /// Unlimited: membership changes are rare lifecycle events.
     site: LogSite,
 }
 
-impl std::fmt::Debug for GroupLog {
+impl std::fmt::Debug for GroupObs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GroupLog").finish_non_exhaustive()
+        f.debug_struct("GroupObs")
+            .field("parent", &self.parent)
+            .finish_non_exhaustive()
     }
 }
 
@@ -299,33 +298,28 @@ impl ConsumerGroup {
             broker,
             committed: Mutex::new(HashMap::new()),
             members: Mutex::new(Vec::new()),
-            telemetry: Mutex::new(None),
-            log: Mutex::new(None),
+            obs: Mutex::new(None),
         }
     }
 
-    /// Attaches a metric registry: every subsequent [`ConsumerGroup::lag`]
-    /// call publishes its result to the gauge
-    /// `consumer_lag_records{group, topic}`.
-    pub fn instrument(&self, registry: &Registry) {
-        *self.telemetry.lock() = Some(registry.clone());
-    }
-
-    /// Attaches a structured log: every membership change that forces a
-    /// rebalance is recorded at INFO under `ctx` (`group/rebalance`,
-    /// with the member and the resulting member count), timestamped
-    /// from `clock`.
-    pub fn instrument_log(&self, log: &EventLog, ctx: TraceContext, clock: &Clock) {
-        *self.log.lock() = Some(GroupLog {
-            rebalance_msg: log.intern("group/rebalance"),
-            key_group: log.intern("group"),
-            key_member: log.intern("member"),
-            key_members: log.intern("members"),
-            group_sym: log.intern(&self.name),
-            site: LogSite::unlimited(),
-            log: log.clone(),
-            ctx,
+    /// Reports this group through `obs`: every subsequent
+    /// [`ConsumerGroup::lag`] call publishes its result to the gauge
+    /// `consumer_lag_records{group, topic}` in `obs.registry`, and, when
+    /// `obs.log` is set, every membership change that forces a rebalance
+    /// is recorded at INFO under `obs.parent` (`group/rebalance`, with
+    /// the member and the resulting member count), timestamped from
+    /// `clock`.
+    pub fn instrument(&self, obs: &Obs, clock: &Clock) {
+        let log = obs.log.as_ref().map(|log| {
+            let syms = ["group/rebalance", "group", "member", "members", &self.name];
+            (log.clone(), syms.map(|s| log.intern(s)))
+        });
+        *self.obs.lock() = Some(GroupObs {
+            registry: obs.registry.clone(),
+            parent: obs.parent,
             clock: Arc::clone(clock),
+            log,
+            site: LogSite::unlimited(),
         });
     }
 
@@ -344,19 +338,21 @@ impl ConsumerGroup {
         members.push(member.to_string());
         // A membership change redistributes partitions — the kind of
         // decision a post-mortem wants on the record.
-        if let Some(g) = self.log.lock().as_ref() {
-            g.log.record(
-                &g.site,
-                Level::Info,
-                g.ctx.child_named(member),
-                g.rebalance_msg,
-                g.clock.now_micros(),
-                &[
-                    (g.key_group, augur_log::Value::Sym(g.group_sym)),
-                    (g.key_member, augur_log::Value::Sym(g.log.intern(member))),
-                    (g.key_members, augur_log::Value::U64(members.len() as u64)),
-                ],
-            );
+        if let Some(g) = self.obs.lock().as_ref() {
+            if let Some((log, [msg, key_group, key_member, key_members, group])) = &g.log {
+                log.record(
+                    &g.site,
+                    Level::Info,
+                    g.parent.child_named(member),
+                    *msg,
+                    g.clock.now_micros(),
+                    &[
+                        (*key_group, Value::Sym(*group)),
+                        (*key_member, Value::Sym(log.intern(member))),
+                        (*key_members, Value::U64(members.len() as u64)),
+                    ],
+                );
+            }
         }
         members.len() - 1
     }
@@ -472,8 +468,8 @@ impl ConsumerGroup {
             let end = self.broker.end_offset(topic, PartitionId(p))?;
             lag += end.saturating_sub(self.committed_offset(topic, PartitionId(p)));
         }
-        if let Some(registry) = self.telemetry.lock().as_ref() {
-            registry
+        if let Some(g) = self.obs.lock().as_ref() {
+            g.registry
                 .gauge_labeled(
                     "consumer_lag_records",
                     &[("group", self.name.as_str()), ("topic", topic)],
@@ -487,6 +483,7 @@ impl ConsumerGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use augur_telemetry::log::FieldValue;
 
     fn rec(key: u64, t: u64) -> Record {
         Record::new(key, format!("v{key}").into_bytes(), t)
@@ -495,11 +492,19 @@ mod tests {
     #[test]
     fn group_joins_log_rebalance_decisions() {
         use augur_telemetry::ManualTime;
-        let group = ConsumerGroup::new("g", Broker::new());
+        let broker = Broker::new();
+        broker.create_topic("t", 1).unwrap();
+        broker.append("t", rec(1, 0)).unwrap();
+        let group = ConsumerGroup::new("g", broker);
         let log = EventLog::new(16);
         let ctx = TraceContext::root(3, 1);
         let clock: Clock = ManualTime::shared();
-        group.instrument_log(&log, ctx, &clock);
+        let obs = Obs {
+            parent: ctx,
+            log: Some(log.clone()),
+            ..Obs::default()
+        };
+        group.instrument(&obs, &clock);
         group.join("a");
         group.join("b");
         group.join("a"); // re-join: no membership change, no record
@@ -518,11 +523,13 @@ mod tests {
             .collect();
         assert_eq!(
             counts,
-            vec![
-                Some(augur_log::FieldValue::U64(1)),
-                Some(augur_log::FieldValue::U64(2))
-            ]
+            vec![Some(FieldValue::U64(1)), Some(FieldValue::U64(2))]
         );
+        // The same handle carries the lag gauge's registry.
+        assert_eq!(group.lag("t").unwrap(), 1);
+        let gauges = obs.registry.snapshot().gauges;
+        let lag = gauges.iter().find(|g| g.name == "consumer_lag_records");
+        assert_eq!(lag.map(|g| g.value), Some(1.0));
     }
 
     #[test]

@@ -23,18 +23,17 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use augur_log::{EventLog, Level, LogSite, SymId, Value};
-use augur_sample::Sampler;
+use augur_telemetry::log::{EventLog, Level, LogSite, SymId, Value};
+use augur_telemetry::sample::Sampler;
 use augur_telemetry::{
     BlockedSite, Clock, Counter, FlightRecorder, Gauge, Histogram, Lane, LaneBlock, LaneWork,
-    Lanes, LocalHistogram, ManualTime, MonotonicTime, NameId, TraceContext, Tracer,
+    Lanes, LocalHistogram, ManualTime, MonotonicTime, NameId, Obs, TraceContext, Tracer,
 };
 use crossbeam::channel;
 
 use crate::broker::Broker;
 use crate::checkpoint::CheckpointStore;
 use crate::error::StreamError;
-use crate::obs::Obs;
 use crate::record::{PartitionId, Record};
 use crate::watermark::{BoundedOutOfOrderness, WatermarkGenerator};
 use crate::window::{Aggregation, WindowAssigner, WindowResult, WindowState, WindowedAggregator};
@@ -166,8 +165,7 @@ impl<T: Send + 'static> PipelineBuilder<T> {
     /// - **log**: run summaries and checkpoint/resume decisions at INFO,
     ///   late-drop and backpressure decisions at WARN (rate-limited per
     ///   site). Records carry the *same* span ids as the run's flight
-    ///   spans, so Perfetto shows them inline via
-    ///   `render_chrome_trace_with_logs`.
+    ///   spans, so a record's `span_id` finds the span that emitted it.
     /// - **sampler**: every flight-bound context — the per-run context
     ///   and each record's producer context — passes through the policy
     ///   first, so rejected chains record nothing. The verdict is a pure
@@ -1297,6 +1295,7 @@ impl Drop for StopHandle {
 mod tests {
     use super::*;
     use crate::window::{CountAggregation, TumblingWindows};
+    use augur_telemetry::log::{FieldValue, LogRecord};
     use std::time::Instant;
 
     fn setup(partitions: u32, n: u64) -> Broker {
@@ -1627,9 +1626,8 @@ mod tests {
         )
         .unwrap();
         let records = log.drain();
-        let by_msg = |msg: &str| -> Vec<&augur_log::LogRecord> {
-            records.iter().filter(|r| r.msg == msg).collect()
-        };
+        let by_msg =
+            |msg: &str| -> Vec<&LogRecord> { records.iter().filter(|r| r.msg == msg).collect() };
         // One run summary per bounded run, under the pipeline parent.
         let runs = by_msg("pipeline/run");
         assert_eq!(runs.len(), 2);
@@ -1642,13 +1640,13 @@ mod tests {
         assert!(cp[0]
             .fields
             .iter()
-            .any(|(k, v)| k == "offset" && *v == augur_log::FieldValue::U64(2)));
+            .any(|(k, v)| k == "offset" && *v == FieldValue::U64(2)));
         let resume = by_msg("pipeline/resume");
         assert_eq!(resume.len(), 1);
         assert!(resume[0]
             .fields
             .iter()
-            .any(|(k, v)| k == "offset" && *v == augur_log::FieldValue::U64(2)));
+            .any(|(k, v)| k == "offset" && *v == FieldValue::U64(2)));
         // The late drop (5k behind the 20k watermark) is a WARN on the
         // *producer's* chain with the lag spelled out. It appears twice:
         // once pre-crash, once on replay after resume (the restored
@@ -1662,7 +1660,7 @@ mod tests {
         assert!(late[0]
             .fields
             .iter()
-            .any(|(k, v)| k == "lag_us" && *v == augur_log::FieldValue::U64(15_000)));
+            .any(|(k, v)| k == "lag_us" && *v == FieldValue::U64(15_000)));
         assert_eq!(log.dropped_records(), 0);
     }
 

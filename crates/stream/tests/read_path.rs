@@ -20,10 +20,10 @@ use std::sync::Arc;
 
 use augur_stream::window::Aggregation;
 use augur_stream::{
-    BoundedOutOfOrderness, Broker, CheckpointStore, Obs, PipelineBuilder, Record, SlidingWindows,
+    BoundedOutOfOrderness, Broker, CheckpointStore, PipelineBuilder, Record, SlidingWindows,
     WatermarkGenerator, Window, WindowResult, WindowState,
 };
-use augur_telemetry::{Counter, Histogram, ManualTime, Registry};
+use augur_telemetry::{Counter, Histogram, ManualTime, Obs, Registry};
 use proptest::prelude::*;
 
 const TOPIC: &str = "t";

@@ -88,7 +88,7 @@ pub fn render_chrome_trace_with_lanes(
 /// per worker lane (named `lane-<id>` when its name is empty), and a
 /// `trace-<n>` row per control chain (see the module docs). Callers
 /// append `,`-prefixed events and close with `],"displayTimeUnit":"ms"}`.
-pub fn begin_trace(process_name: &str, worker_lanes: &[(LaneId, &str)], chains: &[u64]) -> String {
+fn begin_trace(process_name: &str, worker_lanes: &[(LaneId, &str)], chains: &[u64]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let _ = write!(
         out,
@@ -122,24 +122,19 @@ pub fn begin_trace(process_name: &str, worker_lanes: &[(LaneId, &str)], chains: 
 }
 
 /// The stable tid for one event: the lane id for worker lanes, or its
-/// causal chain's tid (see [`chain_tid`]).
-pub fn event_tid(e: &FlightEvent, chains: &[u64]) -> u64 {
+/// causal chain's position in `chains`, offset above
+/// [`CONTROL_TID_BASE`].
+fn event_tid(e: &FlightEvent, chains: &[u64]) -> u64 {
     if e.lane.is_worker() {
         u64::from(e.lane.0)
     } else {
-        chain_tid(e.trace_id, chains)
+        let pos = chains.iter().position(|t| *t == e.trace_id).unwrap_or(0);
+        CONTROL_TID_BASE + pos as u64
     }
 }
 
-/// The synthetic tid of a control chain: its position in `chains`,
-/// offset above [`CONTROL_TID_BASE`].
-pub fn chain_tid(trace_id: u64, chains: &[u64]) -> u64 {
-    let pos = chains.iter().position(|t| *t == trace_id).unwrap_or(0);
-    CONTROL_TID_BASE + pos as u64
-}
-
 /// Writes one span/instant row at `tid`.
-pub fn render_event(out: &mut String, e: &FlightEvent, tid: u64) {
+fn render_event(out: &mut String, e: &FlightEvent, tid: u64) {
     match e.kind {
         FlightEventKind::Span => {
             let _ = write!(

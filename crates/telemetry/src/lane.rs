@@ -441,34 +441,8 @@ impl Lanes {
     /// threads have joined — for exact `drained + dropped == total`
     /// accounting per lane.
     pub fn merge_drains(&self) -> MergedDrain {
-        self.merge_batches(None)
-    }
-
-    /// Like [`Lanes::merge_drains`], but also drains `control` — a
-    /// plain (non-lane) recorder whose events merge in as the control
-    /// lane (lane 0).
-    pub fn merge_drains_with(&self, control: &FlightRecorder) -> MergedDrain {
-        self.merge_batches(Some(control))
-    }
-
-    fn merge_batches(&self, control: Option<&FlightRecorder>) -> MergedDrain {
         let lanes = self.handles();
-        let mut batches: Vec<(LaneSummary, Vec<FlightEvent>)> = Vec::with_capacity(lanes.len() + 1);
-        if let Some(rec) = control {
-            let events = rec.drain();
-            batches.push((
-                LaneSummary {
-                    id: LaneId::CONTROL,
-                    name: "control".to_string(),
-                    drained: events.len() as u64,
-                    dropped: rec.dropped_events(),
-                    total: rec.total_events(),
-                    busy_us: 0,
-                    blocked_us: 0,
-                },
-                events,
-            ));
-        }
+        let mut batches: Vec<(LaneSummary, Vec<FlightEvent>)> = Vec::with_capacity(lanes.len());
         for lane in lanes {
             let events = lane.recorder.drain();
             batches.push((
@@ -616,23 +590,5 @@ mod tests {
             merged.events.len() as u64 + merged.dropped_events,
             merged.total_events
         );
-    }
-
-    #[test]
-    fn control_recorder_merges_as_lane_zero() {
-        let lanes = Lanes::new(5, 64);
-        let lane = lanes.register("w");
-        let control = FlightRecorder::new(64);
-        let c = control.intern("control/tick");
-        control.record_span(TraceContext::root(5, 0), c, 0, 2);
-        let n = lane.recorder().intern("w/run");
-        lane.recorder()
-            .record_span(lane.next_ctx(lane.root()), n, 0, 3);
-        let merged = lanes.merge_drains_with(&control);
-        assert_eq!(merged.events.len(), 2);
-        assert_eq!(merged.events[0].lane, LaneId::CONTROL);
-        assert_eq!(merged.events[0].name, "control/tick");
-        assert_eq!(merged.events[1].lane, LaneId(1));
-        assert_eq!(merged.lanes[0].name, "control");
     }
 }

@@ -32,6 +32,13 @@
 //! - Exporters: [`Registry::render_prometheus`] (text exposition) and
 //!   [`Registry::render_json`] (the `metrics` object in every
 //!   `results/<bench>.json` snapshot).
+//! - [`log`]: the deterministic structured event log (leveled records
+//!   with typed fields on the same seqlock ring, per-site rate limits,
+//!   canonical-order JSONL export).
+//! - [`sample`]: seeded head sampling, tail-based retention of slow and
+//!   error traces, and the instrumentation's own cost accounting.
+//! - [`Obs`]: the one handle a run reports through — registry, trace
+//!   parent, and the optional flight, log, sampler and lane sinks.
 //!
 //! ## Example
 //!
@@ -60,12 +67,18 @@ pub mod export;
 pub mod flight;
 /// Worker lanes: deterministic ids, per-lane rings, merged drains.
 pub mod lane;
+/// The structured event log: leveled records on the seqlock ring.
+pub mod log;
 /// The atomic instruments: counters, gauges, histograms.
 pub mod metric;
+/// The one observability handle a run reports through.
+pub mod obs;
 /// Sharded registry of labeled metric families.
 pub mod registry;
 /// The seqlock ring and interner behind the flight recorder and log.
 pub mod ring;
+/// Deterministic head/tail trace sampling and self-cost accounting.
+pub mod sample;
 /// Span tracing recorded as duration histograms.
 pub mod span;
 /// Pluggable time sources (`ManualTime`, `MonotonicTime`).
@@ -93,6 +106,8 @@ pub use metric::{
     bucket_midpoint, bucket_upper_edge, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot,
     LocalHistogram,
 };
+/// The observability handle: registry, trace parent, and optional sinks.
+pub use obs::Obs;
 /// Labeled metric families and snapshots.
 pub use registry::{
     CounterSnapshot, GaugeSnapshot, HistogramFamilySnapshot, Labels, Registry, RegistrySnapshot,

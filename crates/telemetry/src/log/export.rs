@@ -12,9 +12,9 @@
 
 use std::fmt::Write as _;
 
-use augur_telemetry::{escape_json, json_f64};
+use crate::export::{escape_json, json_f64};
 
-use crate::ring::{FieldValue, LogRecord};
+use super::ring::{FieldValue, LogRecord};
 
 /// Renders one record as a single JSONL object (no trailing newline):
 /// `{"ts_us":…,"level":"…","msg":"…","trace_id":"%016x","span_id":"%016x","fields":{…}}`.
@@ -125,7 +125,7 @@ pub fn render_human(records: &[LogRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::level::Level;
+    use crate::log::level::Level;
 
     fn record(ts_us: u64, msg: &str) -> LogRecord {
         LogRecord {

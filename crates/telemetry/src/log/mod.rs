@@ -1,5 +1,3 @@
-//! # augur-log
-//!
 //! The fourth observability pillar (after metrics, traces, and
 //! profiles): a **deterministic structured event log** for the data
 //! plane's decisions — why a record was shed, what triggered a
@@ -7,29 +5,26 @@
 //!
 //! - [`EventLog`]: leveled records with typed key-value fields
 //!   ([`Value`]/[`Arg`]), timestamps from the caller's
-//!   [`TimeSource`](augur_telemetry::TimeSource), and automatic
+//!   [`TimeSource`](crate::TimeSource), and automatic
 //!   `trace_id`/`span_id` correlation from the
-//!   [`TraceContext`](augur_telemetry::TraceContext) already flowing
+//!   [`TraceContext`](crate::TraceContext) already flowing
 //!   through the pipeline. Records land in a bounded lock-free MPSC
-//!   ring (telemetry's [`SeqRing`](augur_telemetry::SeqRing), shared
+//!   ring (telemetry's [`SeqRing`](crate::SeqRing), shared
 //!   with the `FlightRecorder` — never blocks a hot path) with exact
 //!   drop accounting:
 //!   `drained + dropped == total_records` at quiescence.
 //! - [`LogSite`]: per-call-site token buckets. A noisy WARN path
 //!   suppresses deterministically under
-//!   [`ManualTime`](augur_telemetry::ManualTime) and counts what it
+//!   [`ManualTime`](crate::ManualTime) and counts what it
 //!   suppressed instead of flooding the ring.
 //! - Exporters: [`render_jsonl`] (canonical order — **byte-identical**
 //!   across same-seed runs at any producer-thread count, a CI-diffable
-//!   regression signal), [`render_human`], and
-//!   [`render_chrome_trace_with_logs`], which merges log records into
-//!   the Chrome trace export as instant events so Perfetto shows logs
-//!   inline with spans.
+//!   regression signal) and [`render_human`].
 //!
 //! ## Example
 //!
 //! ```
-//! use augur_log::{EventLog, Level, LogSite, Arg, render_jsonl};
+//! use augur_telemetry::log::{EventLog, Level, LogSite, Arg, render_jsonl};
 //! use augur_telemetry::TraceContext;
 //!
 //! let log = EventLog::new(1024);
@@ -49,8 +44,6 @@
 //! assert_eq!(records[0].span_id, frame.span_id);
 //! ```
 
-/// Merged span + log Chrome trace rendering.
-pub mod chrome;
 /// JSONL and human exporters (the canonical-order determinism surface).
 pub mod export;
 /// Severity levels.
@@ -62,8 +55,6 @@ pub mod site;
 /// The sanctioned console sink (see the `print-confined` audit rule).
 pub mod writer;
 
-/// Chrome trace export with log records merged in as instant events.
-pub use chrome::render_chrome_trace_with_logs;
 /// Deterministic JSONL / human renderers over drained records.
 pub use export::{canonical_order, render_human, render_jsonl, render_jsonl_line};
 /// Severity levels (`Trace` through `Error`).

@@ -1,7 +1,7 @@
 //! The bounded lock-free MPSC log ring.
 //!
 //! Records are pushed into telemetry's [`SeqRing`] (see
-//! [`augur_telemetry::ring`] for the slot protocol) — **no lock, no
+//! [`crate::ring`] for the slot protocol) — **no lock, no
 //! allocation, never blocks**. Overwritten or torn records are charged
 //! to [`EventLog::dropped_records`], so at quiescence
 //! `drained + dropped == total_records` exactly. This module only
@@ -10,10 +10,11 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use augur_telemetry::{Interner, SeqRing, TraceContext};
+use crate::ring::{Interner, SeqRing};
+use crate::trace::TraceContext;
 
-use crate::level::Level;
-use crate::site::LogSite;
+use super::level::Level;
+use super::site::LogSite;
 
 /// Fields beyond this many are truncated at emit time (the count that
 /// survives is encoded in the slot, so truncation is visible, not
@@ -159,11 +160,6 @@ impl EventLog {
     /// The current severity floor.
     pub fn min_level(&self) -> Level {
         Level::from_u8(self.inner.min_level.load(Ordering::Relaxed))
-    }
-
-    /// Changes the severity floor (takes effect for subsequent emits).
-    pub fn set_min_level(&self, level: Level) {
-        self.inner.min_level.store(level as u8, Ordering::Relaxed);
     }
 
     /// Whether a record at `level` would pass the floor.
@@ -337,9 +333,6 @@ mod tests {
         log.event(&site, Level::Debug, ctx, "chatty", 0, &[]);
         log.event(&site, Level::Info, ctx.unsampled(), "unsampled", 0, &[]);
         assert_eq!(log.total_records(), 0);
-        log.set_min_level(Level::Debug);
-        log.event(&site, Level::Debug, ctx, "chatty", 0, &[]);
-        assert_eq!(log.total_records(), 1);
     }
 
     #[test]

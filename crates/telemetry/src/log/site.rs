@@ -2,7 +2,7 @@
 //!
 //! Every emit path passes through a [`LogSite`]: a token bucket whose
 //! reference time is the caller's clock (microseconds), so under
-//! [`ManualTime`](augur_telemetry::ManualTime) suppression decisions are
+//! [`ManualTime`](crate::ManualTime) suppression decisions are
 //! a pure function of the modeled timeline — same seed, same set of
 //! admitted records, which is what keeps the JSONL export byte-identical
 //! across runs. Denied records are counted in [`LogSite::suppressed`],

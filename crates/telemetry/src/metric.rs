@@ -287,11 +287,6 @@ impl Histogram {
             .get_or_init(|| (0..BUCKETS).map(|_| ExemplarCell::default()).collect());
     }
 
-    /// Whether [`Histogram::enable_exemplars`] has been called.
-    pub fn exemplars_enabled(&self) -> bool {
-        self.inner.exemplars.get().is_some()
-    }
-
     /// Records one sample and, when exemplars are enabled and
     /// `trace_id` is nonzero, retains `(trace_id, v, ts_us)` as the
     /// bucket's exemplar (last writer wins).
@@ -367,19 +362,6 @@ impl Histogram {
             self.inner.max.load(Ordering::Relaxed),
             q,
         )
-    }
-
-    /// Number of recorded samples whose bucket lies entirely at or above
-    /// `threshold` (an under-approximation within one bucket width).
-    pub fn count_above(&self, threshold: u64) -> u64 {
-        let start = bucket_index(threshold);
-        self.inner
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i > start)
-            .map(|(_, b)| b.load(Ordering::Relaxed))
-            .sum()
     }
 
     /// The non-empty buckets as `(bucket_index, count)` pairs, in index
@@ -718,7 +700,6 @@ mod tests {
         assert_eq!(h.count(), 1, "the sample itself still lands");
 
         h.enable_exemplars();
-        assert!(h.exemplars_enabled());
         h.record_traced(100, 0xdead, 20);
         h.record_traced(101, 0xbeef, 30); // same bucket: overwrites
         h.record_traced(5_000, 0xfeed, 40); // different bucket
@@ -745,15 +726,5 @@ mod tests {
                 assert!(bucket_upper_edge(idx) < bucket_upper_edge(idx + 1));
             }
         }
-    }
-
-    #[test]
-    fn count_above_threshold() {
-        let h = Histogram::new();
-        for v in [1u64, 2, 3, 1_000, 2_000] {
-            h.record(v);
-        }
-        assert_eq!(h.count_above(500), 2);
-        assert_eq!(h.count_above(2_500), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! One observability handle for a run.
 //!
 //! [`Obs`] bundles every place a pipeline or scenario run reports to:
-//! the metric [`Registry`](augur_telemetry::Registry), the trace context
+//! the metric [`Registry`](crate::Registry), the trace context
 //! its runs hang off, and the optional flight ring, structured event
 //! log, head sampler and worker lanes. A run takes one `&Obs`; a field
 //! left `None` costs nothing, and [`Obs::default`] is a private registry
@@ -11,8 +11,7 @@
 //! under its own parent while sharing the caller's sinks:
 //!
 //! ```
-//! use augur_stream::Obs;
-//! use augur_telemetry::{FlightRecorder, TraceContext};
+//! use augur_telemetry::{FlightRecorder, Obs, TraceContext};
 //!
 //! let obs = Obs {
 //!     flight: Some(FlightRecorder::new(1 << 10)),
@@ -25,9 +24,12 @@
 //! assert!(child.flight.is_some());
 //! ```
 
-use augur_log::EventLog;
-use augur_sample::Sampler;
-use augur_telemetry::{FlightRecorder, Lanes, Registry, TraceContext};
+use crate::flight::FlightRecorder;
+use crate::lane::Lanes;
+use crate::log::EventLog;
+use crate::registry::Registry;
+use crate::sample::Sampler;
+use crate::trace::TraceContext;
 
 /// Where a run reports: see the module docs. Cloning shares every sink.
 #[derive(Debug, Clone)]

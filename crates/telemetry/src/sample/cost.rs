@@ -14,7 +14,9 @@
 //! model constants, not wall-clock measurements, so same-seed runs
 //! produce byte-identical accounting.
 
-use augur_telemetry::{Counter, FlightEvent, Gauge, Registry};
+use crate::flight::FlightEvent;
+use crate::metric::{Counter, Gauge};
+use crate::registry::Registry;
 
 /// Counter: observability events admitted (flight events + log records).
 pub const OBS_EVENTS_TOTAL: &str = "augur_obs_events_total";

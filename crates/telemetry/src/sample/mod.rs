@@ -1,5 +1,3 @@
-//! # augur-sample
-//!
 //! The ninth observability pillar: **deterministic trace sampling** and
 //! **observability self-cost accounting**, so the other eight pillars
 //! stay byte-deterministic and cheap at city scale (the paper's §1
@@ -9,7 +7,7 @@
 //!
 //! - [`Sampler`]: a deterministic head-sampling policy. The verdict for
 //!   a trace is a pure function of `(seed, trace_id)` — a SplitMix64
-//!   hash ([`augur_telemetry::mix64`], the same mix that derives trace
+//!   hash ([`crate::mix64`], the same mix that derives trace
 //!   ids) reduced modulo the configured rate — so the same trace is
 //!   sampled identically on every lane, in every interleaving, on every
 //!   run. Applied by flipping [`TraceContext::sampled`]; the flight
@@ -31,7 +29,7 @@
 //! ## Example
 //!
 //! ```
-//! use augur_sample::{Sampler, TailReservoir};
+//! use augur_telemetry::sample::{Sampler, TailReservoir};
 //! use augur_telemetry::TraceContext;
 //!
 //! let sampler = Sampler::new(42, 64); // keep 1 trace in 64

@@ -12,14 +12,15 @@
 //!
 //! **Determinism.** Retention is a top-K selection under the total
 //! order `(dur_us, SplitMix64 key, trace_id)` — the key is
-//! [`augur_telemetry::mix64`] over `seed ^ mix64(trace_id)`, and the
+//! [`crate::mix64`] over `seed ^ mix64(trace_id)`, and the
 //! trace id breaks any residual tie — so the kept set is a pure
 //! function of the offered set: independent of offer order, lane
 //! interleaving, and merge order. [`TailReservoir::drain`] returns the
 //! window sorted slowest-first by the same order, ready for
-//! [`augur_telemetry::render_chrome_trace`] via [`retained_events`].
+//! [`crate::render_chrome_trace`] via [`retained_events`].
 
-use augur_telemetry::{mix64, FlightEvent};
+use crate::flight::FlightEvent;
+use crate::trace::mix64;
 
 /// One trace the reservoir kept: identity, why it was kept, and the
 /// flight events it recorded (empty when head sampling muted it).
@@ -153,7 +154,7 @@ impl TailReservoir {
 }
 
 /// Flattens drained traces into one event list in drain order — the
-/// input shape [`augur_telemetry::render_chrome_trace`] expects.
+/// input shape [`crate::render_chrome_trace`] expects.
 pub fn retained_events(retained: &[RetainedTrace]) -> Vec<FlightEvent> {
     retained
         .iter()

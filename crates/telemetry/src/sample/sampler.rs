@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use augur_telemetry::{mix64, TraceContext};
+use crate::trace::{mix64, TraceContext};
 
 /// Environment variable benches read to turn head sampling on:
 /// `AUGUR_SAMPLE_RATE=64` keeps 1 trace in 64.
@@ -49,11 +49,6 @@ impl Sampler {
             admitted: Arc::new(AtomicU64::new(0)),
             rejected: Arc::new(AtomicU64::new(0)),
         }
-    }
-
-    /// A keep-everything policy (rate 1) — the no-sampling identity.
-    pub fn keep_all(seed: u64) -> Sampler {
-        Sampler::new(seed, 1)
     }
 
     /// A policy at the rate requested by [`SAMPLE_RATE_ENV`].
@@ -140,7 +135,7 @@ mod tests {
 
     #[test]
     fn rate_one_keeps_everything_and_counts() {
-        let s = Sampler::keep_all(1);
+        let s = Sampler::new(1, 1);
         for key in 0..64u64 {
             assert!(s.apply(TraceContext::root(1, key)).sampled);
         }
@@ -165,7 +160,7 @@ mod tests {
 
     #[test]
     fn apply_preserves_an_upstream_unsampled_bit() {
-        let s = Sampler::keep_all(3);
+        let s = Sampler::new(3, 1);
         let ctx = TraceContext::root(3, 3).unsampled();
         assert!(!s.apply(ctx).sampled, "apply must not resurrect a trace");
         assert_eq!(s.admitted(), 0);

@@ -74,15 +74,6 @@ impl ManualTime {
     pub fn advance_micros(&self, us: u64) {
         self.advance_nanos(us.saturating_mul(1_000));
     }
-
-    /// Jumps the clock to an absolute reading in microseconds.
-    ///
-    /// Unlike the simulation clock this does not reject rewinds: a metric
-    /// time source is a measurement device, and tests legitimately reset it.
-    pub fn set_micros(&self, us: u64) {
-        self.nanos
-            .store(us.saturating_mul(1_000), Ordering::Relaxed);
-    }
 }
 
 impl TimeSource for ManualTime {
@@ -132,17 +123,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn manual_time_advances_and_sets() {
+    fn manual_time_advances() {
         let t = ManualTime::new();
         assert_eq!(t.now_nanos(), 0);
         t.advance_nanos(500);
         assert_eq!(t.now_nanos(), 500);
         t.advance_micros(2);
         assert_eq!(t.now_micros(), 2); // 2_500 ns
-        t.set_micros(10);
-        assert_eq!(t.now_micros(), 10);
-        t.set_micros(1); // rewind allowed
-        assert_eq!(t.now_micros(), 1);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 
 /// SplitMix64 finalizer: a fast, well-distributed 64-bit mixing function.
 /// Used for id derivation only — this is not a cryptographic hash.
-/// Public so downstream deterministic policies (the `augur-sample`
+/// Public so downstream deterministic policies (the `sample`
 /// head-sampling verdict and reservoir keys) hash with the exact same
 /// mix as trace-id derivation.
 pub fn mix64(mut x: u64) -> u64 {
@@ -114,11 +114,6 @@ impl TraceContext {
         self.child(name_salt(name))
     }
 
-    /// Whether this context starts its chain.
-    pub fn is_root(&self) -> bool {
-        self.parent_span_id == 0
-    }
-
     /// A copy with sampling turned off (ids keep propagating; recorders
     /// skip the events).
     pub fn unsampled(self) -> TraceContext {
@@ -139,7 +134,7 @@ mod tests {
         assert_eq!(a, TraceContext::root(1, 1));
         assert_ne!(a.trace_id, TraceContext::root(1, 2).trace_id);
         assert_ne!(a.trace_id, TraceContext::root(2, 1).trace_id);
-        assert!(a.is_root());
+        assert_eq!(a.parent_span_id, 0);
         assert!(a.sampled);
         assert_ne!(a.span_id, 0);
     }
@@ -152,7 +147,6 @@ mod tests {
         assert_eq!(a.trace_id, root.trace_id);
         assert_eq!(a.parent_span_id, root.span_id);
         assert_ne!(a.span_id, b.span_id, "sibling stages get distinct spans");
-        assert!(!a.is_root());
         let grand = a.child(3);
         assert_eq!(grand.parent_span_id, a.span_id);
         assert_eq!(grand.trace_id, root.trace_id);

@@ -1,4 +1,4 @@
-//! The three contract properties ISSUE 7 names:
+//! The event log's three contract properties:
 //!
 //! 1. JSONL output is **byte-identical** across same-seed runs at 1 and
 //!    4 producer threads (canonical order absorbs ticket interleaving).
@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::thread;
 
-use augur_log::{render_jsonl, Arg, EventLog, Level, LogSite};
+use augur_telemetry::log::{render_jsonl, Arg, EventLog, Level, LogSite, Value};
 use augur_telemetry::{FlightRecorder, TraceContext};
 use proptest::prelude::*;
 
@@ -44,8 +44,8 @@ fn run_partitioned(seed: u64, items: u64, threads: u64) -> String {
                     msg,
                     1_000 + i * 33,
                     &[
-                        (key_item, augur_log::Value::U64(i)),
-                        (key_cost, augur_log::Value::F64(i as f64 * 0.5)),
+                        (key_item, Value::U64(i)),
+                        (key_cost, Value::F64(i as f64 * 0.5)),
                     ],
                 );
                 i += threads;

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeSet;
 
-use augur_sample::{Sampler, TailReservoir};
+use augur_telemetry::sample::{RetainedTrace, Sampler, TailReservoir};
 use augur_telemetry::{merge_drained, FlightRecorder, LaneId, LaneSummary, TraceContext};
 use proptest::prelude::*;
 
@@ -161,7 +161,7 @@ proptest! {
         for &(_, (id, dur, err)) in &keyed {
             shuffled.offer(id, dur, err, Vec::new());
         }
-        let fingerprint = |kept: Vec<augur_sample::RetainedTrace>| -> Vec<(u64, u64, bool)> {
+        let fingerprint = |kept: Vec<RetainedTrace>| -> Vec<(u64, u64, bool)> {
             kept.iter().map(|t| (t.trace_id, t.dur_us, t.error)).collect()
         };
         prop_assert_eq!(fingerprint(forward.drain()), fingerprint(shuffled.drain()));

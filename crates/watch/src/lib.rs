@@ -35,7 +35,7 @@
 //! - [`WatchServer`]: a `std::net` TCP endpoint (no async runtime)
 //!   serving `/metrics` (Prometheus), `/health` (JSON verdicts, 503 on
 //!   violation), `/slo` (budgets and burn rates), `/logs` (a JSONL tail
-//!   of the session's structured [`EventLog`](augur_log::EventLog)),
+//!   of the session's structured [`EventLog`](augur_telemetry::log::EventLog)),
 //!   and a plain-text dashboard at `/`. `crates/watch/src/serve.rs` is
 //!   the sole networking site `augur-audit` sanctions.
 //!

@@ -19,11 +19,12 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use augur_log::{render_jsonl_line, EventLog, Level, LogRecord};
-use augur_sample::SelfCost;
 use augur_store::{LsmParams, LsmStore};
+use augur_telemetry::log::{render_jsonl_line, EventLog, Level, LogRecord};
+use augur_telemetry::sample::SelfCost;
 use augur_telemetry::{
-    Counter, FlightRecorder, Histogram, ManualTime, NameId, Registry, TimeSource, TraceContext,
+    Clock, Counter, FlightRecorder, Histogram, ManualTime, NameId, Obs, Registry, TimeSource,
+    TraceContext,
 };
 use augur_xray::XrayReport;
 use parking_lot::Mutex;
@@ -142,7 +143,13 @@ impl WatchSession {
         let mut cold = LsmStore::new(LsmParams::default());
         // The cold sink reports into the registry the engine samples, so
         // the watcher's own storage activity shows up as series too.
-        cold.instrument(&registry, "watch_cold");
+        // Registry only: with no flight or log sink the clock is never read.
+        let cold_obs = Obs {
+            registry: registry.clone(),
+            ..Obs::default()
+        };
+        let clock: Clock = ManualTime::shared();
+        cold.instrument(&cold_obs, "watch_cold", &clock);
         let rollup = RollupEngine::new(registry.clone(), config.rollup)?.with_cold_store(cold);
         let slo = SloEngine::new(config.slos, rollup.tier0_window_us())?;
         let root = TraceContext::root(config.seed, SESSION_TRACE_KEY);
@@ -506,6 +513,10 @@ mod tests {
     use super::*;
     use crate::rollup::TierSpec;
     use crate::slo::{BurnRule, Objective};
+    use augur_telemetry::log::LogSite;
+    use augur_telemetry::sample::{
+        OBS_BUSY_NS_TOTAL, OBS_OVERHEAD_BUDGET, OBS_OVERHEAD_SHARE, OBS_RECORD_NS_TOTAL,
+    };
 
     fn test_config(inject_us: u64) -> WatchConfig {
         WatchConfig {
@@ -618,11 +629,11 @@ mod tests {
         cfg.log_tail = 2;
         let mut session = WatchSession::new(cfg).unwrap_or_else(|e| unreachable!("{e}"));
         let log = session.log();
-        let site = augur_log::LogSite::unlimited();
+        let site = LogSite::unlimited();
         let ctx = TraceContext::root(1, 2);
-        log.event(&site, augur_log::Level::Info, ctx, "work/step", 100, &[]);
-        log.event(&site, augur_log::Level::Info, ctx, "work/step", 200, &[]);
-        log.event(&site, augur_log::Level::Error, ctx, "work/boom", 300, &[]);
+        log.event(&site, Level::Info, ctx, "work/step", 100, &[]);
+        log.event(&site, Level::Info, ctx, "work/step", 200, &[]);
+        log.event(&site, Level::Error, ctx, "work/boom", 300, &[]);
         session.tick_to(1_000);
         session.finish();
         let registry = session.registry();
@@ -723,14 +734,14 @@ mod tests {
     fn self_cost_counters_track_the_session_within_budget() {
         let (session, _) = run_session(0);
         let registry = session.registry();
-        let record_ns = registry.counter(augur_sample::OBS_RECORD_NS_TOTAL).get();
-        let busy_ns = registry.counter(augur_sample::OBS_BUSY_NS_TOTAL).get();
+        let record_ns = registry.counter(OBS_RECORD_NS_TOTAL).get();
+        let busy_ns = registry.counter(OBS_BUSY_NS_TOTAL).get();
         assert!(record_ns > 0, "the session records its own span cost");
         assert_eq!(busy_ns, 20 * 400 * 1_000, "modeled busy time in ns");
-        let share = registry.gauge(augur_sample::OBS_OVERHEAD_SHARE).get();
+        let share = registry.gauge(OBS_OVERHEAD_SHARE).get();
         assert!((share - session.obs_overhead_share()).abs() < 1e-15);
         assert!(
-            share <= augur_sample::OBS_OVERHEAD_BUDGET,
+            share <= OBS_OVERHEAD_BUDGET,
             "a healthy session stays inside the 1% budget: {share}"
         );
         assert!(share > 0.0);

@@ -24,7 +24,7 @@
 //! from what that run recorded.
 
 use augur::core::traffic::{run, run_watched, watch_config, TrafficParams};
-use augur::core::Obs;
+use augur::telemetry::Obs;
 use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder};
 use augur::watch::WatchSession;
 

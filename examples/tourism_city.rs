@@ -38,9 +38,9 @@
 //! exports its artifact from what that run recorded.
 
 use augur::core::tourism::{run, run_watched, watch_config, TourismParams};
-use augur::core::Obs;
-use augur::log::{render_jsonl, EventLog};
 use augur::profile::{AllocCapture, Profile};
+use augur::telemetry::log::{render_jsonl, EventLog};
+use augur::telemetry::Obs;
 use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder};
 use augur::watch::WatchSession;
 

@@ -59,8 +59,6 @@ pub use augur_cloud as cloud;
 pub use augur_core as core;
 /// Geospatial substrate: coordinates, indexes, POIs, city models.
 pub use augur_geo as geo;
-/// Deterministic structured event log with trace correlation.
-pub use augur_log as log;
 /// Privacy mechanisms and attack evaluations.
 pub use augur_privacy as privacy;
 /// Deterministic profiling: folded stacks, speedscope, allocation accounting.
@@ -75,7 +73,8 @@ pub use augur_sensor as sensor;
 pub use augur_store as store;
 /// The streaming substrate: broker, pipelines, windows.
 pub use augur_stream as stream;
-/// Observability: metrics, spans, time sources, exposition.
+/// Observability: metrics, spans, time sources, exposition, the
+/// structured event log, trace sampling and the `Obs` handle.
 pub use augur_telemetry as telemetry;
 /// Pose tracking and registration.
 pub use augur_track as track;

@@ -1,7 +1,8 @@
 //! Integration: the four §3 scenarios hold their headline invariants at
 //! test scale, and the Figure 5 reconstruction derives from them.
 
-use augur::core::{healthcare, influence_report, retail, tourism, traffic, InfluenceLevel, Obs};
+use augur::core::{healthcare, influence_report, retail, tourism, traffic, InfluenceLevel};
+use augur::telemetry::Obs;
 
 #[test]
 fn retail_ordering_and_layout_invariants() {
