@@ -236,7 +236,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // for the xray runs: the verdict is pure in (seed, trace id),
         // so the sampled artifact is still byte-identical across runs
         // (CI double-runs and `cmp`s it). Unset keeps everything.
-        let sampler = Sampler::from_env(12);
+        let rate: u64 = std::env::var("AUGUR_SAMPLE_RATE")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(1);
+        let sampler = Sampler::new(12, rate);
         let costs = ModeledCosts {
             read_us: 1,
             transform_us: 3,

@@ -23,8 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use augur_bench::{f, header, out_dir, row, sized, write_xray, xray_requested, Snapshot};
 use augur_telemetry::sample::{
-    cost::inject_multiplier, retained_events, Sampler, SelfCost, TailReservoir,
-    OBS_OVERHEAD_BUDGET, SAMPLE_RATE_ENV,
+    retained_events, ObsCostModel, Sampler, SelfCost, TailReservoir, OBS_OVERHEAD_BUDGET,
 };
 use augur_telemetry::{mix64, render_chrome_trace, Clock, Lanes, ManualTime, TraceContext};
 
@@ -72,11 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "deterministic sampling: head verdicts, tail retention, exemplars, self-cost",
     );
     let items = sized(4_096, 512) as u64;
-    let rate: u64 = std::env::var(SAMPLE_RATE_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-        .max(1);
+    let env_u64 = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
+    let rate = env_u64("AUGUR_SAMPLE_RATE").unwrap_or(64).max(1);
+    let inject = env_u64("AUGUR_OBS_OVERHEAD_INJECT").unwrap_or(1).max(1);
     let sampler = Sampler::new(SEED, rate);
     let mut snap = Snapshot::new("e15_sample");
     snap.param_num("items", items as f64);
@@ -208,7 +205,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Self-cost: the flight events actually recorded, priced by the
     // (possibly inject-scaled) model against total modeled busy time.
     let busy_us: u64 = spec.iter().map(|it| it.dur_us).sum();
-    let mut obs = SelfCost::new(snap.registry());
+    let mut obs = SelfCost::new(snap.registry(), ObsCostModel::CALIBRATED.scaled(inject));
     obs.observe(merged.total_events, merged.dropped_events, 0, busy_us);
     let share = obs.overhead_share();
     println!(
@@ -217,7 +214,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         f(share, 8),
         OBS_OVERHEAD_BUDGET,
     );
-    if inject_multiplier() > 1 {
+    if inject > 1 {
         assert!(
             !obs.within_budget(),
             "the inject probe must blow the budget (share {share})"

@@ -8,8 +8,8 @@
 //! `results/<bench>.json` with the schema
 //! `{"bench": ..., "params": {...}, "metrics": {...}}`, where `metrics`
 //! is an [`augur_telemetry::Registry`] JSON rendering — the artefact CI
-//! and trajectory tooling consume. Passing `--smoke` (or setting
-//! `AUGUR_SMOKE=1`) shrinks workloads so a run finishes in seconds.
+//! and trajectory tooling consume. Passing `--smoke` shrinks workloads
+//! so a run finishes in seconds.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -20,16 +20,40 @@ use augur_telemetry::log::writer::{err_line, out_line};
 use augur_telemetry::log::{render_human, Arg, EventLog, Level, LogSite};
 use augur_telemetry::{escape_json, fnv1a64, json_f64, Registry, TraceContext};
 
+/// The binary's command-line arguments, without the program name.
+fn args() -> Vec<String> {
+    std::env::args().skip(1).collect()
+}
+
+/// True when `flag` is one of `args`.
+fn has_flag(args: &[String], flag: &str) -> bool {
+    args.iter().any(|a| a == flag)
+}
+
+/// The value of the first `name <value>` or `name=<value>` in `args`.
+fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a == name {
+            return it.next().map(String::as_str);
+        }
+        if let Some(v) = a.strip_prefix(name).and_then(|r| r.strip_prefix('=')) {
+            return Some(v);
+        }
+    }
+    None
+}
+
 /// True when the binary should run a fast smoke-sized workload: the
-/// `--smoke` flag is present or `AUGUR_SMOKE` is set in the environment.
+/// `--smoke` flag is present.
 pub fn smoke() -> bool {
-    std::env::args().any(|a| a == "--smoke") || std::env::var_os("AUGUR_SMOKE").is_some()
+    has_flag(&args(), "--smoke")
 }
 
 /// True when the binary should emit profile artifacts: the `--profile`
-/// flag is present or `AUGUR_PROFILE` is set in the environment.
+/// flag is present.
 pub fn profile_requested() -> bool {
-    std::env::args().any(|a| a == "--profile") || std::env::var_os("AUGUR_PROFILE").is_some()
+    has_flag(&args(), "--profile")
 }
 
 /// Writes `profile` as `<out_dir>/<bench>.folded` (flamegraph.pl /
@@ -42,8 +66,11 @@ pub fn profile_requested() -> bool {
 ///
 /// Propagates directory-creation and write failures.
 pub fn write_profile(bench: &str, profile: &Profile) -> io::Result<(PathBuf, PathBuf)> {
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir)?;
+    write_profile_to(&out_dir(), bench, profile)
+}
+
+fn write_profile_to(dir: &Path, bench: &str, profile: &Profile) -> io::Result<(PathBuf, PathBuf)> {
+    std::fs::create_dir_all(dir)?;
     let folded = dir.join(format!("{bench}.folded"));
     std::fs::write(&folded, profile.render_folded())?;
     let speedscope = dir.join(format!("{bench}.speedscope.json"));
@@ -54,9 +81,9 @@ pub fn write_profile(bench: &str, profile: &Profile) -> io::Result<(PathBuf, Pat
 }
 
 /// True when the binary should emit an xray bottleneck artifact: the
-/// `--xray` flag is present or `AUGUR_XRAY` is set in the environment.
+/// `--xray` flag is present.
 pub fn xray_requested() -> bool {
-    std::env::args().any(|a| a == "--xray") || std::env::var_os("AUGUR_XRAY").is_some()
+    has_flag(&args(), "--xray")
 }
 
 /// Writes `report` as `<out_dir>/<bench>.xray.json` — the canonical
@@ -79,30 +106,16 @@ pub fn write_xray(bench: &str, report: &augur_xray::XrayReport) -> io::Result<Pa
 
 /// The minimum severity a bench binary keeps in its event log:
 /// `--log-level <level>` (or `--log-level=<level>`) on the command
-/// line, else the `AUGUR_LOG` environment variable, else INFO — WARN
-/// under smoke mode so CI output stays readable.
+/// line, else INFO — WARN under smoke mode so CI output stays readable.
 pub fn log_level() -> Level {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--log-level" {
-            if let Some(level) = args.next().as_deref().and_then(Level::parse) {
-                return level;
-            }
-        } else if let Some(level) = a.strip_prefix("--log-level=").and_then(Level::parse) {
-            return level;
-        }
-    }
-    if let Some(level) = std::env::var_os("AUGUR_LOG")
-        .map(|v| v.to_string_lossy().into_owned())
-        .as_deref()
-        .and_then(Level::parse)
-    {
-        return level;
-    }
-    if smoke() {
-        Level::Warn
-    } else {
-        Level::Info
+    log_level_in(&args())
+}
+
+fn log_level_in(args: &[String]) -> Level {
+    match flag_value(args, "--log-level").and_then(Level::parse) {
+        Some(level) => level,
+        None if has_flag(args, "--smoke") => Level::Warn,
+        None => Level::Info,
     }
 }
 
@@ -187,24 +200,15 @@ pub fn sized(full: usize, small: usize) -> usize {
 }
 
 /// The snapshot output directory: `--out-dir <dir>` (or `--out-dir=<dir>`)
-/// on the command line, else the `AUGUR_OUT_DIR` environment variable,
-/// else `results/`. This is how baselines are (re)generated:
+/// on the command line, else `results/`. This is how baselines are
+/// (re)generated:
 /// `cargo run -p augur-bench --bin e3_offload -- --smoke --out-dir results/baseline`.
 pub fn out_dir() -> PathBuf {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--out-dir" {
-            if let Some(d) = args.next() {
-                return PathBuf::from(d);
-            }
-        } else if let Some(d) = a.strip_prefix("--out-dir=") {
-            return PathBuf::from(d);
-        }
-    }
-    if let Some(d) = std::env::var_os("AUGUR_OUT_DIR") {
-        return PathBuf::from(d);
-    }
-    PathBuf::from("results")
+    out_dir_in(&args())
+}
+
+fn out_dir_in(args: &[String]) -> PathBuf {
+    PathBuf::from(flag_value(args, "--out-dir").unwrap_or("results"))
 }
 
 /// A machine-readable bench result: named parameters plus a metric
@@ -284,8 +288,7 @@ impl Snapshot {
     }
 
     /// Writes the snapshot to `<out_dir>/<bench>.json` (see [`out_dir`]:
-    /// `--out-dir` flag, `AUGUR_OUT_DIR`, or `results/`) and prints the
-    /// path.
+    /// the `--out-dir` flag or `results/`) and prints the path.
     ///
     /// # Errors
     ///
@@ -348,22 +351,38 @@ mod tests {
         assert_eq!(f(1.23456, 2), "1.23");
     }
 
-    // One test covers log_level() and BenchLog: BenchLog::new reads
-    // AUGUR_LOG, so the env manipulation and the construction must not
-    // race across parallel test threads.
-    #[test]
-    fn log_level_env_chain_and_bench_log_notes() {
-        // The test binary's argv carries no --log-level or --smoke, so
-        // the chain is AUGUR_LOG then the full-run default (INFO).
-        std::env::remove_var("AUGUR_LOG");
-        std::env::remove_var("AUGUR_SMOKE");
-        assert_eq!(log_level(), Level::Info);
-        std::env::set_var("AUGUR_LOG", "error");
-        assert_eq!(log_level(), Level::Error);
-        std::env::set_var("AUGUR_LOG", "not-a-level");
-        assert_eq!(log_level(), Level::Info, "garbage falls through");
-        std::env::remove_var("AUGUR_LOG");
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
 
+    #[test]
+    fn switches_parse_from_args() {
+        let args = argv(&["--smoke", "--xray"]);
+        assert!(has_flag(&args, "--smoke"));
+        assert!(has_flag(&args, "--xray"));
+        assert!(!has_flag(&args, "--profile"));
+        assert!(!has_flag(&argv(&["--smoker"]), "--smoke"));
+    }
+
+    #[test]
+    fn log_level_parses_flag_then_smoke_default() {
+        assert_eq!(log_level_in(&[]), Level::Info);
+        assert_eq!(log_level_in(&argv(&["--smoke"])), Level::Warn);
+        assert_eq!(log_level_in(&argv(&["--log-level", "error"])), Level::Error);
+        assert_eq!(
+            log_level_in(&argv(&["--smoke", "--log-level=debug"])),
+            Level::Debug
+        );
+        assert_eq!(
+            log_level_in(&argv(&["--log-level", "not-a-level"])),
+            Level::Info,
+            "garbage falls through"
+        );
+        assert_eq!(log_level_in(&argv(&["--log-level"])), Level::Info);
+    }
+
+    #[test]
+    fn bench_log_notes_hang_off_the_bench_root() {
         let blog = BenchLog::new("unit_test_bench");
         assert_eq!(blog.root(), BenchLog::new("unit_test_bench").root());
         blog.note("bench/sweep_point", &[("size", Arg::U64(7))]);
@@ -376,14 +395,16 @@ mod tests {
     }
 
     #[test]
-    fn out_dir_defaults_and_honors_env() {
-        // The test binary's argv carries no --out-dir, so the fallback
-        // chain is env var then the default.
-        std::env::remove_var("AUGUR_OUT_DIR");
-        assert_eq!(out_dir(), PathBuf::from("results"));
-        std::env::set_var("AUGUR_OUT_DIR", "results/baseline");
-        assert_eq!(out_dir(), PathBuf::from("results/baseline"));
-        std::env::remove_var("AUGUR_OUT_DIR");
+    fn out_dir_parses_both_spellings() {
+        assert_eq!(out_dir_in(&[]), PathBuf::from("results"));
+        assert_eq!(
+            out_dir_in(&argv(&["--smoke", "--out-dir", "results/baseline"])),
+            PathBuf::from("results/baseline")
+        );
+        assert_eq!(
+            out_dir_in(&argv(&["--out-dir=/tmp/x"])),
+            PathBuf::from("/tmp/x")
+        );
     }
 
     #[test]
@@ -393,13 +414,9 @@ mod tests {
         let name = rec.intern("bench_root");
         rec.record_span(TraceContext::root(1, 0xB), name, 0, 42);
         let profile = Profile::from_events(&rec.drain());
-        // out_dir() in the test binary falls back to results/; write to a
-        // temp dir explicitly via the env override.
         let dir = std::env::temp_dir().join("augur-bench-profile-test");
-        std::env::set_var("AUGUR_OUT_DIR", &dir);
         let (folded, speedscope) =
-            write_profile("unit_test_profile", &profile).expect("profile write");
-        std::env::remove_var("AUGUR_OUT_DIR");
+            write_profile_to(&dir, "unit_test_profile", &profile).expect("profile write");
         let folded_text = std::fs::read_to_string(&folded).expect("folded read");
         assert_eq!(folded_text, "bench_root 42\n");
         let ss = std::fs::read_to_string(&speedscope).expect("speedscope read");

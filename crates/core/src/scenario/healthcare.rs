@@ -13,10 +13,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use augur_telemetry::log::Arg;
-use augur_telemetry::{ManualTime, Obs, TimeSource, TraceContext, Tracer};
-use augur_watch::{
-    BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig, WatchSession,
-};
+use augur_telemetry::{ManualTime, Obs, TimeSource, TraceContext};
 
 use augur_analytics::ThresholdDetector;
 use augur_sensor::{VitalsGenerator, VitalsParams};
@@ -87,6 +84,11 @@ pub struct HealthcareReport {
     pub pipeline_throughput_rps: f64,
 }
 
+/// Detector records processed per observed cycle (see [`run`]): the
+/// detect stage reports once per chunk, so a healthy cycle models ~1 ms
+/// of work.
+const CYCLE_CHUNK: usize = 1_000;
+
 /// Runs the scenario, reporting into `obs` (see
 /// [the module docs](crate::scenario)). The registry receives the
 /// per-stage breakdown (`span_duration_us{span="healthcare/…"}`) and the
@@ -98,125 +100,17 @@ pub struct HealthcareReport {
 /// the producing sample. With an event log, the pipeline logs its
 /// run/checkpoint/late-drop rationale under the run root, each
 /// undetected episode gets a WARN (`healthcare/missed_episode`), and
-/// the run closes with an INFO (`healthcare/summary`).
+/// the run closes with an INFO (`healthcare/summary`). With a cycle
+/// sink, the generate and stream stages tick it and the detect stage
+/// reports one observed cycle per `CYCLE_CHUNK` records; every
+/// detected episode's sample-to-alert latency lands in
+/// `alert_latency_us{scenario=healthcare}` either way.
 ///
 /// # Errors
 ///
 /// [`CoreError::InvalidScenario`] for degenerate parameters; stream and
 /// analytics errors propagate.
 pub fn run(params: &HealthcareParams, obs: &Obs) -> Result<HealthcareReport, CoreError> {
-    run_inner(params, obs, None)
-}
-
-/// Detector records processed per observed watch cycle (see
-/// [`run_watched`]): the detect stage reports once per chunk, so a
-/// healthy cycle models ~1 ms of work.
-const WATCH_CHUNK: usize = 1_000;
-
-/// The ward's declared service-level objectives — the paper's
-/// "immediate field diagnosis" promise, monitored:
-///
-/// 1. `healthcare_detect_p95` — p95 of the detect stage's per-chunk
-///    cycle latency stays under 5 ms of modeled work.
-/// 2. `healthcare_alert_p95` — p95 sample-to-alert latency (episode
-///    onset → detector alert, sim time) stays under 10 s.
-/// 3. `healthcare_drop_ratio` — the vitals stream drops fewer than
-///    0.1% of records late (`pipeline_late_dropped_total` over
-///    `pipeline_records_in_total`, both `{topic=vitals}`).
-pub fn watch_config(seed: u64) -> WatchConfig {
-    WatchConfig {
-        seed,
-        rollup: RollupConfig {
-            tiers: vec![
-                TierSpec {
-                    window_us: 50_000,
-                    capacity: 256,
-                },
-                TierSpec {
-                    window_us: 250_000,
-                    capacity: 64,
-                },
-            ],
-        },
-        slos: vec![
-            SloSpec {
-                name: "healthcare_detect_p95".to_string(),
-                objective: Objective::LatencyQuantile {
-                    series: "frame_latency_us{scenario=healthcare}".to_string(),
-                    q: 0.95,
-                    threshold_us: 5_000,
-                },
-                budget: 0.1,
-                period_us: 5_000_000,
-                rules: vec![BurnRule {
-                    name: "fast".to_string(),
-                    short_us: 100_000,
-                    long_us: 250_000,
-                    factor: 2.0,
-                }],
-            },
-            SloSpec {
-                name: "healthcare_alert_p95".to_string(),
-                objective: Objective::LatencyQuantile {
-                    series: "alert_latency_us{scenario=healthcare}".to_string(),
-                    q: 0.95,
-                    threshold_us: 10_000_000,
-                },
-                budget: 0.1,
-                period_us: 5_000_000,
-                rules: vec![BurnRule {
-                    name: "fast".to_string(),
-                    short_us: 100_000,
-                    long_us: 250_000,
-                    factor: 2.0,
-                }],
-            },
-            SloSpec {
-                name: "healthcare_drop_ratio".to_string(),
-                objective: Objective::RatioBelow {
-                    bad_series: "pipeline_late_dropped_total{topic=vitals}".to_string(),
-                    total_series: "pipeline_records_in_total{topic=vitals}".to_string(),
-                    max_ratio: 0.001,
-                },
-                budget: 0.1,
-                period_us: 5_000_000,
-                rules: vec![BurnRule {
-                    name: "fast".to_string(),
-                    short_us: 100_000,
-                    long_us: 250_000,
-                    factor: 2.0,
-                }],
-            },
-            super::trace_loss_slo(),
-            super::log_error_slo(),
-            super::obs_overhead_slo(),
-        ],
-        ..WatchConfig::default()
-    }
-}
-
-/// [`run`] under live health monitoring: stage boundaries tick
-/// the session's rollup clock, the detect stage reports one observed
-/// cycle per [`WATCH_CHUNK`] records, and every detected episode's
-/// sample-to-alert latency lands in
-/// `alert_latency_us{scenario=healthcare}` for the declared SLOs to
-/// grade. The session is finished when the run ends.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_watched(
-    params: &HealthcareParams,
-    session: &mut WatchSession,
-) -> Result<HealthcareReport, CoreError> {
-    super::watched(session, |obs, s| run_inner(params, obs, Some(s)))
-}
-
-fn run_inner(
-    params: &HealthcareParams,
-    obs: &Obs,
-    mut watch: Option<&mut WatchSession>,
-) -> Result<HealthcareReport, CoreError> {
     if params.patients == 0 {
         return Err(CoreError::InvalidScenario("patients must be positive"));
     }
@@ -224,10 +118,8 @@ fn run_inner(
         return Err(CoreError::InvalidScenario("durations must be positive"));
     }
     let clock = ManualTime::shared();
-    let so = super::ScenarioObs::start(obs, "healthcare", params.seed, clock.now_micros());
-    let tracer = Tracer::with_labels(&obs.registry, clock.clone(), &[("scenario", "healthcare")]);
-    let generate_t0 = clock.now_micros();
-    let generate_span = tracer.span("healthcare/generate");
+    let so = super::ScenarioObs::start(obs, "healthcare", params.seed, &clock);
+    let generate = so.stage("healthcare/generate");
     let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed);
     let gen_params = VitalsParams {
         patients: params.patients,
@@ -240,19 +132,15 @@ fn run_inner(
     };
     let (samples, episodes) = VitalsGenerator::new(gen_params).generate(&mut rng);
     clock.advance_micros(samples.len() as u64);
-    generate_span.end();
-    so.stage("healthcare/generate", generate_t0, clock.now_micros());
-    if let Some(s) = watch.as_deref_mut() {
-        s.tick_clock(&clock);
-    }
+    let generate_t0 = generate.start_us;
+    generate.end_tick();
 
     // Stream through the broker keyed by patient (per-patient order is
     // preserved within a partition). The pipeline shares the scenario's
     // registry and manual clock; a map stage advances the clock one work
     // unit per record, so pipeline latency and throughput are modeled
     // and deterministic.
-    let stream_t0 = clock.now_micros();
-    let stream_span = tracer.span("healthcare/stream");
+    let stream = so.stage("healthcare/stream");
     let broker = Broker::new();
     broker.create_topic("vitals", params.partitions)?;
     // Under tracing, patient 0's samples become causal roots: each gets
@@ -288,21 +176,21 @@ fn run_inner(
         })
         .build();
     let (records, metrics) = pipeline.collect()?;
-    stream_span.end();
-    so.stage("healthcare/stream", stream_t0, clock.now_micros());
-    if let Some(s) = watch.as_deref_mut() {
-        s.tick_clock(&clock);
-    }
+    stream.end_tick();
 
     // Per-(patient, sign) m-of-n threshold detectors.
-    let detect_t0 = clock.now_micros();
-    let detect_span = tracer.span("healthcare/detect");
+    let detect = so.stage("healthcare/detect");
     let mut detectors: HashMap<(u32, u8), ThresholdDetector> = HashMap::new();
     let mut alerts: Vec<(u32, augur_sensor::VitalSign, u64)> = Vec::new();
     // The clock advances one work unit per record *inside* the loop
-    // (same stage total as a bulk advance), so a watched session can
-    // observe the detect stage as per-chunk cycles.
-    let mut chunk_t0 = clock.now_micros();
+    // (same stage total as a bulk advance), so a cycle sink can observe
+    // the detect stage as per-chunk cycles. Chunk trace roots carry a
+    // tag so their ids never collide with the patient-0 sample roots
+    // above — the exemplar on a slow chunk points at a distinct
+    // deterministic trace.
+    let chunk_ctx =
+        |chunk: usize| TraceContext::root(params.seed, 0x6368_756e_6b00_0000 | chunk as u64);
+    let mut chunk_t0 = detect.start_us;
     for (i, r) in records.iter().enumerate() {
         let key = (r.patient, sign_idx(r.sign));
         let det = match detectors.entry(key) {
@@ -321,35 +209,18 @@ fn run_inner(
             alerts.push((r.patient, r.sign, alert.t_us));
         }
         clock.advance_micros(1);
-        if (i + 1) % WATCH_CHUNK == 0 {
-            if let Some(s) = watch.as_deref_mut() {
-                // Chunk trace roots carry a tag so their ids never collide
-                // with the patient-0 sample roots above — the exemplar on
-                // a slow chunk points at a distinct deterministic trace.
-                let ctx = TraceContext::root(
-                    params.seed,
-                    0x6368_756e_6b00_0000 | (i / WATCH_CHUNK) as u64,
-                );
-                s.observe_cycle_traced("healthcare", &clock, chunk_t0, ctx);
-                chunk_t0 = clock.now_micros();
-            }
+        if (i + 1) % CYCLE_CHUNK == 0 {
+            so.cycle(chunk_t0, chunk_ctx(i / CYCLE_CHUNK));
+            chunk_t0 = clock.now_micros();
         }
     }
-    if records.len() % WATCH_CHUNK != 0 {
-        if let Some(s) = watch {
-            let ctx = TraceContext::root(
-                params.seed,
-                0x6368_756e_6b00_0000 | (records.len() / WATCH_CHUNK) as u64,
-            );
-            s.observe_cycle_traced("healthcare", &clock, chunk_t0, ctx);
-        }
+    if records.len() % CYCLE_CHUNK != 0 {
+        so.cycle(chunk_t0, chunk_ctx(records.len() / CYCLE_CHUNK));
     }
-    detect_span.end();
-    so.stage("healthcare/detect", detect_t0, clock.now_micros());
+    detect.end();
 
     // Score against episode ground truth.
-    let score_t0 = clock.now_micros();
-    let score_span = tracer.span("healthcare/score");
+    let score = so.stage("healthcare/score");
     let mut detected = 0usize;
     let mut latencies: Vec<f64> = Vec::new();
     // Sample-to-alert latency distribution, for the declared
@@ -376,7 +247,6 @@ fn run_inner(
         } else {
             so.warn(
                 "healthcare/missed_episode",
-                clock.now_micros(),
                 &[
                     ("patient", Arg::U64(ep.patient as u64)),
                     ("onset_us", Arg::U64(ep.start.as_micros())),
@@ -405,12 +275,10 @@ fn run_inner(
     };
     let patient_hours = params.patients as f64 * params.duration_s / 3600.0;
     clock.advance_micros(episodes.len() as u64);
-    score_span.end();
-    so.stage("healthcare/score", score_t0, clock.now_micros());
-    so.finish(clock.now_micros());
+    score.end();
+    so.finish();
     so.info(
         "healthcare/summary",
-        clock.now_micros(),
         &[
             ("episodes", Arg::U64(episodes.len() as u64)),
             ("detected", Arg::U64(detected as u64)),

@@ -1,33 +1,32 @@
 //! The four §3 application scenarios as runnable simulations.
 //!
-//! Each submodule exposes a `Params` (deterministic under its seed) and a
+//! Each submodule exposes a `Params` (deterministic under its seed), a
 //! typed `Report` carrying the quantities the experiment index in
-//! DESIGN.md references; the reports also feed the Figure 5
-//! reconstruction in [`crate::influence`]. Each has two entry points:
+//! DESIGN.md references, and one entry point, `run(params, &Obs)`; the
+//! reports also feed the Figure 5 reconstruction in [`crate::influence`].
+//! A run reports into the sinks of its [`Obs`]:
 //!
-//! - `run(params, &Obs)` reports into the sinks of an [`Obs`]. The
-//!   registry receives a per-stage latency breakdown as span histograms
-//!   (`span_duration_us{span="<scenario>/<stage>", scenario}`). A flight
-//!   recorder receives causal spans: a root span per run (per frame, for
-//!   tourism) with the stage work as children. An event log receives the
-//!   run's decisions — stream drop/checkpoint/resume rationale, stage
-//!   summaries, scenario warnings — on the same trace ids as the spans,
-//!   so a record's `span_id` finds the span that emitted it. A broker
-//!   pipeline the scenario runs reports into the same sinks under the
-//!   scenario root.
-//!   [`Obs::default`] is a private registry with every sink off; the
-//!   sinks never change the report. For a flamegraph, drain the recorder
-//!   into `augur_profile::Profile::from_events` (wrap the run in an
-//!   `augur_profile::AllocCapture` named after the scenario for its
-//!   allocation stats); for a bottleneck report, into `augur_xray::analyze`.
-//! - `run_watched(params, &mut WatchSession)` runs under live health
-//!   monitoring against the SLOs the scenario declares in
-//!   `watch_config(seed)`. The session supplies the sinks and takes part
-//!   in the run: observed cycles (frames, simulation steps, detector
-//!   chunks, or stages) advance its rollup windows, burn-rate verdicts
-//!   and alert events on the scenario's clock — and its fault injection
-//!   advances that clock. The session is finished when the run ends and
-//!   is servable live via [`augur_watch::WatchSession::serve`].
+//! - The registry receives a per-stage latency breakdown as span
+//!   histograms (`span_duration_us{span="<scenario>/<stage>", scenario}`).
+//! - A flight recorder receives causal spans: a root span per run (per
+//!   frame, for tourism) with the stage work as children.
+//! - An event log receives the run's decisions — stream
+//!   drop/checkpoint/resume rationale, stage summaries, scenario
+//!   warnings — on the same trace ids as the spans, so a record's
+//!   `span_id` finds the span that emitted it. A broker pipeline the
+//!   scenario runs reports into the same sinks under the scenario root.
+//! - A [`CycleSink`](augur_telemetry::CycleSink) receives the run's
+//!   observed cycles (frames, simulation steps, detector chunks, or
+//!   stages) and ticks at stage boundaries, on the scenario's clock. A
+//!   live health monitor (`augur_watch::WatchSession::obs`) grades them
+//!   against the scenario's objectives; its fault injection advances
+//!   that clock.
+//!
+//! [`Obs::default`] is a private registry with every sink off; no sink
+//! without fault injection changes the report. For a flamegraph, drain
+//! the recorder into `augur_profile::Profile::from_events` (wrap the run
+//! in an `augur_profile::AllocCapture` named after the scenario for its
+//! allocation stats); for a bottleneck report, into `augur_xray::analyze`.
 //!
 //! Stage durations are **modeled**: a [`augur_telemetry::ManualTime`] is
 //! advanced by each stage's deterministic work count under the
@@ -40,120 +39,25 @@ pub mod retail;
 pub mod tourism;
 pub mod traffic;
 
+use std::sync::Arc;
+
 use augur_telemetry::log::{Arg, Level, LogSite};
-use augur_telemetry::Obs;
-use augur_telemetry::{fnv1a64, NameId, TraceContext};
-use augur_watch::{BurnRule, Objective, SloSpec, WatchSession};
-
-use crate::error::CoreError;
-
-/// The shared trace-loss objective every scenario's `watch_config`
-/// declares: the flight ring must lose fewer than 1% of its records
-/// (`flight_dropped_events_total` over `flight_events_total`, both
-/// exported by the watch session each tick). Silent span loss corrupts
-/// profiles and traces, so it alerts like any other SLO.
-pub(crate) fn trace_loss_slo() -> SloSpec {
-    SloSpec {
-        name: "trace_loss".to_string(),
-        objective: Objective::RatioBelow {
-            bad_series: "flight_dropped_events_total".to_string(),
-            total_series: "flight_events_total".to_string(),
-            max_ratio: 0.01,
-        },
-        budget: 0.1,
-        period_us: 5_000_000,
-        rules: vec![BurnRule {
-            name: "fast".to_string(),
-            short_us: 100_000,
-            long_us: 250_000,
-            factor: 2.0,
-        }],
-    }
-}
-
-/// The shared log-error-rate objective every scenario's `watch_config`
-/// declares: fewer than 1% of the structured log records the session
-/// drains each tick may be ERROR
-/// (`log_error_records_total` over `log_records_total`, both exported
-/// by the watch session). A healthy run logs decisions at INFO/WARN;
-/// a burst of ERROR records is an incident regardless of what the
-/// latency series say.
-pub(crate) fn log_error_slo() -> SloSpec {
-    SloSpec {
-        name: "log_error_rate".to_string(),
-        objective: Objective::RatioBelow {
-            bad_series: "log_error_records_total".to_string(),
-            total_series: "log_records_total".to_string(),
-            max_ratio: 0.01,
-        },
-        budget: 0.1,
-        period_us: 5_000_000,
-        rules: vec![BurnRule {
-            name: "fast".to_string(),
-            short_us: 100_000,
-            long_us: 250_000,
-            factor: 2.0,
-        }],
-    }
-}
-
-/// The shared observability-self-cost objective every scenario's
-/// `watch_config` declares: the modeled cost of recording telemetry
-/// (`augur_obs_record_ns_total`, maintained by the session's
-/// [`augur_telemetry::sample::SelfCost`] meter) must stay below 1% of the busy
-/// time it observes (`augur_obs_busy_ns_total`). Observability that
-/// eats the latency budget it is supposed to protect is an incident
-/// in its own right — `augur-doctor` gates the same share via the
-/// exported `obs_overhead_share` gauge.
-pub(crate) fn obs_overhead_slo() -> SloSpec {
-    SloSpec {
-        name: "obs_overhead".to_string(),
-        objective: Objective::RatioBelow {
-            bad_series: "augur_obs_record_ns_total".to_string(),
-            total_series: "augur_obs_busy_ns_total".to_string(),
-            max_ratio: 0.01,
-        },
-        budget: 0.1,
-        period_us: 5_000_000,
-        rules: vec![BurnRule {
-            name: "fast".to_string(),
-            short_us: 100_000,
-            long_us: 250_000,
-            factor: 2.0,
-        }],
-    }
-}
-
-/// Shared body of the scenarios' `run_watched`: runs `run` against the
-/// session's registry, flight ring and event log, then finishes the
-/// session.
-pub(crate) fn watched<R>(
-    session: &mut WatchSession,
-    run: impl FnOnce(&Obs, &mut WatchSession) -> Result<R, CoreError>,
-) -> Result<R, CoreError> {
-    let obs = Obs {
-        registry: session.registry(),
-        flight: Some(session.recorder()),
-        log: Some(session.log()),
-        ..Obs::default()
-    };
-    let report = run(&obs, session)?;
-    session.finish();
-    Ok(report)
-}
+use augur_telemetry::{fnv1a64, ManualTime, Obs, SpanGuard, TimeSource, TraceContext, Tracer};
 
 /// Observability wiring shared by the scenario runners: the caller's
 /// [`Obs`] plus the run root, one root span covering the run and one
 /// child span per stage. The root derives from the seed and an FNV-1a
 /// hash of the scenario name, so the run's flight spans and log records
 /// share trace ids. All timestamps come from the scenario's
-/// [`augur_telemetry::ManualTime`], so emission is deterministic under
-/// the scenario seed. Every method is a no-op for a sink the [`Obs`]
-/// leaves off, so call sites stay branch-free.
+/// [`ManualTime`], so emission is deterministic under the scenario
+/// seed. Every method is a no-op for a sink the [`Obs`] leaves off, so
+/// call sites stay branch-free.
 pub(crate) struct ScenarioObs<'a> {
     obs: &'a Obs,
+    scenario: &'static str,
+    clock: Arc<ManualTime>,
+    tracer: Tracer,
     root: TraceContext,
-    run_name: Option<NameId>,
     t0: u64,
     /// Lifecycle records (stage and run summaries): unlimited.
     lifecycle: LogSite,
@@ -163,14 +67,32 @@ pub(crate) struct ScenarioObs<'a> {
     warn_site: LogSite,
 }
 
+/// One open stage of a scenario run: see [`ScenarioObs::stage`].
+pub(crate) struct Stage<'s> {
+    so: &'s ScenarioObs<'s>,
+    ctx: TraceContext,
+    name: &'static str,
+    /// Where the stage began on the scenario clock.
+    pub(crate) start_us: u64,
+    span: SpanGuard,
+}
+
 impl<'a> ScenarioObs<'a> {
-    /// Starts the run root for `scenario` at `now_us`.
-    pub(crate) fn start(obs: &'a Obs, scenario: &str, seed: u64, now_us: u64) -> Self {
+    /// Starts the run root for `scenario` at `clock`'s now. Stage spans
+    /// land in the registry labelled `scenario=<scenario>`.
+    pub(crate) fn start(
+        obs: &'a Obs,
+        scenario: &'static str,
+        seed: u64,
+        clock: &Arc<ManualTime>,
+    ) -> Self {
         ScenarioObs {
             obs,
+            scenario,
+            clock: clock.clone(),
+            tracer: Tracer::with_labels(&obs.registry, clock.clone(), &[("scenario", scenario)]),
             root: TraceContext::root(seed, fnv1a64(scenario.as_bytes())),
-            run_name: obs.flight.as_ref().map(|rec| rec.intern(scenario)),
-            t0: now_us,
+            t0: clock.now_micros(),
             lifecycle: LogSite::unlimited(),
             warn_site: LogSite::new(32, 0),
         }
@@ -185,46 +107,92 @@ impl<'a> ScenarioObs<'a> {
         }
     }
 
-    /// Records one completed stage span `[start_us, end_us)` as a child
-    /// of the run root.
-    pub(crate) fn stage(&self, name: &str, start_us: u64, end_us: u64) {
+    /// Opens stage `name` as a child of the run root.
+    pub(crate) fn stage(&self, name: &'static str) -> Stage<'_> {
+        self.stage_in(self.root, name)
+    }
+
+    /// Opens stage `name` as a child of `parent` (a per-frame root): its
+    /// `span_duration_us` histogram span starts now.
+    pub(crate) fn stage_in(&self, parent: TraceContext, name: &'static str) -> Stage<'_> {
+        Stage {
+            so: self,
+            ctx: parent.child_named(name),
+            name,
+            start_us: self.clock.now_micros(),
+            span: self.tracer.span(name),
+        }
+    }
+
+    /// Observes one cycle of this scenario, from `start_us` to now,
+    /// traced under `ctx`. A watching sink may advance the clock.
+    pub(crate) fn cycle(&self, start_us: u64, ctx: TraceContext) {
+        if let Some(sink) = &self.obs.cycles {
+            sink.cycle(self.scenario, &self.clock, start_us, ctx);
+        }
+    }
+
+    /// Records the flight span `ctx` named `name`, from `start_us` to now.
+    pub(crate) fn span(&self, ctx: TraceContext, name: &str, start_us: u64) {
         if let Some(rec) = &self.obs.flight {
+            let now = self.clock.now_micros();
             rec.record_span(
-                self.root.child_named(name),
+                ctx,
                 rec.intern(name),
                 start_us,
-                end_us.saturating_sub(start_us),
+                now.saturating_sub(start_us),
             );
         }
     }
 
-    /// Ends the run: records the root span covering start → `now_us`.
-    pub(crate) fn finish(&self, now_us: u64) {
-        if let (Some(rec), Some(name)) = (&self.obs.flight, self.run_name) {
-            rec.record_span(self.root, name, self.t0, now_us.saturating_sub(self.t0));
-        }
+    /// Ends the run: records the root span covering start → now.
+    pub(crate) fn finish(&self) {
+        self.span(self.root, self.scenario, self.t0);
     }
 
     /// Records a lifecycle INFO on the run root (never rate-limited).
-    pub(crate) fn info(&self, msg: &str, now_us: u64, fields: &[(&str, Arg)]) {
+    pub(crate) fn info(&self, msg: &str, fields: &[(&str, Arg)]) {
         if let Some(log) = &self.obs.log {
-            log.event(&self.lifecycle, Level::Info, self.root, msg, now_us, fields);
+            let now = self.clock.now_micros();
+            log.event(&self.lifecycle, Level::Info, self.root, msg, now, fields);
         }
     }
 
     /// Records a WARN decision on a named child of the run root,
     /// rate-limited to a deterministic burst.
-    pub(crate) fn warn(&self, msg: &str, now_us: u64, fields: &[(&str, Arg)]) {
+    pub(crate) fn warn(&self, msg: &str, fields: &[(&str, Arg)]) {
         if let Some(log) = &self.obs.log {
-            log.event(
-                &self.warn_site,
-                Level::Warn,
-                self.root.child_named(msg),
-                msg,
-                now_us,
-                fields,
-            );
+            let ctx = self.root.child_named(msg);
+            let now = self.clock.now_micros();
+            log.event(&self.warn_site, Level::Warn, ctx, msg, now, fields);
         }
+    }
+}
+
+impl Stage<'_> {
+    /// Closes the stage: records its `span_duration_us` histogram, then
+    /// its flight span.
+    pub(crate) fn end(self) {
+        self.span.end();
+        self.so.span(self.ctx, self.name, self.start_us);
+    }
+
+    /// [`Stage::end`], then ticks the cycle sink to now.
+    pub(crate) fn end_tick(self) {
+        let so = self.so;
+        self.end();
+        if let Some(sink) = &so.obs.cycles {
+            sink.tick(&so.clock);
+        }
+    }
+
+    /// Closes the stage as one observed cycle: records its histogram,
+    /// observes the cycle, then records its flight span — so injected
+    /// delay shows in the span.
+    pub(crate) fn end_cycle(self, ctx: TraceContext) {
+        self.span.end();
+        self.so.cycle(self.start_us, ctx);
+        self.so.span(self.ctx, self.name, self.start_us);
     }
 }
 

@@ -9,11 +9,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use augur_telemetry::log::Arg;
-use augur_telemetry::Obs;
-use augur_telemetry::{ManualTime, TimeSource, TraceContext, Tracer};
-use augur_watch::{
-    BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig, WatchSession,
-};
+use augur_telemetry::{ManualTime, Obs, TraceContext};
 
 use augur_analytics::recommend::{evaluate, leave_one_out};
 use augur_analytics::{
@@ -117,78 +113,14 @@ pub fn purchase_log(params: &RetailParams) -> Vec<Interaction> {
 /// `retail/train`, `retail/evaluate` and `retail/session` as children.
 /// With an event log, a WARN (`retail/declutter_drop`) marks an AR
 /// session whose decluttered shelf layout had to drop labels, and the
-/// run closes with an INFO (`retail/summary`).
+/// run closes with an INFO (`retail/summary`). With a cycle sink, each
+/// of the four stages is one observed cycle
+/// (`frame_latency_us{scenario=retail}` under a watch session).
 ///
 /// # Errors
 ///
 /// [`CoreError::InvalidScenario`] for degenerate parameters.
 pub fn run(params: &RetailParams, obs: &Obs) -> Result<RetailReport, CoreError> {
-    run_inner(params, obs, None)
-}
-
-/// The scenario's declared service-level objective: p95 stage latency
-/// (`frame_latency_us{scenario=retail}` — each of log/train/evaluate/
-/// session is one observed cycle) at or under 50 ms of modeled work, so
-/// the in-store recommender refresh stays interactive.
-pub fn watch_config(seed: u64) -> WatchConfig {
-    WatchConfig {
-        seed,
-        rollup: RollupConfig {
-            tiers: vec![
-                TierSpec {
-                    window_us: 100_000,
-                    capacity: 128,
-                },
-                TierSpec {
-                    window_us: 500_000,
-                    capacity: 32,
-                },
-            ],
-        },
-        slos: vec![
-            SloSpec {
-                name: "retail_stage_p95".to_string(),
-                objective: Objective::LatencyQuantile {
-                    series: "frame_latency_us{scenario=retail}".to_string(),
-                    q: 0.95,
-                    threshold_us: 50_000,
-                },
-                budget: 0.1,
-                period_us: 2_000_000,
-                rules: vec![BurnRule {
-                    name: "fast".to_string(),
-                    short_us: 200_000,
-                    long_us: 500_000,
-                    factor: 2.0,
-                }],
-            },
-            super::trace_loss_slo(),
-            super::log_error_slo(),
-            super::obs_overhead_slo(),
-        ],
-        ..WatchConfig::default()
-    }
-}
-
-/// [`run`] under live health monitoring: each pipeline stage
-/// (log, train, evaluate, session) is reported to `session` as one
-/// observed cycle, and the session is finished when the run ends.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_watched(
-    params: &RetailParams,
-    session: &mut WatchSession,
-) -> Result<RetailReport, CoreError> {
-    super::watched(session, |obs, s| run_inner(params, obs, Some(s)))
-}
-
-fn run_inner(
-    params: &RetailParams,
-    obs: &Obs,
-    mut watch: Option<&mut WatchSession>,
-) -> Result<RetailReport, CoreError> {
     if params.users == 0 || params.groups == 0 || params.products_per_group == 0 {
         return Err(CoreError::InvalidScenario("retail sizes must be positive"));
     }
@@ -196,51 +128,40 @@ fn run_inner(
         return Err(CoreError::InvalidScenario("top_k must be positive"));
     }
     let clock = ManualTime::shared();
-    let so = super::ScenarioObs::start(obs, "retail", params.seed, clock.now_micros());
-    let tracer = Tracer::with_labels(&obs.registry, clock.clone(), &[("scenario", "retail")]);
-    let log_t0 = clock.now_micros();
-    let log_span = tracer.span("retail/log");
-    let log = purchase_log(params);
-    clock.advance_micros(log.len() as u64);
-    log_span.end();
-    so.stage("retail/log", log_t0, clock.now_micros());
+    let so = super::ScenarioObs::start(obs, "retail", params.seed, &clock);
     // Each observed stage cycle carries a tagged deterministic trace
     // root, so the cycle histogram's exemplars name a distinct trace
     // per stage (tag keeps the ids clear of other scenario roots).
     let cycle_ctx = |stage: u64| TraceContext::root(params.seed, 0x7263_7963_0000_0000 | stage);
-    if let Some(s) = watch.as_deref_mut() {
-        s.observe_cycle_traced("retail", &clock, log_t0, cycle_ctx(0));
-    }
+    let stage = so.stage("retail/log");
+    let log = purchase_log(params);
+    clock.advance_micros(log.len() as u64);
+    let t0 = stage.start_us;
+    stage.end();
+    so.cycle(t0, cycle_ctx(0));
 
-    let train_t0 = clock.now_micros();
-    let train_span = tracer.span("retail/train");
+    let stage = so.stage("retail/train");
     let (train, held) = leave_one_out(&log);
     let cf_model = ItemItemRecommender::train(&train, 30);
     let pop_model = PopularityRecommender::train(&train);
     let rnd_model = RandomRecommender::train(&train, params.seed);
     clock.advance_micros(train.len() as u64);
-    train_span.end();
-    so.stage("retail/train", train_t0, clock.now_micros());
-    if let Some(s) = watch.as_deref_mut() {
-        s.observe_cycle_traced("retail", &clock, train_t0, cycle_ctx(1));
-    }
+    let t0 = stage.start_us;
+    stage.end();
+    so.cycle(t0, cycle_ctx(1));
 
-    let eval_t0 = clock.now_micros();
-    let eval_span = tracer.span("retail/evaluate");
+    let stage = so.stage("retail/evaluate");
     let cf = evaluate(&cf_model, &held, params.top_k);
     let popularity = evaluate(&pop_model, &held, params.top_k);
     let random = evaluate(&rnd_model, &held, params.top_k);
     clock.advance_micros(3 * held.len() as u64);
-    eval_span.end();
-    so.stage("retail/evaluate", eval_t0, clock.now_micros());
-    if let Some(s) = watch.as_deref_mut() {
-        s.observe_cycle_traced("retail", &clock, eval_t0, cycle_ctx(2));
-    }
+    let t0 = stage.start_us;
+    stage.end();
+    so.cycle(t0, cycle_ctx(2));
 
     // AR session: shopper 0 walks an aisle; their top-k recommendations
     // become shelf labels, interpreted under a shopping context.
-    let session_t0 = clock.now_micros();
-    let session_span = tracer.span("retail/session");
+    let stage = so.stage("retail/session");
     let mut engine = InterpretationEngine::new();
     engine.add_rule(
         Rule::new(
@@ -294,7 +215,6 @@ fn run_inner(
     if decluttered.drop_ratio > 0.0 {
         so.warn(
             "retail/declutter_drop",
-            clock.now_micros(),
             &[
                 ("labels", Arg::U64(labels.len() as u64)),
                 ("drop_ratio", Arg::F64(decluttered.drop_ratio)),
@@ -302,15 +222,10 @@ fn run_inner(
         );
     }
     clock.advance_micros((directives.len() + labels.len()) as u64);
-    session_span.end();
-    if let Some(s) = watch {
-        s.observe_cycle_traced("retail", &clock, session_t0, cycle_ctx(3));
-    }
-    so.stage("retail/session", session_t0, clock.now_micros());
-    so.finish(clock.now_micros());
+    stage.end_cycle(cycle_ctx(3));
+    so.finish();
     so.info(
         "retail/summary",
-        clock.now_micros(),
         &[
             ("log_size", Arg::U64(log.len() as u64)),
             ("overlays", Arg::U64(directives.len() as u64)),

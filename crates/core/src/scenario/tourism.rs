@@ -9,11 +9,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use augur_telemetry::log::Arg;
-use augur_telemetry::Obs;
-use augur_telemetry::{FlightRecorder, ManualTime, NameId, TimeSource, TraceContext, Tracer};
-use augur_watch::{
-    BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig, WatchSession,
-};
+use augur_telemetry::{ManualTime, Obs, TimeSource, TraceContext};
 
 use augur_geo::{poi::synthetic_database, CityModel, CityParams, Enu, GeoPoint, LocalFrame};
 use augur_render::{
@@ -91,7 +87,10 @@ pub struct TourismReport {
 /// setup/tracking stages hang off a per-run root. With an event log, each
 /// frame whose decluttered layout dropped labels gets a rate-limited WARN
 /// (`tourism/declutter_drop`), and the run closes with an INFO
-/// (`tourism/summary`) carrying the headline numbers. Every stage also
+/// (`tourism/summary`) carrying the headline numbers. With a cycle
+/// sink, every rendered frame is one observed cycle
+/// (`frame_latency_us{scenario=tourism}` under a watch session), and the
+/// setup and tracking stages tick it. Every stage also
 /// runs inside a `tourism/<stage>` allocation scope, so an
 /// [`augur_profile::AllocCapture`] named `tourism` sees per-stage
 /// allocation stats when the counting allocator is installed.
@@ -101,102 +100,6 @@ pub struct TourismReport {
 /// [`CoreError::InvalidScenario`] for degenerate parameters; geospatial
 /// errors propagate.
 pub fn run(params: &TourismParams, obs: &Obs) -> Result<TourismReport, CoreError> {
-    run_inner(params, obs, None)
-}
-
-/// The scenario's declared service-level objectives: a 60 FPS frame
-/// budget — p95 of `frame_latency_us{scenario=tourism}` at or under
-/// 16.6 ms of modeled work — guarded by a fast and a slow multi-window
-/// burn-rate rule. Rollup windows are sized so one frame fits inside a
-/// tier-0 window even under heavy fault injection (see
-/// [`WatchConfig::inject_cycle_delay_us`]); a sustained regression
-/// therefore marks consecutive windows bad instead of diluting across
-/// empty ones.
-pub fn watch_config(seed: u64) -> WatchConfig {
-    WatchConfig {
-        seed,
-        rollup: RollupConfig {
-            tiers: vec![
-                TierSpec {
-                    window_us: 50_000,
-                    capacity: 256,
-                },
-                TierSpec {
-                    window_us: 250_000,
-                    capacity: 64,
-                },
-                TierSpec {
-                    window_us: 1_000_000,
-                    capacity: 32,
-                },
-            ],
-        },
-        slos: vec![
-            SloSpec {
-                name: "tourism_frame_p95".to_string(),
-                objective: Objective::LatencyQuantile {
-                    series: "frame_latency_us{scenario=tourism}".to_string(),
-                    q: 0.95,
-                    threshold_us: 16_600,
-                },
-                budget: 0.1,
-                period_us: 5_000_000,
-                rules: vec![
-                    BurnRule {
-                        name: "fast".to_string(),
-                        short_us: 100_000,
-                        long_us: 250_000,
-                        factor: 2.0,
-                    },
-                    BurnRule {
-                        name: "slow".to_string(),
-                        short_us: 250_000,
-                        long_us: 1_000_000,
-                        factor: 1.0,
-                    },
-                ],
-            },
-            super::trace_loss_slo(),
-            super::log_error_slo(),
-            super::obs_overhead_slo(),
-        ],
-        ..WatchConfig::default()
-    }
-}
-
-/// [`run`] under live health monitoring: every rendered frame is
-/// reported to `session` as an observed cycle (so the session's rollup
-/// windows, SLO verdicts, and burn-rate alerts advance on the scenario's
-/// own manual clock), and the session is finished when the run ends. The
-/// session's registry receives the scenario instrumentation and its
-/// flight ring the causal trace, so alert instants emitted by the SLO
-/// engine appear beside the frame spans they indict.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_watched(
-    params: &TourismParams,
-    session: &mut WatchSession,
-) -> Result<TourismReport, CoreError> {
-    super::watched(session, |obs, s| run_inner(params, obs, Some(s)))
-}
-
-/// Interned frame-stage names, so the per-frame loop never takes the
-/// recorder's name-table write lock.
-struct FrameWire<'a> {
-    rec: &'a FlightRecorder,
-    frame: NameId,
-    retrieve: NameId,
-    occlusion: NameId,
-    layout: NameId,
-}
-
-fn run_inner(
-    params: &TourismParams,
-    obs: &Obs,
-    mut watch: Option<&mut WatchSession>,
-) -> Result<TourismReport, CoreError> {
     if params.pois == 0 || params.k == 0 {
         return Err(CoreError::InvalidScenario("pois and k must be positive"));
     }
@@ -204,15 +107,7 @@ fn run_inner(
         return Err(CoreError::InvalidScenario("duration must be positive"));
     }
     let clock = ManualTime::shared();
-    let so = super::ScenarioObs::start(obs, "tourism", params.seed, clock.now_micros());
-    let tracer = Tracer::with_labels(&obs.registry, clock.clone(), &[("scenario", "tourism")]);
-    let wire = obs.flight.as_ref().map(|rec| FrameWire {
-        rec,
-        frame: rec.intern("tourism/frame"),
-        retrieve: rec.intern("tourism/retrieve"),
-        occlusion: rec.intern("tourism/occlusion"),
-        layout: rec.intern("tourism/layout"),
-    });
+    let so = super::ScenarioObs::start(obs, "tourism", params.seed, &clock);
     // Per-stage allocation scopes: when the counting allocator is
     // installed (`augur-profile`'s `global-alloc` feature, bins/tests
     // only) every stage's allocations are charged to its span name, so
@@ -223,8 +118,7 @@ fn run_inner(
     let alloc_retrieve = augur_profile::register_scope("tourism/retrieve");
     let alloc_occlusion = augur_profile::register_scope("tourism/occlusion");
     let alloc_layout = augur_profile::register_scope("tourism/layout");
-    let setup_t0 = clock.now_micros();
-    let setup_span = tracer.span("tourism/setup");
+    let setup = so.stage("tourism/setup");
     let setup_alloc = augur_profile::AllocScope::enter(alloc_setup);
     let origin = GeoPoint::new(22.3364, 114.2655)?;
     let frame = LocalFrame::new(origin);
@@ -234,15 +128,10 @@ fn run_inner(
     let occlusion = OcclusionIndex::build(&city);
     clock.advance_micros(params.pois as u64);
     drop(setup_alloc);
-    setup_span.end();
-    so.stage("tourism/setup", setup_t0, clock.now_micros());
-    if let Some(s) = watch.as_deref_mut() {
-        s.tick_clock(&clock);
-    }
+    setup.end_tick();
 
     // Ground truth walk + fused tracking.
-    let tracking_t0 = clock.now_micros();
-    let tracking_span = tracer.span("tourism/tracking");
+    let tracking = so.stage("tourism/tracking");
     let tracking_alloc = augur_profile::AllocScope::enter(alloc_tracking);
     let traj_params = TrajectoryParams {
         half_extent_m: 350.0,
@@ -269,11 +158,7 @@ fn run_inner(
     let poses = run_tracker(&mut tracker, &truth, &fixes, &readings);
     clock.advance_micros(truth.len() as u64);
     drop(tracking_alloc);
-    tracking_span.end();
-    so.stage("tourism/tracking", tracking_t0, clock.now_micros());
-    if let Some(s) = watch.as_deref_mut() {
-        s.tick_clock(&clock);
-    }
+    tracking.end_tick();
     let tracking_error_m = truth
         .iter()
         .zip(&poses)
@@ -302,8 +187,7 @@ fn run_inner(
         // produced them via `parent_span_id`.
         let frame_ctx = TraceContext::root(params.seed, i as u64);
         let frame_t0 = clock.now_micros();
-        let retrieve_t0 = frame_t0;
-        let retrieve_span = tracer.span("tourism/retrieve");
+        let retrieve = so.stage_in(frame_ctx, "tourism/retrieve");
         let retrieve_alloc = augur_profile::AllocScope::enter(alloc_retrieve);
         let here = frame.to_geodetic(pose.position);
         let (near, knn_work) = db.nearest_counted(here, params.k);
@@ -312,21 +196,12 @@ fn run_inner(
         scan_total_work += scan_work;
         clock.advance_micros((knn_work + scan_work) as u64);
         drop(retrieve_alloc);
-        retrieve_span.end();
-        if let Some(w) = &wire {
-            w.rec.record_span(
-                frame_ctx.child_named("tourism/retrieve"),
-                w.retrieve,
-                retrieve_t0,
-                clock.now_micros() - retrieve_t0,
-            );
-        }
+        retrieve.end();
         let _ = in_radius.len();
         pois_surfaced += near.len();
 
         // Occlusion + x-ray for this frame.
-        let occlusion_t0 = clock.now_micros();
-        let occlusion_span = tracer.span("tourism/occlusion");
+        let occlusion_stage = so.stage_in(frame_ctx, "tourism/occlusion");
         let occlusion_alloc = augur_profile::AllocScope::enter(alloc_occlusion);
         let camera = ViewCamera::new(
             Enu::new(pose.position.east, pose.position.north, 1.6),
@@ -346,19 +221,10 @@ fn run_inner(
         reveals += frame_reveals.iter().filter(|r| r.reveal).count();
         clock.advance_micros(targets.len() as u64);
         drop(occlusion_alloc);
-        occlusion_span.end();
-        if let Some(w) = &wire {
-            w.rec.record_span(
-                frame_ctx.child_named("tourism/occlusion"),
-                w.occlusion,
-                occlusion_t0,
-                clock.now_micros() - occlusion_t0,
-            );
-        }
+        occlusion_stage.end();
 
         // Layout the labels for targets in view.
-        let layout_t0 = clock.now_micros();
-        let layout_span = tracer.span("tourism/layout");
+        let layout = so.stage_in(frame_ctx, "tourism/layout");
         let layout_alloc = augur_profile::AllocScope::enter(alloc_layout);
         let labels: Vec<LabelBox> = targets
             .iter()
@@ -381,7 +247,6 @@ fn run_inner(
             if greedy.drop_ratio > 0.0 {
                 so.warn(
                     "tourism/declutter_drop",
-                    clock.now_micros(),
                     &[
                         ("frame", Arg::U64(i as u64)),
                         ("labels", Arg::U64(labels.len() as u64)),
@@ -392,32 +257,18 @@ fn run_inner(
         }
         clock.advance_micros(labels.len() as u64);
         drop(layout_alloc);
-        layout_span.end();
-        if let Some(w) = &wire {
-            w.rec.record_span(
-                frame_ctx.child_named("tourism/layout"),
-                w.layout,
-                layout_t0,
-                clock.now_micros() - layout_t0,
-            );
-        }
+        layout.end();
         // Observe the frame cycle before closing its span, so injected
         // fault latency (which advances the clock) inflates the recorded
         // `tourism/frame` span — the regression is causally visible in
         // the trace, not just in the SLO verdicts.
-        if let Some(s) = watch.as_deref_mut() {
-            s.observe_cycle_traced("tourism", &clock, frame_t0, frame_ctx);
-        }
-        if let Some(w) = &wire {
-            w.rec
-                .record_span(frame_ctx, w.frame, frame_t0, clock.now_micros() - frame_t0);
-        }
+        so.cycle(frame_t0, frame_ctx);
+        so.span(frame_ctx, "tourism/frame", frame_t0);
     }
-    so.finish(clock.now_micros());
+    so.finish();
     let q = queries.max(1) as f64;
     so.info(
         "tourism/summary",
-        clock.now_micros(),
         &[
             ("queries", Arg::U64(queries as u64)),
             ("pois_surfaced", Arg::U64(pois_surfaced as u64)),

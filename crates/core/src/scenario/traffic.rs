@@ -15,10 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use augur_telemetry::log::Arg;
 use augur_telemetry::Obs;
-use augur_telemetry::{ManualTime, TimeSource, TraceContext, Tracer};
-use augur_watch::{
-    BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig, WatchSession,
-};
+use augur_telemetry::{ManualTime, TimeSource, TraceContext};
 
 use augur_geo::{CityModel, CityParams, Enu};
 use augur_sensor::{RoadGridWalk, Trajectory};
@@ -122,78 +119,13 @@ fn predicted_min_distance(a: &Beacon, b: &Beacon, now_s: f64, horizon_s: f64) ->
 /// `traffic/simulate` and `traffic/score` as children. With an event
 /// log, each collision warning a windshield display raises gets a
 /// rate-limited WARN (`traffic/warning_raised`), and the run closes with
-/// an INFO (`traffic/summary`).
+/// an INFO (`traffic/summary`). With a cycle sink, the setup stage
+/// ticks it and every simulation step is one observed cycle.
 ///
 /// # Errors
 ///
 /// [`CoreError::InvalidScenario`] for degenerate parameters.
 pub fn run(params: &TrafficParams, obs: &Obs) -> Result<TrafficReport, CoreError> {
-    run_inner(params, obs, None)
-}
-
-/// The scenario's declared service-level objective: p95 per-step beacon
-/// processing latency (`frame_latency_us{scenario=traffic}`, modeled
-/// one work unit per beacon sent) at or under 10 ms — the windshield
-/// display must keep up with the VANET fan-out.
-pub fn watch_config(seed: u64) -> WatchConfig {
-    WatchConfig {
-        seed,
-        rollup: RollupConfig {
-            tiers: vec![
-                TierSpec {
-                    window_us: 50_000,
-                    capacity: 256,
-                },
-                TierSpec {
-                    window_us: 250_000,
-                    capacity: 64,
-                },
-            ],
-        },
-        slos: vec![
-            SloSpec {
-                name: "traffic_step_p95".to_string(),
-                objective: Objective::LatencyQuantile {
-                    series: "frame_latency_us{scenario=traffic}".to_string(),
-                    q: 0.95,
-                    threshold_us: 10_000,
-                },
-                budget: 0.1,
-                period_us: 5_000_000,
-                rules: vec![BurnRule {
-                    name: "fast".to_string(),
-                    short_us: 100_000,
-                    long_us: 250_000,
-                    factor: 2.0,
-                }],
-            },
-            super::trace_loss_slo(),
-            super::log_error_slo(),
-            super::obs_overhead_slo(),
-        ],
-        ..WatchConfig::default()
-    }
-}
-
-/// [`run`] under live health monitoring: every simulation step
-/// is reported to `session` as an observed cycle, and the session is
-/// finished when the run ends.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_watched(
-    params: &TrafficParams,
-    session: &mut WatchSession,
-) -> Result<TrafficReport, CoreError> {
-    super::watched(session, |obs, s| run_inner(params, obs, Some(s)))
-}
-
-fn run_inner(
-    params: &TrafficParams,
-    obs: &Obs,
-    mut watch: Option<&mut WatchSession>,
-) -> Result<TrafficReport, CoreError> {
     if params.vehicles < 2 {
         return Err(CoreError::InvalidScenario("need at least two vehicles"));
     }
@@ -206,10 +138,8 @@ fn run_inner(
         return Err(CoreError::InvalidScenario("loss must be in [0, 1)"));
     }
     let clock = ManualTime::shared();
-    let so = super::ScenarioObs::start(obs, "traffic", params.seed, clock.now_micros());
-    let tracer = Tracer::with_labels(&obs.registry, clock.clone(), &[("scenario", "traffic")]);
-    let setup_t0 = clock.now_micros();
-    let setup_span = tracer.span("traffic/setup");
+    let so = super::ScenarioObs::start(obs, "traffic", params.seed, &clock);
+    let setup = so.stage("traffic/setup");
     let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed);
     let city = CityModel::generate(&CityParams::default(), &mut rng);
     let half_extent = city.extent().max_x();
@@ -232,14 +162,9 @@ fn run_inner(
         }
     }
     clock.advance_micros(params.vehicles as u64);
-    setup_span.end();
-    so.stage("traffic/setup", setup_t0, clock.now_micros());
-    if let Some(s) = watch.as_deref_mut() {
-        s.tick_clock(&clock);
-    }
+    setup.end_tick();
 
-    let simulate_t0 = clock.now_micros();
-    let simulate_span = tracer.span("traffic/simulate");
+    let simulate = so.stage("traffic/simulate");
     let steps = (params.duration_s / params.dt_s) as usize;
     let n = params.vehicles;
     let mut last_heard: Vec<HashMap<usize, Beacon>> = vec![HashMap::new(); n];
@@ -311,7 +236,6 @@ fn run_inner(
                         warnings.push((pair, now_s));
                         so.warn(
                             "traffic/warning_raised",
-                            clock.now_micros(),
                             &[
                                 ("vehicle", Arg::U64(i as u64)),
                                 ("neighbour", Arg::U64(j as u64)),
@@ -325,26 +249,22 @@ fn run_inner(
             }
         }
         // One work unit per beacon sent this step; advancing inside the
-        // loop (same stage total as a bulk advance) lets a watched
-        // session observe each simulation step as a cycle.
+        // loop (same stage total as a bulk advance) lets a cycle sink
+        // observe each simulation step as a cycle. Each step gets its own
+        // deterministic trace root (tagged so step ids never collide with
+        // other roots), so the cycle histogram can pin an exemplar trace
+        // per bucket.
         clock.advance_micros(beacons_delivered + beacons_lost - beacons_before);
-        if let Some(s) = watch.as_deref_mut() {
-            // Each simulation step gets its own deterministic trace root
-            // (tagged so step ids never collide with other roots), so the
-            // cycle histogram can pin an exemplar trace per bucket.
-            let step_ctx = TraceContext::root(params.seed, 0x7374_6570_0000_0000 | step as u64);
-            s.observe_cycle_traced("traffic", &clock, step_t0, step_ctx);
-        }
+        let step_ctx = TraceContext::root(params.seed, 0x7374_6570_0000_0000 | step as u64);
+        so.cycle(step_t0, step_ctx);
     }
 
-    simulate_span.end();
-    so.stage("traffic/simulate", simulate_t0, clock.now_micros());
+    simulate.end();
 
     // Score: a near miss is covered if a warning for the pair was raised
     // within [event - horizon, event]; a warning is a false alarm if no
     // near miss for the pair occurred within horizon after it.
-    let score_t0 = clock.now_micros();
-    let score_span = tracer.span("traffic/score");
+    let score = so.stage("traffic/score");
     let mut warned_in_time = 0usize;
     let mut lead_times = Vec::new();
     for (pair, t_event) in &near_miss_events {
@@ -372,12 +292,10 @@ fn run_inner(
         lead_times.iter().sum::<f64>() / lead_times.len() as f64
     };
     clock.advance_micros((warnings.len() + near_miss_events.len()) as u64);
-    score_span.end();
-    so.stage("traffic/score", score_t0, clock.now_micros());
-    so.finish(clock.now_micros());
+    score.end();
+    so.finish();
     so.info(
         "traffic/summary",
-        clock.now_micros(),
         &[
             ("near_misses", Arg::U64(near_miss_events.len() as u64)),
             ("warned_in_time", Arg::U64(warned_in_time as u64)),

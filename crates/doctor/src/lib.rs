@@ -32,6 +32,7 @@ use std::io;
 use std::path::Path;
 
 use augur_semantic::json::JsonValue;
+use augur_telemetry::escape_json;
 
 /// Log-fingerprint gate over JSONL event logs (`--logs`).
 pub mod logs;
@@ -446,10 +447,10 @@ pub fn render_json(comps: &[Comparison]) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{{\"bench\":\"{}\",", escape(&c.bench));
+        let _ = write!(out, "{{\"bench\":\"{}\",", escape_json(&c.bench));
         match &c.skipped {
             Some(reason) => {
-                let _ = write!(out, "\"skipped\":\"{}\",", escape(reason));
+                let _ = write!(out, "\"skipped\":\"{}\",", escape_json(reason));
             }
             None => out.push_str("\"skipped\":null,"),
         }
@@ -461,7 +462,7 @@ pub fn render_json(comps: &[Comparison]) -> String {
             let _ = write!(
                 out,
                 "{{\"metric\":\"{}\",\"class\":\"{}\",\"baseline\":{},\"current\":{}}}",
-                escape(&f.metric),
+                escape_json(&f.metric),
                 f.class.label(),
                 f.baseline,
                 f.current
@@ -470,23 +471,6 @@ pub fn render_json(comps: &[Comparison]) -> String {
         out.push_str("]}");
     }
     out.push_str("]}");
-    out
-}
-
-/// Minimal JSON string escaping for report rendering.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

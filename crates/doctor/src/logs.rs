@@ -18,6 +18,7 @@ use std::io;
 use std::path::Path;
 
 use augur_semantic::json::JsonValue;
+use augur_telemetry::escape_json;
 
 /// One WARN/ERROR message pattern with its occurrence count.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,27 +157,11 @@ pub fn render_baseline_json(fingerprints: &FingerprintCounts) -> String {
         let _ = write!(
             out,
             "    {{\"level\": \"{}\", \"pattern\": \"{}\", \"count\": {count}}}",
-            escape(level),
-            escape(pattern)
+            escape_json(level),
+            escape_json(pattern)
         );
     }
     out.push_str("\n  ]\n}\n");
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

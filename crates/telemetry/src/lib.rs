@@ -38,7 +38,8 @@
 //! - [`sample`]: seeded head sampling, tail-based retention of slow and
 //!   error traces, and the instrumentation's own cost accounting.
 //! - [`Obs`]: the one handle a run reports through — registry, trace
-//!   parent, and the optional flight, log, sampler and lane sinks.
+//!   parent, and the optional flight, log, sampler, lane and
+//!   [`CycleSink`] sinks.
 //!
 //! ## Example
 //!
@@ -107,7 +108,7 @@ pub use metric::{
     LocalHistogram,
 };
 /// The observability handle: registry, trace parent, and optional sinks.
-pub use obs::Obs;
+pub use obs::{CycleSink, Obs};
 /// Labeled metric families and snapshots.
 pub use registry::{
     CounterSnapshot, GaugeSnapshot, HistogramFamilySnapshot, Labels, Registry, RegistrySnapshot,

@@ -33,10 +33,6 @@ pub const OBS_OVERHEAD_SHARE: &str = "obs_overhead_share";
 /// The observability budget: instrumentation may cost at most 1% of
 /// busy time.
 pub const OBS_OVERHEAD_BUDGET: f64 = 0.01;
-/// Environment variable multiplying the cost model (red-gate probe):
-/// `AUGUR_OBS_OVERHEAD_INJECT=200` makes a healthy run blow the budget
-/// so CI can assert the SLO verdict actually fires.
-pub const OBS_OVERHEAD_INJECT_ENV: &str = "AUGUR_OBS_OVERHEAD_INJECT";
 
 /// Estimated per-record log bytes (ring slot + interned strings share).
 const LOG_RECORD_BYTES: u64 = 128;
@@ -62,12 +58,6 @@ impl ObsCostModel {
         log_ns: 400,
     };
 
-    /// The calibrated model scaled by the [`OBS_OVERHEAD_INJECT_ENV`]
-    /// multiplier (1 when unset/unparsable — the healthy model).
-    pub fn from_env() -> ObsCostModel {
-        ObsCostModel::CALIBRATED.scaled(inject_multiplier())
-    }
-
     /// This model with every cost multiplied by `factor` (saturating).
     pub fn scaled(self, factor: u64) -> ObsCostModel {
         ObsCostModel {
@@ -75,15 +65,6 @@ impl ObsCostModel {
             log_ns: self.log_ns.saturating_mul(factor),
         }
     }
-}
-
-/// The [`OBS_OVERHEAD_INJECT_ENV`] multiplier (1 when unset).
-pub fn inject_multiplier() -> u64 {
-    std::env::var(OBS_OVERHEAD_INJECT_ENV)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(|m| m.max(1))
-        .unwrap_or(1)
 }
 
 /// Running observability self-cost accountant; see the module docs.
@@ -108,13 +89,8 @@ pub struct SelfCost {
 }
 
 impl SelfCost {
-    /// An accountant over `registry` with the env-scaled model.
-    pub fn new(registry: &Registry) -> SelfCost {
-        SelfCost::with_model(registry, ObsCostModel::from_env())
-    }
-
-    /// An accountant over `registry` with an explicit cost model.
-    pub fn with_model(registry: &Registry, model: ObsCostModel) -> SelfCost {
+    /// An accountant over `registry` pricing records with `model`.
+    pub fn new(registry: &Registry, model: ObsCostModel) -> SelfCost {
         SelfCost {
             model,
             events: registry.counter(OBS_EVENTS_TOTAL),
@@ -191,7 +167,7 @@ mod tests {
     #[test]
     fn observe_differences_cumulative_totals() {
         let reg = Registry::new();
-        let mut sc = SelfCost::with_model(&reg, ObsCostModel::CALIBRATED);
+        let mut sc = SelfCost::new(&reg, ObsCostModel::CALIBRATED);
         sc.observe(100, 2, 10, 1_000_000);
         sc.observe(150, 2, 15, 2_000_000);
         assert_eq!(reg.counter(OBS_EVENTS_TOTAL).get(), 150 + 15);
@@ -207,7 +183,7 @@ mod tests {
     #[test]
     fn inflated_model_blows_the_budget() {
         let reg = Registry::new();
-        let mut sc = SelfCost::with_model(&reg, ObsCostModel::CALIBRATED.scaled(200));
+        let mut sc = SelfCost::new(&reg, ObsCostModel::CALIBRATED.scaled(200));
         // 1000 spans over 2ms busy: 1000*24000ns / 2_000_000ns = 12.
         sc.observe(1_000, 0, 0, 2_000);
         assert!(!sc.within_budget());
@@ -217,7 +193,7 @@ mod tests {
     #[test]
     fn zero_busy_time_reads_zero_share() {
         let reg = Registry::new();
-        let mut sc = SelfCost::with_model(&reg, ObsCostModel::CALIBRATED);
+        let mut sc = SelfCost::new(&reg, ObsCostModel::CALIBRATED);
         sc.observe(10, 0, 0, 0);
         assert_eq!(sc.overhead_share(), 0.0);
         assert!(sc.within_budget());
@@ -226,7 +202,7 @@ mod tests {
     #[test]
     fn bytes_account_flight_and_log_records() {
         let reg = Registry::new();
-        let mut sc = SelfCost::with_model(&reg, ObsCostModel::CALIBRATED);
+        let mut sc = SelfCost::new(&reg, ObsCostModel::CALIBRATED);
         sc.observe(3, 0, 2, 100);
         let expected = 3 * std::mem::size_of::<FlightEvent>() as u64 + 2 * 128;
         assert_eq!(reg.counter(OBS_BYTES_TOTAL).get(), expected);

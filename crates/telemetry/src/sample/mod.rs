@@ -23,8 +23,9 @@
 //!   admitted/dropped/bytes, estimated record-path time from calibrated
 //!   per-op costs) and the `obs_overhead_share` gauge, graded against
 //!   [`OBS_OVERHEAD_BUDGET`] (≤1% of busy time) by a RatioBelow SLO and
-//!   the doctor gate. `AUGUR_OBS_OVERHEAD_INJECT=<mult>` inflates the
-//!   cost model deterministically so CI can prove the alarm fires.
+//!   the doctor gate. Scaling the model
+//!   ([`ObsCostModel::scaled`](crate::sample::ObsCostModel::scaled))
+//!   inflates it deterministically so CI can prove the alarm fires.
 //!
 //! ## Example
 //!
@@ -58,10 +59,9 @@ pub mod sampler;
 /// `obs_overhead_share` series names it maintains.
 pub use cost::{
     ObsCostModel, SelfCost, OBS_BUSY_NS_TOTAL, OBS_BYTES_TOTAL, OBS_DROPPED_TOTAL,
-    OBS_EVENTS_TOTAL, OBS_OVERHEAD_BUDGET, OBS_OVERHEAD_INJECT_ENV, OBS_OVERHEAD_SHARE,
-    OBS_RECORD_NS_TOTAL,
+    OBS_EVENTS_TOTAL, OBS_OVERHEAD_BUDGET, OBS_OVERHEAD_SHARE, OBS_RECORD_NS_TOTAL,
 };
 /// The bounded tail reservoir and its drained-trace record.
 pub use reservoir::{retained_events, RetainedTrace, TailReservoir};
-/// The head-sampling policy and its `AUGUR_SAMPLE_RATE` environment knob.
-pub use sampler::{rate_from_env, Sampler, SAMPLE_RATE_ENV};
+/// The head-sampling policy.
+pub use sampler::Sampler;

@@ -12,20 +12,6 @@ use std::sync::Arc;
 
 use crate::trace::{mix64, TraceContext};
 
-/// Environment variable benches read to turn head sampling on:
-/// `AUGUR_SAMPLE_RATE=64` keeps 1 trace in 64.
-pub const SAMPLE_RATE_ENV: &str = "AUGUR_SAMPLE_RATE";
-
-/// The sampling rate requested via [`SAMPLE_RATE_ENV`]; 1 (keep all)
-/// when unset or unparsable. Zero is normalised to 1.
-pub fn rate_from_env() -> u64 {
-    std::env::var(SAMPLE_RATE_ENV)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(|r| r.max(1))
-        .unwrap_or(1)
-}
-
 /// A deterministic head-sampling policy: keep 1 trace in `rate`.
 ///
 /// Clones share the admission counters, so one policy handed to many
@@ -49,11 +35,6 @@ impl Sampler {
             admitted: Arc::new(AtomicU64::new(0)),
             rejected: Arc::new(AtomicU64::new(0)),
         }
-    }
-
-    /// A policy at the rate requested by [`SAMPLE_RATE_ENV`].
-    pub fn from_env(seed: u64) -> Sampler {
-        Sampler::new(seed, rate_from_env())
     }
 
     /// The configured 1-in-N rate (≥ 1).

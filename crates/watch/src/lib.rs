@@ -27,8 +27,8 @@
 //!   parented to the session root span, so they are causally reachable
 //!   in exported Chrome traces.
 //! - [`WatchSession`]: owns registry, flight ring, rollup, and SLOs for
-//!   one observed run; scenarios drive it via
-//!   [`WatchSession::observe_cycle`]. Under
+//!   one observed run; a run reports into [`WatchSession::obs`], whose
+//!   cycle sink feeds the session each observed cycle. Under
 //!   [`ManualTime`](augur_telemetry::ManualTime) the entire output —
 //!   series, verdicts, and the alert sequence — is bit-for-bit
 //!   reproducible for a fixed seed.
@@ -69,7 +69,7 @@
 //!     }],
 //!     ..WatchConfig::default()
 //! };
-//! let mut session = WatchSession::new(config).unwrap();
+//! let session = WatchSession::new(config).unwrap();
 //! let clock = ManualTime::new();
 //! for _ in 0..30 {
 //!     let start = clock.now_micros();

@@ -118,7 +118,7 @@ fn run() -> i32 {
             return 2;
         }
     };
-    let mut session = match WatchSession::new(demo_config(args.inject_us)) {
+    let session = match WatchSession::new(demo_config(args.inject_us)) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("augur-watch: {e}");

@@ -1,11 +1,14 @@
 //! The watch session: one observed run of an instrumented workload.
 //!
-//! A [`WatchSession`] owns the four moving parts the tentpole wires
-//! together — a telemetry [`Registry`], a [`FlightRecorder`], a
-//! [`RollupEngine`] sampling the registry into windowed series (with an
-//! instrumented [`LsmStore`](augur_store::LsmStore) cold sink), and an
-//! [`SloEngine`] grading each closed window. Scenarios drive it through
-//! [`WatchSession::observe_cycle`] once per frame/step; the session
+//! A [`WatchSession`] owns four moving parts — a telemetry
+//! [`Registry`], a [`FlightRecorder`], a [`RollupEngine`] sampling the
+//! registry into windowed series (with an instrumented
+//! [`LsmStore`](augur_store::LsmStore) cold sink), and an [`SloEngine`]
+//! grading each closed window. A run reporting into
+//! [`WatchSession::obs`] drives it through that `Obs`'s
+//! [`CycleSink`](augur_telemetry::CycleSink)
+//! once per frame/step (a hand-written loop calls
+//! [`WatchSession::observe_cycle`] instead); the session
 //! closes rollup windows as modeled time passes, evaluates SLOs, and
 //! emits burn-rate alert transitions onto the flight ring as children of
 //! the session's root span — so alerts are causally reachable in the
@@ -17,14 +20,15 @@
 //! for a fixed seed.
 
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use augur_store::{LsmParams, LsmStore};
 use augur_telemetry::log::{render_jsonl_line, EventLog, Level, LogRecord};
-use augur_telemetry::sample::SelfCost;
+use augur_telemetry::sample::{ObsCostModel, SelfCost};
 use augur_telemetry::{
-    Clock, Counter, FlightRecorder, Histogram, ManualTime, NameId, Obs, Registry, TimeSource,
-    TraceContext,
+    Clock, Counter, CycleSink, FlightRecorder, Histogram, ManualTime, NameId, Obs, Registry,
+    TimeSource, TraceContext,
 };
 use augur_xray::XrayReport;
 use parking_lot::Mutex;
@@ -95,8 +99,18 @@ pub(crate) struct SharedState {
 }
 
 /// One observed run; see the module docs.
+///
+/// The session is a handle on state behind one lock: [`WatchSession::obs`]
+/// hands a run the session's sinks, and the run's observed cycles reach
+/// the same rollups and SLOs the handle reads.
 #[derive(Debug)]
 pub struct WatchSession {
+    state: Arc<Locked>,
+}
+
+/// Everything a session tick touches.
+#[derive(Debug)]
+struct State {
     registry: Registry,
     recorder: FlightRecorder,
     log: EventLog,
@@ -127,11 +141,44 @@ pub struct WatchSession {
     xray_panel: String,
     /// Observability self-cost accountant: turns the session's own
     /// flight/log totals into `augur_obs_*` counters and the
-    /// `obs_overhead_share` gauge every tick (model costs scaled by
-    /// `AUGUR_OBS_OVERHEAD_INJECT` for the red-gate probe).
+    /// `obs_overhead_share` gauge every tick.
     obs: SelfCost,
     last_now_us: u64,
     shared: Arc<SharedState>,
+}
+
+/// The session state behind its lock: what a run's [`Obs`] holds as
+/// its cycle sink.
+#[derive(Debug)]
+struct Locked(Mutex<State>);
+
+impl Deref for Locked {
+    type Target = Mutex<State>;
+
+    fn deref(&self) -> &Mutex<State> {
+        &self.0
+    }
+}
+
+impl CycleSink for Locked {
+    fn cycle(&self, name: &str, clock: &ManualTime, start_us: u64, ctx: TraceContext) {
+        self.lock().observe_cycle(name, clock, start_us, ctx);
+    }
+
+    fn tick(&self, clock: &ManualTime) {
+        self.lock().tick_to(clock.now_micros());
+    }
+}
+
+/// The session's rollup engine, borrowed through a guard on its state.
+struct RollupView<G>(G);
+
+impl<G: Deref<Target = State>> Deref for RollupView<G> {
+    type Target = RollupEngine;
+
+    fn deref(&self) -> &RollupEngine {
+        &self.0.rollup
+    }
 }
 
 impl WatchSession {
@@ -165,8 +212,8 @@ impl WatchSession {
         let log_records = registry.counter("log_records_total");
         let log_errors = registry.counter("log_error_records_total");
         let log_dropped = registry.counter("log_dropped_records_total");
-        let obs = SelfCost::new(&registry);
-        Ok(WatchSession {
+        let obs = SelfCost::new(&registry, ObsCostModel::CALIBRATED);
+        let state = State {
             registry,
             recorder,
             log: EventLog::new(config.log_capacity),
@@ -190,30 +237,48 @@ impl WatchSession {
             obs,
             last_now_us: 0,
             shared,
+        };
+        Ok(WatchSession {
+            state: Arc::new(Locked(Mutex::new(state))),
         })
+    }
+
+    /// The session's sinks as one [`Obs`]: its registry, flight ring and
+    /// event log, and the session itself as the cycle sink. A run
+    /// reporting into it is watched; call [`WatchSession::finish`] when
+    /// the run ends.
+    pub fn obs(&self) -> Obs {
+        let state = self.state.lock();
+        Obs {
+            registry: state.registry.clone(),
+            flight: Some(state.recorder.clone()),
+            log: Some(state.log.clone()),
+            cycles: Some(self.state.clone()),
+            ..Obs::default()
+        }
     }
 
     /// The session's registry (cloning shares the underlying map).
     pub fn registry(&self) -> Registry {
-        self.registry.clone()
+        self.state.lock().registry.clone()
     }
 
     /// The session's flight recorder (cloning shares the ring).
     pub fn recorder(&self) -> FlightRecorder {
-        self.recorder.clone()
+        self.state.lock().recorder.clone()
     }
 
     /// The session's structured event log (cloning shares the ring).
     /// Workloads write decisions here; each tick the session drains
     /// them into the served `/logs` tail and the log-rate counters.
     pub fn log(&self) -> EventLog {
-        self.log.clone()
+        self.state.lock().log.clone()
     }
 
     /// The session's deterministic root trace context. Alert instants
     /// and the `watch/session` span are its children/self.
     pub fn root(&self) -> TraceContext {
-        self.root
+        self.state.lock().root
     }
 
     /// Observes one work cycle (a frame, a pipeline step, a stage) that
@@ -221,8 +286,8 @@ impl WatchSession {
     /// injection (advancing the clock like any other modeled work),
     /// records the cycle latency into `frame_latency_us{scenario=...}`,
     /// and advances the rollup/SLO machinery to the clock's now.
-    pub fn observe_cycle(&mut self, scenario: &str, clock: &ManualTime, cycle_start_us: u64) {
-        let root = self.root;
+    pub fn observe_cycle(&self, scenario: &str, clock: &ManualTime, cycle_start_us: u64) {
+        let root = self.root();
         self.observe_cycle_traced(scenario, clock, cycle_start_us, root);
     }
 
@@ -233,6 +298,125 @@ impl WatchSession {
     /// Perfetto view. An unsampled context records the latency but
     /// leaves no exemplar.
     pub fn observe_cycle_traced(
+        &self,
+        scenario: &str,
+        clock: &ManualTime,
+        cycle_start_us: u64,
+        ctx: TraceContext,
+    ) {
+        self.state
+            .lock()
+            .observe_cycle(scenario, clock, cycle_start_us, ctx);
+    }
+
+    /// Advances rollup windows and SLO evaluation to `now_us` without
+    /// recording a cycle (for workloads that advance time between
+    /// observed cycles).
+    pub fn tick_to(&self, now_us: u64) {
+        self.state.lock().tick_to(now_us);
+    }
+
+    /// Finishes the session: closes the trailing partial window,
+    /// evaluates it, records the `watch/session` root span covering the
+    /// whole run, and refreshes the served state. Call once per run.
+    pub fn finish(&self) {
+        self.state.lock().finish();
+    }
+
+    /// Current per-SLO verdicts.
+    pub fn statuses(&self) -> Vec<SloStatus> {
+        self.state.lock().slo.status()
+    }
+
+    /// Aggregate health verdict (what `/health` serves).
+    pub fn health(&self) -> HealthReport {
+        let slos = self.statuses();
+        HealthReport {
+            ok: slos.iter().all(|s| s.ok),
+            slos,
+        }
+    }
+
+    /// The rollup engine, for dashboards and tests. Holds the session
+    /// lock while borrowed.
+    pub fn rollup(&self) -> impl Deref<Target = RollupEngine> + '_ {
+        RollupView(self.state.lock())
+    }
+
+    /// Ingests a completed bottleneck report: exports its headline
+    /// numbers as gauges (`parallel_speedup_bound`,
+    /// `measured_parallel_efficiency`,
+    /// `xray_stage_utilization{stage=...}`,
+    /// `xray_critical_path_share{stage=...}`, and per-worker-lane
+    /// `lane_utilization{lane=...}` / `lane_blocked_share{lane=...}`)
+    /// so rollups and SLOs can grade them, stores the rendered panel —
+    /// including the lanes table — for the `/` dashboard, and
+    /// republishes the served state.
+    pub fn observe_xray(&self, report: &XrayReport) {
+        let mut state = self.state.lock();
+        let registry = &state.registry;
+        registry
+            .gauge("parallel_speedup_bound")
+            .set(report.parallel_speedup_bound);
+        registry
+            .gauge("measured_parallel_efficiency")
+            .set(report.measured.parallel_efficiency);
+        for stage in &report.stages {
+            registry
+                .gauge_labeled("xray_stage_utilization", &[("stage", &stage.name)])
+                .set(stage.utilization);
+            registry
+                .gauge_labeled("xray_stage_blocked_share", &[("stage", &stage.name)])
+                .set(stage.blocked_share);
+        }
+        for frame in &report.critical_path {
+            registry
+                .gauge_labeled("xray_critical_path_share", &[("stage", &frame.name)])
+                .set(frame.share);
+        }
+        for lane in &report.lanes {
+            registry
+                .gauge_labeled("lane_utilization", &[("lane", &lane.name)])
+                .set(lane.utilization);
+            registry
+                .gauge_labeled("lane_blocked_share", &[("lane", &lane.name)])
+                .set(lane.blocked_share);
+        }
+        state.xray_panel = report.render_panel();
+        state.refresh_shared();
+    }
+
+    /// Renders the plain-text dashboard for the current state; after
+    /// [`WatchSession::observe_xray`] the bottleneck panel is appended.
+    pub fn dashboard(&self) -> String {
+        self.state.lock().render_dashboard()
+    }
+
+    /// Starts the live endpoint on `addr` (e.g. `127.0.0.1:0` for an
+    /// ephemeral port), serving `/metrics`, `/health`, `/slo`, and the
+    /// dashboard at `/` from this session's shared state. The server
+    /// keeps serving the last refreshed state after the run finishes.
+    pub fn serve(&self, addr: &str) -> std::io::Result<WatchServer> {
+        let shared = Arc::clone(&self.state.lock().shared);
+        serve::spawn(shared, addr)
+    }
+
+    /// The cumulative observability overhead share (the
+    /// `obs_overhead_share` gauge): estimated instrumentation time over
+    /// modeled busy time.
+    pub fn obs_overhead_share(&self) -> f64 {
+        self.state.lock().obs.overhead_share()
+    }
+
+    /// The current `/logs` tail: the most recent records, one JSONL
+    /// line each, oldest first.
+    pub fn log_tail_jsonl(&self) -> String {
+        self.state.lock().render_log_tail()
+    }
+}
+
+impl State {
+    fn observe_cycle(
         &mut self,
         scenario: &str,
         clock: &ManualTime,
@@ -249,10 +433,7 @@ impl WatchSession {
         self.tick_to(now);
     }
 
-    /// Advances rollup windows and SLO evaluation to `now_us` without
-    /// recording a cycle (for workloads that advance time between
-    /// observed cycles).
-    pub fn tick_to(&mut self, now_us: u64) {
+    fn tick_to(&mut self, now_us: u64) {
         self.last_now_us = self.last_now_us.max(now_us);
         self.export_flight_loss();
         self.drain_log();
@@ -267,15 +448,7 @@ impl WatchSession {
         }
     }
 
-    /// Convenience: [`WatchSession::tick_to`] at `clock`'s current time.
-    pub fn tick_clock(&mut self, clock: &ManualTime) {
-        self.tick_to(clock.now_micros());
-    }
-
-    /// Finishes the session: closes the trailing partial window,
-    /// evaluates it, records the `watch/session` root span covering the
-    /// whole run, and refreshes the served state. Call once per run.
-    pub fn finish(&mut self) {
+    fn finish(&mut self) {
         self.export_flight_loss();
         self.drain_log();
         self.export_obs_cost();
@@ -290,69 +463,7 @@ impl WatchSession {
         self.refresh_shared();
     }
 
-    /// Current per-SLO verdicts.
-    pub fn statuses(&self) -> Vec<SloStatus> {
-        self.slo.status()
-    }
-
-    /// Aggregate health verdict (what `/health` serves).
-    pub fn health(&self) -> HealthReport {
-        let slos = self.statuses();
-        HealthReport {
-            ok: slos.iter().all(|s| s.ok),
-            slos,
-        }
-    }
-
-    /// The rollup engine, for dashboards and tests.
-    pub fn rollup(&self) -> &RollupEngine {
-        &self.rollup
-    }
-
-    /// Ingests a completed bottleneck report: exports its headline
-    /// numbers as gauges (`parallel_speedup_bound`,
-    /// `measured_parallel_efficiency`,
-    /// `xray_stage_utilization{stage=...}`,
-    /// `xray_critical_path_share{stage=...}`, and per-worker-lane
-    /// `lane_utilization{lane=...}` / `lane_blocked_share{lane=...}`)
-    /// so rollups and SLOs can grade them, stores the rendered panel —
-    /// including the lanes table — for the `/` dashboard, and
-    /// republishes the served state.
-    pub fn observe_xray(&mut self, report: &XrayReport) {
-        self.registry
-            .gauge("parallel_speedup_bound")
-            .set(report.parallel_speedup_bound);
-        self.registry
-            .gauge("measured_parallel_efficiency")
-            .set(report.measured.parallel_efficiency);
-        for stage in &report.stages {
-            self.registry
-                .gauge_labeled("xray_stage_utilization", &[("stage", &stage.name)])
-                .set(stage.utilization);
-            self.registry
-                .gauge_labeled("xray_stage_blocked_share", &[("stage", &stage.name)])
-                .set(stage.blocked_share);
-        }
-        for frame in &report.critical_path {
-            self.registry
-                .gauge_labeled("xray_critical_path_share", &[("stage", &frame.name)])
-                .set(frame.share);
-        }
-        for lane in &report.lanes {
-            self.registry
-                .gauge_labeled("lane_utilization", &[("lane", &lane.name)])
-                .set(lane.utilization);
-            self.registry
-                .gauge_labeled("lane_blocked_share", &[("lane", &lane.name)])
-                .set(lane.blocked_share);
-        }
-        self.xray_panel = report.render_panel();
-        self.refresh_shared();
-    }
-
-    /// Renders the plain-text dashboard for the current state; after
-    /// [`WatchSession::observe_xray`] the bottleneck panel is appended.
-    pub fn dashboard(&self) -> String {
+    fn render_dashboard(&self) -> String {
         let mut out = crate::dashboard::render(&self.slo.status(), &self.rollup);
         let exemplars = self.exemplar_panel();
         if !exemplars.is_empty() {
@@ -364,14 +475,6 @@ impl WatchSession {
             out.push_str(&self.xray_panel);
         }
         out
-    }
-
-    /// Starts the live endpoint on `addr` (e.g. `127.0.0.1:0` for an
-    /// ephemeral port), serving `/metrics`, `/health`, `/slo`, and the
-    /// dashboard at `/` from this session's shared state. The server
-    /// keeps serving the last refreshed state after the run finishes.
-    pub fn serve(&self, addr: &str) -> std::io::Result<WatchServer> {
-        serve::spawn(Arc::clone(&self.shared), addr)
     }
 
     /// Advances `flight_events_total` / `flight_dropped_events_total`
@@ -404,13 +507,6 @@ impl WatchSession {
         );
     }
 
-    /// The cumulative observability overhead share (the
-    /// `obs_overhead_share` gauge): estimated instrumentation time over
-    /// modeled busy time.
-    pub fn obs_overhead_share(&self) -> f64 {
-        self.obs.overhead_share()
-    }
-
     /// Drains newly-arrived log records: counts them into the
     /// `log_records_total` / `log_error_records_total` series (ERROR
     /// and above count as errors), carries ring-drop accounting into
@@ -435,9 +531,7 @@ impl WatchSession {
         self.prev_log_dropped = dropped;
     }
 
-    /// The current `/logs` tail: the most recent records, one JSONL
-    /// line each, oldest first.
-    pub fn log_tail_jsonl(&self) -> String {
+    fn render_log_tail(&self) -> String {
         let mut out = String::new();
         for r in &self.log_tail {
             out.push_str(&render_jsonl_line(r));
@@ -449,20 +543,11 @@ impl WatchSession {
     /// Publishes current verdicts + dashboard + log tail to the serving
     /// thread.
     fn refresh_shared(&self) {
-        let status = self.slo.status();
-        let mut dashboard = crate::dashboard::render(&status, &self.rollup);
-        let exemplars = self.exemplar_panel();
-        if !exemplars.is_empty() {
-            dashboard.push('\n');
-            dashboard.push_str(&exemplars);
-        }
-        if !self.xray_panel.is_empty() {
-            dashboard.push('\n');
-            dashboard.push_str(&self.xray_panel);
-        }
+        let dashboard = self.render_dashboard();
+        let logs = self.render_log_tail();
         *self.shared.dashboard.lock() = dashboard;
-        *self.shared.status.lock() = status;
-        *self.shared.logs.lock() = self.log_tail_jsonl();
+        *self.shared.status.lock() = self.slo.status();
+        *self.shared.logs.lock() = logs;
     }
 
     /// Get-or-register the cycle latency histogram for `scenario`.
@@ -550,7 +635,7 @@ mod tests {
     }
 
     fn run_session(inject_us: u64) -> (WatchSession, Vec<augur_telemetry::FlightEvent>) {
-        let mut session =
+        let session =
             WatchSession::new(test_config(inject_us)).unwrap_or_else(|e| unreachable!("{e}"));
         let clock = ManualTime::new();
         for _ in 0..20 {
@@ -601,7 +686,7 @@ mod tests {
     fn flight_loss_is_exported_as_counters() {
         let mut cfg = test_config(0);
         cfg.flight_capacity = 8;
-        let mut session = WatchSession::new(cfg).unwrap_or_else(|e| unreachable!("{e}"));
+        let session = WatchSession::new(cfg).unwrap_or_else(|e| unreachable!("{e}"));
         let rec = session.recorder();
         let n = rec.intern("spam");
         let ctx = TraceContext::root(1, 1);
@@ -627,7 +712,7 @@ mod tests {
     fn log_records_feed_counters_tail_and_logs_route() {
         let mut cfg = test_config(0);
         cfg.log_tail = 2;
-        let mut session = WatchSession::new(cfg).unwrap_or_else(|e| unreachable!("{e}"));
+        let session = WatchSession::new(cfg).unwrap_or_else(|e| unreachable!("{e}"));
         let log = session.log();
         let site = LogSite::unlimited();
         let ctx = TraceContext::root(1, 2);
@@ -646,12 +731,12 @@ mod tests {
         assert_eq!(tail.lines().count(), 2);
         assert!(tail.contains("work/boom"));
         assert!(tail.contains("\"level\":\"error\""));
-        assert_eq!(*session.shared.logs.lock(), tail);
+        assert_eq!(*session.state.lock().shared.logs.lock(), tail);
     }
 
     #[test]
     fn xray_report_feeds_gauges_and_dashboard_panel() {
-        let mut session = WatchSession::new(test_config(0)).unwrap_or_else(|e| unreachable!("{e}"));
+        let session = WatchSession::new(test_config(0)).unwrap_or_else(|e| unreachable!("{e}"));
         let rec = session.recorder();
         let root = TraceContext::root(7, 3);
         let (read, transform) = (rec.intern("read"), rec.intern("transform"));
@@ -677,6 +762,8 @@ mod tests {
         let dash = session.dashboard();
         assert!(dash.contains("xray: parallel speedup bound"));
         assert!(session
+            .state
+            .lock()
             .shared
             .dashboard
             .lock()
@@ -686,7 +773,7 @@ mod tests {
     #[test]
     fn merged_lane_report_feeds_lane_gauges_and_panel() {
         use augur_telemetry::{BlockedSite, Clock, Lanes};
-        let mut session = WatchSession::new(test_config(0)).unwrap_or_else(|e| unreachable!("{e}"));
+        let session = WatchSession::new(test_config(0)).unwrap_or_else(|e| unreachable!("{e}"));
         let lanes = Lanes::new(7, 64);
         let a = lanes.register("pump");
         let b = lanes.register("worker");
@@ -749,7 +836,7 @@ mod tests {
 
     #[test]
     fn traced_cycles_leave_exemplars_on_metrics_and_dashboard() {
-        let mut session = WatchSession::new(test_config(0)).unwrap_or_else(|e| unreachable!("{e}"));
+        let session = WatchSession::new(test_config(0)).unwrap_or_else(|e| unreachable!("{e}"));
         let clock = ManualTime::new();
         let root = session.root();
         for i in 0..4u64 {
@@ -775,11 +862,11 @@ mod tests {
         );
         assert!(dash.contains(&expected));
         // An unsampled context records latency but leaves no new trace.
-        let before = session.cycle_hist("test").exemplars();
+        let before = session.state.lock().cycle_hist("test").exemplars();
         let start = clock.now_micros();
         clock.advance_micros(10_000);
         session.observe_cycle_traced("test", &clock, start, root.unsampled());
-        let after = session.cycle_hist("test").exemplars();
+        let after = session.state.lock().cycle_hist("test").exemplars();
         assert_eq!(
             before.len(),
             after.len(),

@@ -50,7 +50,7 @@ fn test_config(inject_us: u64) -> WatchConfig {
 }
 
 fn run_session(inject_us: u64) -> WatchSession {
-    let mut session = WatchSession::new(test_config(inject_us)).expect("valid config");
+    let session = WatchSession::new(test_config(inject_us)).expect("valid config");
     let clock = ManualTime::new();
     for _ in 0..25 {
         let start = clock.now_micros();

@@ -18,11 +18,11 @@
 //! `results/retail_store.xray.json` — byte-identical across same-seed
 //! runs, diffable with `augur-doctor --xray`.
 //!
-//! `--trace` and `--xray` combine: the scenario runs once against one
-//! `Obs` carrying a flight recorder, and each flag exports its artifact
-//! from what that run recorded.
+//! The flags combine: the scenario runs once against one `Obs` — the
+//! watch session's under `--watch`, else one carrying a flight recorder
+//! — and each flag exports its artifact from what that run recorded.
 
-use augur::core::retail::{run, run_watched, watch_config, RetailParams};
+use augur::core::retail::{run, RetailParams};
 use augur::telemetry::Obs;
 use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder};
 use augur::watch::WatchSession;
@@ -36,41 +36,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "retail scenario: {} users × {} interactions, {} product groups",
         params.users, params.interactions_per_user, params.groups
     );
-    let obs = Obs {
-        flight: (trace || xray_run).then(|| FlightRecorder::new(1 << 16)),
-        ..Obs::default()
+    let session = watch
+        .then(|| WatchSession::new(augur::slo::retail(params.seed)))
+        .transpose()?;
+    let obs = match &session {
+        Some(session) => session.obs(),
+        None => Obs {
+            flight: (trace || xray_run).then(|| FlightRecorder::new(1 << 16)),
+            ..Obs::default()
+        },
     };
-    let mut watch_session = None;
-    let report = if watch {
-        let mut session = WatchSession::new(watch_config(params.seed))?;
-        let report = run_watched(&params, &mut session)?;
-        watch_session = Some(session);
-        report
-    } else {
-        let report = run(&params, &obs)?;
-        if let Some(recorder) = &obs.flight {
-            std::fs::create_dir_all("results")?;
-            let events = recorder.drain();
-            if xray_run {
-                let xray = augur::xray::analyze("retail", &events, recorder.dropped_events())
-                    .with_registry(&obs.registry.snapshot());
-                let path = "results/retail_store.xray.json";
-                std::fs::write(path, xray.render_json())?;
-                print!("{}", xray.render_panel());
-                println!("xray: wrote {path}");
-            }
-            if trace {
-                let path = "results/retail.trace.json";
-                std::fs::write(path, render_chrome_trace("retail", &events))?;
-                println!(
-                    "trace: wrote {path} ({} events, {} dropped)",
-                    events.len(),
-                    recorder.dropped_events()
-                );
-            }
+    let report = run(&params, &obs)?;
+    if let Some(session) = &session {
+        session.finish();
+    }
+    if let (true, Some(recorder)) = (trace || xray_run, &obs.flight) {
+        std::fs::create_dir_all("results")?;
+        let events = recorder.drain();
+        if xray_run {
+            let xray = augur::xray::analyze("retail", &events, recorder.dropped_events())
+                .with_registry(&obs.registry.snapshot());
+            let path = "results/retail_store.xray.json";
+            std::fs::write(path, xray.render_json())?;
+            print!("{}", xray.render_panel());
+            println!("xray: wrote {path}");
         }
-        report
-    };
+        if trace {
+            let path = "results/retail.trace.json";
+            std::fs::write(path, render_chrome_trace("retail", &events))?;
+            println!(
+                "trace: wrote {path} ({} events, {} dropped)",
+                events.len(),
+                recorder.dropped_events()
+            );
+        }
+    }
     println!(
         "\nrecommender quality (leave-one-out, hit-rate@{}):",
         params.top_k
@@ -102,12 +102,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.decluttered_layout.mean_displacement_px
     );
     println!("\nper-stage breakdown (modeled work units, deterministic under the seed):");
-    let snapshot = match &watch_session {
-        Some(session) => session.registry().snapshot(),
-        None => obs.registry.snapshot(),
-    };
-    print!("{}", render_span_breakdown(&snapshot));
-    if let Some(session) = &watch_session {
+    print!("{}", render_span_breakdown(&obs.registry.snapshot()));
+    if let Some(session) = &session {
         println!("\nwatch (SLO burn-rate verdicts on the pipeline's manual clock):");
         print!("{}", session.dashboard());
         let health = session.health();

@@ -33,11 +33,13 @@
 //! --xray` diffs against a committed baseline. Byte-identical across
 //! same-seed runs.
 //!
-//! The flags combine: the tour runs once against one `Obs` carrying a
-//! flight recorder (and an event log under `--log`), and each flag
-//! exports its artifact from what that run recorded.
+//! The flags combine: the tour runs once against one `Obs` — the watch
+//! session's under `--watch`, else one carrying a flight recorder (and
+//! an event log under `--log`) — and each flag exports its artifact
+//! from what that run recorded. Under `--watch` the session drains the
+//! event log as it ticks, so `--log` writes the session's `/logs` tail.
 
-use augur::core::tourism::{run, run_watched, watch_config, TourismParams};
+use augur::core::tourism::{run, TourismParams};
 use augur::profile::{AllocCapture, Profile};
 use augur::telemetry::log::{render_jsonl, EventLog};
 use augur::telemetry::Obs;
@@ -72,72 +74,79 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "tourism scenario: {} POIs, {:.0} s tour, k={} per retrieval",
         params.pois, params.duration_s, params.k
     );
-    let obs = Obs {
-        flight: (trace || profile_run || xray_run || log_run).then(|| FlightRecorder::new(1 << 16)),
-        log: log_run.then(|| EventLog::new(1 << 14)),
-        ..Obs::default()
-    };
-    let mut watch_session = None;
-    let report = if watch {
-        let mut config = watch_config(params.seed);
+    if log_run {
+        // A denser tour (more labels per retrieval) forces the
+        // declutterer to shed bubbles, so the baseline fingerprint set
+        // exercises the WARN path, not just the summary record.
+        params.k = 64;
+        params.radius_m = 400.0;
+    }
+    let session = if watch {
+        let mut config = augur::slo::tourism(params.seed);
         config.inject_cycle_delay_us = arg_u64("--inject-us").unwrap_or(0);
-        let mut session = WatchSession::new(config)?;
-        let report = run_watched(&params, &mut session)?;
-        watch_session = Some(session);
-        report
+        Some(WatchSession::new(config)?)
     } else {
-        if log_run {
-            // A denser tour (more labels per retrieval) forces the
-            // declutterer to shed bubbles, so the baseline fingerprint set
-            // exercises the WARN path, not just the summary record.
-            params.k = 64;
-            params.radius_m = 400.0;
+        None
+    };
+    let obs = match &session {
+        Some(session) => session.obs(),
+        None => Obs {
+            flight: (trace || profile_run || xray_run || log_run)
+                .then(|| FlightRecorder::new(1 << 16)),
+            log: log_run.then(|| EventLog::new(1 << 14)),
+            ..Obs::default()
+        },
+    };
+    let allocs = profile_run.then(|| AllocCapture::enter("tourism"));
+    let report = run(&params, &obs)?;
+    let alloc_stats = allocs.map(|allocs| allocs.finish(&obs.registry));
+    if let Some(session) = &session {
+        session.finish();
+    }
+    if let (true, Some(recorder)) = (trace || profile_run || xray_run, &obs.flight) {
+        std::fs::create_dir_all("results")?;
+        let events = recorder.drain();
+        if let Some(stats) = alloc_stats {
+            let mut profile = Profile::from_events(&events);
+            profile.attach_alloc(&stats);
+            let folded = "results/tourism_city.folded";
+            std::fs::write(folded, profile.render_folded())?;
+            let speedscope = "results/tourism_city.speedscope.json";
+            std::fs::write(speedscope, profile.render_speedscope("tourism_city"))?;
+            println!("profile: wrote {folded} and {speedscope}");
         }
-        let allocs = profile_run.then(|| AllocCapture::enter("tourism"));
-        let report = run(&params, &obs)?;
-        let alloc_stats = allocs.map(|allocs| allocs.finish(&obs.registry));
-        if let Some(recorder) = &obs.flight {
-            std::fs::create_dir_all("results")?;
-            let events = recorder.drain();
-            if let Some(stats) = alloc_stats {
-                let mut profile = Profile::from_events(&events);
-                profile.attach_alloc(&stats);
-                let folded = "results/tourism_city.folded";
-                std::fs::write(folded, profile.render_folded())?;
-                let speedscope = "results/tourism_city.speedscope.json";
-                std::fs::write(speedscope, profile.render_speedscope("tourism_city"))?;
-                println!("profile: wrote {folded} and {speedscope}");
-            }
-            if xray_run {
-                let xray = augur::xray::analyze("tourism", &events, recorder.dropped_events())
-                    .with_registry(&obs.registry.snapshot());
-                let path = "results/tourism_city.xray.json";
-                std::fs::write(path, xray.render_json())?;
-                print!("{}", xray.render_panel());
-                println!("xray: wrote {path}");
-            }
-            if trace {
-                let path = "results/tourism.trace.json";
-                std::fs::write(path, render_chrome_trace("tourism", &events))?;
-                println!(
-                    "trace: wrote {path} ({} events, {} dropped)",
-                    events.len(),
-                    recorder.dropped_events()
-                );
-            }
+        if xray_run {
+            let xray = augur::xray::analyze("tourism", &events, recorder.dropped_events())
+                .with_registry(&obs.registry.snapshot());
+            let path = "results/tourism_city.xray.json";
+            std::fs::write(path, xray.render_json())?;
+            print!("{}", xray.render_panel());
+            println!("xray: wrote {path}");
         }
-        if let Some(log) = &obs.log {
-            let records = log.drain();
-            let path = "results/tourism.log.jsonl";
-            std::fs::write(path, render_jsonl(&records))?;
+        if trace {
+            let path = "results/tourism.trace.json";
+            std::fs::write(path, render_chrome_trace("tourism", &events))?;
             println!(
-                "log: wrote {path} ({} records, {} dropped)",
-                records.len(),
-                log.dropped_records()
+                "trace: wrote {path} ({} events, {} dropped)",
+                events.len(),
+                recorder.dropped_events()
             );
         }
-        report
-    };
+    }
+    if let (true, Some(log)) = (log_run, &obs.log) {
+        std::fs::create_dir_all("results")?;
+        let jsonl = match &session {
+            Some(session) => session.log_tail_jsonl(),
+            None => render_jsonl(&log.drain()),
+        };
+        let path = "results/tourism.log.jsonl";
+        std::fs::write(path, &jsonl)?;
+        println!(
+            "log: wrote {path} ({} records, {} dropped)",
+            jsonl.lines().count(),
+            log.dropped_records()
+        );
+    }
     println!("\nretrieval ({} queries):", report.queries);
     println!(
         "  R-tree k-NN     {:>9.1} dist-evals/query",
@@ -162,12 +171,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.declutter_drop_ratio * 100.0
     );
     println!("\nper-stage breakdown (modeled work units, deterministic under the seed):");
-    let snapshot = match &watch_session {
-        Some(session) => session.registry().snapshot(),
-        None => obs.registry.snapshot(),
-    };
-    print!("{}", render_span_breakdown(&snapshot));
-    if let Some(session) = &watch_session {
+    print!("{}", render_span_breakdown(&obs.registry.snapshot()));
+    if let Some(session) = &session {
         println!("\nwatch (SLO burn-rate verdicts on the tour's manual clock):");
         print!("{}", session.dashboard());
         let health = session.health();

@@ -51,6 +51,10 @@
 //! `augur-bench` (`e1_influence` … `e12_stream`, ablations `a1`–`a3`);
 //! DESIGN.md carries the index and EXPERIMENTS.md the measured results.
 
+/// The §3 scenarios' declared service-level objectives, as watch
+/// session configs.
+pub mod slo;
+
 /// Streaming analytics: detectors, sketches, mining, recommenders.
 pub use augur_analytics as analytics;
 /// Computation offloading between device and cloud.

@@ -6,15 +6,15 @@
 
 use std::fmt::Debug;
 
-use augur_core::{healthcare, retail, tourism, traffic, CoreError};
-use augur_telemetry::log::EventLog;
-use augur_telemetry::{FlightRecorder, Obs};
-use augur_watch::{WatchConfig, WatchSession};
+use augur::core::{healthcare, retail, tourism, traffic, CoreError};
+use augur::slo;
+use augur::telemetry::log::EventLog;
+use augur::telemetry::{FlightRecorder, Obs};
+use augur::watch::{WatchConfig, WatchSession};
 
 fn assert_invariant<P, R: PartialEq + Debug>(
     params: &P,
     run: fn(&P, &Obs) -> Result<R, CoreError>,
-    run_watched: fn(&P, &mut WatchSession) -> Result<R, CoreError>,
     config: WatchConfig,
 ) {
     let plain = run(params, &Obs::default()).expect("plain run");
@@ -28,11 +28,8 @@ fn assert_invariant<P, R: PartialEq + Debug>(
     assert!(!obs.registry.snapshot().histograms.is_empty());
     assert!(obs.flight.is_some_and(|r| !r.drain().is_empty()));
     assert!(obs.log.is_some_and(|l| !l.drain().is_empty()));
-    let mut session = WatchSession::new(config).expect("valid watch config");
-    assert_eq!(
-        plain,
-        run_watched(params, &mut session).expect("watched run")
-    );
+    let session = WatchSession::new(config).expect("valid watch config");
+    assert_eq!(plain, run(params, &session.obs()).expect("watched run"));
 }
 
 #[test]
@@ -44,8 +41,8 @@ fn tourism_report_is_independent_of_observability() {
         radius_m: 200.0,
         seed: 9,
     };
-    let config = tourism::watch_config(params.seed);
-    assert_invariant(&params, tourism::run, tourism::run_watched, config);
+    let config = slo::tourism(params.seed);
+    assert_invariant(&params, tourism::run, config);
 }
 
 #[test]
@@ -58,8 +55,8 @@ fn retail_report_is_independent_of_observability() {
         top_k: 8,
         seed: 5,
     };
-    let config = retail::watch_config(params.seed);
-    assert_invariant(&params, retail::run, retail::run_watched, config);
+    let config = slo::retail(params.seed);
+    assert_invariant(&params, retail::run, config);
 }
 
 #[test]
@@ -69,8 +66,8 @@ fn healthcare_report_is_independent_of_observability() {
         duration_s: 300.0,
         ..Default::default()
     };
-    let config = healthcare::watch_config(params.seed);
-    assert_invariant(&params, healthcare::run, healthcare::run_watched, config);
+    let config = slo::healthcare(params.seed);
+    assert_invariant(&params, healthcare::run, config);
 }
 
 #[test]
@@ -80,6 +77,6 @@ fn traffic_report_is_independent_of_observability() {
         duration_s: 30.0,
         ..Default::default()
     };
-    let config = traffic::watch_config(params.seed);
-    assert_invariant(&params, traffic::run, traffic::run_watched, config);
+    let config = slo::traffic(params.seed);
+    assert_invariant(&params, traffic::run, config);
 }

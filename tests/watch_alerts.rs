@@ -15,9 +15,10 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use augur_core::{healthcare, retail, tourism, traffic};
-use augur_telemetry::{render_chrome_trace, FlightEvent};
-use augur_watch::WatchSession;
+use augur::core::{healthcare, retail, tourism, traffic};
+use augur::slo;
+use augur::telemetry::{render_chrome_trace, FlightEvent};
+use augur::watch::WatchSession;
 
 fn small_tourism() -> tourism::TourismParams {
     tourism::TourismParams {
@@ -32,10 +33,11 @@ fn small_tourism() -> tourism::TourismParams {
 /// Runs the tourism scenario under watch with the given injected cycle
 /// delay, returning the finished session and its drained flight events.
 fn watched_tourism(inject_us: u64) -> (WatchSession, Vec<FlightEvent>) {
-    let mut config = tourism::watch_config(7);
+    let mut config = slo::tourism(7);
     config.inject_cycle_delay_us = inject_us;
-    let mut session = WatchSession::new(config).expect("valid watch config");
-    tourism::run_watched(&small_tourism(), &mut session).expect("scenario runs");
+    let session = WatchSession::new(config).expect("valid watch config");
+    tourism::run(&small_tourism(), &session.obs()).expect("scenario runs");
+    session.finish();
     let events = session.recorder().drain();
     (session, events)
 }
@@ -99,14 +101,15 @@ fn undersized_flight_ring_fires_the_trace_loss_slo() {
     // more than the 1% the trace-loss objective tolerates; the watch
     // session's exported flight counters must surface that as a fired
     // SLO instead of silently corrupting traces and profiles.
-    let mut config = tourism::watch_config(7);
+    let mut config = slo::tourism(7);
     config.flight_capacity = 8;
-    let mut session = WatchSession::new(config).expect("valid watch config");
+    let session = WatchSession::new(config).expect("valid watch config");
     let params = tourism::TourismParams {
         duration_s: 120.0,
         ..small_tourism()
     };
-    tourism::run_watched(&params, &mut session).expect("scenario runs");
+    tourism::run(&params, &session.obs()).expect("scenario runs");
+    session.finish();
     let health = session.health();
     let trace_loss = health
         .slos
@@ -190,8 +193,9 @@ fn healthcare_watch_grades_alert_latency_and_drop_ratio() {
         duration_s: 300.0,
         ..Default::default()
     };
-    let mut session = WatchSession::new(healthcare::watch_config(3)).expect("valid watch config");
-    let report = healthcare::run_watched(&params, &mut session).expect("scenario runs");
+    let session = WatchSession::new(slo::healthcare(3)).expect("valid watch config");
+    let report = healthcare::run(&params, &session.obs()).expect("scenario runs");
+    session.finish();
     assert!(report.detected > 0);
     let health = session.health();
     assert!(health.ok, "ward within objectives: {:?}", health.slos);
@@ -238,14 +242,15 @@ fn healthcare_watch_grades_alert_latency_and_drop_ratio() {
 }
 
 #[test]
-fn traffic_and_retail_run_watched_and_stay_ok() {
-    let mut session = WatchSession::new(traffic::watch_config(5)).expect("valid watch config");
+fn traffic_and_retail_stay_ok_under_watch() {
+    let session = WatchSession::new(slo::traffic(5)).expect("valid watch config");
     let params = traffic::TrafficParams {
         vehicles: 12,
         duration_s: 30.0,
         ..Default::default()
     };
-    traffic::run_watched(&params, &mut session).expect("scenario runs");
+    traffic::run(&params, &session.obs()).expect("scenario runs");
+    session.finish();
     assert!(session.health().ok, "{:?}", session.health().slos);
     assert!(session
         .rollup()
@@ -253,7 +258,7 @@ fn traffic_and_retail_run_watched_and_stay_ok() {
         .iter()
         .any(|k| k == "frame_latency_us{scenario=traffic}"));
 
-    let mut session = WatchSession::new(retail::watch_config(5)).expect("valid watch config");
+    let session = WatchSession::new(slo::retail(5)).expect("valid watch config");
     let params = retail::RetailParams {
         users: 200,
         products_per_group: 40,
@@ -262,10 +267,12 @@ fn traffic_and_retail_run_watched_and_stay_ok() {
         top_k: 8,
         seed: 5,
     };
-    retail::run_watched(&params, &mut session).expect("scenario runs");
+    retail::run(&params, &session.obs()).expect("scenario runs");
+    session.finish();
     assert!(session.health().ok, "{:?}", session.health().slos);
     // Deterministic: the same watched run yields the same dashboard.
-    let mut again = WatchSession::new(retail::watch_config(5)).expect("valid watch config");
-    retail::run_watched(&params, &mut again).expect("scenario runs");
+    let again = WatchSession::new(slo::retail(5)).expect("valid watch config");
+    retail::run(&params, &again.obs()).expect("scenario runs");
+    again.finish();
     assert_eq!(session.dashboard(), again.dashboard());
 }
