@@ -8,7 +8,6 @@
 //! hotspots the way venues concentrate downtown) and *Zipf-skewed
 //! popularity* (a few venues draw most visits).
 
-use rand::distributions::Distribution;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -360,10 +359,6 @@ pub fn synthetic_database<R: Rng + ?Sized>(
     let pois = PoiGenerator::new(origin, params).generate(rng);
     Ok(PoiDatabase::build(origin, pois))
 }
-
-// Suppress unused import warning for Distribution (kept for doc clarity).
-#[allow(unused)]
-fn _assert_distribution_available<D: Distribution<f64>>(_d: D) {}
 
 #[cfg(test)]
 mod tests {

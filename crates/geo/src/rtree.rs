@@ -1,75 +1,38 @@
-//! An R-tree over planar rectangles with incremental insertion
-//! (quadratic split), STR bulk loading, range queries, and best-first
+//! A static R-tree over planar rectangles: Sort-Tile-Recursive bulk
+//! loading into a packed layout, range queries, and best-first
 //! k-nearest-neighbour search.
+//!
+//! The tree is built once and never modified. Entries sit in one array
+//! in STR order. Node bounds sit in another, leaves first and the root
+//! last, and each node's children are an index range: into the entries
+//! for a leaf, into the nodes for an inner node.
 //!
 //! This is the index behind [`crate::poi::PoiDatabase`] and experiment E8
 //! (POI retrieval at scale): the paper's tourism scenario assumes
 //! sub-frame-budget lookup of nearby content among millions of entries,
 //! which linear scans cannot deliver.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::bbox::Rect;
 
 const MAX_ENTRIES: usize = 16;
-const MIN_ENTRIES: usize = MAX_ENTRIES / 4;
 
-#[derive(Debug, Clone)]
-enum Node<T> {
-    Leaf {
-        bounds: Rect,
-        entries: Vec<(Rect, T)>,
-    },
-    Inner {
-        bounds: Rect,
-        children: Vec<Node<T>>,
-    },
-}
-
-impl<T> Node<T> {
-    fn bounds(&self) -> Rect {
-        match self {
-            Node::Leaf { bounds, .. } | Node::Inner { bounds, .. } => *bounds,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Node::Leaf { entries, .. } => entries.len(),
-            Node::Inner { children, .. } => children.len(),
-        }
-    }
-
-    fn recompute_bounds(&mut self) {
-        match self {
-            Node::Leaf { bounds, entries } => {
-                *bounds = entries
-                    .iter()
-                    .fold(Rect::empty(), |acc, (r, _)| acc.union(r));
-            }
-            Node::Inner { bounds, children } => {
-                *bounds = children
-                    .iter()
-                    .fold(Rect::empty(), |acc, c| acc.union(&c.bounds()));
-            }
-        }
-    }
-}
-
-/// An R-tree mapping planar rectangles to payloads of type `T`.
+/// A static R-tree mapping planar rectangles to payloads of type `T`.
 ///
 /// # Example
 ///
 /// ```
 /// use augur_geo::{RTree, Rect};
 ///
-/// let mut tree = RTree::new();
-/// for i in 0..100 {
-///     let x = (i % 10) as f64 * 10.0;
-///     let y = (i / 10) as f64 * 10.0;
-///     tree.insert(Rect::point(x, y), i);
-/// }
+/// let tree: RTree<usize> = (0..100)
+///     .map(|i| {
+///         let x = (i % 10) as f64 * 10.0;
+///         let y = (i / 10) as f64 * 10.0;
+///         (Rect::point(x, y), i)
+///     })
+///     .collect();
 /// let query = Rect::new(0.0, 0.0, 25.0, 25.0)?;
 /// assert_eq!(tree.range(&query).count(), 9);
 /// let nearest = tree.nearest(1.0, 1.0, 1);
@@ -78,8 +41,15 @@ impl<T> Node<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RTree<T> {
-    root: Node<T>,
-    len: usize,
+    /// Entries in STR order; each leaf owns a contiguous run.
+    entries: Vec<(Rect, T)>,
+    /// Node bounding rectangles: leaves first, the root last.
+    bounds: Vec<Rect>,
+    /// Each node's children as a half-open index range, into `entries`
+    /// for a leaf and into `bounds` for an inner node.
+    children: Vec<(usize, usize)>,
+    /// Nodes below this index are leaves.
+    leaves: usize,
 }
 
 impl<T> Default for RTree<T> {
@@ -92,338 +62,175 @@ impl<T> RTree<T> {
     /// Creates an empty tree.
     pub fn new() -> Self {
         RTree {
-            root: Node::Leaf {
-                bounds: Rect::empty(),
-                entries: Vec::new(),
-            },
-            len: 0,
+            entries: Vec::new(),
+            bounds: Vec::new(),
+            children: Vec::new(),
+            leaves: 0,
         }
     }
 
-    /// Bulk-loads with the Sort-Tile-Recursive algorithm, producing a
-    /// well-packed tree much faster than repeated insertion.
+    /// Bulk-loads with the Sort-Tile-Recursive algorithm: sort by centre
+    /// x, slice into vertical strips, sort each strip by centre y, and
+    /// pack leaves of up to 16 entries, then each level above them in
+    /// groups of 16. Both sorts are stable and run in place, so `items`
+    /// becomes the entry array.
     pub fn bulk_load(mut items: Vec<(Rect, T)>) -> Self {
         let len = items.len();
         if len == 0 {
             return Self::new();
         }
-        // STR: sort by centre x, slice into vertical strips, sort each
-        // strip by centre y, pack leaves of MAX_ENTRIES.
-        items.sort_by(|a, b| {
-            a.0.center()
-                .0
-                .partial_cmp(&b.0.center().0)
-                .unwrap_or(Ordering::Equal)
-        });
+        let by_centre = |axis: fn((f64, f64)) -> f64| {
+            move |a: &(Rect, T), b: &(Rect, T)| {
+                axis(a.0.center())
+                    .partial_cmp(&axis(b.0.center()))
+                    .unwrap_or(Ordering::Equal)
+            }
+        };
+        items.sort_by(by_centre(|c| c.0));
         let leaf_count = len.div_ceil(MAX_ENTRIES);
         let strips = (leaf_count as f64).sqrt().ceil() as usize;
         let per_strip = len.div_ceil(strips);
-        let mut leaves: Vec<Node<T>> = Vec::with_capacity(leaf_count);
-        let mut rest = items;
-        while !rest.is_empty() {
-            let take = per_strip.min(rest.len());
-            let mut strip: Vec<(Rect, T)> = rest.drain(..take).collect();
-            strip.sort_by(|a, b| {
-                a.0.center()
-                    .1
-                    .partial_cmp(&b.0.center().1)
-                    .unwrap_or(Ordering::Equal)
-            });
-            while !strip.is_empty() {
-                let take = MAX_ENTRIES.min(strip.len());
-                let entries: Vec<(Rect, T)> = strip.drain(..take).collect();
-                let mut leaf = Node::Leaf {
-                    bounds: Rect::empty(),
-                    entries,
-                };
-                leaf.recompute_bounds();
-                leaves.push(leaf);
+        let mut children = Vec::with_capacity(leaf_count + leaf_count.div_ceil(MAX_ENTRIES) + 2);
+        for (start, strip) in (0..).step_by(per_strip).zip(items.chunks_mut(per_strip)) {
+            strip.sort_by(by_centre(|c| c.1));
+            let end = start + strip.len();
+            for lo in (start..end).step_by(MAX_ENTRIES) {
+                children.push((lo, (lo + MAX_ENTRIES).min(end)));
             }
         }
+        let mut bounds: Vec<Rect> = children
+            .iter()
+            .map(|&(lo, hi)| {
+                items[lo..hi]
+                    .iter()
+                    .fold(Rect::empty(), |acc, (r, _)| acc.union(r))
+            })
+            .collect();
         // Pack upper levels until a single root remains.
-        let mut level = leaves;
+        let leaves = children.len();
+        let mut level = 0..leaves;
         while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(MAX_ENTRIES));
-            let mut iter = level.into_iter().peekable();
-            while iter.peek().is_some() {
-                let children: Vec<Node<T>> = iter.by_ref().take(MAX_ENTRIES).collect();
-                let mut inner = Node::Inner {
-                    bounds: Rect::empty(),
-                    children,
-                };
-                inner.recompute_bounds();
-                next.push(inner);
+            let next = children.len();
+            for lo in level.clone().step_by(MAX_ENTRIES) {
+                let hi = (lo + MAX_ENTRIES).min(level.end);
+                children.push((lo, hi));
+                let b = bounds[lo..hi]
+                    .iter()
+                    .fold(Rect::empty(), |acc, r| acc.union(r));
+                bounds.push(b);
             }
-            level = next;
+            level = next..children.len();
         }
-        // Non-empty input always leaves exactly one packed root; the
-        // fallback keeps the impossible branch panic-free.
-        let root = level.pop().unwrap_or(Node::Leaf {
-            bounds: Rect::empty(),
-            entries: Vec::new(),
-        });
-        RTree { root, len }
+        RTree {
+            entries: items,
+            bounds,
+            children,
+            leaves,
+        }
     }
 
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Bounding rectangle of all entries ([`Rect::empty`] when empty).
     pub fn bounds(&self) -> Rect {
-        self.root.bounds()
+        self.bounds.last().copied().unwrap_or_else(Rect::empty)
     }
 
-    /// Inserts an entry keyed by its bounding rectangle.
-    pub fn insert(&mut self, rect: Rect, value: T) {
-        self.len += 1;
-        if let Some((a, b)) = Self::insert_into(&mut self.root, rect, value) {
-            // Root split: grow the tree by one level.
-            self.root = {
-                let mut inner = Node::Inner {
-                    bounds: Rect::empty(),
-                    children: vec![a, b],
-                };
-                inner.recompute_bounds();
-                inner
-            };
-        }
+    /// A node's children as an index range.
+    fn span(&self, node: usize) -> std::ops::Range<usize> {
+        let (lo, hi) = self.children[node];
+        lo..hi
     }
 
-    fn insert_into(node: &mut Node<T>, rect: Rect, value: T) -> Option<(Node<T>, Node<T>)> {
-        match node {
-            Node::Leaf { bounds, entries } => {
-                entries.push((rect, value));
-                *bounds = bounds.union(&rect);
-                if entries.len() > MAX_ENTRIES {
-                    let split = Self::split_leaf(std::mem::take(entries));
-                    return Some(split);
-                }
-                None
-            }
-            Node::Inner { bounds, children } => {
-                *bounds = bounds.union(&rect);
-                // Choose child needing least enlargement (ties: smaller area).
-                let idx = children
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| {
-                        let ea = a.bounds().enlargement(&rect);
-                        let eb = b.bounds().enlargement(&rect);
-                        ea.partial_cmp(&eb)
-                            .unwrap_or(Ordering::Equal)
-                            .then_with(|| {
-                                a.bounds()
-                                    .area()
-                                    .partial_cmp(&b.bounds().area())
-                                    .unwrap_or(Ordering::Equal)
-                            })
-                    })
-                    .map(|(i, _)| i)
-                    // Inner nodes are never empty; 0 is a harmless
-                    // stand-in for the impossible branch.
-                    .unwrap_or(0);
-                if let Some((a, b)) = Self::insert_into(&mut children[idx], rect, value) {
-                    children.swap_remove(idx);
-                    children.push(a);
-                    children.push(b);
-                    if children.len() > MAX_ENTRIES {
-                        let split = Self::split_inner(std::mem::take(children));
-                        return Some(split);
-                    }
-                }
-                None
-            }
-        }
-    }
-
-    /// Quadratic split on seed pair with maximum dead space.
-    fn pick_seeds(rects: &[Rect]) -> (usize, usize) {
-        let mut best = (0, 1);
-        let mut worst = f64::NEG_INFINITY;
-        for i in 0..rects.len() {
-            for j in (i + 1)..rects.len() {
-                let dead = rects[i].union(&rects[j]).area() - rects[i].area() - rects[j].area();
-                if dead > worst {
-                    worst = dead;
-                    best = (i, j);
-                }
-            }
-        }
-        best
-    }
-
-    fn split_generic<U>(items: Vec<U>, rect_of: impl Fn(&U) -> Rect) -> (Vec<U>, Vec<U>) {
-        let rects: Vec<Rect> = items.iter().map(&rect_of).collect();
-        let (s1, s2) = Self::pick_seeds(&rects);
-        let mut group_a: Vec<U> = Vec::new();
-        let mut group_b: Vec<U> = Vec::new();
-        let mut bounds_a = rects[s1];
-        let mut bounds_b = rects[s2];
-        for (i, item) in items.into_iter().enumerate() {
-            if i == s1 {
-                group_a.push(item);
-                continue;
-            }
-            if i == s2 {
-                group_b.push(item);
-                continue;
-            }
-            let r = rects[i];
-            let remaining = MIN_ENTRIES.saturating_sub(group_a.len());
-            let remaining_b = MIN_ENTRIES.saturating_sub(group_b.len());
-            // Force assignment if a group must absorb all the rest to
-            // reach MIN_ENTRIES. (Conservative: checks counts only.)
-            if remaining > 0 && group_b.len() + remaining >= MAX_ENTRIES {
-                bounds_a = bounds_a.union(&r);
-                group_a.push(item);
-                continue;
-            }
-            if remaining_b > 0 && group_a.len() + remaining_b >= MAX_ENTRIES {
-                bounds_b = bounds_b.union(&r);
-                group_b.push(item);
-                continue;
-            }
-            let ea = bounds_a.enlargement(&r);
-            let eb = bounds_b.enlargement(&r);
-            if ea < eb || (ea == eb && group_a.len() <= group_b.len()) {
-                bounds_a = bounds_a.union(&r);
-                group_a.push(item);
-            } else {
-                bounds_b = bounds_b.union(&r);
-                group_b.push(item);
-            }
-        }
-        (group_a, group_b)
-    }
-
-    fn split_leaf(entries: Vec<(Rect, T)>) -> (Node<T>, Node<T>) {
-        let (a, b) = Self::split_generic(entries, |e| e.0);
-        let mut na = Node::Leaf {
-            bounds: Rect::empty(),
-            entries: a,
-        };
-        let mut nb = Node::Leaf {
-            bounds: Rect::empty(),
-            entries: b,
-        };
-        na.recompute_bounds();
-        nb.recompute_bounds();
-        (na, nb)
-    }
-
-    fn split_inner(children: Vec<Node<T>>) -> (Node<T>, Node<T>) {
-        let (a, b) = Self::split_generic(children, |c| c.bounds());
-        let mut na = Node::Inner {
-            bounds: Rect::empty(),
-            children: a,
-        };
-        let mut nb = Node::Inner {
-            bounds: Rect::empty(),
-            children: b,
-        };
-        na.recompute_bounds();
-        nb.recompute_bounds();
-        (na, nb)
-    }
-
-    /// Iterates over entries whose rectangle intersects `query`.
+    /// Iterates over entries whose rectangle intersects `query`, in a
+    /// depth-first walk that visits each node's children last-first.
     pub fn range<'a>(&'a self, query: &Rect) -> Range<'a, T> {
-        let mut stack = Vec::new();
-        if self.root.bounds().intersects(query) || self.root.len() > 0 {
-            stack.push(&self.root);
+        let mut stack = Vec::with_capacity(4 * MAX_ENTRIES);
+        if self.bounds().intersects(query) {
+            stack.push(self.bounds.len() - 1);
         }
         Range {
+            tree: self,
             stack,
-            leaf: None,
+            leaf: [].iter(),
             query: *query,
         }
     }
 
     /// The `k` entries nearest to `(x, y)` by rectangle distance, closest
     /// first. Returns fewer than `k` when the tree is smaller.
+    ///
+    /// Entries at equal distance come in packed storage order. The STR
+    /// sorts are stable, so entries with the same centre keep their input
+    /// order. A node exactly as far as the current k-th entry is not
+    /// searched, so a tie across the k-th place keeps the tied entries
+    /// found first. A NaN query coordinate adds no distance on its axis,
+    /// since [`Rect::distance2_to_point`] clamps each gap with `f64::max`,
+    /// which ignores NaN.
     pub fn nearest(&self, x: f64, y: f64, k: usize) -> Vec<(Rect, &T)> {
         self.nearest_counted(x, y, k).0
     }
 
     /// Like [`RTree::nearest`], but also reports the search cost as the
-    /// number of rectangle-distance evaluations performed. The count is a
+    /// number of rectangle-distance evaluations performed: one for the
+    /// root plus, for each node searched, one per child. The count is a
     /// deterministic proxy for query latency, usable by simulations that
     /// must not read the wall clock.
     pub fn nearest_counted(&self, x: f64, y: f64, k: usize) -> (Vec<(Rect, &T)>, usize) {
-        if k == 0 || self.len == 0 {
+        let Some(root_bounds) = self.bounds.last().filter(|_| k > 0) else {
             return (Vec::new(), 0);
-        }
-        // Best-first search over a min-heap of (distance², node-or-entry).
-        enum Item<'a, T> {
-            Node(&'a Node<T>),
-            Entry(Rect, &'a T),
-        }
-        struct HeapEntry<'a, T> {
-            dist2: f64,
-            item: Item<'a, T>,
-        }
-        impl<T> PartialEq for HeapEntry<'_, T> {
-            fn eq(&self, other: &Self) -> bool {
-                self.dist2 == other.dist2
-            }
-        }
-        impl<T> Eq for HeapEntry<'_, T> {}
-        impl<T> PartialOrd for HeapEntry<'_, T> {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl<T> Ord for HeapEntry<'_, T> {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Reverse for a min-heap.
-                other
-                    .dist2
-                    .partial_cmp(&self.dist2)
-                    .unwrap_or(Ordering::Equal)
-            }
-        }
-        let mut heap: BinaryHeap<HeapEntry<'_, T>> = BinaryHeap::new();
+        };
+        // Keys are (distance² bits, index). Distances are never negative
+        // or NaN, so their bit patterns order like the values and stay
+        // below `u64::MAX`.
+        let key = |r: &Rect, i: usize| (r.distance2_to_point(x, y).to_bits(), i);
+        // Best-first over a min-heap of nodes; the k best entries so far
+        // are kept sorted by key.
+        let mut heap = BinaryHeap::with_capacity(8 * MAX_ENTRIES);
+        heap.push(Reverse(key(root_bounds, self.bounds.len() - 1)));
+        let mut best: Vec<(u64, usize)> = Vec::with_capacity(k.min(self.len()) + 1);
+        // The k-th best key, or past every key while fewer than k are kept.
+        let mut kth = (u64::MAX, usize::MAX);
         let mut work = 1usize;
-        heap.push(HeapEntry {
-            dist2: self.root.bounds().distance2_to_point(x, y),
-            item: Item::Node(&self.root),
-        });
-        let mut out = Vec::with_capacity(k);
-        while let Some(HeapEntry { item, .. }) = heap.pop() {
-            match item {
-                Item::Entry(r, v) => {
-                    out.push((r, v));
-                    if out.len() == k {
-                        break;
+        while let Some(Reverse((dist, node))) = heap.pop() {
+            if dist >= kth.0 {
+                break;
+            }
+            let span = self.span(node);
+            work += span.len();
+            if node < self.leaves {
+                for (i, (r, _)) in (span.start..).zip(&self.entries[span]) {
+                    let e = key(r, i);
+                    if e < kth {
+                        best.insert(best.partition_point(|b| *b < e), e);
+                        best.truncate(k);
+                        if best.len() == k {
+                            kth = best[k - 1];
+                        }
                     }
                 }
-                Item::Node(Node::Leaf { entries, .. }) => {
-                    work += entries.len();
-                    for (r, v) in entries {
-                        heap.push(HeapEntry {
-                            dist2: r.distance2_to_point(x, y),
-                            item: Item::Entry(*r, v),
-                        });
-                    }
-                }
-                Item::Node(Node::Inner { children, .. }) => {
-                    work += children.len();
-                    for c in children {
-                        heap.push(HeapEntry {
-                            dist2: c.bounds().distance2_to_point(x, y),
-                            item: Item::Node(c),
-                        });
+            } else {
+                for (c, r) in (span.start..).zip(&self.bounds[span]) {
+                    let n = key(r, c);
+                    if n.0 < kth.0 {
+                        heap.push(Reverse(n));
                     }
                 }
             }
         }
+        let out = best
+            .iter()
+            .filter_map(|&(_, i)| self.entries.get(i))
+            .map(|(r, v)| (*r, v))
+            .collect();
         (out, work)
     }
 
@@ -431,10 +238,12 @@ impl<T> RTree<T> {
     /// benchmarks that verify packing quality.
     pub fn depth(&self) -> usize {
         let mut d = 1;
-        let mut node = &self.root;
-        while let Node::Inner { children, .. } = node {
+        let Some(mut node) = self.bounds.len().checked_sub(1) else {
+            return d;
+        };
+        while node >= self.leaves {
             d += 1;
-            node = &children[0];
+            node = self.span(node).start;
         }
         d
     }
@@ -449,8 +258,10 @@ impl<T> FromIterator<(Rect, T)> for RTree<T> {
 /// Iterator over range-query results; see [`RTree::range`].
 #[derive(Debug)]
 pub struct Range<'a, T> {
-    stack: Vec<&'a Node<T>>,
-    leaf: Option<std::slice::Iter<'a, (Rect, T)>>,
+    tree: &'a RTree<T>,
+    /// Nodes still to visit; each intersects the query.
+    stack: Vec<usize>,
+    leaf: std::slice::Iter<'a, (Rect, T)>,
     query: Rect,
 }
 
@@ -458,28 +269,21 @@ impl<'a, T> Iterator for Range<'a, T> {
     type Item = (&'a Rect, &'a T);
 
     fn next(&mut self) -> Option<Self::Item> {
+        let tree = self.tree;
         loop {
-            if let Some(iter) = &mut self.leaf {
-                for (r, v) in iter.by_ref() {
-                    if r.intersects(&self.query) {
-                        return Some((r, v));
-                    }
+            for (r, v) in self.leaf.by_ref() {
+                if r.intersects(&self.query) {
+                    return Some((r, v));
                 }
-                self.leaf = None;
             }
             let node = self.stack.pop()?;
-            if !node.bounds().intersects(&self.query) {
-                continue;
-            }
-            match node {
-                Node::Leaf { entries, .. } => self.leaf = Some(entries.iter()),
-                Node::Inner { children, .. } => {
-                    for c in children {
-                        if c.bounds().intersects(&self.query) {
-                            self.stack.push(c);
-                        }
-                    }
-                }
+            let span = tree.span(node);
+            if node < tree.leaves {
+                self.leaf = tree.entries[span].iter();
+            } else {
+                let query = self.query;
+                self.stack
+                    .extend(span.filter(|&c| tree.bounds[c].intersects(&query)));
             }
         }
     }
@@ -500,32 +304,12 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_range() {
-        let mut t = RTree::new();
-        for (r, v) in grid_points(20) {
-            t.insert(r, v);
-        }
+    fn bulk_load_and_range() {
+        let t: RTree<usize> = grid_points(20).into_iter().collect();
         assert_eq!(t.len(), 400);
         let q = Rect::new(0.0, 0.0, 4.0, 4.0).unwrap();
         let hits: Vec<usize> = t.range(&q).map(|(_, v)| *v).collect();
         assert_eq!(hits.len(), 25);
-    }
-
-    #[test]
-    fn bulk_load_matches_insert_results() {
-        let items = grid_points(15);
-        let bulk: RTree<usize> = items.clone().into_iter().collect();
-        let mut incr = RTree::new();
-        for (r, v) in items {
-            incr.insert(r, v);
-        }
-        let q = Rect::new(3.0, 3.0, 7.5, 9.0).unwrap();
-        let mut a: Vec<usize> = bulk.range(&q).map(|(_, v)| *v).collect();
-        let mut b: Vec<usize> = incr.range(&q).map(|(_, v)| *v).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert_eq!(bulk.len(), incr.len());
     }
 
     #[test]
@@ -558,18 +342,64 @@ mod tests {
     }
 
     #[test]
+    fn k_above_len_returns_every_entry_and_counts_every_node() {
+        // 1600 points pack into 100 leaves, 7 inner nodes and a root:
+        // one evaluation for the root, one per other node, one per entry.
+        let t: RTree<usize> = grid_points(40).into_iter().collect();
+        let (res, work) = t.nearest_counted(13.3, 27.8, 2_000);
+        assert_eq!(res.len(), 1_600);
+        assert_eq!(work, 1 + 107 + 1_600);
+        let mut ids: Vec<usize> = res.iter().map(|(_, v)| **v).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..1_600).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn duplicate_points_come_back_in_input_order() {
+        // Twenty copies of one point among a grid: ties resolve by
+        // storage order, which keeps input order for equal centres.
+        let mut items = grid_points(10);
+        items.extend((100..120).map(|i| (Rect::point(4.5, 4.5), i)));
+        let t = RTree::bulk_load(items);
+        let got: Vec<usize> = t.nearest(4.5, 4.5, 8).iter().map(|(_, v)| **v).collect();
+        assert_eq!(got, (100..108).collect::<Vec<_>>());
+        let got: Vec<usize> = t.nearest(4.5, 4.5, 24).iter().map(|(_, v)| **v).collect();
+        assert_eq!(&got[..20], (100..120).collect::<Vec<_>>());
+        assert_eq!(&got[20..], [44, 45, 54, 55]);
+    }
+
+    #[test]
+    fn nan_query_coordinate_adds_no_distance() {
+        let t: RTree<usize> = grid_points(10).into_iter().collect();
+        let rows = |res: Vec<(Rect, &usize)>| res.iter().map(|(_, v)| **v / 10).collect::<Vec<_>>();
+        assert_eq!(rows(t.nearest(f64::NAN, 1.2, 5)), [1; 5]);
+        let cols: Vec<usize> = t
+            .nearest(7.1, f64::NAN, 5)
+            .iter()
+            .map(|(_, v)| **v % 10)
+            .collect();
+        assert_eq!(cols, [7; 5]);
+        assert_eq!(t.nearest(f64::NAN, f64::NAN, 5).len(), 5);
+    }
+
+    #[test]
     fn empty_tree_range_is_empty() {
         let t: RTree<u8> = RTree::new();
         let q = Rect::new(-1.0, -1.0, 1.0, 1.0).unwrap();
         assert_eq!(t.range(&q).count(), 0);
         assert!(t.is_empty());
+        assert!(t.bounds().is_empty());
+        assert_eq!(t.depth(), 1);
     }
 
     #[test]
     fn rect_entries_supported() {
-        let mut t = RTree::new();
-        t.insert(Rect::new(0.0, 0.0, 10.0, 10.0).unwrap(), "big");
-        t.insert(Rect::new(20.0, 20.0, 21.0, 21.0).unwrap(), "small");
+        let t: RTree<&str> = [
+            (Rect::new(0.0, 0.0, 10.0, 10.0).unwrap(), "big"),
+            (Rect::new(20.0, 20.0, 21.0, 21.0).unwrap(), "small"),
+        ]
+        .into_iter()
+        .collect();
         let q = Rect::new(5.0, 5.0, 6.0, 6.0).unwrap();
         let hits: Vec<&&str> = t.range(&q).map(|(_, v)| v).collect();
         assert_eq!(hits, vec![&"big"]);
@@ -587,10 +417,7 @@ mod tests {
                 )
             })
             .collect();
-        let mut tree = RTree::new();
-        for (r, v) in items.clone() {
-            tree.insert(r, v);
-        }
+        let tree = RTree::bulk_load(items.clone());
         for _ in 0..20 {
             let x0 = rng.gen_range(0.0..90.0);
             let y0 = rng.gen_range(0.0..90.0);

@@ -53,11 +53,14 @@ proptest! {
             .enumerate()
             .map(|(i, &(x, y))| (Rect::point(x, y), i))
             .collect();
-        let mut inserted = RTree::new();
-        for (i, &(x, y)) in pts.iter().enumerate() {
-            inserted.insert(Rect::point(x, y), i);
-        }
-        for tree in [&bulk, &inserted] {
+        // The same points loaded in reverse: ties sit in another order.
+        let reversed: RTree<usize> = pts
+            .iter()
+            .enumerate()
+            .rev()
+            .map(|(i, &(x, y))| (Rect::point(x, y), i))
+            .collect();
+        for tree in [&bulk, &reversed] {
             let got = tree
                 .nearest(qx, qy, k)
                 .iter()

@@ -78,10 +78,11 @@ proptest! {
         pts in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..200),
         qx in 0.0f64..80.0, qy in 0.0f64..80.0, qw in 1.0f64..20.0, qh in 1.0f64..20.0,
     ) {
-        let mut tree = RTree::new();
-        for (i, &(x, y)) in pts.iter().enumerate() {
-            tree.insert(Rect::point(x, y), i);
-        }
+        let tree: RTree<usize> = pts
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y))| (Rect::point(x, y), i))
+            .collect();
         let q = Rect::new(qx, qy, qx + qw, qy + qh).unwrap();
         let mut got: Vec<usize> = tree.range(&q).map(|(_, v)| *v).collect();
         let mut want: Vec<usize> = pts
