@@ -456,7 +456,7 @@ pub fn check_workspace(files: &[FileConc], allow: &Allowlist, out: &mut Vec<Viol
                     format!(
                         "`Ordering::Relaxed` on `{sym}` outside the sanctioned counter modules: \
                          flags and seqlock cells need acquire/release; counters belong in \
-                         telemetry/profile or under a reviewed `audit.allow` entry"
+                         telemetry or under a reviewed `audit.allow` entry"
                     ),
                 ));
             }

@@ -11,11 +11,10 @@ pub type RuleDoc = (&'static str, &'static str, &'static str);
 pub const RULES: [RuleDoc; 19] = [
     (
         "alloc-confined",
-        "Global allocators are confined to the counting allocator module.",
-        "Declaring or implementing a global allocator is denied everywhere except \
-         crates/profile/src/alloc.rs. Allocation accounting depends on there being exactly one \
-         allocator implementation to audit; bins and tests opt in through the `global-alloc` \
-         cargo feature instead of declaring their own.",
+        "No global allocator: the workspace runs on the system allocator.",
+        "Declaring or implementing a global allocator is denied in every file, bins and \
+         examples included. An allocator needs `unsafe`, which the workspace lints forbid; \
+         this rule names the reason where the compiler would only say `unsafe`.",
     ),
     (
         "atomics-ordering",
@@ -24,7 +23,7 @@ pub const RULES: [RuleDoc; 19] = [
          are only ever summed, wrong for flags, tickets, and seqlock cells whose readers rely \
          on happens-before. Relaxed is therefore permitted only in the sanctioned counter \
          modules (crates/telemetry/src/metric.rs, crates/telemetry/src/time.rs, \
-         crates/profile/src/alloc.rs) or under a reviewed `audit.allow` entry of the form \
+         crates/telemetry/src/lane.rs) or under a reviewed `audit.allow` entry of the form \
          `<file> <symbol> <reason>`. Everything else must use Acquire/Release (or stronger) so \
          the sharded engine's cross-thread handoffs are fenced by construction.",
     ),
@@ -107,7 +106,7 @@ pub const RULES: [RuleDoc; 19] = [
         "no-unwrap",
         "No .unwrap() in hot-path library code.",
         "`.unwrap()` turns a recoverable absence into a frame-aborting panic. Hot-path crates \
-         (stream, geo, store, semantic, cloud, core, telemetry, doctor, watch, profile, audit) \
+         (stream, geo, store, semantic, cloud, core, telemetry, doctor, watch, xray, audit) \
          must propagate errors through their error enums; tests and bins are exempt.",
     ),
     (

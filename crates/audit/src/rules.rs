@@ -50,11 +50,6 @@ pub struct FilePolicy {
     /// `crates/watch/src/serve.rs` is the sole sanctioned network site, so
     /// every listener the workspace opens is inventoried in one place.
     pub deny_raw_net: bool,
-    /// Declaring or implementing a global allocator is denied: the counting
-    /// allocator in `crates/profile/src/alloc.rs` is the sole sanctioned
-    /// site (bins/tests opt in via the `global-alloc` cargo feature, never
-    /// by declaring their own).
-    pub deny_global_alloc: bool,
     /// `println!`/`eprintln!`/`dbg!` are denied: library code emits
     /// structured events through `augur_telemetry::log`, or routes a genuine console
     /// line through the sanctioned writer
@@ -116,7 +111,7 @@ const ENTROPY: [&str; 3] = ["thread_rng", "from_entropy", "rand::random"];
 /// Network-socket patterns confined to the sanctioned endpoint module.
 const RAW_NET: [&str; 4] = ["std::net::", "TcpListener", "TcpStream", "UdpSocket"];
 
-/// Global-allocator patterns confined to the sanctioned accounting module.
+/// Global-allocator patterns, denied in every file.
 const GLOBAL_ALLOC: [&str; 2] = ["global_allocator", "GlobalAlloc"];
 
 /// Console-print macros confined to the sanctioned writer module. Matched at
@@ -286,25 +281,21 @@ pub fn check_source(file: &str, src: &str, policy: FilePolicy, out: &mut Vec<Vio
         }
     }
 
-    if policy.deny_global_alloc {
-        for pat in GLOBAL_ALLOC {
-            for idx in find_all(&lib_code, pat) {
-                if is_word_start(&lib_code, idx) {
-                    push(
-                        out,
-                        file,
-                        &lib_code,
-                        idx,
-                        "alloc-confined",
-                        Severity::Deny,
-                        format!(
-                            "`{pat}`: global allocators are confined to the counting \
-                             allocator (crates/profile/src/alloc.rs); enable the \
-                             `global-alloc` feature of augur-profile instead of \
-                             declaring one"
-                        ),
-                    );
-                }
+    for pat in GLOBAL_ALLOC {
+        for idx in find_all(&lib_code, pat) {
+            if is_word_start(&lib_code, idx) {
+                push(
+                    out,
+                    file,
+                    &lib_code,
+                    idx,
+                    "alloc-confined",
+                    Severity::Deny,
+                    format!(
+                        "`{pat}`: the workspace runs on the system allocator; a global \
+                         allocator needs `unsafe`, which the workspace lints forbid"
+                    ),
+                );
             }
         }
     }
@@ -507,7 +498,6 @@ mod tests {
         deny_raw_instant: false,
         deny_global_registry: true,
         deny_raw_net: true,
-        deny_global_alloc: true,
         deny_prints: true,
         advise_indexing: true,
         require_docs: false,
@@ -580,7 +570,6 @@ mod tests {
             deny_raw_instant: false,
             deny_global_registry: false,
             deny_raw_net: false,
-            deny_global_alloc: false,
             deny_prints: false,
             advise_indexing: false,
             require_docs: true,
@@ -709,7 +698,7 @@ mod tests {
     }
 
     #[test]
-    fn flags_global_allocator_outside_the_sanctioned_site() {
+    fn flags_global_allocators() {
         assert_eq!(
             deny_rules("#[global_allocator]\nstatic A: std::alloc::System = std::alloc::System;\n"),
             vec!["alloc-confined"]
@@ -721,19 +710,6 @@ mod tests {
         // Comments, strings, and test code never trip the rule.
         assert!(deny_rules("// a #[global_allocator] would be denied\nfn f() {}").is_empty());
         assert!(deny_rules("#[cfg(test)] mod t { unsafe impl GlobalAlloc for T {} }").is_empty());
-        // The sanctioned accounting-module policy is exempt.
-        let sanctioned = FilePolicy {
-            deny_global_alloc: false,
-            ..STRICT
-        };
-        let mut v = Vec::new();
-        check_source(
-            "alloc.rs",
-            "#[global_allocator]\nstatic G: C = C;\n",
-            sanctioned,
-            &mut v,
-        );
-        assert!(v.iter().all(|x| x.rule != "alloc-confined"));
     }
 
     #[test]

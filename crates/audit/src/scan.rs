@@ -20,7 +20,7 @@ use crate::rules::{self, FilePolicy, Severity, Violation};
 
 /// Crates whose library code must be panic-free (the AR hot path: a panic
 /// here aborts a frame mid-flight).
-pub const HOT_CRATES: [&str; 12] = [
+pub const HOT_CRATES: [&str; 11] = [
     "stream",
     "geo",
     "store",
@@ -31,7 +31,6 @@ pub const HOT_CRATES: [&str; 12] = [
     "telemetry",
     "doctor",
     "watch",
-    "profile",
     "xray",
 ];
 
@@ -50,7 +49,7 @@ pub const TELEMETRY_CRATES: [&str; 7] = [
     "core",
     "telemetry",
     "watch",
-    "profile",
+    "xray",
 ];
 
 /// The one sanctioned wall-clock read: `MonotonicTime` in the telemetry
@@ -61,12 +60,6 @@ pub const TIME_SOURCE_EXEMPT: &str = "crates/telemetry/src/time.rs";
 /// Confining sockets to a single module keeps the workspace's network
 /// surface auditable at a glance (and trivially greppable).
 pub const NET_EXEMPT: &str = "crates/watch/src/serve.rs";
-
-/// The one sanctioned global-allocator site: the profile crate's counting
-/// allocator. Everything else opts in through the `global-alloc` cargo
-/// feature (bins/tests only), so allocation accounting has exactly one
-/// implementation to audit.
-pub const ALLOC_EXEMPT: &str = "crates/profile/src/alloc.rs";
 
 /// The one sanctioned console-print site: the telemetry log's writer
 /// module. Library code that genuinely needs a console line routes it
@@ -97,11 +90,10 @@ pub const LANE_REQUIRED: [&str; 2] = [
 /// Sanctioned `Ordering::Relaxed` modules: monotonic counters that are
 /// only ever summed. Everything else needs acquire/release or a reviewed
 /// `audit.allow` entry.
-pub const ATOMICS_EXEMPT: [&str; 4] = [
+pub const ATOMICS_EXEMPT: [&str; 3] = [
     "crates/telemetry/src/metric.rs",
     "crates/telemetry/src/time.rs",
     "crates/telemetry/src/lane.rs",
-    "crates/profile/src/alloc.rs",
 ];
 
 /// Crates on the per-record hot path, where blocking operations are
@@ -343,10 +335,6 @@ pub fn policy_for(rel: &str) -> FilePolicy {
         // Sockets are confined workspace-wide — bins included: demo and
         // experiment binaries serve state through `WatchSession::serve`.
         deny_raw_net: rel != NET_EXEMPT,
-        // Global allocators are confined workspace-wide — bins included:
-        // they enable the counting allocator via the `global-alloc`
-        // feature rather than declaring their own.
-        deny_global_alloc: rel != ALLOC_EXEMPT,
         // Library code logs through the telemetry log; only the sanctioned writer
         // and process entry points (bins, CLIs) touch stdio directly.
         deny_prints: !is_entry && rel != PRINT_EXEMPT,
@@ -425,17 +413,11 @@ mod tests {
     }
 
     #[test]
-    fn alloc_confinement_policy_mapping() {
-        // The counting allocator is the sole sanctioned declaration site.
-        assert!(!policy_for("crates/profile/src/alloc.rs").deny_global_alloc);
-        assert!(policy_for("crates/profile/src/fold.rs").deny_global_alloc);
-        assert!(policy_for("crates/stream/src/pipeline.rs").deny_global_alloc);
-        // Bins are NOT exempt: they opt in via the cargo feature.
-        assert!(policy_for("crates/bench/src/bin/e2_timeliness.rs").deny_global_alloc);
-        // Profile joined the hot + instrumented sets.
-        assert!(policy_for("crates/profile/src/fold.rs").deny_panics);
-        assert!(policy_for("crates/profile/src/diff.rs").deny_raw_instant);
-        assert!(policy_for("crates/profile/src/lib.rs").require_docs);
+    fn xray_policy_mapping() {
+        // The trace-analysis crate is hot and instrumented.
+        assert!(policy_for("crates/xray/src/profile.rs").deny_panics);
+        assert!(policy_for("crates/xray/src/tree.rs").deny_raw_instant);
+        assert!(policy_for("crates/xray/src/lib.rs").require_docs);
     }
 
     #[test]
@@ -470,7 +452,7 @@ mod tests {
         // Atomics: the three counter modules are exempt.
         assert!(policy_for("crates/telemetry/src/metric.rs").relaxed_exempt);
         assert!(policy_for("crates/telemetry/src/time.rs").relaxed_exempt);
-        assert!(policy_for("crates/profile/src/alloc.rs").relaxed_exempt);
+        assert!(policy_for("crates/telemetry/src/lane.rs").relaxed_exempt);
         assert!(!policy_for("crates/telemetry/src/flight.rs").relaxed_exempt);
         assert!(!policy_for("crates/stream/src/pipeline.rs").relaxed_exempt);
     }

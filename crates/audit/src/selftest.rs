@@ -145,26 +145,6 @@ pub fn bind_any() -> std::io::Result<TcpListener> {
 }
 "#;
 
-/// Clean fixture for the alloc exemption: declaring/implementing a global
-/// allocator is allowed only at `crates/profile/src/alloc.rs`, the
-/// sanctioned counting-allocator site. (Profile is a hot, instrumented
-/// crate, so the fixture must also be panic-free and clock-clean.)
-const CLEAN_ALLOC_SITE: &str = r#"//! Clean fixture: the sanctioned counting-allocator site.
-use std::alloc::{GlobalAlloc, Layout, System};
-
-/// Counts allocations while forwarding to the system allocator.
-pub struct Counting;
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-"#;
-
 /// Clean fixture for spawn confinement and channel discipline: a
 /// `thread::spawn` and a named-capacity `bounded()` are both fine inside
 /// the sanctioned worker-pool module `crates/stream/src/pipeline.rs` —
@@ -280,7 +260,6 @@ fn run_in(root: &Path) -> Result<(), String> {
     write_fixture(root, "crates/stream/src/clean.rs", CLEAN)?;
     write_fixture(root, "crates/telemetry/src/time.rs", CLEAN_TIME_SOURCE)?;
     write_fixture(root, "crates/watch/src/serve.rs", CLEAN_NET_ENDPOINT)?;
-    write_fixture(root, "crates/profile/src/alloc.rs", CLEAN_ALLOC_SITE)?;
     write_fixture(root, "crates/stream/src/pipeline.rs", CLEAN_SPAWN_SITE)?;
     write_fixture(
         root,
@@ -339,16 +318,6 @@ fn run_in(root: &Path) -> Result<(), String> {
     if !endpoint_denials.is_empty() {
         return Err(format!(
             "self-test: sanctioned endpoint socket site produced deny findings: {endpoint_denials:?}"
-        ));
-    }
-
-    let alloc_denials: Vec<_> = report
-        .denials()
-        .filter(|v| v.file == "crates/profile/src/alloc.rs")
-        .collect();
-    if !alloc_denials.is_empty() {
-        return Err(format!(
-            "self-test: sanctioned allocator site produced deny findings: {alloc_denials:?}"
         ));
     }
 

@@ -9,13 +9,13 @@ use augur_bench::{
     f, header, profile_requested, row, sized, write_profile, write_xray, xray_requested, BenchLog,
     Snapshot,
 };
-use augur_profile::Profile;
 use augur_stream::window::CountAggregation;
 use augur_stream::{
     Broker, CheckpointStore, ModeledCosts, PipelineBuilder, Record, TumblingWindows, WindowState,
 };
 use augur_telemetry::sample::Sampler;
 use augur_telemetry::{FlightRecorder, ManualTime, Obs, Registry, TraceContext};
+use augur_xray::profile::Profile;
 use rand::{Rng, SeedableRng};
 
 fn fill(broker: &Broker, topic: &str, n: u64, schema_families: u32, seed: u64) {

@@ -10,9 +10,9 @@ use augur_bench::{
     f, header, profile_requested, row, smoke, timed, timed_mean, write_profile, write_xray,
     xray_requested, BenchLog, Snapshot,
 };
-use augur_profile::Profile;
 use augur_telemetry::log::Arg;
 use augur_telemetry::{FlightRecorder, ManualTime, TimeSource, TraceContext};
+use augur_xray::profile::Profile;
 use rand::{Rng, SeedableRng};
 
 const FRAME_BUDGET_US: f64 = 33_333.0;

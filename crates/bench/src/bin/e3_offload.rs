@@ -10,8 +10,8 @@ use augur_cloud::{
     best_plan_logged, estimate, estimate_traced, ComputeResource, EnergyParams, NetworkProfile,
     OffloadPlan, TaskGraph,
 };
-use augur_profile::Profile;
 use augur_telemetry::{FlightRecorder, Obs, TraceContext};
+use augur_xray::profile::Profile;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     header(

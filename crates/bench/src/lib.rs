@@ -15,10 +15,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use augur_profile::Profile;
 use augur_telemetry::log::writer::{err_line, out_line};
 use augur_telemetry::log::{render_human, Arg, EventLog, Level, LogSite};
 use augur_telemetry::{escape_json, fnv1a64, json_f64, Registry, TraceContext};
+use augur_xray::profile::Profile;
 
 /// The binary's command-line arguments, without the program name.
 fn args() -> Vec<String> {

@@ -24,9 +24,8 @@
 //!
 //! [`Obs::default`] is a private registry with every sink off; no sink
 //! without fault injection changes the report. For a flamegraph, drain
-//! the recorder into `augur_profile::Profile::from_events` (wrap the run
-//! in an `augur_profile::AllocCapture` named after the scenario for its
-//! allocation stats); for a bottleneck report, into `augur_xray::analyze`.
+//! the recorder into `augur_xray::profile::Profile::from_events`; for a
+//! bottleneck report, into `augur_xray::analyze`.
 //!
 //! Stage durations are **modeled**: a [`augur_telemetry::ManualTime`] is
 //! advanced by each stage's deterministic work count under the

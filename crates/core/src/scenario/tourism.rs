@@ -90,10 +90,7 @@ pub struct TourismReport {
 /// (`tourism/summary`) carrying the headline numbers. With a cycle
 /// sink, every rendered frame is one observed cycle
 /// (`frame_latency_us{scenario=tourism}` under a watch session), and the
-/// setup and tracking stages tick it. Every stage also
-/// runs inside a `tourism/<stage>` allocation scope, so an
-/// [`augur_profile::AllocCapture`] named `tourism` sees per-stage
-/// allocation stats when the counting allocator is installed.
+/// setup and tracking stages tick it.
 ///
 /// # Errors
 ///
@@ -108,18 +105,7 @@ pub fn run(params: &TourismParams, obs: &Obs) -> Result<TourismReport, CoreError
     }
     let clock = ManualTime::shared();
     let so = super::ScenarioObs::start(obs, "tourism", params.seed, &clock);
-    // Per-stage allocation scopes: when the counting allocator is
-    // installed (`augur-profile`'s `global-alloc` feature, bins/tests
-    // only) every stage's allocations are charged to its span name, so
-    // profiles can be rendered by bytes as well as modeled time. The
-    // guards are plain thread-local stores — negligible either way.
-    let alloc_setup = augur_profile::register_scope("tourism/setup");
-    let alloc_tracking = augur_profile::register_scope("tourism/tracking");
-    let alloc_retrieve = augur_profile::register_scope("tourism/retrieve");
-    let alloc_occlusion = augur_profile::register_scope("tourism/occlusion");
-    let alloc_layout = augur_profile::register_scope("tourism/layout");
     let setup = so.stage("tourism/setup");
-    let setup_alloc = augur_profile::AllocScope::enter(alloc_setup);
     let origin = GeoPoint::new(22.3364, 114.2655)?;
     let frame = LocalFrame::new(origin);
     let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed);
@@ -127,12 +113,10 @@ pub fn run(params: &TourismParams, obs: &Obs) -> Result<TourismReport, CoreError
     let city = CityModel::generate(&CityParams::default(), &mut rng);
     let occlusion = OcclusionIndex::build(&city);
     clock.advance_micros(params.pois as u64);
-    drop(setup_alloc);
     setup.end_tick();
 
     // Ground truth walk + fused tracking.
     let tracking = so.stage("tourism/tracking");
-    let tracking_alloc = augur_profile::AllocScope::enter(alloc_tracking);
     let traj_params = TrajectoryParams {
         half_extent_m: 350.0,
         speed_mps: 1.4,
@@ -157,7 +141,6 @@ pub fn run(params: &TourismParams, obs: &Obs) -> Result<TourismReport, CoreError
     let mut tracker = KalmanTracker::new(KalmanParams::default());
     let poses = run_tracker(&mut tracker, &truth, &fixes, &readings);
     clock.advance_micros(truth.len() as u64);
-    drop(tracking_alloc);
     tracking.end_tick();
     let tracking_error_m = truth
         .iter()
@@ -188,21 +171,18 @@ pub fn run(params: &TourismParams, obs: &Obs) -> Result<TourismReport, CoreError
         let frame_ctx = TraceContext::root(params.seed, i as u64);
         let frame_t0 = clock.now_micros();
         let retrieve = so.stage_in(frame_ctx, "tourism/retrieve");
-        let retrieve_alloc = augur_profile::AllocScope::enter(alloc_retrieve);
         let here = frame.to_geodetic(pose.position);
         let (near, knn_work) = db.nearest_counted(here, params.k);
         knn_total_work += knn_work;
         let (in_radius, scan_work) = db.within_radius_scan_counted(here, params.radius_m);
         scan_total_work += scan_work;
         clock.advance_micros((knn_work + scan_work) as u64);
-        drop(retrieve_alloc);
         retrieve.end();
         let _ = in_radius.len();
         pois_surfaced += near.len();
 
         // Occlusion + x-ray for this frame.
         let occlusion_stage = so.stage_in(frame_ctx, "tourism/occlusion");
-        let occlusion_alloc = augur_profile::AllocScope::enter(alloc_occlusion);
         let camera = ViewCamera::new(
             Enu::new(pose.position.east, pose.position.north, 1.6),
             truth[i].heading_deg,
@@ -220,12 +200,10 @@ pub fn run(params: &TourismParams, obs: &Obs) -> Result<TourismReport, CoreError
         let frame_reveals = xray_reveals(&camera, &targets, &occlusion);
         reveals += frame_reveals.iter().filter(|r| r.reveal).count();
         clock.advance_micros(targets.len() as u64);
-        drop(occlusion_alloc);
         occlusion_stage.end();
 
         // Layout the labels for targets in view.
         let layout = so.stage_in(frame_ctx, "tourism/layout");
-        let layout_alloc = augur_profile::AllocScope::enter(alloc_layout);
         let labels: Vec<LabelBox> = targets
             .iter()
             .filter_map(|(id, pos)| {
@@ -256,7 +234,6 @@ pub fn run(params: &TourismParams, obs: &Obs) -> Result<TourismReport, CoreError
             }
         }
         clock.advance_micros(labels.len() as u64);
-        drop(layout_alloc);
         layout.end();
         // Observe the frame cycle before closing its span, so injected
         // fault latency (which advances the clock) inflates the recorded

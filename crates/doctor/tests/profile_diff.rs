@@ -8,8 +8,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use augur_profile::Profile;
 use augur_telemetry::{FlightRecorder, ManualTime, TimeSource, TraceContext};
+use augur_xray::profile::Profile;
 
 /// Runs a modeled ingest → transform → emit pipeline, with
 /// `transform_slowdown_us` of extra modeled work injected into the
@@ -97,6 +97,24 @@ fn profile_diff_of_identical_profiles_is_clean() {
     let a = std::fs::read(&baseline).expect("read");
     let b = std::fs::read(&current).expect("read");
     assert_eq!(a, b);
+}
+
+#[test]
+fn profile_diff_rejects_weights_that_would_read_as_improvements() {
+    // A frame growing from nothing to 2^63 µs: as a signed delta that
+    // weight wraps negative, so the gate must refuse the input rather
+    // than rank the regression as an improvement and pass.
+    let baseline = write_tmp("huge-base.folded", "run 10\n");
+    let current = write_tmp("huge-cur.folded", "run 10\nrun;hog 9223372036854775808\n");
+    let output = Command::new(env!("CARGO_BIN_EXE_augur-doctor"))
+        .args(["--profile-diff"])
+        .arg(&baseline)
+        .arg(&current)
+        .output()
+        .expect("doctor runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("line 2"), "error names the line: {stderr}");
 }
 
 #[test]

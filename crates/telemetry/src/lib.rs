@@ -86,8 +86,6 @@ pub mod span;
 pub mod time;
 /// Causal trace context (deterministic id derivation).
 pub mod trace;
-/// Span-forest reconstruction shared by profile folding and xray.
-pub mod tree;
 
 /// Chrome trace-event rendering for drained flight events.
 pub use chrome::{render_chrome_trace, render_chrome_trace_with_lanes};
@@ -123,5 +121,3 @@ pub use time::{Clock, ManualTime, MonotonicTime, TimeSource};
 /// SplitMix64 mix shared with deterministic sampling policies, and the
 /// FNV-1a hash behind stable names, shards and routes.
 pub use trace::{fnv1a64, mix64, TraceContext};
-/// The reconstructed span forest and its nodes.
-pub use tree::{SpanForest, SpanNode};

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use augur_telemetry::tree::{SpanForest, MAX_DEPTH};
+use crate::tree::{SpanForest, MAX_DEPTH};
 
 /// Per-span-name accumulation over every extracted critical path.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

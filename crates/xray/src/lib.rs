@@ -56,12 +56,18 @@
 
 use std::collections::BTreeMap;
 
-use augur_telemetry::{MergedDrain, RegistrySnapshot, SpanForest};
+use augur_telemetry::{MergedDrain, RegistrySnapshot};
+
+use crate::tree::SpanForest;
 
 mod critical;
+/// Flamegraph folding: per-stack-path self time, folded stacks and
+/// speedscope JSON.
+pub mod profile;
 mod queue;
 /// Canonical JSON and dashboard-panel rendering.
 pub mod render;
+mod tree;
 
 /// Canonical JSON artifact and dashboard-panel renderers.
 pub use render::{render_json, render_panel};
@@ -444,8 +450,7 @@ fn measured_lanes(forest: &SpanForest, makespan_us: u64) -> (Vec<LaneStat>, Meas
         if node.name.starts_with(BLOCKED_PREFIX) {
             slot.1 = slot.1.saturating_add(node.dur_us);
         } else {
-            let self_us = node.dur_us.saturating_sub(forest.child_dur_us(idx));
-            slot.0 = slot.0.saturating_add(self_us);
+            slot.0 = slot.0.saturating_add(forest.self_us(idx));
         }
     }
     let lanes: Vec<LaneStat> = acc

@@ -1,25 +1,49 @@
-//! Span-tree folding: drained flight events → per-stack-path cost.
+//! Deterministic profiling: drained flight events → per-stack-path
+//! cost, rendered as flamegraphs.
 //!
-//! [`Profile::from_events`] reconstructs the span tree from
-//! `parent_span_id` links and folds it into one aggregate per stack
-//! *path* (the `;`-joined chain of span names from the root, the unit
-//! flamegraph tooling works in). Each path carries inclusive modeled
-//! time (the span's own duration), exclusive self time (duration minus
-//! the duration of its direct children), and an occurrence count.
+//! [`Profile::from_events`] folds the span forest into one aggregate per
+//! stack *path* (the `;`-joined chain of span names from the root, the
+//! unit flamegraph tooling works in). Each path carries inclusive
+//! modeled time (the span's own duration), exclusive self time
+//! (duration minus the duration of its direct children, counted by the
+//! same span forest the critical-path and queueing analyses use), and
+//! an occurrence count. The exporters render it as
+//! collapsed/folded stacks ([`Profile::render_folded`], the
+//! `flamegraph.pl`/inferno input format, and what `augur-doctor
+//! --profile-diff` ranks frames from) and speedscope JSON
+//! ([`Profile::render_speedscope`]). Per-name totals are
+//! [`crate::XrayReport::stages`]: the same self time, summed by frame.
 //!
 //! Everything aggregates through [`BTreeMap`], so folding is a pure,
 //! order-insensitive function of the drained events: two drains of the
 //! same recorded stream — or two same-seed runs under
-//! [`augur_telemetry::ManualTime`] — produce identical profiles.
+//! [`augur_telemetry::ManualTime`] — produce byte-identical artifacts.
 //!
-//! Tree reconstruction (parent links, orphan roots, duplicate-id and
-//! cycle handling) lives in [`augur_telemetry::SpanForest`], shared
-//! with `augur-xray`'s critical-path extraction so the two analyses
-//! can never disagree about the shape of a trace.
+//! [`Profile::from_events`]: crate::profile::Profile::from_events
+//! [`Profile::render_folded`]: crate::profile::Profile::render_folded
+//! [`Profile::render_speedscope`]: crate::profile::Profile::render_speedscope
+//!
+//! ```
+//! use augur_telemetry::{FlightRecorder, TraceContext};
+//! use augur_xray::profile::Profile;
+//!
+//! let rec = FlightRecorder::new(64);
+//! let root = TraceContext::root(7, 1);
+//! let run = rec.intern("run");
+//! let stage = rec.intern("run/stage");
+//! rec.record_span(root.child_named("run/stage"), stage, 0, 30);
+//! rec.record_span(root, run, 0, 100);
+//! let profile = Profile::from_events(&rec.drain());
+//! assert_eq!(profile.render_folded(), "run 70\nrun;run/stage 30\n");
+//! ```
 
 use std::collections::BTreeMap;
 
-use augur_telemetry::{FlightEvent, SpanForest};
+use augur_telemetry::FlightEvent;
+
+use crate::tree::SpanForest;
+
+mod export;
 
 /// One stack path's aggregated cost (top-down view row).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,20 +58,6 @@ pub struct PathStat {
     pub count: u64,
 }
 
-/// One frame's aggregated cost across every path it appears as the leaf
-/// of (bottom-up view row).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameStat {
-    /// Span name.
-    pub name: String,
-    /// Exclusive self time summed over all paths ending in this frame.
-    pub self_us: u64,
-    /// Inclusive time summed over all paths ending in this frame.
-    pub inclusive_us: u64,
-    /// Spans folded into this frame.
-    pub count: u64,
-}
-
 #[derive(Debug, Default, Clone)]
 struct PathAgg {
     inclusive_us: u64,
@@ -55,14 +65,11 @@ struct PathAgg {
     count: u64,
 }
 
-/// A folded profile: per-stack-path modeled-time aggregates plus
-/// (optionally) per-scope allocation stats attached by
-/// [`Profile::attach_alloc`]. See the module docs for semantics.
+/// A folded profile: per-stack-path modeled-time aggregates. See the
+/// module docs for semantics.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
     paths: BTreeMap<String, PathAgg>,
-    /// Scope name → (allocation count, allocated bytes).
-    alloc: BTreeMap<String, (u64, u64)>,
 }
 
 /// Folded-format hygiene: path separators and value separators inside a
@@ -74,9 +81,10 @@ fn sanitize(name: &str) -> String {
 
 impl Profile {
     /// Folds a drained event slice into a profile. Only
-    /// [`FlightEventKind::Span`] events participate; instants are
-    /// skipped. A span whose parent is absent from the drain (dropped
-    /// by the ring, or `parent_span_id == 0`) is treated as a root.
+    /// [`augur_telemetry::FlightEventKind::Span`] events participate;
+    /// instants are skipped. A span whose parent is absent from the
+    /// drain (dropped by the ring, or `parent_span_id == 0`) is treated
+    /// as a root.
     pub fn from_events(events: &[FlightEvent]) -> Profile {
         let forest = SpanForest::build(events);
         let mut paths: BTreeMap<String, PathAgg> = BTreeMap::new();
@@ -88,22 +96,12 @@ impl Profile {
                 .map(|n| sanitize(&n.name))
                 .collect::<Vec<String>>()
                 .join(";");
-            // Duplicate-id children fold under the first occurrence, so
-            // the shared forest's per-node child sum matches the
-            // historical per-id fold only when charged to that first
-            // occurrence; `child_dur_us` encodes exactly that rule.
-            let children = forest.child_dur_us(idx);
             let agg = paths.entry(path).or_default();
             agg.inclusive_us = agg.inclusive_us.saturating_add(node.dur_us);
-            agg.self_us = agg
-                .self_us
-                .saturating_add(node.dur_us.saturating_sub(children));
+            agg.self_us = agg.self_us.saturating_add(forest.self_us(idx));
             agg.count += 1;
         }
-        Profile {
-            paths,
-            alloc: BTreeMap::new(),
-        }
+        Profile { paths }
     }
 
     /// True when no span folded in.
@@ -139,43 +137,6 @@ impl Profile {
             })
             .collect()
     }
-
-    /// Bottom-up view: per-frame aggregation over every path the frame
-    /// terminates, heaviest self time first (ties broken by name).
-    pub fn bottom_up(&self) -> Vec<FrameStat> {
-        let mut frames: BTreeMap<&str, FrameStat> = BTreeMap::new();
-        for (path, agg) in &self.paths {
-            let leaf = path.rsplit(';').next().unwrap_or(path);
-            let stat = frames.entry(leaf).or_insert_with(|| FrameStat {
-                name: leaf.to_string(),
-                self_us: 0,
-                inclusive_us: 0,
-                count: 0,
-            });
-            stat.self_us = stat.self_us.saturating_add(agg.self_us);
-            stat.inclusive_us = stat.inclusive_us.saturating_add(agg.inclusive_us);
-            stat.count += agg.count;
-        }
-        let mut out: Vec<FrameStat> = frames.into_values().collect();
-        out.sort_by(|a, b| b.self_us.cmp(&a.self_us).then_with(|| a.name.cmp(&b.name)));
-        out
-    }
-
-    /// Attaches per-scope allocation stats (from
-    /// [`crate::alloc::AllocSnapshot::delta`]) so the profile can also
-    /// be rendered by bytes allocated. Repeated calls accumulate.
-    pub fn attach_alloc(&mut self, stats: &[crate::alloc::ScopeStat]) {
-        for s in stats {
-            let slot = self.alloc.entry(sanitize(&s.name)).or_insert((0, 0));
-            slot.0 = slot.0.saturating_add(s.count);
-            slot.1 = slot.1.saturating_add(s.bytes);
-        }
-    }
-
-    /// The attached allocation stats: scope name → (count, bytes).
-    pub fn alloc_stats(&self) -> &BTreeMap<String, (u64, u64)> {
-        &self.alloc
-    }
 }
 
 #[cfg(test)]
@@ -210,16 +171,6 @@ mod tests {
         assert_eq!(by_path["run;a;leaf"].self_us, 10);
         assert_eq!(by_path["run;b"].self_us, 25);
         assert_eq!(profile.total_self_us(), profile.root_inclusive_us());
-    }
-
-    #[test]
-    fn bottom_up_ranks_by_self_time() {
-        let profile = Profile::from_events(&tree_events());
-        let frames = profile.bottom_up();
-        assert_eq!(frames[0].name, "run");
-        assert_eq!(frames[0].self_us, 35);
-        assert_eq!(frames[1].name, "a");
-        assert_eq!(frames[1].self_us, 30);
     }
 
     #[test]

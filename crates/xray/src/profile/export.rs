@@ -7,7 +7,7 @@
 
 use augur_telemetry::escape_json;
 
-use crate::fold::Profile;
+use super::Profile;
 
 impl Profile {
     /// Renders the collapsed-stack ("folded") format `flamegraph.pl`
@@ -22,30 +22,6 @@ impl Profile {
                 out.push_str(&row.self_us.to_string());
                 out.push('\n');
             }
-        }
-        out
-    }
-
-    /// Renders a bytes-allocated flamegraph in the same folded format:
-    /// each attached allocation scope (see [`Profile::attach_alloc`])
-    /// weighted by bytes, mapped onto the first stack path whose leaf
-    /// frame matches the scope name (scopes with no matching frame are
-    /// emitted as roots).
-    pub fn render_folded_alloc_bytes(&self) -> String {
-        let rows = self.top_down();
-        let mut out = String::new();
-        for (scope, (_count, bytes)) in self.alloc_stats() {
-            if *bytes == 0 {
-                continue;
-            }
-            let path = rows
-                .iter()
-                .find(|r| r.path.rsplit(';').next() == Some(scope.as_str()))
-                .map_or(scope.as_str(), |r| r.path.as_str());
-            out.push_str(path);
-            out.push(' ');
-            out.push_str(&bytes.to_string());
-            out.push('\n');
         }
         out
     }
@@ -158,25 +134,6 @@ mod tests {
             doc.matches('}').count(),
             "balanced braces"
         );
-    }
-
-    #[test]
-    fn alloc_rendering_maps_scopes_onto_leaf_frames() {
-        let mut profile = sample_profile();
-        profile.attach_alloc(&[
-            crate::alloc::ScopeStat {
-                name: "stage".to_string(),
-                count: 4,
-                bytes: 1024,
-            },
-            crate::alloc::ScopeStat {
-                name: "elsewhere".to_string(),
-                count: 1,
-                bytes: 64,
-            },
-        ]);
-        let folded = profile.render_folded_alloc_bytes();
-        assert_eq!(folded, "elsewhere 64\nrun;stage 1024\n");
     }
 
     #[test]

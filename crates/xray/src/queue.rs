@@ -13,8 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use augur_telemetry::SpanForest;
-
+use crate::tree::SpanForest;
 use crate::{StageStat, BLOCKED_PREFIX};
 
 /// Utilization is clamped below 1 before the M/M/1 wait formula so a
@@ -37,10 +36,9 @@ pub(crate) fn stage_stats(forest: &SpanForest) -> (Vec<StageStat>, u64, f64) {
     for (idx, node) in forest.nodes().iter().enumerate() {
         min_start = min_start.min(node.start_us);
         max_end = max_end.max(node.end_us());
-        let self_us = node.dur_us.saturating_sub(forest.child_dur_us(idx));
         let slot = per_name.entry(node.name.clone()).or_default();
         slot.count += 1;
-        slot.busy_us = slot.busy_us.saturating_add(self_us);
+        slot.busy_us = slot.busy_us.saturating_add(forest.self_us(idx));
     }
     // Measured contention attribution: a `blocked/…` span charges its
     // duration to the *stage it interrupted* — its parent span's name.

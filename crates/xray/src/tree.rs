@@ -2,9 +2,10 @@
 //! trees.
 //!
 //! [`SpanForest::build`] is the one place the workspace turns a flat
-//! [`FlightEvent`] drain back into its causal tree shape. Both
-//! `augur-profile` (flamegraph folding) and `augur-xray` (critical-path
-//! and queueing analysis) consume it, so the two tools agree on every
+//! [`FlightEvent`] drain back into its causal tree shape, and
+//! [`SpanForest::self_us`] the one place it counts a span's exclusive
+//! time. The flamegraph fold ([`crate::profile`]) and the critical-path,
+//! queueing and lane analyses all consume it, so they agree on every
 //! structural convention:
 //!
 //! - only [`FlightEventKind::Span`] events participate; instants are
@@ -24,51 +25,50 @@
 
 use std::collections::BTreeMap;
 
-use crate::flight::{FlightEvent, FlightEventKind};
-use crate::lane::LaneId;
+use augur_telemetry::{FlightEvent, FlightEventKind, LaneId};
 
 /// Caps ancestry walks so a corrupt drain (cyclic parent links) cannot
 /// loop a fold or a critical-path extraction.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// One span event resolved into the forest.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanNode {
+pub(crate) struct SpanNode {
     /// Causal chain identity.
-    pub trace_id: u64,
+    pub(crate) trace_id: u64,
     /// This span's id.
-    pub span_id: u64,
+    pub(crate) span_id: u64,
     /// Resolved span name (unsanitized — views apply their own hygiene).
-    pub name: String,
+    pub(crate) name: String,
     /// Start time, microseconds.
-    pub start_us: u64,
+    pub(crate) start_us: u64,
     /// Duration, microseconds.
-    pub dur_us: u64,
+    pub(crate) dur_us: u64,
     /// The worker lane that recorded the span.
-    pub lane: LaneId,
+    pub(crate) lane: LaneId,
     /// Index of the parent node, or `None` for a root.
-    pub parent: Option<usize>,
+    pub(crate) parent: Option<usize>,
     /// Indices of child nodes, in drain order.
-    pub children: Vec<usize>,
+    pub(crate) children: Vec<usize>,
 }
 
 impl SpanNode {
     /// End time (`start + dur`), saturating.
-    pub fn end_us(&self) -> u64 {
+    pub(crate) fn end_us(&self) -> u64 {
         self.start_us.saturating_add(self.dur_us)
     }
 }
 
 /// A reconstructed span forest; see the module docs.
 #[derive(Debug, Clone, Default)]
-pub struct SpanForest {
+pub(crate) struct SpanForest {
     nodes: Vec<SpanNode>,
     roots: Vec<usize>,
 }
 
 impl SpanForest {
     /// Builds the forest from a drained event slice.
-    pub fn build(events: &[FlightEvent]) -> SpanForest {
+    pub(crate) fn build(events: &[FlightEvent]) -> SpanForest {
         // First drained occurrence wins on span-id collisions: parents
         // resolve to it, matching the historical fold semantics.
         let mut first_by_id: BTreeMap<u64, usize> = BTreeMap::new();
@@ -123,24 +123,19 @@ impl SpanForest {
     }
 
     /// All nodes, in drain order.
-    pub fn nodes(&self) -> &[SpanNode] {
+    pub(crate) fn nodes(&self) -> &[SpanNode] {
         &self.nodes
     }
 
     /// Indices of the root nodes, in drain order.
-    pub fn roots(&self) -> &[usize] {
+    pub(crate) fn roots(&self) -> &[usize] {
         &self.roots
-    }
-
-    /// True when no span event was drained.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Ancestry of `idx`, root first and `idx` last, capped at
     /// [`MAX_DEPTH`] nodes (the cycle guard). Returns an empty chain for
     /// an out-of-range index.
-    pub fn ancestry(&self, idx: usize) -> Vec<usize> {
+    pub(crate) fn ancestry(&self, idx: usize) -> Vec<usize> {
         let mut chain = Vec::new();
         let mut cursor = Some(idx);
         while let Some(i) = cursor {
@@ -157,24 +152,27 @@ impl SpanForest {
         chain
     }
 
-    /// Summed duration of `idx`'s direct children, saturating — the
-    /// quantity an exclusive-self-time fold subtracts from the parent.
-    pub fn child_dur_us(&self, idx: usize) -> u64 {
+    /// Exclusive self time of `idx`: its duration minus the summed
+    /// duration of its direct children, saturating at zero. Duplicate-id
+    /// children hang under the first occurrence, so that occurrence is
+    /// the one they are charged to. Returns 0 for an out-of-range index.
+    pub(crate) fn self_us(&self, idx: usize) -> u64 {
         let Some(node) = self.nodes.get(idx) else {
             return 0;
         };
-        node.children
+        let children = node
+            .children
             .iter()
             .filter_map(|c| self.nodes.get(*c))
-            .fold(0u64, |acc, c| acc.saturating_add(c.dur_us))
+            .fold(0u64, |acc, c| acc.saturating_add(c.dur_us));
+        node.dur_us.saturating_sub(children)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flight::FlightRecorder;
-    use crate::trace::TraceContext;
+    use augur_telemetry::{FlightRecorder, TraceContext};
 
     fn tree_events() -> Vec<FlightEvent> {
         let rec = FlightRecorder::new(64);
@@ -208,7 +206,8 @@ mod tests {
             .map(|i| forest.nodes()[i].name.as_str())
             .collect();
         assert_eq!(chain, vec!["run", "a", "leaf"]);
-        assert_eq!(forest.child_dur_us(root), 40);
+        assert_eq!(forest.self_us(root), 60);
+        assert_eq!(forest.self_us(leaf_idx), 10);
     }
 
     #[test]
@@ -227,7 +226,7 @@ mod tests {
         let rec = FlightRecorder::new(8);
         let n = rec.intern("i");
         rec.record_instant(TraceContext::root(1, 3), n, 0, 9);
-        assert!(SpanForest::build(&rec.drain()).is_empty());
+        assert!(SpanForest::build(&rec.drain()).nodes().is_empty());
     }
 
     #[test]

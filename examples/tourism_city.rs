@@ -40,11 +40,11 @@
 //! event log as it ticks, so `--log` writes the session's `/logs` tail.
 
 use augur::core::tourism::{run, TourismParams};
-use augur::profile::{AllocCapture, Profile};
 use augur::telemetry::log::{render_jsonl, EventLog};
 use augur::telemetry::Obs;
 use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder};
 use augur::watch::WatchSession;
+use augur::xray::profile::Profile;
 
 /// The value following `name` in the argument list, if present.
 fn arg_u64(name: &str) -> Option<u64> {
@@ -97,18 +97,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..Obs::default()
         },
     };
-    let allocs = profile_run.then(|| AllocCapture::enter("tourism"));
     let report = run(&params, &obs)?;
-    let alloc_stats = allocs.map(|allocs| allocs.finish(&obs.registry));
     if let Some(session) = &session {
         session.finish();
     }
     if let (true, Some(recorder)) = (trace || profile_run || xray_run, &obs.flight) {
         std::fs::create_dir_all("results")?;
         let events = recorder.drain();
-        if let Some(stats) = alloc_stats {
-            let mut profile = Profile::from_events(&events);
-            profile.attach_alloc(&stats);
+        if profile_run {
+            let profile = Profile::from_events(&events);
             let folded = "results/tourism_city.folded";
             std::fs::write(folded, profile.render_folded())?;
             let speedscope = "results/tourism_city.speedscope.json";

@@ -65,8 +65,6 @@ pub use augur_core as core;
 pub use augur_geo as geo;
 /// Privacy mechanisms and attack evaluations.
 pub use augur_privacy as privacy;
-/// Deterministic profiling: folded stacks, speedscope, allocation accounting.
-pub use augur_profile as profile;
 /// AR presentation: occlusion, layout, frame pacing.
 pub use augur_render as render;
 /// Semantic content model, JSON, interpretation, entity linking.
