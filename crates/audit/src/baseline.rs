@@ -77,11 +77,17 @@ impl Json {
     }
 }
 
-/// Parses a JSON document, returning a readable error on malformed input.
+/// Deepest array/object nesting [`parse_json`] accepts. The reader
+/// recurses once per level, so a bound keeps hostile input from
+/// overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document, returning a readable error on malformed input
+/// (nesting deeper than [`MAX_DEPTH`] included).
 pub fn parse_json(input: &str) -> Result<Json, String> {
     let t: Vec<char> = input.chars().collect();
     let mut i = 0usize;
-    let v = parse_value(&t, &mut i)?;
+    let v = parse_value(&t, &mut i, 0)?;
     skip_ws(&t, &mut i);
     if i != t.len() {
         return Err(format!("trailing content at offset {i}"));
@@ -95,11 +101,15 @@ fn skip_ws(t: &[char], i: &mut usize) {
     }
 }
 
-fn parse_value(t: &[char], i: &mut usize) -> Result<Json, String> {
+/// Parses the value at `i`, nested `depth` arrays/objects deep.
+fn parse_value(t: &[char], i: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(t, i);
     match t.get(*i) {
-        Some('{') => parse_object(t, i),
-        Some('[') => parse_array(t, i),
+        Some('{' | '[') if depth >= MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at offset {i}"))
+        }
+        Some('{') => parse_object(t, i, depth + 1),
+        Some('[') => parse_array(t, i, depth + 1),
         Some('"') => parse_string(t, i).map(Json::Str),
         Some('t') => parse_lit(t, i, "true", Json::Bool(true)),
         Some('f') => parse_lit(t, i, "false", Json::Bool(false)),
@@ -180,7 +190,7 @@ fn parse_string(t: &[char], i: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(t: &[char], i: &mut usize) -> Result<Json, String> {
+fn parse_array(t: &[char], i: &mut usize, depth: usize) -> Result<Json, String> {
     *i += 1; // '['
     let mut items = Vec::new();
     skip_ws(t, i);
@@ -189,7 +199,7 @@ fn parse_array(t: &[char], i: &mut usize) -> Result<Json, String> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(t, i)?);
+        items.push(parse_value(t, i, depth)?);
         skip_ws(t, i);
         match t.get(*i) {
             Some(',') => *i += 1,
@@ -202,7 +212,7 @@ fn parse_array(t: &[char], i: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(t: &[char], i: &mut usize) -> Result<Json, String> {
+fn parse_object(t: &[char], i: &mut usize, depth: usize) -> Result<Json, String> {
     *i += 1; // '{'
     let mut pairs = Vec::new();
     skip_ws(t, i);
@@ -218,7 +228,7 @@ fn parse_object(t: &[char], i: &mut usize) -> Result<Json, String> {
             return Err(format!("expected `:` at offset {i}"));
         }
         *i += 1;
-        let value = parse_value(t, i)?;
+        let value = parse_value(t, i, depth)?;
         pairs.push((key, value));
         skip_ws(t, i);
         match t.get(*i) {

@@ -11,10 +11,12 @@
 //!    edges in a workspace-wide lock-order graph. Any cycle is a potential
 //!    deadlock and is reported on every edge that closes it.
 //! 2. **`no-blocking-hot-path`** — blocking operations (`recv()`, blocking
-//!    `send()`, `thread::sleep`, file I/O) are denied in per-record crates
-//!    ([`crate::scan::PER_RECORD_CRATES`]), directly and one call-index hop
-//!    away: per-record code calling a helper that blocks is flagged at the
-//!    call site.
+//!    `send()`, condvar waits, `thread::sleep`, file I/O) are denied in
+//!    per-record crates ([`crate::scan::PER_RECORD_CRATES`]), directly and
+//!    one call-index hop away: per-record code calling a helper that blocks
+//!    is flagged at the call site. The one sanctioned park is
+//!    [`crate::scan::PARK_EXEMPT`], where a dedicated reader sleeps on an
+//!    empty topic.
 //! 3. **`bounded-channels-only`** — unbounded channels are denied
 //!    workspace-wide (backpressure is load-bearing for ROADMAP item 1),
 //!    and `bounded()` call sites must carry a *named* capacity, not a bare
@@ -39,6 +41,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::baseline::Allowlist;
 use crate::lexer;
 use crate::rules::{FilePolicy, Severity, Violation};
+use crate::scan::PARK_EXEMPT;
 use crate::scope;
 
 /// A `parking_lot` guard acquisition with its conservative lifetime.
@@ -114,7 +117,8 @@ pub struct FileConc {
 
 /// Blocking primitives denied on the per-record path. `try_send` /
 /// `try_recv` are fine (non-blocking); `.send(` matches only the blocking
-/// channel form because the `.` excludes `try_send(`.
+/// channel form because the `.` excludes `try_send(`. Condvar waits
+/// ([`PARKS`]) block too.
 const BLOCKING: [&str; 8] = [
     "thread::sleep",
     ".recv()",
@@ -125,6 +129,9 @@ const BLOCKING: [&str; 8] = [
     "File::create(",
     "OpenOptions::new",
 ];
+
+/// Condvar waits: parking a thread until another wakes it.
+const PARKS: [&str; 3] = [".wait(", ".wait_for(", ".wait_until("];
 
 /// Lock-acquisition method patterns (empty argument lists distinguish
 /// `parking_lot` guards from `io::Write::write(buf)` and friends).
@@ -200,7 +207,7 @@ pub fn collect(rel: &str, src: &str, policy: FilePolicy) -> FileConc {
         }
     }
 
-    for pat in BLOCKING {
+    for pat in BLOCKING.iter().chain(&PARKS) {
         for pos in scope::find_pattern_any(text, pat) {
             let key = fn_index_of(pos);
             per_fn
@@ -428,8 +435,8 @@ pub fn check_workspace(files: &[FileConc], allow: &Allowlist, out: &mut Vec<Viol
                     &f.rel,
                     line,
                     "bounded-channels-only",
-                    "unbounded channel: every queue needs backpressure (ROADMAP item 1); use \
-                     `crossbeam::channel::bounded` with a named capacity constant"
+                    "unbounded channel: every queue needs backpressure; use a bounded \
+                     channel with a named capacity constant"
                         .to_string(),
                 ));
             }
@@ -501,15 +508,19 @@ pub fn check_workspace(files: &[FileConc], allow: &Allowlist, out: &mut Vec<Viol
             continue;
         }
         for fc in &f.fns {
+            let sanctioned_park = (f.rel.as_str(), fc.name.as_str()) == PARK_EXEMPT;
             for (pat, line) in &fc.blocking {
+                if sanctioned_park && PARKS.contains(&pat.as_str()) {
+                    continue;
+                }
                 out.push(violation(
                     &f.rel,
                     *line,
                     "no-blocking-hot-path",
                     format!(
                         "blocking `{pat}` on the per-record hot path: an operator must never \
-                         stall a frame (paper §4); hand blocking work to the pump/exchange \
-                         layer or use the try_ variants"
+                         stall a frame (paper §4); hand blocking work to a thread that owns \
+                         its wait, or use the try_ variants"
                     ),
                 ));
             }
@@ -753,6 +764,30 @@ mod tests {
         assert_eq!(rules_of(&v), vec!["no-blocking-hot-path"]);
         let v = run(&[("crates/render/src/op.rs", blocked)]);
         assert!(v.is_empty(), "render is not per-record: {v:?}");
+    }
+
+    #[test]
+    fn condvar_waits_block_except_at_the_sanctioned_park() {
+        let park = "fn wait_for_append(t: &T) { let mut g = t.wake.lock(); \
+                    t.appended.wait(&mut g); }";
+        let v = run(&[("crates/stream/src/broker.rs", park)]);
+        assert!(v.is_empty(), "the sanctioned park: {v:?}");
+        // The same wait anywhere else in a per-record crate is denied,
+        // and so is any other wait form in another function.
+        let v = run(&[("crates/stream/src/window.rs", park)]);
+        assert_eq!(rules_of(&v), vec!["no-blocking-hot-path"], "{v:?}");
+        let elsewhere = "fn per_record(t: &T) { let mut g = t.wake.lock(); \
+                         t.appended.wait_for(&mut g, d); t.appended.wait_until(&mut g, i); }";
+        let v = run(&[("crates/stream/src/broker.rs", elsewhere)]);
+        assert_eq!(
+            rules_of(&v),
+            vec!["no-blocking-hot-path", "no-blocking-hot-path"],
+            "{v:?}"
+        );
+        // A sleep inside the sanctioned function is still a sleep.
+        let sleepy = "fn wait_for_append() { std::thread::sleep(d); }";
+        let v = run(&[("crates/stream/src/broker.rs", sleepy)]);
+        assert_eq!(rules_of(&v), vec!["no-blocking-hot-path"], "{v:?}");
     }
 
     #[test]

@@ -75,11 +75,13 @@ pub const RULES: [RuleDoc; 19] = [
         "no-blocking-hot-path",
         "No blocking operations on the per-record hot path, directly or one call away.",
         "An AR overlay must degrade gracefully, never stall mid-frame (paper §4). Blocking \
-         primitives — `recv()`, `recv_timeout()`, blocking `send()`, `thread::sleep`, file \
-         I/O — are denied in per-record crate code (crates/stream), and the one-hop call index \
-         extends the check: per-record code calling a helper in another crate that blocks is \
-         flagged at the call site. Use the try_ variants, or hand the blocking work to the \
-         pump/exchange layer that owns the thread budget.",
+         primitives — `recv()`, `recv_timeout()`, blocking `send()`, condvar \
+         `wait`/`wait_for`/`wait_until`, `thread::sleep`, file I/O — are denied in per-record \
+         crate code (crates/stream), and the one-hop call index extends the check: per-record \
+         code calling a helper in another crate that blocks is flagged at the call site. The \
+         one sanctioned park is the broker's `wait_for_append` (`PARK_EXEMPT`), where the \
+         continuous pipeline's own thread sleeps on an empty topic. Use the try_ variants, or \
+         hand the blocking work to a thread that owns its wait.",
     ),
     (
         "no-expect",

@@ -101,6 +101,12 @@ pub const ATOMICS_EXEMPT: [&str; 3] = [
 /// frame).
 pub const PER_RECORD_CRATES: [&str; 1] = ["stream"];
 
+/// The one sanctioned condvar wait in a per-record crate, as (file,
+/// function): the broker's wait-for-append helper, where a dedicated
+/// continuous-pipeline thread sleeps on an empty topic until an append
+/// or a stop wakes it. Every other wait there blocks a record.
+pub const PARK_EXEMPT: (&str, &str) = ("crates/stream/src/broker.rs", "wait_for_append");
+
 /// Result of auditing a tree.
 #[derive(Debug, Default)]
 pub struct Report {

@@ -10,7 +10,7 @@ use crate::scan;
 
 /// A seeded violation fixture: file path (workspace-relative), source, and
 /// the deny rules the scanner must fire on it.
-const FIXTURES: [(&str, &str, &[&str]); 21] = [
+const FIXTURES: [(&str, &str, &[&str]); 22] = [
     (
         "crates/stream/src/bad_cycle_a.rs",
         "pub fn ab(s: &Shared) {\n    let g = s.alpha.lock();\n    let h = s.beta.lock();\n    drop(h);\n    drop(g);\n}\n",
@@ -24,6 +24,11 @@ const FIXTURES: [(&str, &str, &[&str]); 21] = [
     (
         "crates/stream/src/bad_block_op.rs",
         "pub fn op() {\n    std::thread::sleep(std::time::Duration::from_millis(1));\n}\n",
+        &["no-blocking-hot-path"],
+    ),
+    (
+        "crates/stream/src/bad_park.rs",
+        "pub fn per_record(s: &Shared, x: u32) -> u32 {\n    let mut ready = s.ready.lock();\n    s.filled.wait(&mut ready);\n    x\n}\n",
         &["no-blocking-hot-path"],
     ),
     (
@@ -51,9 +56,11 @@ const FIXTURES: [(&str, &str, &[&str]); 21] = [
         "pub fn background() -> std::thread::JoinHandle<()> {\n    std::thread::spawn(|| {})\n}\n",
         &["spawn-confined"],
     ),
+    // The broker's sanctioned park sits beside its unregistered spawn:
+    // only the spawn may be reported (checked in `run_in`).
     (
         "crates/stream/src/broker.rs",
-        "pub fn background_flush<F: FnOnce() + Send + 'static>(f: F) -> std::thread::JoinHandle<()> {\n    std::thread::spawn(f)\n}\n",
+        "pub fn background_flush<F: FnOnce() + Send + 'static>(f: F) -> std::thread::JoinHandle<()> {\n    std::thread::spawn(f)\n}\n\npub fn wait_for_append(t: &Topic, seen: u64) {\n    let mut guard = t.wake.lock();\n    while t.epoch() == seen {\n        t.appended.wait(&mut guard);\n    }\n}\n",
         &["spawn-lane-registered"],
     ),
     (
@@ -337,6 +344,18 @@ fn run_in(root: &Path) -> Result<(), String> {
                  findings: {denials:?}"
             ));
         }
+    }
+
+    // The sanctioned park (`scan::PARK_EXEMPT`) is not a blocking call.
+    let park_denials: Vec<_> = report
+        .denials()
+        .filter(|v| v.file == "crates/stream/src/broker.rs" && v.rule == "no-blocking-hot-path")
+        .collect();
+    if !park_denials.is_empty() {
+        return Err(format!(
+            "self-test: the sanctioned wait-for-append park produced deny findings: \
+             {park_denials:?}"
+        ));
     }
 
     // The one-hop blocking finding must land at the per-record caller, not

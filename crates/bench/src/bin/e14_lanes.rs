@@ -20,8 +20,8 @@
 //!
 //! Part two runs the continuous pipeline with lanes attached through
 //! [`PipelineBuilder::obs`] on the wall clock: printed only (never
-//! written to artifacts), it shows real channel-contention accounting
-//! on the pump/worker lanes.
+//! written to artifacts), it shows its one lane parked on an empty
+//! topic and then busy with a slow sink.
 #![allow(clippy::unwrap_used, clippy::expect_used)] // experiment drivers: setup failure is fatal by design
 
 use std::sync::Arc;
@@ -185,30 +185,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "continuous pipeline on the wall clock (printed only, never gated)",
     );
     // Real-clock demo of the same substrate under the continuous
-    // pipeline: the pump and worker threads register lanes, and a
-    // deliberately slow sink behind a tiny channel makes the pump's
-    // blocked/channel_send time visible. Wall-clock numbers are
-    // nondeterministic, so nothing here is written to artifacts.
+    // pipeline: its one thread registers a lane, parks on the empty
+    // topic (blocked/channel_recv), then works through an append with a
+    // deliberately slow sink. Wall-clock numbers are nondeterministic,
+    // so nothing here is written to artifacts.
     let live = Broker::new();
     live.create_topic("live", 1)?;
-    live.append_batch(
-        "live",
-        (0..sized(2_000, 300) as u64).map(|i| Record::new(i, i.to_le_bytes().to_vec(), i)),
-    )?;
     let live_lanes = Lanes::new(15, 1 << 14);
-    let handle = PipelineBuilder::new(live, "live", |r: &Record| {
+    let handle = PipelineBuilder::new(live.clone(), "live", |r: &Record| {
         r.payload
             .get(0..8)
             .and_then(|b| b.try_into().ok())
             .map(u64::from_le_bytes)
     })
-    .channel_capacity(2)
     .obs(&Obs {
         lanes: Some(live_lanes.clone()),
         ..Obs::default()
     })
     .build()
     .spawn_continuous(|_| std::thread::sleep(std::time::Duration::from_micros(100)))?;
+    std::thread::sleep(std::time::Duration::from_millis(25));
+    live.append_batch(
+        "live",
+        (0..250u64).map(|i| Record::new(i, i.to_le_bytes().to_vec(), i)),
+    )?;
     std::thread::sleep(std::time::Duration::from_millis(50));
     handle.stop();
     let live_merged = live_lanes.merge_drains();
@@ -222,7 +222,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ]);
     }
     println!(
-        "live efficiency {} over {} lanes (wall clock; expect pump blocked on the full channel)",
+        "live efficiency {} over {} lanes (wall clock; expect the lane parked until the append, then busy)",
         f(live_report.measured.parallel_efficiency, 3),
         live_report.measured.lanes,
     );

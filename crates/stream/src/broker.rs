@@ -8,11 +8,12 @@
 //! on this.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use augur_telemetry::log::{EventLog, Level, LogSite, SymId, Value};
 use augur_telemetry::{BlockedSite, Clock, Lane, Obs, Registry, TraceContext};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::error::StreamError;
 use crate::record::{route, Offset, PartitionId, PolledRecord, Record};
@@ -22,9 +23,97 @@ struct Partition {
     records: Vec<Record>,
 }
 
+/// One topic's partition logs plus the append signal readers park on.
+///
+/// Appends bump `epoch` after their records land. A reader that saw
+/// epoch `e` before draining the partitions parks in
+/// [`Topic::wait_for_append`] until the epoch moves past `e`, so an
+/// append that lands mid-drain is never slept through. The epoch and the
+/// waiter count are both `SeqCst`: either the appender sees the parked
+/// reader and notifies it under the wake lock, or the reader sees the
+/// new epoch and does not park.
 #[derive(Debug)]
-struct Topic {
+pub(crate) struct Topic {
     partitions: Vec<RwLock<Partition>>,
+    epoch: AtomicU64,
+    /// Readers inside [`Topic::wait_for_append`]; appends take the wake
+    /// lock only when this is nonzero.
+    waiters: AtomicU64,
+    wake: Mutex<()>,
+    appended: Condvar,
+}
+
+impl Topic {
+    fn new(partitions: u32) -> Topic {
+        Topic {
+            partitions: (0..partitions)
+                .map(|_| RwLock::new(Partition::default()))
+                .collect(),
+            epoch: AtomicU64::new(0),
+            waiters: AtomicU64::new(0),
+            wake: Mutex::new(()),
+            appended: Condvar::new(),
+        }
+    }
+
+    /// Number of partitions.
+    pub(crate) fn partition_count(&self) -> u32 {
+        self.partitions.len() as u32
+    }
+
+    /// The append epoch: it moves after every append lands.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Parks the calling thread until the epoch differs from `seen` or
+    /// `stop` is raised, returning at once if either already holds. The
+    /// one place a stream thread blocks: a dedicated reader with nothing
+    /// to read sleeps here instead of polling.
+    pub(crate) fn wait_for_append(&self, seen: u64, stop: &AtomicBool) {
+        let mut guard = self.wake.lock();
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        while self.epoch.load(Ordering::SeqCst) == seen && !stop.load(Ordering::SeqCst) {
+            self.appended.wait(&mut guard);
+        }
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Wakes every parked reader so it re-checks its condition. A caller
+    /// that raised a reader's stop flag calls this after raising it.
+    pub(crate) fn wake(&self) {
+        let _guard = self.wake.lock();
+        self.appended.notify_all();
+    }
+
+    /// Publishes an append: moves the epoch, then wakes parked readers if
+    /// there are any.
+    fn publish(&self) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.wake();
+        }
+    }
+
+    /// Calls `visit(start, records)` on up to `max` records of
+    /// `partition` from offset `from` (`start` is the first one's offset,
+    /// `from` clamped to the partition's end), borrowed straight from the
+    /// log; `None` if the partition does not exist.
+    ///
+    /// `visit` runs under the partition's read lock: it must not append
+    /// to this topic, or it deadlocks on the write lock.
+    pub(crate) fn visit<R>(
+        &self,
+        partition: u32,
+        from: u64,
+        max: usize,
+        visit: impl FnOnce(u64, &[Record]) -> R,
+    ) -> Option<R> {
+        let p = self.partitions.get(partition as usize)?.read();
+        let start = (from as usize).min(p.records.len());
+        let end = start.saturating_add(max).min(p.records.len());
+        Some(visit(start as u64, &p.records[start..end]))
+    }
 }
 
 /// Per-topic statistics snapshot.
@@ -76,18 +165,11 @@ impl Broker {
         if topics.contains_key(name) {
             return Err(StreamError::TopicExists(name.to_string()));
         }
-        topics.insert(
-            name.to_string(),
-            Arc::new(Topic {
-                partitions: (0..partitions)
-                    .map(|_| RwLock::new(Partition::default()))
-                    .collect(),
-            }),
-        );
+        topics.insert(name.to_string(), Arc::new(Topic::new(partitions)));
         Ok(())
     }
 
-    fn topic(&self, name: &str) -> Result<Arc<Topic>, StreamError> {
+    pub(crate) fn topic(&self, name: &str) -> Result<Arc<Topic>, StreamError> {
         self.inner
             .read()
             .get(name)
@@ -118,9 +200,13 @@ impl Broker {
     ) -> Result<(PartitionId, Offset), StreamError> {
         let t = self.topic(topic)?;
         let pid = route(record.key, t.partitions.len() as u32);
-        let mut p = t.partitions[pid as usize].write();
-        let offset = Offset(p.records.len() as u64);
-        p.records.push(record);
+        let offset = {
+            let mut p = t.partitions[pid as usize].write();
+            let offset = Offset(p.records.len() as u64);
+            p.records.push(record);
+            offset
+        };
+        t.publish();
         Ok((PartitionId(pid), offset))
     }
 
@@ -151,6 +237,9 @@ impl Broker {
                 partition.write().records.extend(batch);
             }
         }
+        if n > 0 {
+            t.publish();
+        }
         Ok(n)
     }
 
@@ -178,13 +267,7 @@ impl Broker {
         })
     }
 
-    /// Calls `visit(start, records)` on up to `max` records of
-    /// `partition` from offset `from` (`start` is the first one's offset,
-    /// `from` clamped to the partition's end), borrowed straight from the
-    /// log, and returns its result. The one partition-slice read path.
-    ///
-    /// `visit` runs under the partition's read lock: it must not append
-    /// to this topic, or it deadlocks on the write lock.
+    /// [`Topic::visit`] by topic name: the one partition-slice read path.
     pub(crate) fn visit<R>(
         &self,
         topic: &str,
@@ -193,18 +276,12 @@ impl Broker {
         max: usize,
         visit: impl FnOnce(u64, &[Record]) -> R,
     ) -> Result<R, StreamError> {
-        let t = self.topic(topic)?;
-        let p = t
-            .partitions
-            .get(partition.0 as usize)
-            .ok_or(StreamError::UnknownPartition {
+        self.topic(topic)?
+            .visit(partition.0, from, max, visit)
+            .ok_or_else(|| StreamError::UnknownPartition {
                 topic: topic.to_string(),
                 partition: partition.0,
-            })?
-            .read();
-        let start = (from as usize).min(p.records.len());
-        let end = start.saturating_add(max).min(p.records.len());
-        Ok(visit(start as u64, &p.records[start..end]))
+            })
     }
 
     /// The end offset (next offset to be written) of a partition.
@@ -223,7 +300,7 @@ impl Broker {
     ///
     /// [`StreamError::UnknownTopic`] if the topic does not exist.
     pub fn partition_count(&self, topic: &str) -> Result<u32, StreamError> {
-        Ok(self.topic(topic)?.partitions.len() as u32)
+        Ok(self.topic(topic)?.partition_count())
     }
 
     /// Statistics snapshot for a topic.

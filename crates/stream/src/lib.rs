@@ -12,8 +12,9 @@
 //! - [`watermark`]: bounded-out-of-orderness event-time watermarks.
 //! - [`window`]: tumbling, sliding, and session window assigners plus a
 //!   keyed windowed aggregator with late-data accounting.
-//! - [`pipeline`]: a threaded dataflow executor (source → operators →
-//!   sink) with bounded channels providing backpressure.
+//! - [`pipeline`]: a dataflow executor (source → operators → sink):
+//!   bounded runs over a topic's contents, or one continuous thread that
+//!   tails the log and parks on the broker's append signal when idle.
 //! - [`checkpoint`]: offset + operator-state snapshots and recovery.
 //!
 //! Absolute throughput differs from a real cluster; the *semantics* —

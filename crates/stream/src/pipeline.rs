@@ -7,9 +7,10 @@
 //!   [`PipelineMetrics`] — the workhorse of the throughput and timeliness
 //!   experiments (E2, E12). Bounded runs support periodic checkpoints and
 //!   crash injection so recovery semantics are testable.
-//! - **Continuous mode** ([`Pipeline::spawn_continuous`]) runs a source
-//!   thread feeding a bounded crossbeam channel (providing backpressure)
-//!   into a worker thread, until the returned [`StopHandle`] stops it.
+//! - **Continuous mode** ([`Pipeline::spawn_continuous`]) runs one thread
+//!   that tails the topic, processes each polled batch and parks on the
+//!   topic's append signal when there is nothing to read, until the
+//!   returned [`StopHandle`] stops it. The log is the only buffer.
 //!
 //! Every run is instrumented through `augur-telemetry`: per-stage spans
 //! (`span_duration_us{span="pipeline/…", topic}`), record/byte counters,
@@ -26,12 +27,11 @@ use std::sync::Arc;
 use augur_telemetry::log::{EventLog, Level, LogSite, SymId, Value};
 use augur_telemetry::sample::Sampler;
 use augur_telemetry::{
-    BlockedSite, Clock, Counter, FlightRecorder, Gauge, Histogram, Lane, LaneBlock, LaneWork,
-    Lanes, LocalHistogram, ManualTime, MonotonicTime, NameId, Obs, TraceContext, Tracer,
+    BlockedSite, Clock, Counter, FlightRecorder, Gauge, Histogram, Lane, LocalHistogram,
+    ManualTime, MonotonicTime, NameId, Obs, TraceContext, Tracer,
 };
-use crossbeam::channel;
 
-use crate::broker::Broker;
+use crate::broker::{Broker, Topic};
 use crate::checkpoint::CheckpointStore;
 use crate::error::StreamError;
 use crate::record::{PartitionId, Record};
@@ -107,7 +107,6 @@ pub struct PipelineBuilder<T> {
     transforms: Vec<Transform<T>>,
     watermark_bound_us: u64,
     poll_batch: usize,
-    channel_capacity: usize,
     arrival_order: bool,
     obs: Obs,
     clock: Clock,
@@ -144,7 +143,6 @@ impl<T: Send + 'static> PipelineBuilder<T> {
             transforms: Vec::new(),
             watermark_bound_us: 1_000_000,
             poll_batch: 1024,
-            channel_capacity: 4096,
             arrival_order: false,
             obs: Obs::default(),
             clock: MonotonicTime::shared(),
@@ -163,18 +161,18 @@ impl<T: Send + 'static> PipelineBuilder<T> {
     ///   per-record events on the *producer's* chain, so a slow frame
     ///   can be traced through the stream layer.
     /// - **log**: run summaries and checkpoint/resume decisions at INFO,
-    ///   late-drop and backpressure decisions at WARN (rate-limited per
-    ///   site). Records carry the *same* span ids as the run's flight
-    ///   spans, so a record's `span_id` finds the span that emitted it.
+    ///   late-drop decisions at WARN (rate-limited). Records carry the
+    ///   *same* span ids as the run's flight spans, so a record's
+    ///   `span_id` finds the span that emitted it.
     /// - **sampler**: every flight-bound context — the per-run context
     ///   and each record's producer context — passes through the policy
     ///   first, so rejected chains record nothing. The verdict is a pure
     ///   function of `(seed, trace_id)`. Log records are never sampled.
-    /// - **lanes**: the continuous-mode source pump and transform worker
-    ///   each register a deterministic [`augur_telemetry::LaneId`] at
-    ///   spawn; time blocked on the bounded channel is recorded as
-    ///   `blocked/…` spans plus lane busy/blocked counters. Bounded runs
-    ///   execute on the caller's thread and are unaffected.
+    /// - **lanes**: the continuous-mode thread registers a deterministic
+    ///   [`augur_telemetry::LaneId`] at spawn. Each processed batch is a
+    ///   `pipeline/process` work span and each park on an empty topic a
+    ///   `blocked/channel_recv` window, plus lane busy/blocked counters.
+    ///   Bounded runs execute on the caller's thread and are unaffected.
     ///
     /// Every emit path is lock-free; a sink left `None` costs nothing.
     pub fn obs(mut self, obs: &Obs) -> Self {
@@ -219,13 +217,6 @@ impl<T: Send + 'static> PipelineBuilder<T> {
     /// Sets the watermark out-of-orderness bound (default 1 s).
     pub fn watermark_bound_us(mut self, bound: u64) -> Self {
         self.watermark_bound_us = bound;
-        self
-    }
-
-    /// Sets the channel capacity for continuous mode (default 4096).
-    /// Smaller capacities apply backpressure sooner.
-    pub fn channel_capacity(mut self, cap: usize) -> Self {
-        self.channel_capacity = cap.max(1);
         self
     }
 
@@ -288,7 +279,6 @@ struct LogWire {
     late_msg: SymId,
     checkpoint_msg: SymId,
     resume_msg: SymId,
-    backpressure_msg: SymId,
     key_records_in: SymId,
     key_records_out: SymId,
     key_late: SymId,
@@ -296,14 +286,12 @@ struct LogWire {
     key_key: SymId,
     key_offset: SymId,
     key_topic: SymId,
-    key_queued: SymId,
     topic_sym: SymId,
     /// Lifecycle records (run summary, checkpoint, resume): unlimited.
     run_site: LogSite,
-    /// Per-record decision records (late drops, backpressure): a storm
-    /// must degrade to a rate-limited sample plus a suppressed count.
+    /// Per-record late-drop records: a storm must degrade to a
+    /// rate-limited sample plus a suppressed count.
     drop_site: LogSite,
-    backpressure_site: LogSite,
 }
 
 impl LogWire {
@@ -313,7 +301,6 @@ impl LogWire {
             late_msg: log.intern("pipeline/late_drop"),
             checkpoint_msg: log.intern("pipeline/checkpoint"),
             resume_msg: log.intern("pipeline/resume"),
-            backpressure_msg: log.intern("pipeline/backpressure"),
             key_records_in: log.intern("records_in"),
             key_records_out: log.intern("records_out"),
             key_late: log.intern("late_dropped"),
@@ -321,11 +308,9 @@ impl LogWire {
             key_key: log.intern("key"),
             key_offset: log.intern("offset"),
             key_topic: log.intern("topic"),
-            key_queued: log.intern("queued"),
             topic_sym: log.intern(topic),
             run_site: LogSite::unlimited(),
             drop_site: LogSite::new(16, 100),
-            backpressure_site: LogSite::new(4, 10),
             log,
         }
     }
@@ -348,9 +333,10 @@ struct Instruments {
     stage_busy_read: Counter,
     stage_busy_transform: Counter,
     stage_busy_window: Counter,
-    /// Continuous-mode channel occupancy: enqueue/dequeue counters, the
-    /// live depth gauge, and the depth-at-enqueue histogram xray merges
-    /// into its queue report.
+    /// Continuous-mode occupancy of the polled batch, the pipeline's one
+    /// in-flight queue: enqueue/dequeue counters, the live depth gauge,
+    /// and the batch-size histogram xray merges into its queue report.
+    /// Each updates once per batch.
     enqueued: Counter,
     dequeued: Counter,
     queue_depth: Gauge,
@@ -536,39 +522,6 @@ impl Instruments {
             p50_latency_us: latency.map_or(0.0, |h| h.quantile(0.50) as f64 / 1_000.0),
             p99_latency_us: latency.map_or(0.0, |h| h.quantile(0.99) as f64 / 1_000.0),
         }
-    }
-}
-
-/// Lane wiring for one continuous-mode thread: the lane handle, the
-/// clock it measures blocked/busy time on, and the pre-interned name
-/// its work spans carry.
-struct LaneIo {
-    lane: Lane,
-    clock: Clock,
-    work_name: NameId,
-}
-
-impl LaneIo {
-    fn register(lanes: &Lanes, lane_name: &str, work_name: &str, clock: &Clock) -> LaneIo {
-        let lane = lanes.register(lane_name);
-        LaneIo {
-            work_name: lane.recorder().intern(work_name),
-            clock: Arc::clone(clock),
-            lane,
-        }
-    }
-
-    /// A work span under the lane root covering one batch/burst.
-    fn work(&self) -> LaneWork {
-        self.lane
-            .work(&self.clock, self.lane.root(), self.work_name)
-    }
-
-    /// A blocked window, parented under `parent` when the wait happens
-    /// inside a work span (so xray attributes it to that stage).
-    fn block(&self, parent: Option<TraceContext>, site: BlockedSite) -> LaneBlock {
-        self.lane
-            .block(&self.clock, parent.unwrap_or(self.lane.root()), site)
     }
 }
 
@@ -788,14 +741,7 @@ impl<T: Send + 'static> Pipeline<T> {
                 if let Some((time, costs)) = &self.inner.modeled {
                     time.advance_micros(costs.transform_us);
                 }
-                let mut v = Some(flow.value);
-                for tr in &mut self.inner.transforms {
-                    v = match v {
-                        Some(x) => tr(x),
-                        None => break,
-                    };
-                }
-                if let Some(x) = v {
+                if let Some(x) = apply(&mut self.inner.transforms, flow.value) {
                     let dt = self.instruments.clock.now_nanos().saturating_sub(t0);
                     run_latency.record(dt);
                     // A record carrying its producer's context gets a
@@ -860,6 +806,9 @@ impl<T: Send + 'static> Pipeline<T> {
                 ))?
                 .0;
             let cp = store.latest()?;
+            if let Some(generator) = &cp.state.generator {
+                wm = generator.clone();
+            }
             agg.restore(cp.state.clone());
             processed_before = *cp
                 .offsets
@@ -921,14 +870,7 @@ impl<T: Send + 'static> Pipeline<T> {
                 if let Some((time, costs)) = &self.inner.modeled {
                     time.advance_micros(costs.window_us);
                 }
-                let mut v = Some(flow.value.clone());
-                for tr in &mut self.inner.transforms {
-                    v = match v {
-                        Some(x) => tr(x),
-                        None => break,
-                    };
-                }
-                if let Some(x) = v {
+                if let Some(x) = apply(&mut self.inner.transforms, flow.value.clone()) {
                     if wm.observe(flow.time_us).is_some() {
                         emitted.extend(agg.advance(wm.current()));
                     }
@@ -980,7 +922,9 @@ impl<T: Send + 'static> Pipeline<T> {
                     if interval > &0 && (i + 1) % interval == 0 {
                         let mut offsets = std::collections::HashMap::new();
                         offsets.insert((self.inner.topic.clone(), u32::MAX), (i + 1) as u64);
-                        store.save(offsets, agg.snapshot());
+                        let mut state = agg.snapshot();
+                        state.generator = Some(wm.clone());
+                        store.save(offsets, state);
                         if let (Some(w), Some(ctx)) = (&self.instruments.log, log_ctx) {
                             w.log.record(
                                 &w.run_site,
@@ -1013,9 +957,17 @@ impl<T: Send + 'static> Pipeline<T> {
         Ok((emitted, metrics))
     }
 
-    /// Spawns continuous execution: a source thread tails the topic and
-    /// feeds a bounded channel (backpressure), a worker thread applies
-    /// the transforms and calls `sink`.
+    /// Spawns continuous execution on one thread, the consumer loop of a
+    /// Kafka client. Each round it reads the topic's append epoch, then
+    /// takes up to `poll_batch` records from every partition in turn,
+    /// decoding them under the partition's read lock and running the
+    /// transforms and `sink` over the batch outside it. A round that
+    /// reads nothing parks the thread until an append moves the epoch
+    /// or the pipeline is stopped, so an idle pipeline costs no CPU.
+    ///
+    /// The `pipeline_queue_*` and `pipeline_{en,de}queued_total` series
+    /// describe the polled batch, the pipeline's only in-flight queue,
+    /// and update once per batch.
     ///
     /// # Errors
     ///
@@ -1024,269 +976,130 @@ impl<T: Send + 'static> Pipeline<T> {
         self,
         mut sink: impl FnMut(T) + Send + 'static,
     ) -> Result<StopHandle, StreamError> {
-        let parts = self.inner.broker.partition_count(&self.inner.topic)?;
+        let topic = self.inner.broker.topic(&self.inner.topic)?;
         let stop = Arc::new(AtomicBool::new(false));
         let processed = Arc::new(AtomicU64::new(0));
-        let (tx, rx) = channel::bounded::<Flow<T>>(self.inner.channel_capacity);
-        let broker = self.inner.broker.clone();
-        let topic = self.inner.topic.clone();
-        let decoder = Arc::clone(&self.inner.decoder);
-        let poll_batch = self.inner.poll_batch;
-        let stop_src = Arc::clone(&stop);
-        let records_in = self.instruments.records_in.clone();
-        let records_out = self.instruments.records_out.clone();
-        let log_wire = self.instruments.log.as_ref().map(Arc::clone);
-        let parent = self.instruments.parent;
-        let sampler = self.instruments.sampler.clone();
-        let clock = Arc::clone(&self.instruments.clock);
-        let channel_capacity = self.inner.channel_capacity;
-        // Channel occupancy accounting: an approximate depth counter
-        // shared by both threads, exported as a gauge plus an enqueue-time
-        // occupancy histogram — the live inputs to xray's queue report.
-        // The worker may dequeue a record before the pump counts it in,
-        // briefly wrapping the counter below zero; the pump's increment
-        // therefore wraps too, landing back on the true depth.
-        let depth = Arc::new(AtomicU64::new(0));
-        let depth_src = Arc::clone(&depth);
-        let depth_worker = Arc::clone(&depth);
-        let enqueued = self.instruments.enqueued.clone();
-        let dequeued = self.instruments.dequeued.clone();
-        let queue_depth_src = self.instruments.queue_depth.clone();
-        let queue_depth_worker = self.instruments.queue_depth.clone();
-        let queue_occupancy = self.instruments.queue_occupancy.clone();
-        // Lane registration happens here, on the *spawning* thread, so
-        // lane ids are assigned in program order (pump then worker) no
-        // matter how the OS schedules the threads.
-        let pump_io = self.inner.obs.lanes.as_ref().map(|l| {
-            LaneIo::register(
-                l,
-                &format!("{}/pump", self.inner.topic),
-                "pipeline/pump",
-                &clock,
-            )
+        // Registered here, on the spawning thread, so the lane id follows
+        // program order however the OS schedules the thread.
+        let lane: Option<(Lane, NameId)> = self.inner.obs.lanes.as_ref().map(|l| {
+            let lane = l.register(&format!("{}/pipeline", self.inner.topic));
+            let work = lane.recorder().intern("pipeline/process");
+            (lane, work)
         });
-        let worker_io = self.inner.obs.lanes.as_ref().map(|l| {
-            LaneIo::register(
-                l,
-                &format!("{}/worker", self.inner.topic),
-                "pipeline/process",
-                &clock,
-            )
-        });
-        let source = std::thread::spawn(move || {
-            let mut offsets = vec![0u64; parts as usize];
-            while !stop_src.load(Ordering::Acquire) {
-                let mut idle = true;
-                for p in 0..parts {
-                    let batch = match broker.poll(
-                        &topic,
-                        PartitionId(p),
-                        offsets[p as usize],
-                        poll_batch,
-                    ) {
-                        Ok(b) => b,
-                        Err(_) => return,
-                    };
-                    if let Some(last) = batch.last() {
-                        offsets[p as usize] = last.offset.0 + 1;
+        let Pipeline {
+            inner:
+                PipelineBuilder {
+                    decoder,
+                    mut transforms,
+                    poll_batch,
+                    ..
+                },
+            instruments: ins,
+        } = self;
+        let thread = {
+            let (topic, stop, processed) = (
+                Arc::clone(&topic),
+                Arc::clone(&stop),
+                Arc::clone(&processed),
+            );
+            std::thread::spawn(move || {
+                let mut offsets = vec![0u64; topic.partition_count() as usize];
+                let mut batch: Vec<Flow<T>> = Vec::with_capacity(poll_batch);
+                while !stop.load(Ordering::SeqCst) {
+                    let seen = topic.epoch();
+                    let mut idle = true;
+                    for (p, offset) in (0..).zip(&mut offsets) {
+                        let read = topic
+                            .visit(p, *offset, poll_batch, |_, records| {
+                                batch.extend(records.iter().filter_map(|r| {
+                                    let value = decoder(r)?;
+                                    Some(Flow {
+                                        key: r.key,
+                                        time_us: r.event_time_us,
+                                        trace: r.trace.map(|c| ins.sample_ctx(c)),
+                                        value,
+                                    })
+                                }));
+                                records.len()
+                            })
+                            .unwrap_or(0);
+                        if read == 0 {
+                            continue;
+                        }
                         idle = false;
-                    }
-                    // One pump work span per non-empty batch; send waits
-                    // nest under it so xray charges them to the pump.
-                    let batch_work = if batch.is_empty() {
-                        None
-                    } else {
-                        pump_io.as_ref().map(LaneIo::work)
-                    };
-                    for pr in batch {
-                        records_in.inc();
-                        if let Some(v) = decoder(&pr.record) {
-                            let flow = Flow {
-                                key: pr.record.key,
-                                time_us: pr.record.event_time_us,
-                                trace: pr
-                                    .record
-                                    .trace
-                                    .map(|c| sampler.as_ref().map_or(c, |s| s.apply(c))),
-                                value: v,
-                            };
-                            // Try fast first: a full channel is the
-                            // backpressure *decision*, logged (rate-
-                            // limited) before spinning on the non-blocking
-                            // send that applies it. The pump never takes a
-                            // blocking call: backpressure is a yield loop
-                            // that keeps honouring the stop flag.
-                            match tx.try_send(flow) {
-                                Ok(()) => {
-                                    enqueued.inc();
-                                    let d =
-                                        depth_src.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-                                    queue_occupancy.record(d);
-                                    queue_depth_src.set_u64(d);
-                                }
-                                Err(channel::TrySendError::Full(full)) => {
-                                    if let Some(w) = &log_wire {
-                                        w.log.record(
-                                            &w.backpressure_site,
-                                            Level::Warn,
-                                            parent.child_named("pipeline/backpressure"),
-                                            w.backpressure_msg,
-                                            clock.now_micros(),
-                                            &[
-                                                (w.key_topic, Value::Sym(w.topic_sym)),
-                                                (w.key_queued, Value::U64(channel_capacity as u64)),
-                                            ],
-                                        );
-                                    }
-                                    // The spin itself is the measured
-                                    // blocked window: it ends the moment
-                                    // the send succeeds (or the pump
-                                    // gives up on stop/disconnect).
-                                    let _blocked = pump_io.as_ref().map(|io| {
-                                        io.block(
-                                            batch_work.as_ref().map(LaneWork::ctx),
-                                            BlockedSite::ChannelSend,
-                                        )
-                                    });
-                                    let mut flow = full;
-                                    loop {
-                                        if stop_src.load(Ordering::Acquire) {
-                                            return;
-                                        }
-                                        match tx.try_send(flow) {
-                                            Ok(()) => {
-                                                enqueued.inc();
-                                                let d = depth_src
-                                                    .fetch_add(1, Ordering::Relaxed)
-                                                    .wrapping_add(1);
-                                                queue_occupancy.record(d);
-                                                queue_depth_src.set_u64(d);
-                                                break;
-                                            }
-                                            Err(channel::TrySendError::Full(f)) => {
-                                                flow = f;
-                                                std::thread::yield_now();
-                                            }
-                                            Err(channel::TrySendError::Disconnected(_)) => return,
-                                        }
-                                    }
-                                }
-                                Err(channel::TrySendError::Disconnected(_)) => return,
+                        *offset += read as u64;
+                        let _work = lane
+                            .as_ref()
+                            .map(|(l, work)| l.work(&ins.clock, l.root(), *work));
+                        let queued = batch.len() as u64;
+                        ins.records_in.add(read as u64);
+                        ins.enqueued.add(queued);
+                        ins.queue_occupancy.record(queued);
+                        ins.queue_depth.set_u64(queued);
+                        let mut out = 0;
+                        for flow in batch.drain(..) {
+                            if let Some(x) = apply(&mut transforms, flow.value) {
+                                sink(x);
+                                out += 1;
                             }
                         }
+                        ins.dequeued.add(queued);
+                        ins.queue_depth.set_u64(0);
+                        ins.records_out.add(out);
+                        processed.fetch_add(out, Ordering::Relaxed);
+                    }
+                    if idle {
+                        let _parked = lane
+                            .as_ref()
+                            .map(|(l, _)| l.block(&ins.clock, l.root(), BlockedSite::ChannelRecv));
+                        topic.wait_for_append(seen, &stop);
                     }
                 }
-                if idle {
-                    // An empty poll round parks with a scheduler yield —
-                    // not a sleep — so the pump stays blocking-free and
-                    // reacts to new records and to stop immediately.
-                    std::thread::yield_now();
-                }
-            }
-        });
-        let mut transforms = self.inner.transforms;
-        // An idle worker spins in place when the host has a core to
-        // spare. Yielding hands the core to a pump that shares it, and
-        // two threads trading one core keep each other cache-hot, so the
-        // scheduler never moves either away: the pipeline would run on
-        // one core or on two depending on where its threads started, and
-        // its CPU cost and latency would change from run to run. On a
-        // single core the worker must yield, or the pump would wait out
-        // the worker's whole time slice for every record.
-        let spin_in_place = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-        let stop_worker = Arc::clone(&stop);
-        let processed_worker = Arc::clone(&processed);
-        let worker = std::thread::spawn(move || {
-            // The worker alternates between a busy burst (one work span
-            // covering consecutive records) and a blocked window on the
-            // empty channel — together they cover the lane's timeline.
-            let mut burst: Option<LaneWork> = None;
-            let mut waiting: Option<LaneBlock> = None;
-            loop {
-                match rx.try_recv() {
-                    Ok(flow) => {
-                        waiting = None;
-                        if burst.is_none() {
-                            burst = worker_io.as_ref().map(LaneIo::work);
-                        }
-                        dequeued.inc();
-                        let d = depth_worker
-                            .fetch_sub(1, Ordering::Relaxed)
-                            .saturating_sub(1);
-                        queue_depth_worker.set_u64(d);
-                        let mut v = Some(flow.value);
-                        for tr in &mut transforms {
-                            v = match v {
-                                Some(x) => tr(x),
-                                None => break,
-                            };
-                        }
-                        if let Some(x) = v {
-                            sink(x);
-                            records_out.inc();
-                            processed_worker.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    Err(channel::TryRecvError::Empty) => {
-                        burst = None;
-                        // Drained: stop only once the queue is empty, so a
-                        // stop signal never abandons accepted records.
-                        if stop_worker.load(Ordering::Acquire) {
-                            break;
-                        }
-                        if waiting.is_none() {
-                            waiting = worker_io
-                                .as_ref()
-                                .map(|io| io.block(None, BlockedSite::ChannelRecv));
-                        }
-                        if spin_in_place {
-                            std::hint::spin_loop();
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                    Err(channel::TryRecvError::Disconnected) => break,
-                }
-            }
-            drop(waiting);
-            drop(burst);
-        });
+            })
+        };
         Ok(StopHandle {
             stop,
             processed,
-            handles: vec![source, worker],
+            topic,
+            thread: Some(thread),
         })
     }
 }
 
-/// Controls a continuously running pipeline.
+/// Runs `value` through `transforms` in order; `None` once one drops it.
+fn apply<T>(transforms: &mut [Transform<T>], value: T) -> Option<T> {
+    transforms.iter_mut().try_fold(value, |v, tr| tr(v))
+}
+
+/// Controls a continuously running pipeline. Dropping it stops the
+/// pipeline as [`StopHandle::stop`] does.
 #[derive(Debug)]
 pub struct StopHandle {
     stop: Arc<AtomicBool>,
     processed: Arc<AtomicU64>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    topic: Arc<Topic>,
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl StopHandle {
-    /// Records processed by the worker so far.
+    /// Records delivered to the sink so far.
     pub fn processed(&self) -> u64 {
         self.processed.load(Ordering::Relaxed)
     }
 
-    /// Signals stop and joins the threads.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Release);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+    /// Signals stop, wakes the thread if it is parked, and joins it. A
+    /// batch already polled is delivered in full first.
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
 impl Drop for StopHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        self.stop.store(true, Ordering::SeqCst);
+        self.topic.wake();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
@@ -1296,6 +1109,7 @@ mod tests {
     use super::*;
     use crate::window::{CountAggregation, TumblingWindows};
     use augur_telemetry::log::{FieldValue, LogRecord};
+    use augur_telemetry::Lanes;
     use std::time::Instant;
 
     fn setup(partitions: u32, n: u64) -> Broker {
@@ -1841,83 +1655,159 @@ mod tests {
         assert_eq!(got.len(), 500);
     }
 
+    /// Waits up to `secs` seconds for `done`, yielding between checks.
+    fn wait_until(secs: u64, mut done: impl FnMut() -> bool) -> bool {
+        let deadline = Instant::now() + std::time::Duration::from_secs(secs);
+        while !done() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
     #[test]
-    fn continuous_mode_registers_lanes_and_measures_contention() {
+    fn continuous_mode_delivers_concurrent_appends_exactly_once() {
+        const PRODUCERS: u64 = 4;
+        const EACH: u64 = 2_000;
+        let b = Broker::new();
+        b.create_topic("live", 3).unwrap();
+        let obs = Obs::default();
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let sink_seen = Arc::clone(&seen);
+        let handle = PipelineBuilder::new(b.clone(), "live", decode)
+            .obs(&obs)
+            .build()
+            .spawn_continuous(move |v| sink_seen.lock().push(v))
+            .unwrap();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|t| {
+                let b = b.clone();
+                std::thread::spawn(move || {
+                    for i in 0..EACH {
+                        let v = t * 1_000_000 + i;
+                        let r = Record::new(v, v.to_le_bytes().to_vec(), i);
+                        // Half the producers go through `append`, half
+                        // through `append_batch`: both signal the reader.
+                        if t % 2 == 0 {
+                            b.append("live", r).unwrap();
+                        } else {
+                            b.append_batch("live", [r]).unwrap();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
+        }
+        let total = PRODUCERS * EACH;
+        assert!(wait_until(10, || handle.processed() == total));
+        handle.stop();
+        let mut got = seen.lock().clone();
+        got.sort_unstable();
+        let want: Vec<u64> = (0..PRODUCERS)
+            .flat_map(|t| (0..EACH).map(move |i| t * 1_000_000 + i))
+            .collect();
+        assert_eq!(got, want, "every record exactly once");
+        let counter = |name: &str| {
+            obs.registry
+                .counter_labeled(name, &[("topic", "live")])
+                .get()
+        };
+        assert_eq!(counter("pipeline_records_in_total"), total);
+        assert_eq!(counter("pipeline_records_out_total"), total);
+        assert_eq!(counter("pipeline_enqueued_total"), total);
+        assert_eq!(counter("pipeline_dequeued_total"), total);
+        let depth = obs
+            .registry
+            .gauge_labeled("pipeline_queue_depth", &[("topic", "live")]);
+        assert_eq!(depth.get(), 0.0, "nothing in flight at quiescence");
+    }
+
+    #[test]
+    fn continuous_mode_wakes_for_every_single_append() {
+        let b = Broker::new();
+        b.create_topic("live", 2).unwrap();
+        let handle = PipelineBuilder::new(b.clone(), "live", decode)
+            .build()
+            .spawn_continuous(|v| {
+                std::hint::black_box(v);
+            })
+            .unwrap();
+        // Each round appends one record to a parked pipeline and waits
+        // for it: a lost wake-up leaves the record undelivered.
+        for i in 0..2_000u64 {
+            let r = Record::new(i, i.to_le_bytes().to_vec(), i);
+            if i % 2 == 0 {
+                b.append("live", r).unwrap();
+            } else {
+                b.append_batch("live", [r]).unwrap();
+            }
+            assert!(
+                wait_until(5, || handle.processed() == i + 1),
+                "round {i}: the append never woke the pipeline"
+            );
+        }
+        handle.stop();
+    }
+
+    #[test]
+    fn continuous_mode_stop_joins_a_parked_pipeline_promptly() {
         let b = Broker::new();
         b.create_topic("live", 1).unwrap();
+        let handle = PipelineBuilder::new(b, "live", decode)
+            .build()
+            .spawn_continuous(|_| {})
+            .unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        // Stop from another thread, so a missed wake-up fails the test
+        // instead of hanging it.
+        let (done, joined) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            handle.stop();
+            done.send(()).unwrap();
+        });
+        assert!(joined
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .is_ok());
+    }
+
+    #[test]
+    fn continuous_mode_lane_records_work_and_parked_windows() {
+        let b = Broker::new();
+        b.create_topic("live", 1).unwrap();
+        let lanes = Lanes::new(5, 4096);
+        let handle = PipelineBuilder::new(b.clone(), "live", decode)
+            .obs(&Obs {
+                lanes: Some(lanes.clone()),
+                ..Obs::default()
+            })
+            .build()
+            .spawn_continuous(|_| std::thread::sleep(std::time::Duration::from_micros(100)))
+            .unwrap();
+        // Parked on the empty topic, then busy with a slow sink.
+        std::thread::sleep(std::time::Duration::from_millis(20));
         b.append_batch(
             "live",
             (0..100u64).map(|i| Record::new(i, i.to_le_bytes().to_vec(), i)),
         )
         .unwrap();
-        let lanes = Lanes::new(5, 4096);
-        let p = PipelineBuilder::new(b, "live", decode)
-            .channel_capacity(2)
-            .obs(&Obs {
-                lanes: Some(lanes.clone()),
-                ..Obs::default()
-            })
-            .build();
-        // A slow sink keeps the 2-slot channel full, so the pump must
-        // spend measurable time blocked on send.
-        let handle = p
-            .spawn_continuous(|_| std::thread::sleep(std::time::Duration::from_micros(300)))
-            .unwrap();
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while handle.processed() < 100 && Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
+        assert!(wait_until(5, || handle.processed() == 100));
         handle.stop();
-        assert_eq!(lanes.len(), 2, "pump + worker lanes");
+        assert_eq!(lanes.len(), 1, "one pipeline thread, one lane");
         let merged = lanes.merge_drains();
-        assert_eq!(merged.lanes[0].name, "live/pump");
-        assert_eq!(merged.lanes[1].name, "live/worker");
+        assert_eq!(merged.lanes[0].name, "live/pipeline");
         assert!(merged.events.iter().all(|e| e.lane.is_worker()));
         let names: std::collections::HashSet<&str> =
             merged.events.iter().map(|e| e.name.as_str()).collect();
-        assert!(names.contains("pipeline/pump"));
-        assert!(names.contains("pipeline/process"));
-        assert!(
-            names.contains("blocked/channel_send"),
-            "pump must record send backpressure: {names:?}"
-        );
-        assert!(merged.lanes[0].blocked_us > 0);
-        assert!(merged.lanes[1].busy_us > 0);
-        for l in &merged.lanes {
-            assert_eq!(
-                l.drained + l.dropped,
-                l.total,
-                "lane {} loss accounting",
-                l.id
-            );
-        }
-    }
-
-    #[test]
-    fn backpressure_small_channel_still_delivers_everything() {
-        let b = Broker::new();
-        b.create_topic("bp", 1).unwrap();
-        b.append_batch(
-            "bp",
-            (0..2_000u64).map(|i| Record::new(i, i.to_le_bytes().to_vec(), i)),
-        )
-        .unwrap();
-        let count = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&count);
-        let p = PipelineBuilder::new(b, "bp", decode)
-            .channel_capacity(8)
-            .build();
-        let handle = p
-            .spawn_continuous(move |_| {
-                c.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while count.load(Ordering::Relaxed) < 2_000 && Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        handle.stop();
-        assert_eq!(count.load(Ordering::Relaxed), 2_000);
+        assert!(names.contains("pipeline/process"), "{names:?}");
+        assert!(names.contains("blocked/channel_recv"), "{names:?}");
+        let lane = &merged.lanes[0];
+        assert!(lane.busy_us >= 10_000, "100 sink calls of 100 µs: {lane:?}");
+        assert!(lane.blocked_us >= 10_000, "parked for 20 ms: {lane:?}");
+        assert_eq!(lane.drained + lane.dropped, lane.total, "loss accounting");
     }
 
     #[test]

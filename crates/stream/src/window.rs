@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::watermark::Watermark;
+use crate::watermark::{BoundedOutOfOrderness, Watermark};
 
 /// A half-open event-time window `[start_us, end_us)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -448,6 +448,7 @@ where
             state: self.state.clone().into_iter().collect(),
             emitted_watermark: self.emitted_watermark,
             late_dropped: self.late_dropped,
+            generator: None,
         }
     }
 
@@ -478,6 +479,10 @@ pub struct WindowState<Acc> {
     state: Vec<((u64, u64, u64), Acc)>,
     emitted_watermark: Watermark,
     late_dropped: u64,
+    /// The pipeline's watermark generator at the checkpoint, so a resumed
+    /// run measures lateness against the watermark the interrupted run
+    /// had rather than one that starts over from zero.
+    pub(crate) generator: Option<BoundedOutOfOrderness>,
 }
 
 #[cfg(test)]

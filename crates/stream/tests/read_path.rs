@@ -9,7 +9,7 @@
 //! - Crash and resume: a run killed at a random record after at least
 //!   one checkpoint, resumed from its last checkpoint, emits exactly
 //!   what the uninterrupted run emits, in both event-time and arrival
-//!   order.
+//!   order, and records the same watermark lateness.
 //! - Registry pins: after a run, every total, bucket, min and max the
 //!   pipeline left in the registry equals what recording each record
 //!   into a fresh `Counter` / `Histogram` leaves.
@@ -247,13 +247,18 @@ proptest! {
         let interval = 1 + interval_pick % (n - 1);
         let crash_at = interval + crash_pick % (n - interval);
         let assigner = SlidingWindows::new(2_000, 1_000);
-        let build = || {
+        let build_into = |obs: &Obs| {
             PipelineBuilder::new(broker.clone(), TOPIC, decode)
                 .watermark_bound_us(bound_us)
                 .arrival_order(arrival)
+                .obs(obs)
                 .build()
         };
-        let (whole, _) = build().run_windowed(assigner, Values, None, None, false).unwrap();
+        let build = || build_into(&Obs::default());
+        let whole_obs = Obs::default();
+        let (whole, _) = build_into(&whole_obs)
+            .run_windowed(assigner, Values, None, None, false)
+            .unwrap();
 
         let store: CheckpointStore<WindowState<Vec<u64>>> = CheckpointStore::new(4);
         let (partial, m) = build()
@@ -263,17 +268,24 @@ proptest! {
         // Output the crashed run emitted before its last checkpoint is
         // committed; what it emitted after is replayed on resume.
         let checkpoint = crash_at / interval * interval;
-        let (committed, _) = build()
+        // The committed prefix and the resumed rest report into one
+        // registry, which then holds what the whole run recorded.
+        let split_obs = Obs::default();
+        let (committed, _) = build_into(&split_obs)
             .run_windowed(assigner, Values, None, Some(checkpoint), false)
             .unwrap();
         prop_assert!(partial.starts_with(&committed));
-        let (rest, m) = build()
+        let (rest, m) = build_into(&split_obs)
             .run_windowed(assigner, Values, Some((&store, interval)), None, true)
             .unwrap();
         prop_assert_eq!(m.records_in, (n - checkpoint) as u64);
         let mut resumed = committed;
         resumed.extend(rest);
         prop_assert_eq!(panes(resumed), panes(whole));
+        let lateness = |obs: &Obs| histogram(&obs.registry, "watermark_lateness_us");
+        let (got, want) = (lateness(&split_obs), lateness(&whole_obs));
+        prop_assert_eq!(got.snapshot(), want.snapshot());
+        prop_assert_eq!(got.nonzero_buckets(), want.nonzero_buckets());
     }
 }
 

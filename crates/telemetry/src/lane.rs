@@ -90,7 +90,8 @@ impl std::fmt::Display for LaneId {
 pub enum BlockedSite {
     /// Waiting for space in a bounded channel (backpressure).
     ChannelSend,
-    /// Waiting for data on an empty channel.
+    /// Waiting for data on an empty channel, or parked on an empty
+    /// stream topic until an append arrives.
     ChannelRecv,
     /// Waiting on the broker's consumer-group commit lock.
     CommitLock,

@@ -117,7 +117,6 @@ fn continuous_pipeline_stops_cleanly_under_load() {
     let p = PipelineBuilder::new(broker, "t", |r| {
         r.payload.as_ref().try_into().ok().map(u64::from_le_bytes)
     })
-    .channel_capacity(16)
     .build();
     let handle = p
         .spawn_continuous(|v| {
