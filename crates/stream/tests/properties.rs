@@ -1,11 +1,208 @@
 //! Property-based tests for the stream substrate.
 
-use augur_stream::window::CountAggregation;
+use augur_stream::window::{Aggregation, CountAggregation};
 use augur_stream::{
     BoundedOutOfOrderness, Broker, PartitionId, Record, SessionWindows, SlidingWindows,
-    TumblingWindows, Watermark, WatermarkGenerator, WindowAssigner, WindowedAggregator,
+    TumblingWindows, Watermark, WatermarkGenerator, WindowAssigner, WindowResult,
+    WindowedAggregator,
 };
 use proptest::prelude::*;
+
+/// Keeps every value in fold order, so a result pins which records a
+/// window folded and in what order sessions merged.
+struct Values;
+
+impl Aggregation<u64> for Values {
+    type Acc = Vec<u64>;
+    fn init(&self) -> Vec<u64> {
+        Vec::new()
+    }
+    fn fold(&self, acc: &mut Vec<u64>, item: &u64) {
+        acc.push(*item);
+    }
+    fn merge(&self, mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
+        a.extend(b);
+        a
+    }
+}
+
+/// A window as `((end, key, start), values)`, the order results fire in.
+type Pane = ((u64, u64, u64), Vec<u64>);
+
+fn panes(results: Vec<WindowResult<Vec<u64>>>) -> Vec<Pane> {
+    results
+        .into_iter()
+        .map(|r| ((r.window.end_us, r.key, r.window.start_us), r.value))
+        .collect()
+}
+
+/// How the naive model assigns windows.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Panes of `size` every `slide` (tumbling when they are equal).
+    Panes { size: u64, slide: u64 },
+    /// Sessions closing after `gap` of inactivity.
+    Sessions { gap: u64 },
+}
+
+/// The aggregator's contract as a plain list of open windows: a record
+/// is late when every window it belongs to ends at or before the
+/// watermark; otherwise it is folded into each of its windows that is
+/// still open. A session record opens `[t, t + gap)` and absorbs, by
+/// brute force until nothing changes, every open session of its key
+/// that overlaps or touches it, its own value first and then theirs in
+/// start order. An advance fires every window ending at or before the
+/// new watermark, sorted by (end, key, start).
+struct Model {
+    shape: Shape,
+    open: Vec<Pane>,
+    watermark: u64,
+    late: u64,
+}
+
+impl Model {
+    fn offer(&mut self, key: u64, t: u64, v: u64) -> bool {
+        match self.shape {
+            Shape::Panes { size, slide } => {
+                let starts: Vec<u64> = (0..=t)
+                    .step_by(slide as usize)
+                    .filter(|s| s + size > t)
+                    .collect();
+                if starts.iter().all(|s| s + size <= self.watermark) {
+                    self.late += 1;
+                    return false;
+                }
+                for s in starts.into_iter().filter(|s| s + size > self.watermark) {
+                    let id = (s + size, key, s);
+                    match self.open.iter_mut().find(|(p, _)| *p == id) {
+                        Some((_, values)) => values.push(v),
+                        None => self.open.push((id, vec![v])),
+                    }
+                }
+            }
+            Shape::Sessions { gap } => {
+                if t + gap <= self.watermark {
+                    self.late += 1;
+                    return false;
+                }
+                let (mut start, mut end) = (t, t + gap);
+                let mut absorbed: Vec<Pane> = Vec::new();
+                while let Some(i) = self
+                    .open
+                    .iter()
+                    .position(|((e, k, s), _)| *k == key && *s <= end && start <= *e)
+                {
+                    let pane = self.open.swap_remove(i);
+                    let (e, _, s) = pane.0;
+                    start = start.min(s);
+                    end = end.max(e);
+                    absorbed.push(pane);
+                }
+                absorbed.sort_by_key(|((_, _, s), _)| *s);
+                let mut values = vec![v];
+                values.extend(absorbed.into_iter().flat_map(|(_, vs)| vs));
+                self.open.push(((end, key, start), values));
+            }
+        }
+        true
+    }
+
+    fn fire(&mut self, upto: u64) -> Vec<Pane> {
+        let (mut fired, open): (Vec<Pane>, Vec<Pane>) = self
+            .open
+            .drain(..)
+            .partition(|((end, _, _), _)| *end <= upto);
+        self.open = open;
+        fired.sort_by_key(|(id, _)| *id);
+        fired
+    }
+
+    fn advance(&mut self, watermark: u64) -> Vec<Pane> {
+        if watermark <= self.watermark {
+            return Vec::new();
+        }
+        self.watermark = watermark;
+        self.fire(watermark)
+    }
+}
+
+/// One step driven into both the aggregator and the model.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Offer a record of `key` at event time `t`.
+    Offer { key: u64, t: u64 },
+    /// Advance the watermark to `to`.
+    Advance { to: u64 },
+    /// Snapshot the aggregator and continue on a fresh one restored
+    /// from that snapshot.
+    Restore,
+}
+
+/// Random interleavings over `keys` keys: event times drift forward
+/// about 40 µs a step and stray up to 1.5 ms either way, and watermarks
+/// trail the drift by up to 1 ms, so records run late and windows fire
+/// mid-stream.
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    (
+        1u64..=6,
+        prop::collection::vec((0u8..12, 0u64..6, 0u64..3_000), 0..250),
+    )
+        .prop_map(|(keys, raw)| {
+            raw.into_iter()
+                .enumerate()
+                .map(|(i, (kind, key, jitter))| {
+                    let base = 1_500 + i as u64 * 40;
+                    match kind {
+                        0..=7 => Op::Offer {
+                            key: key % keys,
+                            t: base + jitter - 1_500,
+                        },
+                        8..=10 => Op::Advance {
+                            to: base.saturating_sub(jitter / 3),
+                        },
+                        _ => Op::Restore,
+                    }
+                })
+                .collect()
+        })
+}
+
+/// Drives `ops` into a fresh aggregator and the model, comparing the
+/// emitted windows, the late count and the live-window count after each
+/// step and the flushed remainder at the end.
+fn check_against_model<W: WindowAssigner + Copy>(assigner: W, shape: Shape, ops: &[Op]) {
+    let mut agg = WindowedAggregator::new(assigner, Values);
+    let mut model = Model {
+        shape,
+        open: Vec::new(),
+        watermark: 0,
+        late: 0,
+    };
+    for (v, &op) in (0u64..).zip(ops) {
+        match op {
+            Op::Offer { key, t } => {
+                prop_assert_eq!(agg.offer(key, t, &v), model.offer(key, t, v), "{:?}", op);
+            }
+            Op::Advance { to } => {
+                prop_assert_eq!(
+                    panes(agg.advance(Watermark(to))),
+                    model.advance(to),
+                    "{:?}",
+                    op
+                );
+            }
+            Op::Restore => {
+                let snap = agg.snapshot();
+                agg = WindowedAggregator::new(assigner, Values);
+                agg.restore(snap);
+            }
+        }
+        prop_assert_eq!(agg.late_dropped(), model.late);
+        prop_assert_eq!(agg.live_windows(), model.open.len());
+    }
+    prop_assert_eq!(panes(agg.flush()), model.fire(u64::MAX));
+    prop_assert_eq!(agg.live_windows(), 0);
+}
 
 proptest! {
     #[test]
@@ -166,5 +363,27 @@ proptest! {
         };
         prop_assert_eq!(emitted + pre_fired, counted);
         prop_assert_eq!(counted + agg.late_dropped(), times.len() as u64);
+    }
+
+    #[test]
+    fn tumbling_aggregator_matches_the_model(ops in ops(), slots in 1u64..6) {
+        let size = slots * 500;
+        check_against_model(
+            TumblingWindows::new(size),
+            Shape::Panes { size, slide: size },
+            &ops,
+        );
+    }
+
+    #[test]
+    fn sliding_aggregator_matches_the_model(ops in ops(), slots in 1u64..6, shift in 0u32..3) {
+        let size = slots * 500;
+        let slide = size >> shift;
+        check_against_model(SlidingWindows::new(size, slide), Shape::Panes { size, slide }, &ops);
+    }
+
+    #[test]
+    fn session_aggregator_matches_the_model(ops in ops(), gap in 50u64..1_500) {
+        check_against_model(SessionWindows::new(gap), Shape::Sessions { gap }, &ops);
     }
 }

@@ -73,7 +73,11 @@ fn run<W: WindowAssigner + Copy>(assigner: W) -> (u64, u64) {
     for (i, (key, t, v)) in events().into_iter().enumerate() {
         if i == 300 {
             let snap = agg.snapshot();
-            snap_text = format!("{snap:?} live={} late={}", agg.live_windows(), agg.late_dropped());
+            snap_text = format!(
+                "{snap:?} live={} late={}",
+                agg.live_windows(),
+                agg.late_dropped()
+            );
             agg = WindowedAggregator::new(assigner, Values);
             agg.restore(snap);
             assert!(!agg.offer(2, t.saturating_sub(40_000), &9_999));
