@@ -638,6 +638,35 @@ fn permute<T>(flows: &mut Flows<T>, mut order: Vec<usize>) {
     }
 }
 
+/// The visit order that stably sorts `flows` by event time. It sorts
+/// compact keys, never the flows: one word per flow, the time above the
+/// least one and the arrival index below it, so the index breaks ties.
+/// A read whose time span leaves too few bits for the index sorts
+/// `(time, index)` pairs instead; both give the same order.
+fn event_time_order<T>(flows: &Flows<T>) -> Vec<usize> {
+    let (min, max) = flows.iter().fold((u64::MAX, 0), |(lo, hi), f| {
+        (lo.min(f.time_us), hi.max(f.time_us))
+    });
+    let idx_bits = u64::BITS - (flows.len() as u64).saturating_sub(1).leading_zeros();
+    let span = max.saturating_sub(min);
+    if span.checked_shr(u64::BITS - idx_bits).unwrap_or(0) != 0 {
+        let mut keys: Vec<(u64, usize)> = flows
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (f.time_us, i))
+            .collect();
+        keys.sort_unstable();
+        return keys.into_iter().map(|(_, i)| i).collect();
+    }
+    let mask = u64::MAX.checked_shr(u64::BITS - idx_bits).unwrap_or(0);
+    let mut keys: Vec<u64> = (0u64..)
+        .zip(flows.iter())
+        .map(|(i, f)| (f.time_us - min).checked_shl(idx_bits).unwrap_or(0) | i)
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|k| (k & mask) as usize).collect()
+}
+
 impl<T: Send + 'static> Pipeline<T> {
     /// Reads everything the topic holds at the start of the run. Every
     /// partition's end offset is snapshotted first, so records appended
@@ -684,16 +713,7 @@ impl<T: Send + 'static> Pipeline<T> {
         let order = if self.inner.arrival_order {
             (0..flows.len()).collect()
         } else {
-            // Sort compact (time, arrival index) keys, never the flows:
-            // the index breaks ties, so this is exactly the permutation a
-            // stable sort by event time gives.
-            let mut keys: Vec<(u64, usize)> = flows
-                .iter()
-                .enumerate()
-                .map(|(i, f)| (f.time_us, i))
-                .collect();
-            keys.sort_unstable();
-            keys.into_iter().map(|(_, i)| i).collect()
+            event_time_order(&flows)
         };
         Ok(Scan {
             flows,
@@ -1004,22 +1024,14 @@ impl<T: Send + 'static> Pipeline<T> {
             );
             std::thread::spawn(move || {
                 let mut offsets = vec![0u64; topic.partition_count() as usize];
-                let mut batch: Vec<Flow<T>> = Vec::with_capacity(poll_batch);
+                let mut batch: Vec<T> = Vec::with_capacity(poll_batch);
                 while !stop.load(Ordering::SeqCst) {
                     let seen = topic.epoch();
                     let mut idle = true;
                     for (p, offset) in (0..).zip(&mut offsets) {
                         let read = topic
                             .visit(p, *offset, poll_batch, |_, records| {
-                                batch.extend(records.iter().filter_map(|r| {
-                                    let value = decoder(r)?;
-                                    Some(Flow {
-                                        key: r.key,
-                                        time_us: r.event_time_us,
-                                        trace: r.trace.map(|c| ins.sample_ctx(c)),
-                                        value,
-                                    })
-                                }));
+                                batch.extend(records.iter().filter_map(|r| decoder(r)));
                                 records.len()
                             })
                             .unwrap_or(0);
@@ -1037,8 +1049,8 @@ impl<T: Send + 'static> Pipeline<T> {
                         ins.queue_occupancy.record(queued);
                         ins.queue_depth.set_u64(queued);
                         let mut out = 0;
-                        for flow in batch.drain(..) {
-                            if let Some(x) = apply(&mut transforms, flow.value) {
+                        for value in batch.drain(..) {
+                            if let Some(x) = apply(&mut transforms, value) {
                                 sink(x);
                                 out += 1;
                             }

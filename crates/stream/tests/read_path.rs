@@ -459,3 +459,74 @@ fn windows_cover_their_event() {
         assert_eq!(out, want, "t={t}");
     }
 }
+
+/// Event-time order sorts one word per record, the time above the least
+/// one and the arrival index below it, while the read's time span fits.
+/// Here times near 0 and near 2^63, with duplicates, leave no room for
+/// the index, so the read falls back to sorting (time, index) pairs and
+/// must still give a stable sort's order. Tumbling panes of 2^50 µs keep
+/// the reference's pane arithmetic short at these times.
+#[test]
+fn reads_spanning_more_time_than_the_packed_key_holds_match_the_reference() {
+    const FAR: u64 = 1 << 63;
+    let inputs: Vec<Input> = (0..2_000u64)
+        .map(|i| {
+            let near = (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 60) * 1_000;
+            let t_us = if i % 3 == 0 { FAR + near } else { near };
+            (i % 5, t_us, (i % 7 != 6).then_some(i))
+        })
+        .collect();
+    let broker = topic(3, &inputs);
+    let arrival_recs = arrival_order(&broker, 3, &inputs);
+    let event_recs = event_order(&arrival_recs);
+    let size = 1 << 50;
+    for (arrival, order) in [(false, &event_recs), (true, &arrival_recs)] {
+        let (got, metrics) = PipelineBuilder::new(broker.clone(), TOPIC, decode)
+            .watermark_bound_us(5_000)
+            .arrival_order(arrival)
+            .build()
+            .run_windowed(SlidingWindows::new(size, size), Values, None, None, false)
+            .unwrap();
+        let (want, late) = reference_fold(order, size, size, 5_000);
+        assert_eq!(panes(got), want, "arrival order: {arrival}");
+        assert_eq!(metrics.late_dropped, late);
+        assert_eq!(late > 0, arrival, "only arrival order runs late");
+        let (items, _) = PipelineBuilder::new(broker.clone(), TOPIC, decode)
+            .arrival_order(arrival)
+            .build()
+            .collect()
+            .unwrap();
+        let want: Vec<u64> = order.iter().map(|&(_, _, v)| v).collect();
+        assert_eq!(items, want, "arrival order: {arrival}");
+    }
+}
+
+/// `collect` sorts by event time up to the top of the range, where no
+/// window fits: times from 0 to `u64::MAX` fall back to the pair sort
+/// and keep arrival order among equal times.
+#[test]
+fn collect_orders_times_at_both_ends_of_the_range() {
+    let inputs: Vec<Input> = (0..600u64)
+        .map(|i| {
+            let t_us = match i % 5 {
+                0 => u64::MAX,
+                1 => u64::MAX - i % 3,
+                2 => i % 2,
+                3 => 1 << 63,
+                _ => 1 << 62,
+            };
+            (i % 6, t_us, Some(i))
+        })
+        .collect();
+    let broker = topic(4, &inputs);
+    let arrival_recs = arrival_order(&broker, 4, &inputs);
+    let (items, _) = PipelineBuilder::new(broker, TOPIC, decode)
+        .build()
+        .collect()
+        .unwrap();
+    let want: Vec<u64> = event_order(&arrival_recs)
+        .iter()
+        .map(|&(_, _, v)| v)
+        .collect();
+    assert_eq!(items, want);
+}
