@@ -88,8 +88,6 @@ impl std::fmt::Display for LaneId {
 /// pre-interned `blocked/…` span name so the hot path never interns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockedSite {
-    /// Waiting for space in a bounded channel (backpressure).
-    ChannelSend,
     /// Waiting for data on an empty channel, or parked on an empty
     /// stream topic until an append arrives.
     ChannelRecv,
@@ -100,8 +98,7 @@ pub enum BlockedSite {
 }
 
 /// Span names for the [`BlockedSite`] variants, in discriminant order.
-const BLOCKED_NAMES: [&str; 4] = [
-    "blocked/channel_send",
+const BLOCKED_NAMES: [&str; 3] = [
     "blocked/channel_recv",
     "blocked/commit_lock",
     "blocked/stall",
@@ -119,7 +116,7 @@ pub struct Lane {
     salt: Arc<AtomicU64>,
     busy_us: Arc<AtomicU64>,
     blocked_us: Arc<AtomicU64>,
-    blocked_names: [NameId; 4],
+    blocked_names: [NameId; 3],
 }
 
 impl Lane {
@@ -496,19 +493,18 @@ mod tests {
             w.end();
         }
         {
-            let b = lane.block(&clock, lane.root(), BlockedSite::ChannelSend);
+            let b = lane.block(&clock, lane.root(), BlockedSite::ChannelRecv);
             time.advance_micros(12);
             b.end();
         }
         // A zero-length blocked window charges nothing and records no span.
-        lane.block(&clock, lane.root(), BlockedSite::ChannelRecv)
-            .end();
+        lane.block(&clock, lane.root(), BlockedSite::Stall).end();
         assert_eq!(lane.busy_us(), 30);
         assert_eq!(lane.blocked_us(), 12);
         let merged = lanes.merge_drains();
         assert_eq!(merged.events.len(), 2);
         assert_eq!(merged.events[0].name, "stage/run");
-        assert_eq!(merged.events[1].name, "blocked/channel_send");
+        assert_eq!(merged.events[1].name, "blocked/channel_recv");
         assert!(merged.events.iter().all(|e| e.lane == lane.id()));
         assert_eq!(merged.lanes[0].busy_us, 30);
         assert_eq!(merged.lanes[0].blocked_us, 12);
