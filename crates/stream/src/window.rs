@@ -310,8 +310,8 @@ pub struct WindowResult<Acc> {
 /// crate does, keyed by two secrets drawn from the standard library's
 /// per-process random state. Record keys and event times come from
 /// producers, and the secrets keep colliding keys from being crafted in
-/// advance. SipHash, the standard map's default, costs about a fifth
-/// of a `window_batch` pass.
+/// advance. With SipHash, the standard map's default, a `window_batch`
+/// pass took about an eighth longer.
 #[derive(Debug, Clone, Copy)]
 struct PaneHash {
     seed: u64,
@@ -323,7 +323,8 @@ impl Default for PaneHash {
         let random = RandomState::new();
         PaneHash {
             seed: random.hash_one(0u64),
-            mul: random.hash_one(1u64),
+            // Odd, so the multiply discards no input bit.
+            mul: random.hash_one(1u64) | 1,
         }
     }
 }
