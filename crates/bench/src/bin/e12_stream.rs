@@ -5,17 +5,14 @@
 use std::sync::Arc;
 
 use augur_bench::timed;
-use augur_bench::{
-    f, header, profile_requested, row, sized, write_profile, write_xray, xray_requested, BenchLog,
-    Snapshot,
-};
+use augur_bench::{f, header, row, sized, write_artifacts, BenchLog, Snapshot};
 use augur_stream::window::CountAggregation;
 use augur_stream::{
     Broker, CheckpointStore, ModeledCosts, PipelineBuilder, Record, TumblingWindows, WindowState,
 };
 use augur_telemetry::sample::Sampler;
 use augur_telemetry::{FlightRecorder, ManualTime, Obs, Registry, TraceContext};
-use augur_xray::profile::Profile;
+use augur_xray::artifacts::Artifacts;
 use rand::{Rng, SeedableRng};
 
 fn fill(broker: &Broker, topic: &str, n: u64, schema_families: u32, seed: u64) {
@@ -65,16 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut snap = Snapshot::new("e12_stream");
     snap.param_num("records", n as f64);
     snap.param_num("schema_families", 3.0);
-    // --profile: record the pipeline's stage span tree on a flight ring.
-    // Stack paths are deterministic; weights are wall-clock (this bench
-    // measures real throughput, not modeled time).
-    let profiling = profile_requested();
-    // Run summaries and late-drop warnings share the flight spans' ids:
-    // under --profile the same child contexts parent both signals.
     let blog = BenchLog::new("e12_stream");
-    let recorder = FlightRecorder::new(1 << 16);
     let obs = Obs {
-        flight: profiling.then(|| recorder.clone()),
         log: Some(blog.handle().clone()),
         ..Obs::default()
     };
@@ -216,107 +205,106 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          crash+resume ≈ uninterrupted cost; throughput scales with partitions\n\
          until the in-process merge dominates"
     );
-    if xray_requested() {
-        header(
-            "E12x",
-            "xray: modeled per-stage critical path & speedup bound",
+    header(
+        "E12x",
+        "xray: modeled per-stage critical path & speedup bound",
+    );
+    // Modeled stage costs under ManualTime (1 unit ≙ 1 µs/record): the
+    // span tree and the --artifacts bundle are a pure function of the
+    // seed, so `augur-doctor --xray` can gate on the shape.
+    // AUGUR_XRAY_SLOW_WINDOW=<us> injects extra per-record window
+    // cost: the red-gate probe that must flip the critical-path
+    // head to pipeline/window and trip the doctor.
+    let slow_window: u64 = std::env::var("AUGUR_XRAY_SLOW_WINDOW")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    // AUGUR_SAMPLE_RATE=<n> turns on deterministic head sampling
+    // for the xray runs: the verdict is pure in (seed, trace id),
+    // so the sampled bundle is still byte-identical across runs
+    // (CI double-runs and diffs it). Unset keeps everything.
+    let rate: u64 = std::env::var("AUGUR_SAMPLE_RATE")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1);
+    let sampler = Sampler::new(12, rate);
+    let costs = ModeledCosts {
+        read_us: 1,
+        transform_us: 3,
+        window_us: 2 + slow_window,
+    };
+    let xn = sized(20_000, 5_000) as u64;
+    let time = Arc::new(ManualTime::new());
+    let xrec = FlightRecorder::new(1 << 16);
+    let xobs = Obs {
+        flight: Some(xrec.clone()),
+        sampler: Some(sampler.clone()),
+        ..Obs::default()
+    };
+    let xreg = &xobs.registry;
+    let xroot = TraceContext::root(12, 0xE12A);
+    let broker = Broker::new();
+    broker.create_topic("xray", 4)?;
+    fill(&broker, "xray", xn, 3, 7);
+    let mut p = PipelineBuilder::new(broker.clone(), "xray", decode)
+        .modeled_costs(&time, costs)
+        .obs(&Obs {
+            parent: xroot.child(1),
+            ..xobs.clone()
+        })
+        .build();
+    let _ = p.collect()?;
+    let mut w = PipelineBuilder::new(broker, "xray", decode)
+        .watermark_bound_us(1_000)
+        .modeled_costs(&time, costs)
+        .obs(&Obs {
+            parent: xroot.child(2),
+            ..xobs.clone()
+        })
+        .build();
+    let _ = w.run_windowed(
+        TumblingWindows::new(1_000_000),
+        CountAggregation,
+        None,
+        None,
+        false,
+    )?;
+    let events = xrec.drain();
+    let mut report = augur_xray::analyze("e12_stream", &events, xrec.dropped_events())
+        .with_registry(&xreg.snapshot());
+    if sampler.is_sampling() {
+        report = report.with_sampling(sampler.effective_rate());
+    }
+    print!("{}", report.render_panel());
+    if slow_window == 0 && !sampler.is_sampling() {
+        // The number the sharding arc (ROADMAP item 1) must beat:
+        // read(1)+transform(3) in collect plus read(1)+window(2) in
+        // the windowed run bound pipelined speedup at 7/3 ≈ 2.33x.
+        assert!(
+            report.parallel_speedup_bound > 1.5,
+            "stage layout must leave >1.5x pipelining headroom, got {:.2}x",
+            report.parallel_speedup_bound
         );
-        // Modeled stage costs under ManualTime (1 unit ≙ 1 µs/record):
-        // the span tree and therefore the xray artifact are a pure
-        // function of the seed — byte-identical across runs, so CI can
-        // `cmp` them and `augur-doctor --xray` can gate on the shape.
-        // AUGUR_XRAY_SLOW_WINDOW=<us> injects extra per-record window
-        // cost: the red-gate probe that must flip the critical-path
-        // head to pipeline/window and trip the doctor.
-        let slow_window: u64 = std::env::var("AUGUR_XRAY_SLOW_WINDOW")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        // AUGUR_SAMPLE_RATE=<n> turns on deterministic head sampling
-        // for the xray runs: the verdict is pure in (seed, trace id),
-        // so the sampled artifact is still byte-identical across runs
-        // (CI double-runs and `cmp`s it). Unset keeps everything.
-        let rate: u64 = std::env::var("AUGUR_SAMPLE_RATE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        let sampler = Sampler::new(12, rate);
-        let costs = ModeledCosts {
-            read_us: 1,
-            transform_us: 3,
-            window_us: 2 + slow_window,
-        };
-        let xn = sized(20_000, 5_000) as u64;
-        let time = Arc::new(ManualTime::new());
-        let xrec = FlightRecorder::new(1 << 16);
-        let xobs = Obs {
-            flight: Some(xrec.clone()),
-            sampler: Some(sampler.clone()),
-            ..Obs::default()
-        };
-        let xreg = &xobs.registry;
-        let xroot = TraceContext::root(12, 0xE12A);
-        let broker = Broker::new();
-        broker.create_topic("xray", 4)?;
-        fill(&broker, "xray", xn, 3, 7);
-        let mut p = PipelineBuilder::new(broker.clone(), "xray", decode)
-            .modeled_costs(&time, costs)
-            .obs(&Obs {
-                parent: xroot.child(1),
-                ..xobs.clone()
-            })
-            .build();
-        let _ = p.collect()?;
-        let mut w = PipelineBuilder::new(broker, "xray", decode)
-            .watermark_bound_us(1_000)
-            .modeled_costs(&time, costs)
-            .obs(&Obs {
-                parent: xroot.child(2),
-                ..xobs.clone()
-            })
-            .build();
-        let _ = w.run_windowed(
-            TumblingWindows::new(1_000_000),
-            CountAggregation,
-            None,
-            None,
-            false,
-        )?;
-        let events = xrec.drain();
-        let mut report = augur_xray::analyze("e12_stream", &events, xrec.dropped_events())
-            .with_registry(&xreg.snapshot());
-        if sampler.is_sampling() {
-            report = report.with_sampling(sampler.effective_rate());
-        }
-        print!("{}", report.render_panel());
-        if slow_window == 0 && !sampler.is_sampling() {
-            // The number the sharding arc (ROADMAP item 1) must beat:
-            // read(1)+transform(3) in collect plus read(1)+window(2) in
-            // the windowed run bound pipelined speedup at 7/3 ≈ 2.33x.
-            assert!(
-                report.parallel_speedup_bound > 1.5,
-                "stage layout must leave >1.5x pipelining headroom, got {:.2}x",
-                report.parallel_speedup_bound
-            );
-            assert_eq!(report.head(), Some("pipeline/transform"));
-        }
-        // The measured section must exist even for this single-lane
-        // (control) drain, beside the modeled bound above. (A sampled
-        // run may mute both pipeline chains entirely — the artifact
-        // stays deterministic but can be empty, so only the unsampled
-        // shape is asserted.)
-        if !sampler.is_sampling() {
-            assert!(
-                report.measured.lanes >= 1 && report.measured.parallel_efficiency > 0.0,
-                "xray must report a measured section, got {:?}",
-                report.measured
-            );
-        }
-        write_xray("e12_stream", &report)?;
+        assert_eq!(report.head(), Some("pipeline/transform"));
     }
-    if profiling {
-        write_profile("e12_stream", &Profile::from_events(&recorder.drain()))?;
+    // The measured section must exist even for this single-lane
+    // (control) drain, beside the modeled bound above. (A sampled
+    // run may mute both pipeline chains entirely — the artifact
+    // stays deterministic but can be empty, so only the unsampled
+    // shape is asserted.)
+    if !sampler.is_sampling() {
+        assert!(
+            report.measured.lanes >= 1 && report.measured.parallel_efficiency > 0.0,
+            "xray must report a measured section, got {:?}",
+            report.measured
+        );
     }
+    write_artifacts(&Artifacts {
+        name: "e12_stream".into(),
+        events: Some(events),
+        xray: Some(report),
+        ..Artifacts::default()
+    })?;
     blog.finish();
     snap.write()?;
     Ok(())

@@ -26,9 +26,10 @@
 
 use std::sync::Arc;
 
-use augur_bench::{f, header, out_dir, row, sized, write_xray, xray_requested, Snapshot};
+use augur_bench::{f, header, row, sized, write_artifacts, Snapshot};
 use augur_stream::{Broker, ConsumerGroup, PartitionId, PipelineBuilder, Record};
-use augur_telemetry::{render_chrome_trace_with_lanes, BlockedSite, Clock, Lanes, ManualTime, Obs};
+use augur_telemetry::{BlockedSite, Clock, Lanes, ManualTime, Obs};
+use augur_xray::artifacts::Artifacts;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     header(
@@ -169,16 +170,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stall_us,
     );
 
-    if xray_requested() {
-        write_xray("e14_lanes", &report)?;
-        // The Chrome trace rides along with --xray: one tid lane per
-        // worker with thread_name metadata, byte-identical across
-        // same-seed runs (CI `cmp`s a double run of both artifacts).
-        let trace = render_chrome_trace_with_lanes("e14_lanes", &merged.events, &merged.lanes);
-        let path = out_dir().join("e14_lanes.trace.json");
-        std::fs::write(&path, trace)?;
-        println!("chrome trace -> {}", path.display());
-    }
+    // The bundle's Chrome trace has one tid lane per worker with
+    // thread_name metadata, byte-identical across same-seed runs.
+    write_artifacts(&Artifacts {
+        name: "e14_lanes".into(),
+        events: Some(merged.events),
+        lanes: merged.lanes,
+        xray: Some(report),
+        ..Artifacts::default()
+    })?;
 
     header(
         "E14b",

@@ -13,7 +13,7 @@
 //! against the 1% budget.
 //!
 //! Everything is a pure function of the seed: CI double-runs this
-//! bench and `cmp`s the snapshot, xray, and Chrome-trace artifacts
+//! bench with `--artifacts` and `diff -r`s the snapshot and the bundle
 //! byte for byte. `AUGUR_OBS_OVERHEAD_INJECT=<mult>` inflates the
 //! cost model so the `obs_overhead_share` verdict demonstrably fires
 //! (the red-gate probe greps for the firing line below).
@@ -21,11 +21,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use augur_bench::{f, header, out_dir, row, sized, write_xray, xray_requested, Snapshot};
+use augur_bench::{f, header, row, sized, write_artifacts, Snapshot};
 use augur_telemetry::sample::{
     retained_events, ObsCostModel, Sampler, SelfCost, TailReservoir, OBS_OVERHEAD_BUDGET,
 };
-use augur_telemetry::{mix64, render_chrome_trace, Clock, Lanes, ManualTime, TraceContext};
+use augur_telemetry::{mix64, Clock, Lanes, ManualTime, TraceContext};
+use augur_xray::artifacts::Artifacts;
 
 const SEED: u64 = 15;
 
@@ -246,15 +247,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report = report.with_sampling(sampler.effective_rate());
     }
     print!("{}", report.render_panel());
-    if xray_requested() {
-        write_xray("e15_sample", &report)?;
-        // The Perfetto-ready trace holds what the reservoir kept: the
-        // tail an operator chases from an exemplar, slowest first.
-        let trace = render_chrome_trace("e15_sample", &retained_events(&kept));
-        let path = out_dir().join("e15_sample.trace.json");
-        std::fs::write(&path, trace)?;
-        println!("chrome trace (tail reservoir) -> {}", path.display());
-    }
+    // The bundle's trace and profiles hold what the reservoir kept: the
+    // tail an operator chases from an exemplar, slowest first.
+    write_artifacts(&Artifacts {
+        name: "e15_sample".into(),
+        events: Some(retained_events(&kept)),
+        xray: Some(report),
+        ..Artifacts::default()
+    })?;
 
     snap.write()?;
     Ok(())

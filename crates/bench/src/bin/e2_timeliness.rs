@@ -6,13 +6,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // experiment drivers: setup failure is fatal by design
 
 use augur_analytics::{BatchAggregator, IncrementalView};
-use augur_bench::{
-    f, header, profile_requested, row, smoke, timed, timed_mean, write_profile, write_xray,
-    xray_requested, BenchLog, Snapshot,
-};
+use augur_bench::{f, header, row, smoke, timed, timed_mean, write_artifacts, BenchLog, Snapshot};
 use augur_telemetry::log::Arg;
 use augur_telemetry::{FlightRecorder, ManualTime, TimeSource, TraceContext};
-use augur_xray::profile::Profile;
+use augur_xray::artifacts::Artifacts;
 use rand::{Rng, SeedableRng};
 
 const FRAME_BUDGET_US: f64 = 33_333.0;
@@ -31,13 +28,9 @@ fn main() {
     snap.param_num("frame_budget_us", FRAME_BUDGET_US);
     snap.param_num("groups", 50.0);
     snap.param_num("max_events", volumes[volumes.len() - 1] as f64);
-    // --profile / --xray: record the modeled costs as a span tree on a
-    // ManualTime clock (1 work unit ≙ 1 µs), so the artifacts are
-    // byte-identical across runs even though the measured timings above
-    // vary.
-    let profiling = profile_requested();
-    let xraying = xray_requested();
-    let recording = profiling || xraying;
+    // The modeled costs are recorded as a span tree on a ManualTime
+    // clock (1 work unit ≙ 1 µs), so the --artifacts bundle is
+    // byte-identical across runs even though the measured timings vary.
     let blog = BenchLog::new("e2_timeliness");
     let recorder = FlightRecorder::new(4096);
     let clock = ManualTime::shared();
@@ -97,24 +90,20 @@ fn main() {
         snap.gauge("batch_recompute_modeled_us", &labels, n as f64);
         snap.gauge("incremental_update_modeled_us", &labels, 1.0);
         snap.gauge("groups_active", &labels, result.len() as f64);
-        if recording {
-            let vol = format!("e2/vol_{n}");
-            let vol_name = recorder.intern(&vol);
-            let vol_ctx = flight_root.child(n);
-            let t0 = clock.now_micros();
-            let b0 = clock.now_micros();
-            clock.advance_micros(n);
-            recorder.record_span(vol_ctx.child_named("e2/batch_recompute"), batch_name, b0, n);
-            let i0 = clock.now_micros();
-            clock.advance_micros(1);
-            recorder.record_span(
-                vol_ctx.child_named("e2/incremental_update"),
-                incr_name,
-                i0,
-                1,
-            );
-            recorder.record_span(vol_ctx, vol_name, t0, clock.now_micros() - t0);
-        }
+        let vol_name = recorder.intern(&format!("e2/vol_{n}"));
+        let vol_ctx = flight_root.child(n);
+        let t0 = clock.now_micros();
+        clock.advance_micros(n);
+        recorder.record_span(vol_ctx.child_named("e2/batch_recompute"), batch_name, t0, n);
+        let i0 = clock.now_micros();
+        clock.advance_micros(1);
+        recorder.record_span(
+            vol_ctx.child_named("e2/incremental_update"),
+            incr_name,
+            i0,
+            1,
+        );
+        recorder.record_span(vol_ctx, vol_name, t0, clock.now_micros() - t0);
         row(&[
             n.to_string(),
             f(batch_us, 0),
@@ -141,18 +130,13 @@ fn main() {
     if let Some(n) = crossover {
         snap.gauge("crossover_events", &[], n as f64);
     }
-    if recording {
-        recorder.record_span(flight_root, root_name, run_t0, clock.now_micros() - run_t0);
-        let events = recorder.drain();
-        if profiling {
-            write_profile("e2_timeliness", &Profile::from_events(&events)).expect("profile write");
-        }
-        if xraying {
-            let report = augur_xray::analyze("e2_timeliness", &events, recorder.dropped_events());
-            print!("{}", report.render_panel());
-            write_xray("e2_timeliness", &report).expect("xray write");
-        }
+    recorder.record_span(flight_root, root_name, run_t0, clock.now_micros() - run_t0);
+    let bundle =
+        Artifacts::from_events("e2_timeliness", recorder.drain(), recorder.dropped_events());
+    if let Some(report) = &bundle.xray {
+        print!("{}", report.render_panel());
     }
+    write_artifacts(&bundle).expect("artifacts write");
     blog.finish();
     snap.write().expect("snapshot write");
 }

@@ -2,16 +2,13 @@
 //! break-even compute demand per network profile.
 #![allow(clippy::unwrap_used, clippy::expect_used)] // experiment drivers: setup failure is fatal by design
 
-use augur_bench::{
-    f, header, profile_requested, row, smoke, write_profile, write_xray, xray_requested, BenchLog,
-    Snapshot,
-};
+use augur_bench::{f, header, row, smoke, write_artifacts, BenchLog, Snapshot};
 use augur_cloud::{
     best_plan_logged, estimate, estimate_traced, ComputeResource, EnergyParams, NetworkProfile,
     OffloadPlan, TaskGraph,
 };
 use augur_telemetry::{FlightRecorder, Obs, TraceContext};
-use augur_xray::profile::Profile;
+use augur_xray::artifacts::Artifacts;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     header(
@@ -34,17 +31,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // which plan won, against what all-device baseline.
     let blog = BenchLog::new("e3_offload");
     let mut plan_seq = 0u64;
-    let profiling = profile_requested();
-    let xraying = xray_requested();
-    let recording = profiling || xraying;
     let recorder = FlightRecorder::new(1 << 16);
     // Re-estimating the winning plan lands per-task spans and headline
-    // gauges in the snapshot registry; under --profile / --xray the
-    // flight ring also records the per-task span tree.
+    // gauges in the snapshot registry, and the per-task span tree on the
+    // flight ring the --artifacts bundle is rendered from.
     let estimate_obs = Obs {
         registry: snap.registry().clone(),
         parent: TraceContext::root(3, 0xE3),
-        flight: recording.then(|| recorder.clone()),
+        flight: Some(recorder.clone()),
         ..Obs::default()
     };
 
@@ -122,17 +116,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          demand than LTE/3G; heavy analytics always offloads — the paper's cloud\n\
          argument HOLDS if the break-even ordering follows network speed"
     );
-    if recording {
-        let events = recorder.drain();
-        if profiling {
-            write_profile("e3_offload", &Profile::from_events(&events))?;
-        }
-        if xraying {
-            let report = augur_xray::analyze("e3_offload", &events, recorder.dropped_events());
-            print!("{}", report.render_panel());
-            write_xray("e3_offload", &report)?;
-        }
+    let bundle = Artifacts::from_events("e3_offload", recorder.drain(), recorder.dropped_events());
+    if let Some(report) = &bundle.xray {
+        print!("{}", report.render_panel());
     }
+    write_artifacts(&bundle)?;
     blog.finish();
     snap.write()?;
     Ok(())

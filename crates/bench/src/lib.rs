@@ -10,15 +10,23 @@
 //! is an [`augur_telemetry::Registry`] JSON rendering — the artefact CI
 //! and trajectory tooling consume. Passing `--smoke` shrinks workloads
 //! so a run finishes in seconds.
+//!
+//! `--artifacts <dir>` moves the snapshot to `<dir>/<bench>.json` and
+//! writes the run's artifact bundle ([`augur_xray::artifacts`]: trace,
+//! folded and speedscope profiles, xray report) beside it, through
+//! [`write_artifacts`]. Baselines are (re)generated from such a run:
+//! `cargo run -p augur-bench --bin e3_offload -- --smoke --artifacts <tmp>`,
+//! then copy `<tmp>/e3_offload.json` (and `.xray.json`) into
+//! `results/baseline/`.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 use augur_telemetry::log::writer::{err_line, out_line};
 use augur_telemetry::log::{render_human, Arg, EventLog, Level, LogSite};
 use augur_telemetry::{escape_json, fnv1a64, json_f64, Registry, TraceContext};
-use augur_xray::profile::Profile;
+use augur_xray::artifacts::{self, Artifacts};
 
 /// The binary's command-line arguments, without the program name.
 fn args() -> Vec<String> {
@@ -50,58 +58,19 @@ pub fn smoke() -> bool {
     has_flag(&args(), "--smoke")
 }
 
-/// True when the binary should emit profile artifacts: the `--profile`
-/// flag is present.
-pub fn profile_requested() -> bool {
-    has_flag(&args(), "--profile")
-}
-
-/// Writes `profile` as `<out_dir>/<bench>.folded` (flamegraph.pl /
-/// inferno collapsed stacks) and `<out_dir>/<bench>.speedscope.json`,
-/// printing both paths, and returns them. Since the profiled work is
-/// modeled time under fixed seeds, both artifacts are byte-identical
-/// across runs.
+/// Writes `bundle` to the `--artifacts` directory, printing each path;
+/// without the flag it writes nothing.
 ///
 /// # Errors
 ///
 /// Propagates directory-creation and write failures.
-pub fn write_profile(bench: &str, profile: &Profile) -> io::Result<(PathBuf, PathBuf)> {
-    write_profile_to(&out_dir(), bench, profile)
-}
-
-fn write_profile_to(dir: &Path, bench: &str, profile: &Profile) -> io::Result<(PathBuf, PathBuf)> {
-    std::fs::create_dir_all(dir)?;
-    let folded = dir.join(format!("{bench}.folded"));
-    std::fs::write(&folded, profile.render_folded())?;
-    let speedscope = dir.join(format!("{bench}.speedscope.json"));
-    std::fs::write(&speedscope, profile.render_speedscope(bench))?;
-    out_line(&format!("profile: {}", folded.display()));
-    out_line(&format!("profile: {}", speedscope.display()));
-    Ok((folded, speedscope))
-}
-
-/// True when the binary should emit an xray bottleneck artifact: the
-/// `--xray` flag is present.
-pub fn xray_requested() -> bool {
-    has_flag(&args(), "--xray")
-}
-
-/// Writes `report` as `<out_dir>/<bench>.xray.json` — the canonical
-/// single-line JSON `augur-doctor --xray` diffs against a committed
-/// baseline — printing and returning the path. Reports over modeled
-/// time under fixed seeds are byte-identical across runs (CI `cmp`s
-/// two back-to-back runs to enforce this).
-///
-/// # Errors
-///
-/// Propagates directory-creation and write failures.
-pub fn write_xray(bench: &str, report: &augur_xray::XrayReport) -> io::Result<PathBuf> {
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{bench}.xray.json"));
-    std::fs::write(&path, report.render_json())?;
-    out_line(&format!("xray: {}", path.display()));
-    Ok(path)
+pub fn write_artifacts(bundle: &Artifacts) -> io::Result<()> {
+    if let Some(dir) = artifacts::dir_from_env() {
+        for path in bundle.write(&dir)? {
+            out_line(&format!("artifacts: {}", path.display()));
+        }
+    }
+    Ok(())
 }
 
 /// The minimum severity a bench binary keeps in its event log:
@@ -199,33 +168,24 @@ pub fn sized(full: usize, small: usize) -> usize {
     }
 }
 
-/// The snapshot output directory: `--out-dir <dir>` (or `--out-dir=<dir>`)
-/// on the command line, else `results/`. This is how baselines are
-/// (re)generated:
-/// `cargo run -p augur-bench --bin e3_offload -- --smoke --out-dir results/baseline`.
-pub fn out_dir() -> PathBuf {
-    out_dir_in(&args())
-}
-
-fn out_dir_in(args: &[String]) -> PathBuf {
-    PathBuf::from(flag_value(args, "--out-dir").unwrap_or("results"))
-}
-
 /// A machine-readable bench result: named parameters plus a metric
 /// registry, serialised as `{"bench", "params", "metrics"}`.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     bench: String,
+    dir: PathBuf,
     params: Vec<(String, String)>,
     registry: Registry,
 }
 
 impl Snapshot {
     /// Starts a snapshot for the bench binary `bench` (the output file
-    /// stem).
+    /// stem), bound for the `--artifacts` directory or `results/`. A
+    /// bare `--artifacts` exits with a usage error here, before the run.
     pub fn new(bench: &str) -> Snapshot {
         Snapshot {
             bench: bench.to_string(),
+            dir: artifacts::dir_from_env().unwrap_or_else(|| PathBuf::from("results")),
             params: Vec::new(),
             registry: Registry::new(),
         }
@@ -274,27 +234,17 @@ impl Snapshot {
         out
     }
 
-    /// Writes the snapshot to `<dir>/<bench>.json`, creating `dir` if
-    /// needed, and returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation and write failures.
-    pub fn write_to(&self, dir: &Path) -> io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.bench));
-        std::fs::write(&path, self.render())?;
-        Ok(path)
-    }
-
-    /// Writes the snapshot to `<out_dir>/<bench>.json` (see [`out_dir`]:
-    /// the `--out-dir` flag or `results/`) and prints the path.
+    /// Writes the snapshot to `<dir>/<bench>.json`, where `dir` is the
+    /// `--artifacts` directory or `results/` (created if missing), and
+    /// prints the path.
     ///
     /// # Errors
     ///
     /// Propagates directory-creation and write failures.
     pub fn write(&self) -> io::Result<PathBuf> {
-        let path = self.write_to(&out_dir())?;
+        std::fs::create_dir_all(&self.dir)?;
+        let path = self.dir.join(format!("{}.json", self.bench));
+        std::fs::write(&path, self.render())?;
         out_line(&format!("\nsnapshot: {}", path.display()));
         Ok(path)
     }
@@ -357,10 +307,9 @@ mod tests {
 
     #[test]
     fn switches_parse_from_args() {
-        let args = argv(&["--smoke", "--xray"]);
+        let args = argv(&["--smoke", "--artifacts", "out"]);
         assert!(has_flag(&args, "--smoke"));
-        assert!(has_flag(&args, "--xray"));
-        assert!(!has_flag(&args, "--profile"));
+        assert!(!has_flag(&args, "--log-level"));
         assert!(!has_flag(&argv(&["--smoker"]), "--smoke"));
     }
 
@@ -395,36 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn out_dir_parses_both_spellings() {
-        assert_eq!(out_dir_in(&[]), PathBuf::from("results"));
-        assert_eq!(
-            out_dir_in(&argv(&["--smoke", "--out-dir", "results/baseline"])),
-            PathBuf::from("results/baseline")
-        );
-        assert_eq!(
-            out_dir_in(&argv(&["--out-dir=/tmp/x"])),
-            PathBuf::from("/tmp/x")
-        );
-    }
-
-    #[test]
-    fn write_profile_emits_folded_and_speedscope_artifacts() {
-        use augur_telemetry::{FlightRecorder, TraceContext};
-        let rec = FlightRecorder::new(64);
-        let name = rec.intern("bench_root");
-        rec.record_span(TraceContext::root(1, 0xB), name, 0, 42);
-        let profile = Profile::from_events(&rec.drain());
-        let dir = std::env::temp_dir().join("augur-bench-profile-test");
-        let (folded, speedscope) =
-            write_profile_to(&dir, "unit_test_profile", &profile).expect("profile write");
-        let folded_text = std::fs::read_to_string(&folded).expect("folded read");
-        assert_eq!(folded_text, "bench_root 42\n");
-        let ss = std::fs::read_to_string(&speedscope).expect("speedscope read");
-        assert!(ss.contains("\"$schema\""), "{ss}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn snapshot_schema_round_trips_through_json_parser() {
         let mut snap = Snapshot::new("unit_test_bench");
         snap.param_num("events", 100_000.0);
@@ -432,7 +351,8 @@ mod tests {
         snap.gauge("late_dropped", &[("bound_ms", "25")], 17.0);
         snap.registry().counter("iterations_total").add(3);
         let dir = std::env::temp_dir().join("augur-bench-snapshot-test");
-        let path = snap.write_to(&dir).expect("snapshot write");
+        snap.dir = dir.clone();
+        let path = snap.write().expect("snapshot write");
         let text = std::fs::read_to_string(&path).expect("snapshot read");
         let doc = augur_semantic::json::JsonValue::parse(&text).expect("snapshot parses");
         assert_eq!(

@@ -1,5 +1,5 @@
-//! Trace determinism + causality: a seeded scenario run with `--trace`
-//! semantics must (a) emit a byte-identical Chrome trace JSON document
+//! Trace determinism + causality: a seeded scenario run with a flight
+//! ring attached must (a) emit a byte-identical Chrome trace JSON document
 //! on every run, and (b) emit only spans/instants whose
 //! `parent_span_id` chain resolves to a root (`parent_span_id == 0`)
 //! entirely within the drained event set — no dangling parents, no

@@ -22,8 +22,8 @@
 //! Profile-diff mode (`--profile-diff <baseline.folded>
 //! <current.folded>`, exclusive with the others) localizes a
 //! regression: it ranks every stack frame by exclusive self-time delta
-//! between the two folded profiles (the artifacts `--profile` runs
-//! write) and exits 1 — naming the frame — when the worst growth
+//! between the two folded profiles (the `.folded` files of
+//! `--artifacts` bundles) and exits 1 — naming the frame — when the worst growth
 //! exceeds the latency tolerance.
 //!
 //! Log-gate mode (`--logs <current.jsonl> <baseline.json>`, exclusive

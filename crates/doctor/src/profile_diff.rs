@@ -3,7 +3,7 @@
 //!
 //! The pairwise and trend gates answer *whether* a bench regressed;
 //! this mode answers *where*. Given two folded-stack profiles (the
-//! `.folded` artifacts `--profile` runs write), it ranks every frame by
+//! `.folded` files of `--artifacts` bundles), it ranks every frame by
 //! exclusive self-time delta and fails — naming the frame — when the
 //! worst movement exceeds the latency tolerance the snapshot gate
 //! already uses. A failing doctor verdict thus comes with the stack

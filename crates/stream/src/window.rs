@@ -70,6 +70,10 @@ pub trait WindowAssigner {
     /// Replaces the contents of `out` with the windows an event at
     /// `t_us` belongs to, in ascending start order. The caller owns and
     /// reuses `out`, so assignment allocates nothing once it has grown.
+    ///
+    /// A window whose end would pass `u64::MAX` is skipped, so a time
+    /// near `u64::MAX` may get no window; [`WindowedAggregator::offer`]
+    /// drops such a record and counts it as late.
     fn assign(&self, t_us: u64, out: &mut Vec<Window>);
 
     /// `Some(gap)` if windows must be merged session-style.
@@ -100,7 +104,9 @@ impl WindowAssigner for TumblingWindows {
     fn assign(&self, t_us: u64, out: &mut Vec<Window>) {
         let start = (t_us / self.size_us) * self.size_us;
         out.clear();
-        out.push(Window::new(start, start + self.size_us));
+        if let Some(end) = start.checked_add(self.size_us) {
+            out.push(Window::new(start, end));
+        }
     }
 }
 
@@ -130,19 +136,20 @@ impl SlidingWindows {
 impl WindowAssigner for SlidingWindows {
     fn assign(&self, t_us: u64, out: &mut Vec<Window>) {
         out.clear();
-        let last_start = (t_us / self.slide_us) * self.slide_us;
-        let mut start = last_start;
+        let mut start = (t_us / self.slide_us) * self.slide_us;
         loop {
-            if start + self.size_us > t_us {
-                out.push(Window::new(start, start + self.size_us));
+            // Walk starts down; skip panes ending past `u64::MAX` and stop
+            // at the first that ends at or before `t_us`.
+            if let Some(end) = start.checked_add(self.size_us) {
+                if end <= t_us {
+                    break;
+                }
+                out.push(Window::new(start, end));
             }
             if start < self.slide_us {
                 break;
             }
             start -= self.slide_us;
-            if start + self.size_us <= t_us {
-                break;
-            }
         }
         out.reverse();
     }
@@ -169,7 +176,9 @@ impl SessionWindows {
 impl WindowAssigner for SessionWindows {
     fn assign(&self, t_us: u64, out: &mut Vec<Window>) {
         out.clear();
-        out.push(Window::new(t_us, t_us + self.gap_us));
+        if let Some(end) = t_us.checked_add(self.gap_us) {
+            out.push(Window::new(t_us, end));
+        }
     }
 
     fn session_gap_us(&self) -> Option<u64> {
@@ -464,7 +473,8 @@ where
         panes + self.sessions.values().map(Vec::len).sum::<usize>()
     }
 
-    /// Offers an item. Returns `false` if it was dropped as late.
+    /// Offers an item. Returns `false` if it was dropped as late (or
+    /// belongs to no window: see [`WindowAssigner::assign`]).
     pub fn offer(&mut self, key: u64, event_time_us: u64, item: &T) -> bool {
         self.assigner.assign(event_time_us, &mut self.windows);
         let watermark = self.emitted_watermark.0;
@@ -681,6 +691,43 @@ mod tests {
         assert_eq!(assigned(&w, 0), vec![Window::new(0, 1_000)]);
         assert_eq!(assigned(&w, 999), vec![Window::new(0, 1_000)]);
         assert_eq!(assigned(&w, 1_000), vec![Window::new(1_000, 2_000)]);
+    }
+
+    #[test]
+    fn assigners_skip_windows_ending_past_u64_max() {
+        let tumbling = TumblingWindows::new(1_000);
+        let sliding = SlidingWindows::new(1_000, 250);
+        let session = SessionWindows::new(1_000);
+        // No half-open window holds u64::MAX, and every 1_000 µs pane
+        // holding u64::MAX - 1 ends past it: u64::MAX = BASE + 551_615,
+        // with BASE a multiple of 1_000.
+        for t in [u64::MAX, u64::MAX - 1] {
+            assert_eq!(assigned(&tumbling, t), []);
+            assert_eq!(assigned(&sliding, t), []);
+            assert_eq!(assigned(&session, t), []);
+        }
+        const BASE: u64 = u64::MAX - 551_615;
+        let fits = [
+            Window::new(BASE + 550_250, BASE + 551_250),
+            Window::new(BASE + 550_500, BASE + 551_500),
+        ];
+        assert_eq!(assigned(&sliding, BASE + 551_215), fits);
+        let t = u64::MAX - 1;
+        let last = Window::new(t, u64::MAX);
+        assert_eq!(assigned(&SessionWindows::new(1), t), [last]);
+        // 3 divides u64::MAX, so the last size-3 window ends exactly there.
+        let last = Window::new(u64::MAX - 3, u64::MAX);
+        assert_eq!(assigned(&TumblingWindows::new(3), t), [last]);
+    }
+
+    #[test]
+    fn aggregator_drops_a_record_no_window_can_hold() {
+        let mut agg = WindowedAggregator::new(TumblingWindows::new(1_000), CountAggregation);
+        assert!(agg.offer(1, 500, &()));
+        assert!(!agg.offer(1, u64::MAX - 1, &()));
+        assert_eq!((agg.late_dropped(), agg.live_windows()), (1, 1));
+        let counts: Vec<u64> = agg.flush().iter().map(|r| r.value).collect();
+        assert_eq!(counts, [1]);
     }
 
     #[test]

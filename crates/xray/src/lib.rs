@@ -60,6 +60,9 @@ use augur_telemetry::{MergedDrain, RegistrySnapshot};
 
 use crate::tree::SpanForest;
 
+/// One artifact bundle per run: trace, folded, speedscope, xray and
+/// log files under one directory.
+pub mod artifacts;
 mod critical;
 /// Flamegraph folding: per-stack-path self time, folded stacks and
 /// speedscope JSON.

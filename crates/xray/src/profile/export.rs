@@ -3,7 +3,8 @@
 //! Both renderings are pure functions of the folded profile (ordered
 //! maps underneath), so two same-seed runs under
 //! [`augur_telemetry::ManualTime`] produce byte-identical artifacts —
-//! the property CI pins on `tourism_city --profile`.
+//! the property CI pins by diffing two `tourism_city --artifacts`
+//! bundles.
 
 use augur_telemetry::escape_json;
 

@@ -6,71 +6,28 @@
 //!
 //! Run with: `cargo run --release --example retail_store`
 //!
-//! Pass `--trace` to also write a Perfetto-compatible causal trace to
-//! `results/retail.trace.json` (open at <https://ui.perfetto.dev>).
-//!
 //! Pass `--watch` to run the pipeline under an SLO watch session
 //! (per-stage latency objective) and print the live dashboard; a
 //! violated objective exits 2.
 //!
-//! Pass `--xray` to write the bottleneck report (critical-path ranking,
-//! parallel-speedup bounds, per-stage queueing model) to
-//! `results/retail_store.xray.json` — byte-identical across same-seed
-//! runs, diffable with `augur-doctor --xray`.
-//!
-//! The flags combine: the scenario runs once against one `Obs` — the
-//! watch session's under `--watch`, else one carrying a flight recorder
-//! — and each flag exports its artifact from what that run recorded.
+//! Pass `--artifacts <dir>` to write the run's bundle, byte-identical
+//! across same-seed runs: `<dir>/retail.{trace.json,folded,
+//! speedscope.json,xray.json,log.jsonl}` (see `scenario/mod.rs`).
+
+mod scenario;
 
 use augur::core::retail::{run, RetailParams};
-use augur::telemetry::Obs;
-use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder};
-use augur::watch::WatchSession;
+use scenario::Observed;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let trace = std::env::args().any(|a| a == "--trace");
-    let watch = std::env::args().any(|a| a == "--watch");
-    let xray_run = std::env::args().any(|a| a == "--xray");
     let params = RetailParams::default();
     println!(
         "retail scenario: {} users × {} interactions, {} product groups",
         params.users, params.interactions_per_user, params.groups
     );
-    let session = watch
-        .then(|| WatchSession::new(augur::slo::retail(params.seed)))
-        .transpose()?;
-    let obs = match &session {
-        Some(session) => session.obs(),
-        None => Obs {
-            flight: (trace || xray_run).then(|| FlightRecorder::new(1 << 16)),
-            ..Obs::default()
-        },
-    };
-    let report = run(&params, &obs)?;
-    if let Some(session) = &session {
-        session.finish();
-    }
-    if let (true, Some(recorder)) = (trace || xray_run, &obs.flight) {
-        std::fs::create_dir_all("results")?;
-        let events = recorder.drain();
-        if xray_run {
-            let xray = augur::xray::analyze("retail", &events, recorder.dropped_events())
-                .with_registry(&obs.registry.snapshot());
-            let path = "results/retail_store.xray.json";
-            std::fs::write(path, xray.render_json())?;
-            print!("{}", xray.render_panel());
-            println!("xray: wrote {path}");
-        }
-        if trace {
-            let path = "results/retail.trace.json";
-            std::fs::write(path, render_chrome_trace("retail", &events))?;
-            println!(
-                "trace: wrote {path} ({} events, {} dropped)",
-                events.len(),
-                recorder.dropped_events()
-            );
-        }
-    }
+    let observed = Observed::new("retail", || augur::slo::retail(params.seed))?;
+    let report = run(&params, &observed.obs)?;
+    observed.finish()?;
     println!(
         "\nrecommender quality (leave-one-out, hit-rate@{}):",
         params.top_k
@@ -101,24 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.decluttered_layout.overlap_ratio * 100.0,
         report.decluttered_layout.mean_displacement_px
     );
-    println!("\nper-stage breakdown (modeled work units, deterministic under the seed):");
-    print!("{}", render_span_breakdown(&obs.registry.snapshot()));
-    if let Some(session) = &session {
-        println!("\nwatch (SLO burn-rate verdicts on the pipeline's manual clock):");
-        print!("{}", session.dashboard());
-        let health = session.health();
-        if health.ok {
-            println!("\nhealth OK — every objective inside its error budget");
-        } else {
-            let violated: Vec<&str> = health
-                .slos
-                .iter()
-                .filter(|s| !s.ok)
-                .map(|s| s.name.as_str())
-                .collect();
-            println!("\nhealth VIOLATED — {}", violated.join(", "));
-            std::process::exit(2);
-        }
-    }
+    observed.report("watch (SLO burn-rate verdicts on the pipeline's manual clock):");
     Ok(())
 }

@@ -1,15 +1,16 @@
 //! Profile artifacts of the four scenarios: a fixed seed and a
-//! `ManualTime`-driven run fold into byte-identical folded-stack and
-//! speedscope artifacts (pinned by digest), the profile's exclusive
-//! times sum back to the root inclusive time, every scenario's traced
-//! run folds into a non-empty profile whose stacks mirror the scenario's
-//! stage names, and the speedscope document `tourism_city --profile`
-//! writes is well-formed.
+//! `ManualTime`-driven run write byte-identical folded-stack and
+//! speedscope files through the artifact bundle writer (pinned by
+//! digest), the profile's exclusive times sum back to the root
+//! inclusive time, every scenario's traced run folds into a non-empty
+//! profile whose stacks mirror the scenario's stage names, and the
+//! tourism bundle's speedscope document is well-formed.
 #![allow(clippy::expect_used)]
 
 use augur::core::{healthcare, retail, tourism, traffic, CoreError};
 use augur::semantic::json::JsonValue;
 use augur::telemetry::{fnv1a64, FlightEvent, FlightRecorder, Obs};
+use augur::xray::artifacts::Artifacts;
 use augur::xray::profile::Profile;
 
 /// FNV-1a digests of the small runs' profile artifacts. Both renderings
@@ -33,10 +34,22 @@ fn traced<R>(run: impl FnOnce(&Obs) -> Result<R, CoreError>) -> (R, Vec<FlightEv
     (report, recorder.drain())
 }
 
-/// Runs `run` traced and folds the drained spans into a profile.
-fn profiled<R>(run: impl FnOnce(&Obs) -> Result<R, CoreError>) -> (R, Profile) {
-    let (report, events) = traced(run);
-    (report, Profile::from_events(&events))
+/// Runs `run` traced, writes its artifact bundle under `name` into a
+/// fresh temporary directory, and returns the bundle's folded and
+/// speedscope files.
+fn bundled<R>(name: &str, run: impl FnOnce(&Obs) -> Result<R, CoreError>) -> (String, String) {
+    let (_, events) = traced(run);
+    // One directory per test thread: the tests run concurrently.
+    let thread = std::thread::current().id();
+    let dir = std::env::temp_dir().join(format!("augur-profile-{}-{thread:?}", std::process::id()));
+    let bundle = Artifacts::from_events(name, events, 0);
+    bundle.write(&dir).expect("bundle writes");
+    let read = |ext: &str| {
+        std::fs::read_to_string(dir.join(format!("{name}.{ext}"))).expect("bundle file written")
+    };
+    let files = (read("folded"), read("speedscope.json"));
+    std::fs::remove_dir_all(&dir).expect("remove the bundle directory");
+    files
 }
 
 fn small_tourism() -> tourism::TourismParams {
@@ -76,42 +89,43 @@ fn small_retail() -> retail::RetailParams {
     }
 }
 
+/// The folded file of the small `name` run's bundle.
+fn small_folded(name: &str) -> String {
+    let (folded, _) = match name {
+        "traffic" => bundled(name, |obs| traffic::run(&small_traffic(), obs)),
+        "healthcare" => bundled(name, |obs| healthcare::run(&small_healthcare(), obs)),
+        "retail" => bundled(name, |obs| retail::run(&small_retail(), obs)),
+        other => unreachable!("no small {other} run"),
+    };
+    folded
+}
+
 #[test]
 fn profile_artifacts_are_pinned() {
-    let digest = |text: String| fnv1a64(text.as_bytes());
-    let (_, tourism) = profiled(|obs| tourism::run(&small_tourism(), obs));
-    let (_, traffic) = profiled(|obs| traffic::run(&small_traffic(), obs));
-    let (_, healthcare) = profiled(|obs| healthcare::run(&small_healthcare(), obs));
-    let (_, retail) = profiled(|obs| retail::run(&small_retail(), obs));
-    let got = [
-        digest(tourism.render_folded()),
-        digest(tourism.render_speedscope("tourism")),
-        digest(traffic.render_folded()),
-        digest(healthcare.render_folded()),
-        digest(retail.render_folded()),
+    let (tourism_folded, tourism_speedscope) =
+        bundled("tourism", |obs| tourism::run(&small_tourism(), obs));
+    let [traffic, healthcare, retail] = ["traffic", "healthcare", "retail"].map(small_folded);
+    let files = [
+        tourism_folded,
+        tourism_speedscope,
+        traffic,
+        healthcare,
+        retail,
     ];
-    assert_eq!(
-        got,
-        [
-            TOURISM_FOLDED,
-            TOURISM_SPEEDSCOPE,
-            TRAFFIC_FOLDED,
-            HEALTHCARE_FOLDED,
-            RETAIL_FOLDED
-        ],
-        "profile digests {got:#018x?}"
-    );
+    let got = files.map(|text| fnv1a64(text.as_bytes()));
+    let want = [
+        TOURISM_FOLDED,
+        TOURISM_SPEEDSCOPE,
+        TRAFFIC_FOLDED,
+        HEALTHCARE_FOLDED,
+        RETAIL_FOLDED,
+    ];
+    assert_eq!(got, want, "profile digests {got:#018x?}");
 }
 
 #[test]
 fn tourism_profile_artifacts_are_byte_identical_across_runs() {
-    let run = || {
-        let (_, profile) = profiled(|obs| tourism::run(&small_tourism(), obs));
-        (
-            profile.render_folded(),
-            profile.render_speedscope("tourism"),
-        )
-    };
+    let run = || bundled("tourism", |obs| tourism::run(&small_tourism(), obs));
     let (folded_a, speedscope_a) = run();
     let (folded_b, speedscope_b) = run();
     assert!(!folded_a.is_empty(), "profile must not be empty");
@@ -156,41 +170,30 @@ fn tourism_profile_has_per_frame_stacks_and_balances() {
 
 #[test]
 fn all_scenarios_run_profiled_nonempty_and_deterministic() {
-    let folded_traffic = || {
-        let (_, p) = profiled(|obs| traffic::run(&small_traffic(), obs));
-        p.render_folded()
-    };
-    let folded_healthcare = || {
-        let (_, p) = profiled(|obs| healthcare::run(&small_healthcare(), obs));
-        p.render_folded()
-    };
-    let folded_retail = || {
-        let (_, p) = profiled(|obs| retail::run(&small_retail(), obs));
-        p.render_folded()
-    };
-    for (name, run) in [
-        ("traffic", &folded_traffic as &dyn Fn() -> String),
-        ("healthcare", &folded_healthcare),
-        ("retail", &folded_retail),
-    ] {
-        let a = run();
+    for name in ["traffic", "healthcare", "retail"] {
+        let a = small_folded(name);
         assert!(!a.is_empty(), "{name} profile must not be empty");
         assert!(
             a.lines().any(|l| l.starts_with(name)),
             "{name} stacks must be rooted at the scenario span:\n{a}"
         );
-        assert_eq!(a, run(), "{name} folded output must be byte-identical");
+        assert_eq!(
+            a,
+            small_folded(name),
+            "{name} folded output must be byte-identical"
+        );
     }
 }
 
-/// The speedscope file `tourism_city --profile` writes (default tour)
-/// is a sampled, microsecond-unit profile whose samples and weights
-/// pair up, whose weights sum to `endValue`, and whose stacks index the
-/// shared frame table.
+/// The speedscope file of a default-tour bundle is a sampled,
+/// microsecond-unit profile whose samples and weights pair up, whose
+/// weights sum to `endValue`, and whose stacks index the shared frame
+/// table.
 #[test]
 fn tourism_city_speedscope_document_is_well_formed() {
-    let (_, profile) = profiled(|obs| tourism::run(&tourism::TourismParams::default(), obs));
-    let text = profile.render_speedscope("tourism_city");
+    let (_, text) = bundled("tourism", |obs| {
+        tourism::run(&tourism::TourismParams::default(), obs)
+    });
     let doc = JsonValue::parse(&text).expect("speedscope output is JSON");
     let schema = doc.field("$schema").and_then(JsonValue::as_str);
     assert!(schema.expect("$schema").contains("speedscope"));
