@@ -157,3 +157,76 @@ proptest! {
         }
     }
 }
+
+/// Seeded streams per error-bound check.
+const STREAMS: u64 = 200;
+
+/// Count-Min sized by `with_error(ε, δ)` overcounts a queried item by at
+/// most εN in at least a 1 − δ share of seeded streams. Each stream
+/// draws 5 000 items from a skewed space of 2 000 (a few heavy hitters
+/// crowd the counters) and queries its first item and one it never saw.
+#[test]
+fn count_min_overcount_stays_within_epsilon_n() {
+    use rand::{Rng, SeedableRng};
+    const N: u64 = 5_000;
+    for (epsilon, delta) in [(0.01, 0.05), (0.002, 0.01)] {
+        let mut misses = 0u64;
+        for seed in 0..STREAMS {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut cm = CountMinSketch::with_error(epsilon, delta).unwrap();
+            let mut exact = std::collections::HashMap::new();
+            let mut first = None;
+            for _ in 0..N {
+                let top = rng.gen_range(1..2_000u64);
+                let item = rng.gen_range(0..top);
+                cm.add(item, 1);
+                *exact.entry(item).or_insert(0u64) += 1;
+                first.get_or_insert(item);
+            }
+            let held = first.unwrap();
+            let unseen = 2_000 + seed;
+            for item in [held, unseen] {
+                let truth = exact.get(&item).copied().unwrap_or(0);
+                let over = cm.estimate(item) - truth;
+                if over as f64 > epsilon * N as f64 {
+                    misses += 1;
+                }
+            }
+        }
+        let allowed = (delta * (2 * STREAMS) as f64).floor() as u64;
+        assert!(
+            misses <= allowed,
+            "ε={epsilon} δ={delta}: {misses} of {} queries overcounted by more than εN",
+            2 * STREAMS
+        );
+    }
+}
+
+/// HyperLogLog's mean relative error over seeded streams stays within
+/// 1.5 × its 1.04/√m standard error at precisions 8, 10 and 12, in the
+/// linear-counting range, just past the switch to the raw estimate, and
+/// well past it.
+#[test]
+fn hll_mean_relative_error_stays_within_its_standard_error() {
+    use rand::{Rng, SeedableRng};
+    for precision in [8u8, 10, 12] {
+        let m = 1usize << precision;
+        let bound = 1.04 / (m as f64).sqrt() * 1.5;
+        for n in [m / 2, 3 * m, 10 * m] {
+            let mut total = 0.0;
+            for seed in 0..STREAMS {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let mut hll = HyperLogLog::new(precision).unwrap();
+                for _ in 0..n {
+                    hll.add(rng.gen());
+                }
+                total += (hll.estimate() - n as f64).abs() / n as f64;
+            }
+            let mean = total / STREAMS as f64;
+            assert!(
+                mean <= bound,
+                "precision {precision}, n = {n}: mean relative error {mean:.4} > {bound:.4}"
+            );
+        }
+    }
+}

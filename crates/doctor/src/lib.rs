@@ -40,6 +40,8 @@ pub mod logs;
 pub mod profile_diff;
 /// Trend fitting over snapshot histories (`--trend`).
 pub mod trend;
+/// Smoke check over one wallbench run's verdict (`--wallbench-result`).
+pub mod wallbench;
 /// Bottleneck-shape gate over xray artifacts (`--xray`).
 pub mod xray;
 

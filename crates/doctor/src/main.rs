@@ -5,6 +5,7 @@
 //! augur-doctor --trend results/baseline/history
 //! augur-doctor --profile-diff baseline.folded current.folded
 //! augur-doctor --logs current.jsonl results/baseline/log_fingerprints.json
+//! augur-doctor --wallbench-result wallbench.out
 //! ```
 //!
 //! Pairwise mode compares every bench snapshot present in BOTH
@@ -37,6 +38,12 @@
 //! when the critical-path head moved (naming the new head), any
 //! stage's critical-path share grew past tolerance, the parallel
 //! speedup bound dropped, or the current report is truncated.
+//!
+//! Wallbench-result mode (`--wallbench-result <file>`, exclusive with
+//! the others) reads the saved output of one `augur-wallbench` run,
+//! prints how many operations it attempted, and exits 1 unless its last
+//! line says `correct: true` with `failed: 0`; an unreadable or
+//! malformed last line exits 2.
 
 use std::path::PathBuf;
 
@@ -48,6 +55,7 @@ use augur_doctor::profile_diff::{
     has_profile_regressions, render_profile_diff_markdown, run_profile_diff,
 };
 use augur_doctor::trend::{has_drift, render_trend_markdown, run_trend};
+use augur_doctor::wallbench::read_result;
 use augur_doctor::xray::{has_xray_regressions, render_xray_markdown, run_xray_gate};
 use augur_doctor::{has_regressions, render_json, render_markdown, run_gate, Tolerances};
 
@@ -73,13 +81,17 @@ enum Mode {
         current: PathBuf,
         baseline: PathBuf,
     },
+    Wallbench {
+        result: PathBuf,
+    },
 }
 
 const USAGE: &str = "usage: augur-doctor --baseline <dir> --current <dir> [--json <path>]\n\
        augur-doctor --trend <dir>\n\
        augur-doctor --profile-diff <baseline.folded> <current.folded>\n\
        augur-doctor --logs <current.jsonl> <baseline.json> [--json <path>]\n\
-       augur-doctor --xray <current.xray.json> <baseline.xray.json>";
+       augur-doctor --xray <current.xray.json> <baseline.xray.json>\n\
+       augur-doctor --wallbench-result <run-output>";
 
 fn parse_args() -> Result<Mode, String> {
     let mut baseline = None;
@@ -89,6 +101,7 @@ fn parse_args() -> Result<Mode, String> {
     let mut profile_diff = None;
     let mut logs = None;
     let mut xray = None;
+    let mut wallbench = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut take = |name: &str| {
@@ -115,9 +128,27 @@ fn parse_args() -> Result<Mode, String> {
                 let base = PathBuf::from(take("--xray")?);
                 xray = Some((cur, base));
             }
+            "--wallbench-result" => {
+                wallbench = Some(PathBuf::from(take("--wallbench-result")?));
+            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
+    }
+    if let Some(result) = wallbench {
+        if baseline.is_some()
+            || current.is_some()
+            || json_out.is_some()
+            || trend.is_some()
+            || profile_diff.is_some()
+            || logs.is_some()
+            || xray.is_some()
+        {
+            return Err(format!(
+                "--wallbench-result is exclusive with other modes\n{USAGE}"
+            ));
+        }
+        return Ok(Mode::Wallbench { result });
     }
     if let Some((cur, base)) = xray {
         if baseline.is_some()
@@ -179,6 +210,23 @@ fn run() -> i32 {
         }
     };
     match mode {
+        Mode::Wallbench { result } => match read_result(&result) {
+            Ok(r) => {
+                println!(
+                    "wallbench result: correct={} attempted={} failed={}",
+                    r.correct, r.attempted, r.failed
+                );
+                if r.passed() {
+                    0
+                } else {
+                    1
+                }
+            }
+            Err(e) => {
+                eprintln!("augur-doctor: failed reading {}: {e}", result.display());
+                2
+            }
+        },
         Mode::Xray { current, baseline } => {
             let report = match run_xray_gate(&current, &baseline) {
                 Ok(r) => r,

@@ -532,11 +532,11 @@ pub struct Pipeline<T> {
     instruments: Instruments,
 }
 
-/// Item with routing metadata flowing through a pipeline.
+/// A decoded item of a bounded read and its routing key. Its event time
+/// and trace context sit beside it in [`Scan`], so the sort and the
+/// window loop walk no bytes they do not use.
 struct Flow<T> {
     key: u64,
-    time_us: u64,
-    trace: Option<TraceContext>,
     value: T,
 }
 
@@ -583,10 +583,6 @@ impl<T> Flows<T> {
         &self.chunks[i / FLOW_CHUNK][i % FLOW_CHUNK]
     }
 
-    fn iter(&self) -> impl Iterator<Item = &Flow<T>> {
-        self.chunks.iter().flatten()
-    }
-
     fn swap(&mut self, a: usize, b: usize) {
         let (ca, cb) = (a / FLOW_CHUNK, b / FLOW_CHUNK);
         if ca == cb {
@@ -615,10 +611,21 @@ impl<T> IntoIterator for Flows<T> {
 struct Scan<T> {
     /// Decoded items in arrival (partition-then-offset) order.
     flows: Flows<T>,
+    /// Each flow's event time, by arrival index.
+    times: Vec<u64>,
+    /// Each flow's sampled producer context, by arrival index. It stays
+    /// empty, unallocated, until a record carries a context, and then
+    /// runs only to the latest such flow; see [`trace_at`].
+    traces: Vec<Option<TraceContext>>,
     /// The order the run visits `flows` in, as indices into it.
     order: Vec<usize>,
     /// Payload bytes of every record read, decoded or not.
     bytes: u64,
+}
+
+/// The trace context of the flow at arrival index `i`, if it has one.
+fn trace_at(traces: &[Option<TraceContext>], i: usize) -> Option<TraceContext> {
+    traces.get(i).copied().flatten()
 }
 
 /// Reorders `flows` in place so that the flow at `order[k]` lands at
@@ -638,30 +645,27 @@ fn permute<T>(flows: &mut Flows<T>, mut order: Vec<usize>) {
     }
 }
 
-/// The visit order that stably sorts `flows` by event time. It sorts
-/// compact keys, never the flows: one word per flow, the time above the
-/// least one and the arrival index below it, so the index breaks ties.
-/// A read whose time span leaves too few bits for the index sorts
-/// `(time, index)` pairs instead; both give the same order.
-fn event_time_order<T>(flows: &Flows<T>) -> Vec<usize> {
-    let (min, max) = flows.iter().fold((u64::MAX, 0), |(lo, hi), f| {
-        (lo.min(f.time_us), hi.max(f.time_us))
-    });
-    let idx_bits = u64::BITS - (flows.len() as u64).saturating_sub(1).leading_zeros();
+/// The visit order that stably sorts flows by event time, given their
+/// `times` in arrival order. It sorts compact keys, never the flows: one
+/// word per flow, the time above the least one and the arrival index
+/// below it, so the index breaks ties. A read whose time span leaves too
+/// few bits for the index sorts `(time, index)` pairs instead; both give
+/// the same order.
+fn event_time_order(times: &[u64]) -> Vec<usize> {
+    let (min, max) = times
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), &t| (lo.min(t), hi.max(t)));
+    let idx_bits = u64::BITS - (times.len() as u64).saturating_sub(1).leading_zeros();
     let span = max.saturating_sub(min);
     if span.checked_shr(u64::BITS - idx_bits).unwrap_or(0) != 0 {
-        let mut keys: Vec<(u64, usize)> = flows
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.time_us, i))
-            .collect();
+        let mut keys: Vec<(u64, usize)> = times.iter().copied().zip(0..).collect();
         keys.sort_unstable();
         return keys.into_iter().map(|(_, i)| i).collect();
     }
     let mask = u64::MAX.checked_shr(u64::BITS - idx_bits).unwrap_or(0);
     let mut keys: Vec<u64> = (0u64..)
-        .zip(flows.iter())
-        .map(|(i, f)| (f.time_us - min).checked_shl(idx_bits).unwrap_or(0) | i)
+        .zip(times)
+        .map(|(i, &t)| (t - min).checked_shl(idx_bits).unwrap_or(0) | i)
         .collect();
     keys.sort_unstable();
     keys.into_iter().map(|k| (k & mask) as usize).collect()
@@ -681,7 +685,10 @@ impl<T: Send + 'static> Pipeline<T> {
         let ends = (0..b.partition_count(topic)?)
             .map(|p| b.end_offset(topic, PartitionId(p)))
             .collect::<Result<Vec<u64>, _>>()?;
-        let mut flows = Flows::with_capacity(ends.iter().sum::<u64>() as usize);
+        let total = ends.iter().sum::<u64>() as usize;
+        let mut flows = Flows::with_capacity(total);
+        let mut times = Vec::with_capacity(total);
+        let mut traces = Vec::new();
         let mut bytes = 0u64;
         for (p, &end) in (0..).map(PartitionId).zip(&ends) {
             let mut from = 0u64;
@@ -691,13 +698,16 @@ impl<T: Send + 'static> Pipeline<T> {
                     for r in records {
                         bytes += r.payload.len() as u64;
                         if let Some(v) = (self.inner.decoder)(r) {
-                            flows.push(Flow {
-                                key: r.key,
-                                time_us: r.event_time_us,
+                            if let Some(c) = r.trace {
                                 // Head sampling decides here, once per
                                 // record, so every downstream per-record
                                 // flight event inherits the verdict.
-                                trace: r.trace.map(|c| self.instruments.sample_ctx(c)),
+                                traces.resize(flows.len(), None);
+                                traces.push(Some(self.instruments.sample_ctx(c)));
+                            }
+                            times.push(r.event_time_us);
+                            flows.push(Flow {
+                                key: r.key,
                                 value: v,
                             });
                         }
@@ -713,10 +723,12 @@ impl<T: Send + 'static> Pipeline<T> {
         let order = if self.inner.arrival_order {
             (0..flows.len()).collect()
         } else {
-            event_time_order(&flows)
+            event_time_order(&times)
         };
         Ok(Scan {
             flows,
+            times,
+            traces,
             order,
             bytes,
         })
@@ -736,8 +748,10 @@ impl<T: Send + 'static> Pipeline<T> {
         let run_t0 = self.instruments.clock.now_micros();
         let Scan {
             mut flows,
+            traces,
             order,
             bytes,
+            ..
         } = {
             let _read = self.instruments.tracer.span("pipeline/read");
             self.read_all()?
@@ -747,6 +761,12 @@ impl<T: Send + 'static> Pipeline<T> {
         }
         self.instruments.flight_stage(run_ctx, Stage::Read, run_t0);
         self.instruments.records_in.add(flows.len() as u64);
+        // The contexts follow their flows into visit order.
+        let traces: Vec<Option<TraceContext>> = if traces.is_empty() {
+            traces
+        } else {
+            order.iter().map(|&j| trace_at(&traces, j)).collect()
+        };
         permute(&mut flows, order);
         // Run-local, non-atomic histogram for the per-run quantile view,
         // folded into the shared `pipeline_record_latency_ns` family once
@@ -756,7 +776,7 @@ impl<T: Send + 'static> Pipeline<T> {
         {
             let _transform = self.instruments.tracer.span("pipeline/transform");
             let transform_t0 = self.instruments.clock.now_micros();
-            for flow in flows {
+            for (k, flow) in flows.into_iter().enumerate() {
                 let t0 = self.instruments.clock.now_nanos();
                 if let Some((time, costs)) = &self.inner.modeled {
                     time.advance_micros(costs.transform_us);
@@ -766,7 +786,7 @@ impl<T: Send + 'static> Pipeline<T> {
                     run_latency.record(dt);
                     // A record carrying its producer's context gets a
                     // per-record span on that chain: the cross-layer link.
-                    if let (Some(w), Some(ctx)) = (&self.instruments.flight, flow.trace) {
+                    if let (Some(w), Some(ctx)) = (&self.instruments.flight, trace_at(&traces, k)) {
                         w.recorder.record_span(
                             ctx.child_named("pipeline/record"),
                             w.record_name,
@@ -860,6 +880,8 @@ impl<T: Send + 'static> Pipeline<T> {
         // stored under partition u32::MAX (single logical cursor).
         let Scan {
             flows,
+            times,
+            traces,
             order,
             bytes,
         } = {
@@ -886,40 +908,40 @@ impl<T: Send + 'static> Pipeline<T> {
             let _window = self.instruments.tracer.span("pipeline/window");
             let window_t0 = self.instruments.clock.now_micros();
             for (i, &j) in (first..stop).zip(&order[first..stop]) {
-                let flow = flows.get(j);
+                let (flow, time_us) = (flows.get(j), times[j]);
                 if let Some((time, costs)) = &self.inner.modeled {
                     time.advance_micros(costs.window_us);
                 }
                 if let Some(x) = apply(&mut self.inner.transforms, flow.value.clone()) {
-                    if wm.observe(flow.time_us).is_some() {
+                    if wm.observe(time_us).is_some() {
                         emitted.extend(agg.advance(wm.current()));
                     }
                     // Lateness relative to the current watermark: 0 for
                     // on-time records, positive for stragglers — the
                     // distribution A1 uses to size the disorder bound.
-                    let lateness = wm.current().0.saturating_sub(flow.time_us);
+                    let lateness = wm.current().0.saturating_sub(time_us);
                     run_lateness.record(lateness);
-                    let accepted = agg.offer(flow.key, flow.time_us, &x);
-                    // Late drops become flight instants on the producer's
-                    // chain: the trace shows *which* frame lost data.
-                    if let (Some(w), Some(ctx), false) =
-                        (&self.instruments.flight, flow.trace, accepted)
-                    {
-                        w.recorder.record_instant(
-                            ctx.child_named("pipeline/late_drop"),
-                            w.late_name,
-                            self.instruments.clock.now_micros(),
-                            lateness,
-                        );
-                    }
-                    // And a WARN record explaining the decision — on the
-                    // producer's chain when the record carries one, else
-                    // under the run context. Rate-limited: a late storm
-                    // degrades to a sample plus a suppressed count.
+                    let accepted = agg.offer(flow.key, time_us, &x);
                     if !accepted {
+                        let trace = trace_at(&traces, j);
+                        // Late drops become flight instants on the
+                        // producer's chain: the trace shows *which* frame
+                        // lost data.
+                        if let (Some(w), Some(ctx)) = (&self.instruments.flight, trace) {
+                            w.recorder.record_instant(
+                                ctx.child_named("pipeline/late_drop"),
+                                w.late_name,
+                                self.instruments.clock.now_micros(),
+                                lateness,
+                            );
+                        }
+                        // And a WARN record explaining the decision — on
+                        // the producer's chain when the record carries
+                        // one, else under the run context. Rate-limited: a
+                        // late storm degrades to a sample plus a
+                        // suppressed count.
                         if let Some(w) = &self.instruments.log {
-                            let ctx = flow
-                                .trace
+                            let ctx = trace
                                 .map(|c| c.child_named("pipeline/late_drop"))
                                 .or(log_ctx);
                             if let Some(ctx) = ctx {

@@ -13,6 +13,9 @@
 //! - Registry pins: after a run, every total, bucket, min and max the
 //!   pipeline left in the registry equals what recording each record
 //!   into a fresh `Counter` / `Histogram` leaves.
+//! - Trace alignment: with producer contexts on some records, every
+//!   per-record span of `collect` and every late-drop instant of
+//!   `run_windowed` lands on the chain of the record it is about.
 
 #![allow(clippy::unwrap_used)] // integration tests: a panic here IS the test failure
 
@@ -23,7 +26,9 @@ use augur_stream::{
     BoundedOutOfOrderness, Broker, CheckpointStore, PipelineBuilder, Record, SlidingWindows,
     WatermarkGenerator, Window, WindowResult, WindowState,
 };
-use augur_telemetry::{Counter, Histogram, ManualTime, Obs, Registry};
+use augur_telemetry::{
+    Counter, FlightEvent, FlightRecorder, Histogram, ManualTime, Obs, Registry, TraceContext,
+};
 use proptest::prelude::*;
 
 const TOPIC: &str = "t";
@@ -529,4 +534,154 @@ fn collect_orders_times_at_both_ends_of_the_range() {
         .map(|&(_, _, v)| v)
         .collect();
     assert_eq!(items, want);
+}
+
+/// Seed of every producer context in the trace tests; the context of
+/// the record whose value is `v` is `TraceContext::root(TRACE_SEED, v)`.
+const TRACE_SEED: u64 = 0x7ace;
+
+/// `(trace_id, parent_span_id)` of the flight events named `name`, in
+/// the order they were recorded.
+fn chains(events: &[FlightEvent], name: &str) -> Vec<(u64, u64)> {
+    events
+        .iter()
+        .filter(|e| e.name == name)
+        .map(|e| (e.trace_id, e.parent_span_id))
+        .collect()
+}
+
+/// The chains the records with these values, in this order, hang off,
+/// keeping only the traced ones.
+fn producer_chains(values: impl IntoIterator<Item = u64>, traced: &[bool]) -> Vec<(u64, u64)> {
+    values
+        .into_iter()
+        .filter(|&v| traced[v as usize])
+        .map(|v| {
+            let root = TraceContext::root(TRACE_SEED, v);
+            (root.trace_id, root.span_id)
+        })
+        .collect()
+}
+
+/// Appends `inputs` as `topic` does, the records picked by `traced`
+/// (indexed by generation index) carrying their producer's context.
+fn traced_topic(partitions: u32, inputs: &[Input], traced: &[bool]) -> Broker {
+    let broker = Broker::new();
+    broker.create_topic(TOPIC, partitions).unwrap();
+    for (i, &(key, t_us, value)) in inputs.iter().enumerate() {
+        let payload = match value {
+            Some(v) => v.to_le_bytes().to_vec(),
+            None => vec![0u8; 3],
+        };
+        let mut record = Record::new(key, payload, t_us);
+        if traced[i] {
+            record = record.with_trace(TraceContext::root(TRACE_SEED, i as u64));
+        }
+        broker.append(TOPIC, record).unwrap();
+    }
+    broker
+}
+
+/// Runs `collect` and `run_windowed` over a topic where the records
+/// picked by `traced` carry a context, and checks that every
+/// `pipeline/record` span and every `pipeline/late_drop` instant sits on
+/// the chain of the record it is about, in visit order. Returns how many
+/// spans and how many instants it checked.
+fn check_trace_alignment(
+    partitions: u32,
+    inputs: &[Input],
+    traced: &[bool],
+    bound_us: u64,
+    arrival: bool,
+) -> (usize, usize) {
+    let broker = traced_topic(partitions, inputs, traced);
+    let arrival_recs = arrival_order(&broker, partitions, inputs);
+    let event_recs = event_order(&arrival_recs);
+    let order = if arrival { &arrival_recs } else { &event_recs };
+    let recorder = FlightRecorder::new(1 << 12);
+    let obs = Obs {
+        flight: Some(recorder.clone()),
+        ..Obs::default()
+    };
+    let build = || {
+        PipelineBuilder::new(broker.clone(), TOPIC, decode)
+            .watermark_bound_us(bound_us)
+            .arrival_order(arrival)
+            .filter(|v| v % 7 != 3)
+            .obs(&obs)
+            .build()
+    };
+    let kept = |v: &u64| v % 7 != 3;
+
+    // `collect`: one span per surviving record, on its own chain.
+    let (items, _) = build().collect().unwrap();
+    let events = recorder.drain();
+    assert_eq!(recorder.dropped_events(), 0);
+    let visited: Vec<u64> = order.iter().map(|&(_, _, v)| v).filter(kept).collect();
+    assert_eq!(&items, &visited);
+    let spans = producer_chains(visited, traced);
+    assert_eq!(chains(&events, "pipeline/record"), spans.clone());
+
+    // `run_windowed`: a record missing from every emitted pane was
+    // dropped late, and its instant sits on its own chain.
+    let (got, metrics) = build()
+        .run_windowed(SlidingWindows::new(1_000, 500), Values, None, None, false)
+        .unwrap();
+    let events = recorder.drain();
+    let folded: std::collections::HashSet<u64> = got.into_iter().flat_map(|r| r.value).collect();
+    let dropped: Vec<u64> = order
+        .iter()
+        .map(|&(_, _, v)| v)
+        .filter(|v| kept(v) && !folded.contains(v))
+        .collect();
+    assert_eq!(metrics.late_dropped, dropped.len() as u64);
+    let instants = producer_chains(dropped, traced);
+    assert_eq!(chains(&events, "pipeline/late_drop"), instants.clone());
+    assert_eq!(chains(&events, "pipeline/record"), vec![]);
+    (spans.len(), instants.len())
+}
+
+proptest! {
+    /// A random subset of records carries a context, so the first traced
+    /// record may follow untraced ones and the last ones may carry none.
+    #[test]
+    fn trace_contexts_follow_their_records(
+        generated in inputs(),
+        traced in prop::collection::vec(any::<bool>(), 120..121),
+        bound_us in 0u64..2_000,
+        arrival in any::<bool>(),
+    ) {
+        let (partitions, inputs) = generated;
+        check_trace_alignment(partitions, &inputs, &traced, bound_us, arrival);
+    }
+}
+
+/// A fixed topic on four partitions: the first traced record follows
+/// untraced ones, the last records are untraced, every partition holds
+/// traced records, and arrival order drops some of them late.
+#[test]
+fn trace_contexts_follow_their_records_on_every_partition() {
+    let inputs: Vec<Input> = (0..400u64)
+        .map(|i| {
+            let t_us = if i % 9 == 4 { i * 100 / 3 } else { i * 100 };
+            (i % 8, t_us, (i % 11 != 6).then_some(i))
+        })
+        .collect();
+    let traced: Vec<bool> = (0..400u64)
+        .map(|i| (37..380).contains(&i) && i % 3 != 0)
+        .collect();
+    let broker = traced_topic(4, &inputs, &traced);
+    for p in 0..4 {
+        assert!(
+            inputs.iter().zip(&traced).any(|(&(key, _, v), &t)| t
+                && v.is_some()
+                && broker.partition_for(TOPIC, key).unwrap().0 == p),
+            "partition {p} holds no traced record"
+        );
+    }
+    let (spans, instants) = check_trace_alignment(4, &inputs, &traced, 150, false);
+    assert!(spans > 0);
+    assert_eq!(instants, 0, "event-time order drops nothing");
+    let (_, instants) = check_trace_alignment(4, &inputs, &traced, 150, true);
+    assert!(instants > 0, "arrival order must drop traced records late");
 }
