@@ -28,7 +28,8 @@
 //! 5. **`atomics-ordering`** — `Ordering::Relaxed` is permitted only in
 //!    the sanctioned counter modules ([`crate::scan::ATOMICS_EXEMPT`]) or
 //!    under a reviewed entry in the `audit.allow` file; flag and seqlock
-//!    sites must use acquire/release.
+//!    sites must use acquire/release. An entry that permits no `Relaxed`
+//!    site is reported at its `audit.allow` line, to be pruned.
 //! 6. **`spawn-lane-registered`** — inside the sanctioned worker-pool
 //!    modules ([`crate::scan::LANE_REQUIRED`]), every `thread::spawn`
 //!    must sit in a function that references a `Lane*` symbol
@@ -38,7 +39,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::baseline::Allowlist;
+use crate::allow::Allowlist;
 use crate::lexer;
 use crate::rules::{FilePolicy, Severity, Violation};
 use crate::scan::PARK_EXEMPT;
@@ -469,6 +470,23 @@ pub fn check_workspace(files: &[FileConc], allow: &Allowlist, out: &mut Vec<Viol
             }
         }
     }
+    for e in &allow.entries {
+        let used = files.iter().any(|f| {
+            !f.policy.relaxed_exempt && f.relaxed.iter().any(|(sym, _)| e.permits(&f.rel, sym))
+        });
+        if !used {
+            out.push(violation(
+                "audit.allow",
+                e.line,
+                "atomics-ordering",
+                format!(
+                    "entry `{} {}` permits no `Ordering::Relaxed` site: prune it \
+                     (the reviewed exceptions only ever shrink)",
+                    e.file, e.symbol
+                ),
+            ));
+        }
+    }
 
     // ---- Call index: fn name -> definitions (for one-hop propagation). ----
     let mut defs: BTreeMap<&str, Vec<(&FileConc, &FnConc)>> = BTreeMap::new();
@@ -674,12 +692,18 @@ mod tests {
     use crate::scan::policy_for;
 
     fn run(files: &[(&str, &str)]) -> Vec<Violation> {
+        run_allowed(files, "")
+    }
+
+    /// Runs the workspace rules under an `audit.allow` reading `allow`.
+    fn run_allowed(files: &[(&str, &str)], allow: &str) -> Vec<Violation> {
         let collected: Vec<FileConc> = files
             .iter()
             .map(|(rel, src)| collect(rel, src, policy_for(rel)))
             .collect();
         let mut out = Vec::new();
-        check_workspace(&collected, &Allowlist::empty(), &mut out);
+        let allow = Allowlist::parse(allow).expect("test allowlist parses");
+        check_workspace(&collected, &allow, &mut out);
         out
     }
 
@@ -871,15 +895,40 @@ mod tests {
         let v = run(&[("crates/telemetry/src/metric.rs", bad)]);
         assert!(v.is_empty(), "{v:?}");
         // Reviewed allowlist entry.
-        let collected = vec![collect(
-            "crates/geo/src/flag.rs",
-            bad,
-            policy_for("crates/geo/src/flag.rs"),
-        )];
-        let allow = Allowlist::parse("crates/geo/src/flag.rs b reviewed: test fixture\n")
-            .unwrap_or_else(|_| Allowlist::empty());
-        let mut out = Vec::new();
-        check_workspace(&collected, &allow, &mut out);
-        assert!(out.is_empty(), "{out:?}");
+        let v = run_allowed(
+            &[("crates/geo/src/flag.rs", bad)],
+            "crates/geo/src/flag.rs b reviewed: test fixture\n",
+        );
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn unused_allowlist_entries_are_denied() {
+        let relaxed = "use std::sync::atomic::{AtomicBool, Ordering};\n\
+                       fn f(b: &AtomicBool) { b.store(true, Ordering::Relaxed); }";
+        let fixed = relaxed.replace("Relaxed", "Release");
+        // Used entries pass; an entry for another symbol, for a file whose
+        // site was fixed, or for a sanctioned module permits nothing.
+        let out = run_allowed(
+            &[
+                ("crates/geo/src/flag.rs", relaxed),
+                ("crates/geo/src/fixed.rs", &fixed),
+                ("crates/telemetry/src/metric.rs", relaxed),
+            ],
+            "crates/geo/src/flag.rs b reviewed\n\
+             crates/geo/src/flag.rs * reviewed\n\
+             # comment\n\
+             crates/geo/src/flag.rs c reviewed\n\
+             crates/geo/src/fixed.rs b reviewed\n\
+             crates/telemetry/src/metric.rs b reviewed\n",
+        );
+        let at: Vec<(&str, usize)> = out.iter().map(|v| (v.file.as_str(), v.line)).collect();
+        assert_eq!(
+            at,
+            vec![("audit.allow", 4), ("audit.allow", 5), ("audit.allow", 6)],
+            "{out:?}"
+        );
+        assert_eq!(rules_of(&out), vec!["atomics-ordering"; 3]);
+        assert!(out[0].message.contains("prune"), "{}", out[0].message);
     }
 }

@@ -25,7 +25,8 @@ pub const RULES: [RuleDoc; 19] = [
          modules (crates/telemetry/src/metric.rs, crates/telemetry/src/time.rs, \
          crates/telemetry/src/lane.rs) or under a reviewed `audit.allow` entry of the form \
          `<file> <symbol> <reason>`. Everything else must use Acquire/Release (or stronger) so \
-         the sharded engine's cross-thread handoffs are fenced by construction.",
+         the sharded engine's cross-thread handoffs are fenced by construction. An entry that \
+         permits no Relaxed site is reported at its `audit.allow` line: prune it.",
     ),
     (
         "bounded-channels-only",

@@ -36,22 +36,22 @@
 //! 9. **Spawn confinement** — threads only in the sanctioned worker-pool
 //!    modules (`spawn-confined`).
 //! 10. **Atomics-ordering discipline** — `Ordering::Relaxed` only for
-//!     counters in sanctioned modules or reviewed [`baseline::Allowlist`]
+//!     counters in sanctioned modules or reviewed [`allow::Allowlist`]
 //!     entries (`atomics-ordering`).
 //!
-//! New rules land strict: pre-existing findings live in the committed
-//! `audit.baseline.json` ([`baseline::Baseline`]) with exact counts, so a
-//! fixed finding forces its suppression to be pruned (stale entries fail
-//! the run). Reports export as SARIF 2.1.0 ([`sarif`]) for CI ingestion,
-//! and every rule code is documented via `--explain` ([`explain`]).
+//! Every deny finding fails the run. The one way to sanction a finding is
+//! a reviewed `audit.allow` entry ([`allow::Allowlist`]), and an entry that permits no `Relaxed` site is
+//! itself a deny finding, so the exceptions only ever shrink. Reports
+//! export as SARIF 2.1.0 ([`sarif`]) for CI ingestion, and every rule code
+//! is documented via `--explain` ([`explain`]).
 //!
 //! Run it three ways: `cargo run -p augur-audit` (CLI), the tier-1
 //! integration test `tests/static_audit.rs` (keeps `cargo test` enforcing the
 //! invariants forever), and `cargo run -p augur-audit -- --self-test` (the
 //! analyzer checks itself against seeded violations).
 
-/// Baseline (suppression) and allowlist files, plus a minimal JSON reader.
-pub mod baseline;
+/// The reviewed `Ordering::Relaxed` exceptions (`audit.allow`).
+pub mod allow;
 /// Cross-file concurrency rules over the scope pass.
 pub mod concurrency;
 /// `--explain` documentation for every rule code.
@@ -69,9 +69,9 @@ pub mod scope;
 /// Seeded-violation self-test fixtures.
 pub mod selftest;
 
-/// Baseline types re-exported from [`baseline`].
-pub use baseline::{Allowlist, Baseline};
+/// The allowlist re-exported from [`allow`].
+pub use allow::Allowlist;
 /// Rule types re-exported from [`rules`].
 pub use rules::{FilePolicy, Severity, Violation};
 /// Scanning entry points re-exported from [`scan`].
-pub use scan::{analyze_files, audit_workspace, audit_workspace_with, AuditOptions, Report};
+pub use scan::{analyze_files, audit_workspace, Report};

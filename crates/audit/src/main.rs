@@ -1,10 +1,10 @@
 //! CLI for the workspace static audit.
 //!
-//! Exit codes: `0` clean (no unsuppressed denials, no stale baseline
-//! entries), `1` violations / stale suppressions / failed self-test,
-//! `2` usage error, `3` internal error (I/O, malformed baseline or
-//! allowlist). The 1-vs-3 split matters in CI: a red `1` means the tree
-//! regressed; a red `3` means the audit itself could not run.
+//! Exit codes: `0` clean (no deny findings), `1` deny findings (an
+//! unused `audit.allow` entry included) or a failed self-test, `2` usage
+//! error, `3` internal error (I/O, malformed `audit.allow`). The 1-vs-3
+//! split matters in CI: a red `1` means the tree regressed; a red `3`
+//! means the audit itself could not run.
 
 use std::fs;
 use std::path::PathBuf;
@@ -18,19 +18,16 @@ OPTIONS:\n\
   --root <dir>       workspace root (default: the build workspace)\n\
   --format <fmt>     output format: text (default) or sarif\n\
   --output <path>    write the report to a file instead of stdout\n\
-  --baseline <path>  suppression file (default: <root>/audit.baseline.json)\n\
-  --allow <path>     Relaxed-ordering allowlist (default: <root>/audit.allow)\n\
   --explain <rule>   print one rule's documentation (or `all`) and exit\n\
-  --verbose, -v      also print advisories and baseline-suppressed findings\n\
+  --verbose, -v      also print advisories\n\
   --self-test        run the analyzer against seeded violation fixtures\n\
   --help, -h         this text\n\n\
-EXIT CODES: 0 clean, 1 violations or stale baseline entries, 2 usage,\n\
-3 internal error (I/O or malformed baseline/allowlist).";
+Reviewed Relaxed-ordering exceptions are read from <root>/audit.allow.\n\n\
+EXIT CODES: 0 clean, 1 deny findings (unused audit.allow entries included),\n\
+2 usage, 3 internal error (I/O or malformed audit.allow).";
 
 struct Cli {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    allow: Option<PathBuf>,
     output: Option<PathBuf>,
     format: String,
     verbose: bool,
@@ -45,8 +42,6 @@ enum Parsed {
 fn parse_args() -> Parsed {
     let mut cli = Cli {
         root: None,
-        baseline: None,
-        allow: None,
         output: None,
         format: String::from("text"),
         verbose: false,
@@ -57,15 +52,13 @@ fn parse_args() -> Parsed {
         match arg.as_str() {
             "--self-test" => cli.self_test = true,
             "--verbose" | "-v" => cli.verbose = true,
-            "--root" | "--baseline" | "--allow" | "--output" | "--format" => {
+            "--root" | "--output" | "--format" => {
                 let Some(value) = args.next() else {
                     eprintln!("error: {arg} requires a value");
                     return Parsed::Done(ExitCode::from(2));
                 };
                 match arg.as_str() {
                     "--root" => cli.root = Some(PathBuf::from(value)),
-                    "--baseline" => cli.baseline = Some(PathBuf::from(value)),
-                    "--allow" => cli.allow = Some(PathBuf::from(value)),
                     "--output" => cli.output = Some(PathBuf::from(value)),
                     _ => {
                         if value != "text" && value != "sarif" {
@@ -133,38 +126,10 @@ fn main() -> ExitCode {
         .root
         .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."));
 
-    // Explicit baseline/allow paths must exist and parse (exit 3 if not);
-    // the default discovery treats missing files as empty inputs.
-    let mut opts = match scan::AuditOptions::discover(&root) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(3);
-        }
-    };
-    if let Some(path) = &cli.baseline {
-        opts.baseline = match augur_audit::Baseline::load(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(3);
-            }
-        };
-    }
-    if let Some(path) = &cli.allow {
-        opts.allow = match augur_audit::Allowlist::load(path) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(3);
-            }
-        };
-    }
-
-    let report = match scan::audit_workspace_with(&root, &opts) {
+    let report = match scan::audit_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("error: audit scan failed under {}: {e}", root.display());
+            eprintln!("error: audit failed under {}: {e}", root.display());
             return ExitCode::from(3);
         }
     };
@@ -184,7 +149,7 @@ fn main() -> ExitCode {
         None => print!("{rendered}"),
     }
 
-    if report.pass() {
+    if report.clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -4,9 +4,7 @@
 //! Format so CI systems and editors can ingest findings natively. The
 //! document carries one run: the tool descriptor lists every rule with
 //! its `--explain` summary; each finding becomes a `result` with a
-//! physical location; baseline-suppressed findings are included with an
-//! `external` suppression record so the burn-down backlog stays visible
-//! in SARIF viewers instead of vanishing.
+//! physical location.
 
 use crate::explain;
 use crate::rules::{Severity, Violation};
@@ -29,20 +27,15 @@ fn esc(s: &str) -> String {
     out
 }
 
-fn result_json(v: &Violation, suppressed: bool) -> String {
+fn result_json(v: &Violation) -> String {
     let level = match v.severity {
         Severity::Deny => "error",
         Severity::Advice => "note",
     };
-    let suppressions = if suppressed {
-        ",\"suppressions\":[{\"kind\":\"external\"}]"
-    } else {
-        ""
-    };
     format!(
         "{{\"ruleId\":\"{}\",\"level\":\"{level}\",\"message\":{{\"text\":\"{}\"}},\
          \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\",\
-         \"uriBaseId\":\"SRCROOT\"}},\"region\":{{\"startLine\":{}}}}}}}]{suppressions}}}",
+         \"uriBaseId\":\"SRCROOT\"}},\"region\":{{\"startLine\":{}}}}}}}]}}",
         esc(v.rule),
         esc(&v.message),
         esc(&v.file),
@@ -62,13 +55,7 @@ pub fn render(report: &Report) -> String {
             esc(detail)
         ));
     }
-    let mut results = Vec::new();
-    for v in &report.violations {
-        results.push(result_json(v, false));
-    }
-    for v in &report.suppressed {
-        results.push(result_json(v, true));
-    }
+    let results: Vec<String> = report.violations.iter().map(result_json).collect();
     format!(
         "{{\"$schema\":\"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/\
          Schemata/sarif-schema-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{{\"tool\":\
@@ -78,52 +65,4 @@ pub fn render(report: &Report) -> String {
         rules.join(","),
         results.join(",")
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::baseline;
-
-    fn vio(rule: &'static str, msg: &str) -> Violation {
-        Violation {
-            file: String::from("crates/x/src/a.rs"),
-            line: 7,
-            rule,
-            severity: Severity::Deny,
-            message: msg.to_string(),
-        }
-    }
-
-    #[test]
-    fn emits_valid_json_with_rules_results_and_suppressions() {
-        let report = Report {
-            violations: vec![vio("no-unwrap", "quote \" and \\ and\nnewline")],
-            suppressed: vec![vio("no-blocking-hot-path", "suppressed one")],
-            stale_suppressions: Vec::new(),
-            files_scanned: 1,
-        };
-        let doc = render(&report);
-        let parsed = match baseline::parse_json(&doc) {
-            Ok(p) => p,
-            Err(e) => panic!("SARIF must parse as JSON: {e}"),
-        };
-        assert_eq!(
-            parsed.get("version").and_then(baseline::Json::as_str),
-            Some("2.1.0")
-        );
-        let runs = parsed.get("runs").and_then(baseline::Json::as_array);
-        let run = runs.and_then(<[baseline::Json]>::first);
-        let results = run
-            .and_then(|r| r.get("results"))
-            .and_then(baseline::Json::as_array)
-            .map(<[baseline::Json]>::len);
-        assert_eq!(results, Some(2));
-        assert!(doc.contains("\"suppressions\":[{\"kind\":\"external\"}]"));
-        assert!(doc.contains("\"startLine\":7"));
-        // Every documented rule appears in the driver descriptor.
-        for (code, _, _) in explain::RULES {
-            assert!(doc.contains(&format!("\"id\":\"{code}\"")), "{code}");
-        }
-    }
 }

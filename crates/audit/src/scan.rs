@@ -1,6 +1,6 @@
 //! Workspace walker: maps each library source file to its rule policy,
-//! runs the per-file token rules and the cross-file concurrency pass, and
-//! applies the committed baseline/allowlist.
+//! runs the per-file token rules and the cross-file concurrency pass
+//! under the committed `audit.allow` exceptions.
 //!
 //! The analysis is deliberately two-phase so results are a pure function
 //! of the *set* of files: phase one collects per-file facts (token
@@ -14,7 +14,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::{Allowlist, Baseline};
+use crate::allow::Allowlist;
 use crate::concurrency;
 use crate::rules::{self, FilePolicy, Severity, Violation};
 
@@ -110,40 +110,27 @@ pub const PARK_EXEMPT: (&str, &str) = ("crates/stream/src/broker.rs", "wait_for_
 /// Result of auditing a tree.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Findings that were not suppressed, deny and advice alike.
+    /// All findings, deny and advice alike.
     pub violations: Vec<Violation>,
-    /// Deny findings suppressed by the committed baseline (the burn-down
-    /// backlog — still exported to SARIF, never silently dropped).
-    pub suppressed: Vec<Violation>,
-    /// Baseline entries that matched fewer findings than they declare:
-    /// the finding was fixed, so the suppression must be pruned.
-    pub stale_suppressions: Vec<String>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// Unsuppressed findings that fail the audit.
+    /// Deny findings: any one fails the audit.
     pub fn denials(&self) -> impl Iterator<Item = &Violation> {
         self.violations
             .iter()
             .filter(|v| v.severity == Severity::Deny)
     }
 
-    /// Whether no unsuppressed deny findings remain.
+    /// Whether the audit passes: no deny findings.
     pub fn clean(&self) -> bool {
         self.denials().next().is_none()
     }
 
-    /// Whether the audit passes overall: clean *and* no stale baseline
-    /// entries (a stale suppression fails the run so the baseline only
-    /// ever shrinks).
-    pub fn pass(&self) -> bool {
-        self.clean() && self.stale_suppressions.is_empty()
-    }
-
     /// Renders the report as deterministic plain text. With `verbose`,
-    /// advisories and baseline-suppressed findings are included.
+    /// advisories are included.
     pub fn render_text(&self, verbose: bool) -> String {
         let mut out = String::new();
         for v in self.denials() {
@@ -151,9 +138,6 @@ impl Report {
                 "deny  {:<22} {}:{} {}\n",
                 v.rule, v.file, v.line, v.message
             ));
-        }
-        for s in &self.stale_suppressions {
-            out.push_str(&format!("stale baseline entry: {s}\n"));
         }
         if verbose {
             for v in &self.violations {
@@ -164,68 +148,27 @@ impl Report {
                     ));
                 }
             }
-            for v in &self.suppressed {
-                out.push_str(&format!(
-                    "baselined {:<18} {}:{} {}\n",
-                    v.rule, v.file, v.line, v.message
-                ));
-            }
         }
         out.push_str(&format!(
-            "{} files scanned, {} deny, {} advice, {} baselined, {} stale\n",
+            "{} files scanned, {} deny, {} advice\n",
             self.files_scanned,
             self.denials().count(),
             self.violations
                 .iter()
                 .filter(|v| v.severity == Severity::Advice)
                 .count(),
-            self.suppressed.len(),
-            self.stale_suppressions.len()
         ));
         out
     }
 }
 
-/// Baseline and allowlist inputs for a run.
-#[derive(Debug, Default)]
-pub struct AuditOptions {
-    /// Committed suppressions (`audit.baseline.json`).
-    pub baseline: Baseline,
-    /// Reviewed `Ordering::Relaxed` exceptions (`audit.allow`).
-    pub allow: Allowlist,
-}
-
-impl AuditOptions {
-    /// Discovers `audit.baseline.json` and `audit.allow` under `root`.
-    /// Missing files mean empty inputs; malformed files are an error
-    /// (mapped to [`io::ErrorKind::InvalidData`] so the CLI exits 3).
-    pub fn discover(root: &Path) -> io::Result<Self> {
-        let mut opts = Self::default();
-        let baseline_path = root.join("audit.baseline.json");
-        if baseline_path.is_file() {
-            opts.baseline = Baseline::load(&baseline_path)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        }
-        let allow_path = root.join("audit.allow");
-        if allow_path.is_file() {
-            opts.allow = Allowlist::load(&allow_path)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        }
-        Ok(opts)
-    }
-}
-
-/// Audits a workspace rooted at `root` (the directory holding `crates/`),
-/// discovering the committed baseline and allowlist next to it.
+/// Audits a workspace rooted at `root` (the directory holding `crates/`)
+/// under the `audit.allow` next to it (none means no exceptions). An
+/// unreadable tree or a malformed `audit.allow` is an error.
 pub fn audit_workspace(root: &Path) -> io::Result<Report> {
-    let opts = AuditOptions::discover(root)?;
-    audit_workspace_with(root, &opts)
-}
-
-/// Audits a workspace with explicit baseline/allowlist inputs.
-pub fn audit_workspace_with(root: &Path, opts: &AuditOptions) -> io::Result<Report> {
+    let allow = Allowlist::discover(root)?;
     let files = collect_files(root)?;
-    Ok(analyze_files(&files, &opts.baseline, &opts.allow))
+    Ok(analyze_files(&files, &allow))
 }
 
 /// Reads every library source file under `root`: `crates/*/src` plus the
@@ -277,11 +220,11 @@ fn collect_tree(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> io:
     Ok(())
 }
 
-/// Runs both analysis phases over an in-memory file set and applies the
-/// baseline. Pure and order-independent: the input is sorted (and
-/// deduplicated by path) first, and every workspace-level structure is
-/// ordered, so any permutation of `files` yields an identical [`Report`].
-pub fn analyze_files(files: &[(String, String)], baseline: &Baseline, allow: &Allowlist) -> Report {
+/// Runs both analysis phases over an in-memory file set under `allow`.
+/// Pure and order-independent: the input is sorted (and deduplicated by
+/// path) first, and every workspace-level structure is ordered, so any
+/// permutation of `files` yields an identical [`Report`].
+pub fn analyze_files(files: &[(String, String)], allow: &Allowlist) -> Report {
     let mut sorted: Vec<&(String, String)> = files.iter().collect();
     sorted.sort_by(|a, b| a.0.cmp(&b.0));
     sorted.dedup_by(|a, b| a.0 == b.0);
@@ -306,12 +249,8 @@ pub fn analyze_files(files: &[(String, String)], baseline: &Baseline, allow: &Al
     violations.dedup_by(|a, b| {
         a.file == b.file && a.line == b.line && a.rule == b.rule && a.message == b.message
     });
-
-    let (kept, suppressed, stale) = baseline.apply(violations);
     Report {
-        violations: kept,
-        suppressed,
-        stale_suppressions: stale,
+        violations,
         files_scanned: sorted.len(),
     }
 }
@@ -481,10 +420,9 @@ mod tests {
         ];
         let mut reversed = files.clone();
         reversed.reverse();
-        let b = Baseline::empty();
-        let al = Allowlist::empty();
-        let r1 = analyze_files(&files, &b, &al);
-        let r2 = analyze_files(&reversed, &b, &al);
+        let al = Allowlist::default();
+        let r1 = analyze_files(&files, &al);
+        let r2 = analyze_files(&reversed, &al);
         assert_eq!(r1.render_text(true), r2.render_text(true));
         assert!(!r1.clean(), "the cycle must be found");
     }

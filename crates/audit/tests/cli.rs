@@ -1,7 +1,7 @@
 //! CLI contract tests: the exit-code mapping (0 clean, 1 violations or
-//! stale baseline, 2 usage, 3 internal error), `--explain`, and SARIF
-//! output. These are the codes CI keys off — a red `1` means the tree
-//! regressed, a red `3` means the audit itself could not run.
+//! an unused `audit.allow` entry, 2 usage, 3 internal error), `--explain`,
+//! and SARIF output. These are the codes CI keys off — a red `1` means
+//! the tree regressed, a red `3` means the audit itself could not run.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // integration tests: a panic here IS the test failure
 
@@ -43,7 +43,7 @@ impl Drop for TempTree {
 }
 
 #[test]
-fn clean_tree_with_committed_baseline_exits_zero() {
+fn committed_tree_exits_zero() {
     let status = bin().arg("--root").arg(workspace_root()).status().unwrap();
     assert_eq!(
         status.code(),
@@ -80,19 +80,19 @@ fn missing_root_exits_three() {
 }
 
 #[test]
-fn malformed_baseline_exits_three() {
+fn malformed_allowlist_exits_three() {
     let tree = TempTree::new(
-        "badbase",
+        "badallow",
         &[
             ("crates/geo/src/ok.rs", "pub fn f() {}\n"),
-            ("audit.baseline.json", "{not json"),
+            ("audit.allow", "crates/geo/src/ok.rs flag\n"),
         ],
     );
     let status = bin().arg("--root").arg(&tree.0).status().unwrap();
     assert_eq!(
         status.code(),
         Some(3),
-        "a parse failure must not read as clean"
+        "an entry without a reason is a parse failure, which must not read as clean"
     );
 }
 
@@ -105,15 +105,14 @@ fn unknown_flag_and_bad_format_exit_two() {
 }
 
 #[test]
-fn stale_baseline_entry_exits_one() {
+fn unused_allowlist_entry_exits_one() {
     let tree = TempTree::new(
-        "stale",
+        "unused",
         &[
             ("crates/geo/src/ok.rs", "pub fn f() {}\n"),
             (
-                "audit.baseline.json",
-                "{\"entries\": [{\"file\": \"crates/geo/src/gone.rs\", \
-                 \"rule\": \"no-unwrap\", \"reason\": \"already fixed\"}]}",
+                "audit.allow",
+                "# reviewed\ncrates/geo/src/gone.rs flag the site was fixed\n",
             ),
         ],
     );
@@ -121,30 +120,10 @@ fn stale_baseline_entry_exits_one() {
     assert_eq!(
         out.status.code(),
         Some(1),
-        "stale suppressions must fail the run"
+        "an allowlist entry that permits nothing must fail the run"
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("stale baseline entry"), "{text}");
-}
-
-#[test]
-fn baseline_suppression_turns_violation_into_clean() {
-    let tree = TempTree::new(
-        "suppress",
-        &[
-            (
-                "crates/stream/src/bad.rs",
-                "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-            ),
-            (
-                "audit.baseline.json",
-                "{\"entries\": [{\"file\": \"crates/stream/src/bad.rs\", \
-                 \"rule\": \"no-unwrap\", \"count\": 1, \"reason\": \"burning down\"}]}",
-            ),
-        ],
-    );
-    let status = bin().arg("--root").arg(&tree.0).status().unwrap();
-    assert_eq!(status.code(), Some(0));
+    assert!(text.contains("audit.allow:2"), "{text}");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! byte-identical rendering), and lock-order cycle detection is exact on
 //! seeded ring/chain topologies of any size and order.
 
-use augur_audit::{analyze_files, Allowlist, Baseline};
+use augur_audit::{analyze_files, Allowlist};
 use proptest::prelude::*;
 
 /// Deterministic Fisher–Yates driven by an LCG over `seed` (the proptest
@@ -77,10 +77,9 @@ proptest! {
         let mut files = ring_files(k, true);
         files.extend(mixed_files());
         let permuted = shuffled(&files, seed);
-        let baseline = Baseline::empty();
-        let allow = Allowlist::empty();
-        let sorted_run = analyze_files(&files, &baseline, &allow);
-        let permuted_run = analyze_files(&permuted, &baseline, &allow);
+        let allow = Allowlist::default();
+        let sorted_run = analyze_files(&files, &allow);
+        let permuted_run = analyze_files(&permuted, &allow);
         prop_assert_eq!(
             sorted_run.render_text(true),
             permuted_run.render_text(true),
@@ -103,18 +102,17 @@ proptest! {
 
     #[test]
     fn cycles_always_detected_chains_never(seed in any::<u64>(), k in 2usize..6) {
-        let baseline = Baseline::empty();
-        let allow = Allowlist::empty();
+        let allow = Allowlist::default();
 
         let cycle = shuffled(&ring_files(k, true), seed);
-        let report = analyze_files(&cycle, &baseline, &allow);
+        let report = analyze_files(&cycle, &allow);
         prop_assert!(
             report.violations.iter().any(|v| v.rule == "lock-order-cycle"),
             "a seeded {}-cycle must always be detected", k
         );
 
         let chain = shuffled(&ring_files(k, false), seed);
-        let report = analyze_files(&chain, &baseline, &allow);
+        let report = analyze_files(&chain, &allow);
         prop_assert!(
             report.violations.iter().all(|v| v.rule != "lock-order-cycle"),
             "an acyclic {}-chain must never be flagged", k

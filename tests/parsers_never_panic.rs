@@ -1,19 +1,19 @@
 //! The text formats the platform reads from outside never panic: ARML
 //! features and feature collections (`augur::semantic::arml`) and the
-//! audit's baseline, JSON reader and allowlist
-//! (`augur_audit::baseline`). Every input, arbitrary or a valid document
-//! with a few bytes damaged, yields `Ok` or `Err`.
+//! audit's `audit.allow` list (`augur_audit::allow`). Every input,
+//! arbitrary or a valid document with a few bytes damaged, yields `Ok`
+//! or `Err`.
 #![allow(clippy::unwrap_used)] // test code: a panic here IS the failure
 
 use augur::geo::{Enu, GeoPoint};
 use augur::semantic::arml::FeatureCollection;
 use augur::semantic::{Anchor, Feature, FeatureId, VirtualAsset};
-use augur_audit::baseline::{parse_json, Allowlist, Baseline};
+use augur_audit::Allowlist;
 use proptest::prelude::*;
 
 /// Grammar fragments of both formats, so generated input gets past the
-/// first byte: JSON structure, escapes and literals, the ARML and
-/// baseline field names, and allowlist line pieces.
+/// first byte: JSON structure, escapes and literals, the ARML field
+/// names, and allowlist line pieces.
 const TOKENS: &[&str] = &[
     "{",
     "}",
@@ -44,9 +44,6 @@ const TOKENS: &[&str] = &[
     "\"type\":",
     "\"geo\"",
     "\"lat\":",
-    "\"entries\":",
-    "\"count\":",
-    "\"file\":",
     "crates/stream/src/pipeline.rs",
 ];
 
@@ -90,17 +87,9 @@ fn documents() -> Vec<String> {
         .with_tag("category", "landmark");
     let collection =
         FeatureCollection::from_iter([feature.clone(), Feature::new(FeatureId(8), "Pier")]);
-    let baseline = r#"{"version": 1, "comment": "x", "entries": [
-        {"file": "crates/a/src/b.rs", "rule": "no-unwrap", "count": 2, "reason": "burn-down"},
-        {"file": "crates/c/src/d.rs", "rule": "no-panic", "reason": "é \n"}]}"#;
     let allow = "# reviewed\n\ncrates/a/src/b.rs seq acquire fences order it\n\
                  crates/c/src/d.rs * counters only ever summed\n";
-    vec![
-        feature.to_json(),
-        collection.to_json(),
-        baseline.to_string(),
-        allow.to_string(),
-    ]
+    vec![feature.to_json(), collection.to_json(), allow.to_string()]
 }
 
 /// Damages `doc`: each edit overwrites, inserts or deletes one byte at
@@ -125,8 +114,6 @@ fn mutate(doc: &str, edits: &[(u8, usize, u8)]) -> String {
 fn parse_all(input: &str) {
     let _ = Feature::from_json(input);
     let _ = FeatureCollection::from_json(input);
-    let _ = parse_json(input);
-    let _ = Baseline::parse(input);
     let _ = Allowlist::parse(input);
 }
 
@@ -157,16 +144,4 @@ proptest! {
         let input = format!("{}{}", open.repeat(depth), docs[pick % docs.len()]);
         parse_all(&input);
     }
-}
-
-/// Found by `deeply_nested_documents_never_panic`: the audit's JSON
-/// reader recursed once per nesting level, so a long run of `[` blew
-/// the stack instead of returning an error.
-#[test]
-fn audit_json_reader_rejects_nesting_past_its_limit() {
-    let deep = "[".repeat(100_000);
-    assert!(parse_json(&deep).is_err());
-    assert!(Baseline::parse(&format!("{{\"entries\": {deep}")).is_err());
-    let shallow = format!("{}{}", "[".repeat(100), "]".repeat(100));
-    assert!(parse_json(&shallow).is_ok());
 }

@@ -5,17 +5,22 @@
 //! call on the per-record path, an unbounded channel, a stray
 //! `thread::spawn`, or an unreviewed `Ordering::Relaxed` — the same
 //! policy `cargo run -p augur-audit` applies, wired into the test suite
-//! so CI and local runs cannot skip it. The committed
-//! `audit.baseline.json` is honored (pre-existing findings burn down
-//! explicitly), and a stale baseline entry fails the gate so the
-//! baseline only ever shrinks.
+//! so CI and local runs cannot skip it. Every deny finding fails the
+//! gate; the committed `audit.allow` is the one list of reviewed
+//! exceptions, and an entry in it that permits nothing is a finding too.
+//! The SARIF export the CI step uploads is checked against SARIF 2.1.0's
+//! required structure here as well.
+#![allow(clippy::expect_used, clippy::panic)]
 
-use std::path::Path;
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::{Path, PathBuf};
 
-use augur_audit::{audit_workspace, Severity};
+use augur::semantic::json::JsonValue;
+use augur_audit::{audit_workspace, explain, sarif, Report, Severity};
 
-/// The shipped tree passes the audit: no unsuppressed denials, and every
-/// committed baseline entry still matches its exact finding count.
+/// The shipped tree passes the audit: no deny findings, and every
+/// `audit.allow` entry still permits at least one site.
 #[test]
 fn workspace_is_audit_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -30,12 +35,6 @@ fn workspace_is_audit_clean() {
         denials.len(),
         denials.join("\n")
     );
-    assert!(
-        report.stale_suppressions.is_empty(),
-        "stale audit.baseline.json entries (the finding was fixed; prune them):\n{}",
-        report.stale_suppressions.join("\n")
-    );
-    assert!(report.pass());
 }
 
 /// The analyzer itself still detects every seeded violation class —
@@ -59,23 +58,140 @@ fn advisories_are_not_denials() {
         .all(|v| matches!(v.severity, Severity::Deny)));
 }
 
-/// The baseline burn-down backlog is visible, bounded, and honest: every
-/// suppressed finding is deny-severity and named by a baseline entry.
+/// The value at `path` below `v`.
+fn at<'a>(v: &'a JsonValue, path: &[&str]) -> &'a JsonValue {
+    path.iter().fold(v, |v, name| {
+        v.field(name)
+            .unwrap_or_else(|e| panic!("SARIF: no {}: {e:?}", path.join(".")))
+    })
+}
+
+fn text<'a>(v: &'a JsonValue, path: &[&str]) -> &'a str {
+    at(v, path)
+        .as_str()
+        .unwrap_or_else(|e| panic!("SARIF: {} is not a string: {e:?}", path.join(".")))
+}
+
+fn array<'a>(v: &'a JsonValue, path: &[&str]) -> &'a [JsonValue] {
+    at(v, path)
+        .as_array()
+        .unwrap_or_else(|e| panic!("SARIF: {} is not an array: {e:?}", path.join(".")))
+}
+
+/// Checks `report`'s SARIF export against SARIF 2.1.0's required
+/// structure and returns each result's `(message, uri)`, in order.
+fn check_sarif(report: &Report) -> Vec<(String, String)> {
+    let rendered = sarif::render(report);
+    // The export is compact, so any control character in it sits
+    // unescaped inside a string, which JSON forbids (and which
+    // `JsonValue::parse` would accept).
+    assert!(
+        !rendered.chars().any(char::is_control),
+        "unescaped control character"
+    );
+    let doc = JsonValue::parse(&rendered).expect("SARIF parses as JSON");
+    assert_eq!(text(&doc, &["version"]), "2.1.0");
+    let schema = text(&doc, &["$schema"]);
+    assert!(schema.contains("sarif-schema-2.1.0"), "{schema}");
+    let runs = array(&doc, &["runs"]);
+    assert_eq!(runs.len(), 1, "exactly one run");
+    let run = &runs[0];
+    assert_eq!(text(run, &["tool", "driver", "name"]), "augur-audit");
+
+    let rules = array(run, &["tool", "driver", "rules"]);
+    let ids: BTreeSet<&str> = rules.iter().map(|r| text(r, &["id"])).collect();
+    assert_eq!(ids.len(), rules.len(), "duplicate rule ids");
+    for rule in rules {
+        let id = text(rule, &["id"]);
+        assert!(
+            !text(rule, &["shortDescription", "text"]).is_empty(),
+            "{id}"
+        );
+    }
+    for (code, _, _) in explain::RULES {
+        assert!(ids.contains(code), "documented rule {code} missing");
+    }
+
+    let results = array(run, &["results"]);
+    assert_eq!(results.len(), report.violations.len());
+    results
+        .iter()
+        .map(|res| {
+            let rule = text(res, &["ruleId"]);
+            assert!(ids.contains(rule), "{rule} is not a driver rule");
+            let level = text(res, &["level"]);
+            assert!(matches!(level, "error" | "warning" | "note"), "{level}");
+            assert!(
+                res.field("suppressions").is_err(),
+                "no result is suppressed"
+            );
+            let message = text(res, &["message", "text"]);
+            assert!(!message.is_empty(), "{rule}: empty message");
+            let loc = at(
+                array(res, &["locations"]).first().expect("a location"),
+                &["physicalLocation"],
+            );
+            let uri = text(loc, &["artifactLocation", "uri"]);
+            assert!(!uri.is_empty(), "{rule}: empty uri");
+            let line = at(loc, &["region", "startLine"])
+                .as_f64()
+                .expect("startLine is a number");
+            assert!(line >= 1.0, "{rule}: startLine {line}");
+            (message.to_string(), uri.to_string())
+        })
+        .collect()
+}
+
+/// A throwaway tree seeded with `files`; removed on drop.
+struct TempTree(PathBuf);
+
+impl TempTree {
+    fn new(files: &[(&str, &str)]) -> Self {
+        let root = std::env::temp_dir().join(format!("augur-static-audit-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        for (rel, src) in files {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().expect("a parent")).expect("tree is writable");
+            fs::write(&path, src).expect("tree is writable");
+        }
+        TempTree(root)
+    }
+}
+
+impl Drop for TempTree {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The committed tree's SARIF export has SARIF 2.1.0's structure, and
+/// so has a report whose one deny finding needs escaping: its message
+/// quotes a source line holding `"` and `\`, and its file lies under a
+/// crate directory whose name holds `"` and a newline. Both read back
+/// unchanged.
 #[test]
-fn baseline_suppressions_are_deny_only_and_bounded() {
+fn sarif_export_is_structurally_valid() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let report = audit_workspace(root).expect("workspace sources are readable");
-    assert!(report
-        .suppressed
-        .iter()
-        .all(|v| matches!(v.severity, Severity::Deny)));
-    // The backlog shrinks over time; it must never silently grow past the
-    // committed entries' total count.
-    let opts = augur_audit::AuditOptions::discover(root).expect("baseline parses");
-    let budget: usize = opts.baseline.entries.iter().map(|e| e.count).sum();
+    check_sarif(&report);
+
+    let tree = TempTree::new(&[(
+        "crates/q\"uote\nline/src/lib.rs",
+        "//! Crate docs.\npub const S: &str = \"a\\\"b\\\\c\";\n",
+    )]);
+    let report = audit_workspace(&tree.0).expect("temp tree is readable");
+    let finding = report.denials().next().expect("the export is undocumented");
+    assert_eq!(finding.rule, "documented-exports");
     assert!(
-        report.suppressed.len() <= budget,
-        "suppressed {} findings but the baseline only budgets {budget}",
-        report.suppressed.len()
+        finding.message.contains("\"a\\\"b\\\\c\""),
+        "{}",
+        finding.message
     );
+    assert!(finding.file.contains("\"uote\nline"), "{}", finding.file);
+    let expected: Vec<(String, String)> = report
+        .violations
+        .iter()
+        .map(|v| (v.message.clone(), v.file.clone()))
+        .collect();
+    assert_eq!(check_sarif(&report), expected);
 }
