@@ -9,12 +9,10 @@
 //!   from an exponentially weighted moving baseline — adapts per patient
 //!   without configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AnalyticsError;
 
 /// A raised alert.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnomalyAlert {
     /// Sample time (caller's clock, microseconds).
     pub t_us: u64,
@@ -26,7 +24,7 @@ pub struct AnomalyAlert {
 }
 
 /// `m`-of-`n` static-range detector; see the module docs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdDetector {
     lo: f64,
     hi: f64,
@@ -99,7 +97,7 @@ impl ThresholdDetector {
 }
 
 /// EWMA baseline detector; see the module docs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EwmaDetector {
     alpha: f64,
     k_sigma: f64,

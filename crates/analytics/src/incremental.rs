@@ -15,10 +15,8 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Running statistics for one group (Welford's algorithm for variance).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupedStats {
     /// Observation count.
     pub count: u64,
@@ -88,7 +86,7 @@ impl GroupedStats {
 /// assert_eq!(view.get(1).unwrap().mean, 15.0);
 /// assert_eq!(view.group_count(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IncrementalView {
     groups: HashMap<u64, GroupedStats>,
     updates: u64,

@@ -8,8 +8,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AnalyticsError;
 
 /// Frequent itemsets mined with Apriori.
@@ -150,7 +148,7 @@ impl FrequentItemsets {
 }
 
 /// An association rule between two items.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AssociationRule {
     /// If a basket contains this item...
     pub antecedent: u64,
@@ -195,7 +193,7 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Result<f64, AnalyticsError> {
 
 /// Rolling linear-trend detector: fits a least-squares slope over a
 /// sliding window and flags sustained drift.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrendDetector {
     window: usize,
     buf: Vec<f64>,

@@ -16,10 +16,9 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One user-item interaction (purchase, dwell, rating...).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interaction {
     /// User id.
     pub user: u64,
@@ -220,7 +219,7 @@ impl Recommender for RandomRecommender {
 }
 
 /// Leave-one-out evaluation results.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EvalReport {
     /// Fraction of held-out items recovered in the top-k.
     pub hit_rate: f64,

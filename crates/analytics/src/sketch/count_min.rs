@@ -1,7 +1,5 @@
 //! Count-Min sketch.
 
-use serde::{Deserialize, Serialize};
-
 use super::mix64;
 use crate::error::AnalyticsError;
 
@@ -23,7 +21,7 @@ use crate::error::AnalyticsError;
 /// assert!(cm.estimate(8) >= 5);
 /// # Ok::<(), augur_analytics::AnalyticsError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountMinSketch {
     width: usize,
     depth: usize,

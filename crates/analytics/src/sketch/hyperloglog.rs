@@ -1,7 +1,5 @@
 //! HyperLogLog cardinality estimation.
 
-use serde::{Deserialize, Serialize};
-
 use super::mix64;
 use crate::error::AnalyticsError;
 
@@ -22,7 +20,7 @@ use crate::error::AnalyticsError;
 /// assert!((est - 10_000.0).abs() / 10_000.0 < 0.05);
 /// # Ok::<(), augur_analytics::AnalyticsError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HyperLogLog {
     precision: u8,
     registers: Vec<u8>,

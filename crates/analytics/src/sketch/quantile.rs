@@ -1,7 +1,5 @@
 //! P² single-quantile estimation (Jain & Chlamtac, 1985).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AnalyticsError;
 
 /// Streaming estimate of one quantile using five markers and parabolic
@@ -18,7 +16,7 @@ use crate::error::AnalyticsError;
 /// assert!((est - 9_900.0).abs() < 200.0);
 /// # Ok::<(), augur_analytics::AnalyticsError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct P2Quantile {
     p: f64,
     count: u64,

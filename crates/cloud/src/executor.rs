@@ -1,11 +1,9 @@
 //! Compute resources: the phone and the datacenter.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CloudError;
 
 /// A compute resource characterised by effective throughput.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputeResource {
     /// Name for reports.
     pub name: String,

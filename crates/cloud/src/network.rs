@@ -6,12 +6,11 @@
 //! is all the break-even analysis needs).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::CloudError;
 
 /// A network link model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkProfile {
     /// Profile name for reports.
     pub name: String,

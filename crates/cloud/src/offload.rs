@@ -10,7 +10,6 @@
 
 use augur_telemetry::log::{Arg, Level, LogSite};
 use augur_telemetry::{Obs, Registry, TraceContext, SPAN_LABEL, SPAN_METRIC};
-use serde::{Deserialize, Serialize};
 
 use crate::error::CloudError;
 use crate::executor::ComputeResource;
@@ -18,7 +17,7 @@ use crate::network::NetworkProfile;
 use crate::task::TaskGraph;
 
 /// Where a task runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// On the user's device.
     Device,
@@ -27,7 +26,7 @@ pub enum Placement {
 }
 
 /// A full assignment of tasks to placements.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OffloadPlan {
     /// Placement per task, indexed by task id.
     pub placements: Vec<Placement>,
@@ -77,7 +76,7 @@ impl OffloadPlan {
 }
 
 /// Device energy model parameters (typical smartphone figures).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// Device power while computing, watts.
     pub compute_w: f64,
@@ -98,7 +97,7 @@ impl Default for EnergyParams {
 }
 
 /// The result of evaluating one plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// End-to-end latency, milliseconds (critical path through the DAG).
     pub latency_ms: f64,

@@ -1,17 +1,13 @@
 //! AR pipeline task graphs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CloudError;
 
 /// Identifies a task within a graph.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TaskId(pub u32);
 
 /// One task: compute plus the data it produces for its dependents.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Name for reports.
     pub name: String,
@@ -27,7 +23,7 @@ pub struct Task {
 }
 
 /// A DAG of tasks, validated acyclic at construction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskGraph {
     tasks: Vec<Task>,
     topo: Vec<TaskId>,

@@ -5,13 +5,11 @@
 //! tracker's pose stream into an activity classification and carries the
 //! preference state that the interpretation rules consume.
 
-use serde::{Deserialize, Serialize};
-
 use augur_semantic::UserContext;
 use augur_track::Pose;
 
 /// Coarse activity classes inferred from motion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activity {
     /// Speed below the walking threshold.
     Stationary,
@@ -55,7 +53,7 @@ impl std::fmt::Display for Activity {
 /// Activity uses hysteresis: a class change only commits after
 /// `stable_updates` consecutive agreeing observations, so GPS noise
 /// doesn't flap the interface between modes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContextEngine {
     interests: Vec<String>,
     health_monitoring: bool,

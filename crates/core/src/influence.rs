@@ -9,15 +9,13 @@
 //! improved on its naive presentation), then buckets into the paper's
 //! five levels.
 
-use serde::{Deserialize, Serialize};
-
 use crate::scenario::healthcare::HealthcareReport;
 use crate::scenario::retail::RetailReport;
 use crate::scenario::tourism::TourismReport;
 use crate::scenario::traffic::TrafficReport;
 
 /// The application fields of §3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Field {
     /// Retail (§3.1).
     Retail,
@@ -42,7 +40,7 @@ impl std::fmt::Display for Field {
 }
 
 /// The paper's five influence levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum InfluenceLevel {
     /// No measurable interaction.
     Absent,
@@ -83,7 +81,7 @@ impl std::fmt::Display for InfluenceLevel {
 }
 
 /// One field's derived influence entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InfluenceReport {
     /// The field.
     pub field: Field,

@@ -10,7 +10,6 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use augur_telemetry::log::Arg;
 use augur_telemetry::{ManualTime, Obs, TimeSource, TraceContext};
@@ -23,7 +22,7 @@ use crate::codec::{decode_vitals, encode_vitals};
 use crate::error::CoreError;
 
 /// Parameters for the healthcare scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HealthcareParams {
     /// Cohort size.
     pub patients: u32,
@@ -62,7 +61,7 @@ impl Default for HealthcareParams {
 }
 
 /// Results of the healthcare scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HealthcareReport {
     /// Ground-truth anomaly episodes injected.
     pub episodes: usize,

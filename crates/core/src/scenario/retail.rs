@@ -6,7 +6,6 @@
 //! recommender's suggestions are interpreted into shelf overlays.
 
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use augur_telemetry::log::Arg;
 use augur_telemetry::{ManualTime, Obs, TraceContext};
@@ -24,7 +23,7 @@ use augur_semantic::{
 use crate::error::CoreError;
 
 /// Parameters for the retail scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetailParams {
     /// Number of shoppers in the log.
     pub users: u64,
@@ -54,7 +53,7 @@ impl Default for RetailParams {
 }
 
 /// Results of the retail scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetailReport {
     /// Collaborative-filtering evaluation.
     pub cf: EvalReport,

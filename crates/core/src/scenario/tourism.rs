@@ -6,7 +6,6 @@
 //! for x-ray reveals, and lays the surviving labels out on screen.
 
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use augur_telemetry::log::Arg;
 use augur_telemetry::{ManualTime, Obs, TimeSource, TraceContext};
@@ -24,7 +23,7 @@ use augur_track::{registration::run_tracker, KalmanParams, KalmanTracker};
 use crate::error::CoreError;
 
 /// Parameters for the tourism scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TourismParams {
     /// POI database size.
     pub pois: usize,
@@ -51,7 +50,7 @@ impl Default for TourismParams {
 }
 
 /// Results of the tourism scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TourismReport {
     /// POI queries issued (one per second of tour).
     pub queries: usize,

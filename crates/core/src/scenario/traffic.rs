@@ -11,7 +11,6 @@
 use std::collections::HashMap;
 
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use augur_telemetry::log::Arg;
 use augur_telemetry::Obs;
@@ -23,7 +22,7 @@ use augur_sensor::{RoadGridWalk, Trajectory};
 use crate::error::CoreError;
 
 /// Parameters for the traffic scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficParams {
     /// Number of vehicles.
     pub vehicles: usize,
@@ -59,7 +58,7 @@ impl Default for TrafficParams {
 }
 
 /// Results of the traffic scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficReport {
     /// Ground-truth near-miss events (pair entered the threshold).
     pub near_misses: usize,

@@ -1,8 +1,6 @@
 //! Axis-aligned bounding regions: planar [`Rect`] (metres, ENU) and
 //! geodetic [`GeoBounds`] (degrees).
 
-use serde::{Deserialize, Serialize};
-
 use crate::coord::GeoPoint;
 use crate::error::GeoError;
 
@@ -11,7 +9,7 @@ use crate::error::GeoError;
 /// Used by the spatial indexes and the synthetic city model. The empty
 /// rectangle is representable via [`Rect::empty`] and behaves as the
 /// identity for [`Rect::union`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     min_x: f64,
     min_y: f64,
@@ -189,7 +187,7 @@ impl Rect {
 
 /// A geodetic bounding box in degrees. Does not handle antimeridian
 /// wrap-around; callers at ±180° should split boxes themselves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoBounds {
     south: f64,
     west: f64,

@@ -10,13 +10,12 @@
 //! predicates.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::bbox::Rect;
 use crate::coord::Enu;
 
 /// An axis-aligned extruded-box building in the local ENU frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Building {
     /// Stable index within the city.
     pub id: u32,
@@ -79,7 +78,7 @@ impl Building {
 }
 
 /// Street-grid description derived from a generated city.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoadGrid {
     /// East coordinates of north-south street centrelines.
     pub vertical_streets: Vec<f64>,
@@ -125,7 +124,7 @@ fn nearest_in(sorted: &[f64], v: f64) -> f64 {
 }
 
 /// Parameters for [`CityModel::generate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CityParams {
     /// Number of blocks along each axis.
     pub blocks: usize,
@@ -156,7 +155,7 @@ impl Default for CityParams {
 
 /// A generated city: buildings plus the street grid between them, centred
 /// on the ENU origin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CityModel {
     buildings: Vec<Building>,
     roads: RoadGrid,

@@ -10,8 +10,6 @@
 //!   [`LocalFrame`] origin, used for rendering, tracking, and simulation
 //!   where planar metres are the natural unit.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::GeoError;
 
 /// Mean Earth radius in metres (IUGG), used by the haversine formulas.
@@ -39,7 +37,7 @@ pub const WGS84_E2: f64 = WGS84_F * (2.0 - WGS84_F);
 /// assert_eq!(p.altitude_m(), 30.0);
 /// # Ok::<(), augur_geo::GeoError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     lat_deg: f64,
     lon_deg: f64,
@@ -182,7 +180,7 @@ impl std::fmt::Display for GeoPoint {
 }
 
 /// Earth-centred earth-fixed Cartesian coordinates in metres.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Ecef {
     /// Metres towards the intersection of equator and prime meridian.
     pub x: f64,
@@ -219,7 +217,7 @@ impl Ecef {
 }
 
 /// A position in a local east-north-up tangent frame, metres.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Enu {
     /// Metres east of the frame origin.
     pub east: f64,
@@ -271,7 +269,7 @@ impl Enu {
 /// assert!((back.east - 100.0).abs() < 1e-6);
 /// # Ok::<(), augur_geo::GeoError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalFrame {
     origin: GeoPoint,
     origin_ecef: Ecef,

@@ -5,8 +5,6 @@
 //! proximity grouping. Precision 1..=12 characters is supported; each
 //! character adds 5 bits alternating between longitude and latitude.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bbox::GeoBounds;
 use crate::coord::GeoPoint;
 use crate::error::GeoError;
@@ -37,7 +35,7 @@ fn base32_index(c: char) -> Result<u8, GeoError> {
 /// assert!(cell.contains(p));
 /// # Ok::<(), augur_geo::GeoError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Geohash(String);
 
 impl Geohash {

@@ -9,7 +9,6 @@
 //! popularity* (a few venues draw most visits).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::bbox::Rect;
 use crate::coord::{Enu, GeoPoint, LocalFrame};
@@ -17,9 +16,7 @@ use crate::error::GeoError;
 use crate::rtree::RTree;
 
 /// Opaque identifier for a point of interest.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PoiId(pub u64);
 
 impl std::fmt::Display for PoiId {
@@ -29,7 +26,7 @@ impl std::fmt::Display for PoiId {
 }
 
 /// Venue categories, mirroring the application domains of §3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoiCategory {
     /// Shops, malls, product displays (§3.1).
     Retail,
@@ -73,7 +70,7 @@ impl std::fmt::Display for PoiCategory {
 
 /// A point of interest: location plus the descriptive payload AR overlays
 /// draw from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Poi {
     /// Stable identifier.
     pub id: PoiId,
@@ -88,7 +85,7 @@ pub struct Poi {
 }
 
 /// Parameters for [`PoiGenerator`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoiGeneratorParams {
     /// Number of POIs to generate.
     pub count: usize,

@@ -10,8 +10,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use augur_geo::Enu;
 
 use crate::error::PrivacyError;
@@ -41,7 +39,7 @@ impl Trace {
 }
 
 /// The top-k most visited cells of a trace, with visit fractions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocationSignature {
     cells: Vec<((i64, i64), f64)>, // sorted by fraction desc
 }

@@ -1,7 +1,6 @@
 //! Differential-privacy mechanisms and budget accounting.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::PrivacyError;
 
@@ -108,7 +107,7 @@ fn sample_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// the budget; once exhausted, further queries are refused — the
 /// discipline that keeps "access data with a limited privacy risk"
 /// honest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrivacyBudget {
     total: f64,
     spent: f64,

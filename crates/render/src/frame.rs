@@ -5,10 +5,8 @@
 //! how pipeline stages spend it; [`LodLevel`] trades render cost against
 //! distance so the budget survives dense scenes.
 
-use serde::{Deserialize, Serialize};
-
 /// One stage's share of a frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageTiming {
     /// Stage name ("track", "analytics", "layout", "occlusion"...).
     pub stage: String,
@@ -29,7 +27,7 @@ pub struct StageTiming {
 /// assert!(frame.within_budget());
 /// assert_eq!(frame.spent_micros(), 7_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FrameBudget {
     budget_micros: u64,
     stages: Vec<StageTiming>,
@@ -90,7 +88,7 @@ impl FrameBudget {
 }
 
 /// Render detail levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LodLevel {
     /// Full geometry + text.
     High,

@@ -16,12 +16,10 @@
 //! drop rate — the quantities that distinguish "pointless bubbles" from a
 //! readable overlay.
 
-use serde::{Deserialize, Serialize};
-
 use crate::view::Viewport;
 
 /// A label to place: anchor pixel plus box extent and priority.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LabelBox {
     /// Stable id (scene item id).
     pub id: u64,
@@ -36,7 +34,7 @@ pub struct LabelBox {
 }
 
 /// A placed label.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacedLabel {
     /// The input label id.
     pub id: u64,
@@ -69,7 +67,7 @@ fn rects_overlap(a: (f64, f64, f64, f64), b: (f64, f64, f64, f64)) -> bool {
 }
 
 /// Quality metrics of a layout; see [`LayoutMetrics::measure`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LayoutMetrics {
     /// Fraction of placed-label pairs that overlap.
     pub overlap_ratio: f64,

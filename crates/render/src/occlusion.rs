@@ -7,14 +7,12 @@
 //! footprints (experiment E5 measures naive vs indexed cost);
 //! [`XRayReveal`] turns occluded targets into highlight directives.
 
-use serde::{Deserialize, Serialize};
-
 use augur_geo::{Building, CityModel, Enu, RTree, Rect};
 
 use crate::view::ViewCamera;
 
 /// Visibility classification of one target.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OcclusionClass {
     /// In the frustum with clear line of sight.
     Visible,
@@ -99,7 +97,7 @@ impl OcclusionIndex {
 }
 
 /// X-ray reveal decision for one target.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct XRayReveal {
     /// The target's scene id.
     pub target_id: u64,

@@ -2,15 +2,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use augur_geo::Enu;
 
 use crate::error::RenderError;
 use crate::view::ViewCamera;
 
 /// What kind of overlay an item is.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OverlayKind {
     /// A text label.
     Label(String),
@@ -21,7 +19,7 @@ pub enum OverlayKind {
 }
 
 /// One overlay item pinned at a world position.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverlayItem {
     /// Stable id within the scene.
     pub id: u64,
@@ -52,7 +50,7 @@ pub struct OverlayItem {
 /// assert_eq!(scene.visible_items(&cam).len(), 1);
 /// # Ok::<(), augur_render::RenderError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SceneGraph {
     items: BTreeMap<u64, OverlayItem>,
 }

@@ -1,13 +1,11 @@
 //! The display camera: frustum culling and projection into pixels.
 
-use serde::{Deserialize, Serialize};
-
 use augur_geo::Enu;
 
 use crate::error::RenderError;
 
 /// A pixel viewport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Viewport {
     /// Width in pixels.
     pub width_px: u32,
@@ -27,7 +25,7 @@ impl Default for Viewport {
 /// The display camera: position + yaw heading + horizontal FoV, projecting
 /// into a [`Viewport`]. Matches the conventions of the sensing-side
 /// camera model so registration errors translate 1:1 into overlay error.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ViewCamera {
     /// Eye position, metres ENU.
     pub position: Enu,

@@ -9,17 +9,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use augur_geo::{Enu, GeoPoint};
 
 use crate::error::SemanticError;
 use crate::json::JsonValue;
 
 /// Identifies a feature.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct FeatureId(pub u64);
 
 impl std::fmt::Display for FeatureId {
@@ -29,7 +25,7 @@ impl std::fmt::Display for FeatureId {
 }
 
 /// Where a feature is pinned in the world.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Anchor {
     /// A geodetic position.
     Geo(GeoPoint),
@@ -45,7 +41,7 @@ pub enum Anchor {
 }
 
 /// What to render for a feature.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum VirtualAsset {
     /// A text label.
     Label {
@@ -86,7 +82,7 @@ pub enum VirtualAsset {
 /// assert_eq!(f, back);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Feature {
     /// Stable identifier.
     pub id: FeatureId,
@@ -212,7 +208,7 @@ impl Feature {
 /// assert!(back.find(FeatureId(2)).is_some());
 /// # Ok::<(), augur_semantic::SemanticError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FeatureCollection {
     features: Vec<Feature>,
 }

@@ -9,13 +9,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::arml::FeatureId;
 use crate::error::SemanticError;
 
 /// An analytics output offered to the engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fact {
     /// Metric or event name, e.g. `"heart_rate"`, `"recommendation"`.
     pub name: String,
@@ -46,7 +44,7 @@ impl Fact {
 }
 
 /// The user-side context rules can reference.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UserContext {
     /// Current activity, e.g. `"shopping"`, `"driving"`, `"touring"`.
     pub activity: String,
@@ -57,7 +55,7 @@ pub struct UserContext {
 }
 
 /// Conditions a rule can test. All listed conditions must hold (AND).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Condition {
     /// Fact name equals.
     FactIs(String),
@@ -94,7 +92,7 @@ impl Condition {
 }
 
 /// AR-side actions the engine can emit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Directive {
     /// Attach a text label to the subject.
     ShowLabel {
@@ -143,7 +141,7 @@ impl Directive {
 }
 
 /// Action templates: `{name}` and `{value}` expand from the fact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ActionTemplate {
     /// Emit a [`Directive::ShowLabel`].
     ShowLabel {
@@ -173,7 +171,7 @@ pub enum ActionTemplate {
 }
 
 /// A declarative interpretation rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     /// Rule name (reports and tracing).
     pub name: String,

@@ -1,8 +1,9 @@
 //! A minimal JSON reader/writer.
 //!
-//! Kept in-tree (rather than pulling `serde_json`) so the ARML wire
-//! format has no external dependency; see DESIGN.md. Supports the full
-//! JSON data model with the usual escapes; numbers are `f64`.
+//! Kept in-tree so the ARML wire format has no external dependency; see
+//! DESIGN.md. Supports the full JSON data model with the usual escapes
+//! (RFC 8259 strings: raw control characters are rejected and escaped
+//! surrogate pairs join into one character); numbers are `f64`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -302,13 +303,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, SemanticError> {
                     Some(b'b') => out.push('\u{0008}'),
                     Some(b'f') => out.push('\u{000C}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let code = std::str::from_utf8(hex)
-                            .ok()
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| err(*pos, "invalid \\u escape"))?;
+                        let mut code = hex4(b, *pos)?;
+                        // A high surrogate joins the low one escaped right
+                        // after it; a lone surrogate decodes to U+FFFD.
+                        if (0xD800..0xDC00).contains(&code)
+                            && b.get(*pos + 5..*pos + 7) == Some(b"\\u".as_slice())
+                        {
+                            if let Ok(low @ 0xDC00..=0xDFFF) = hex4(b, *pos + 6) {
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                *pos += 6;
+                            }
+                        }
                         out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         *pos += 4;
                     }
@@ -316,13 +321,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, SemanticError> {
                 }
                 *pos += 1;
             }
+            Some(0..0x20) => return Err(err(*pos, "unescaped control character")),
             Some(_) => {
-                // Copy the run up to the next quote or escape in one go.
-                // Both are ASCII, so the run ends on a char boundary and
-                // every byte is validated once.
+                // Copy the run up to the next quote, escape or control
+                // character in one go. All are ASCII, so the run ends on a
+                // char boundary and every byte is validated once.
                 let end = b[*pos..]
                     .iter()
-                    .position(|c| matches!(c, b'"' | b'\\'))
+                    .position(|c| matches!(c, b'"' | b'\\' | 0..0x20))
                     .map_or(b.len(), |n| *pos + n);
                 let run = std::str::from_utf8(&b[*pos..end])
                     .map_err(|e| err(*pos + e.valid_up_to(), "invalid utf-8"))?;
@@ -331,6 +337,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, SemanticError> {
             }
         }
     }
+}
+
+/// The code unit of the `\u` escape whose `u` is at `at`.
+fn hex4(b: &[u8], at: usize) -> Result<u32, SemanticError> {
+    let hex = b
+        .get(at + 1..at + 5)
+        .ok_or_else(|| err(at, "truncated \\u escape"))?;
+    std::str::from_utf8(hex)
+        .ok()
+        .and_then(|h| u32::from_str_radix(h, 16).ok())
+        .ok_or_else(|| err(at, "invalid \\u escape"))
 }
 
 fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, SemanticError> {
@@ -443,6 +460,35 @@ mod tests {
         // Non-ASCII passes through raw too.
         let v = JsonValue::parse("\"héllo\"").unwrap();
         assert_eq!(v.as_str().unwrap(), "héllo");
+    }
+
+    #[test]
+    fn surrogate_pairs_join_and_lone_surrogates_are_replaced() {
+        let parse = |doc: &str| JsonValue::parse(doc).unwrap();
+        assert_eq!(parse(r#""\ud83d\ude00""#), JsonValue::from("\u{1F600}"));
+        assert_eq!(parse(r#""a\uD83D\uDE00b""#), JsonValue::from("a\u{1F600}b"));
+        assert_eq!(parse(r#""\ud83d""#), JsonValue::from("\u{FFFD}"));
+        assert_eq!(
+            parse(r#""\ude00\ud83d""#),
+            JsonValue::from("\u{FFFD}\u{FFFD}")
+        );
+        assert_eq!(parse(r#""\ud83dA\u0041""#), JsonValue::from("\u{FFFD}AA"));
+        assert_eq!(parse(r#""\ud83d\u0041""#), JsonValue::from("\u{FFFD}A"));
+        assert!(JsonValue::parse(r#""\ud83d\uZZZZ""#).is_err());
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected() {
+        for doc in ["\"a\u{0001}b\"", "\"a\nb\"", "\"a\tb\"", "[\"\u{001F}\"]"] {
+            match JsonValue::parse(doc) {
+                Err(SemanticError::JsonParse { offset, .. }) => {
+                    assert_eq!(offset, doc.find(|c: char| c < ' ').unwrap());
+                }
+                other => panic!("{doc:?}: expected a parse error, got {other:?}"),
+            }
+        }
+        // Whitespace between tokens and escaped control characters stay valid.
+        assert!(JsonValue::parse("[\n\t\"a\\u0001\\n\"\r\n]").is_ok());
     }
 
     #[test]

@@ -9,14 +9,12 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
 use augur_geo::Enu;
 
 use crate::error::SemanticError;
 
 /// One record from one source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EntityRecord {
     /// Source feed name ("poi-db", "geo-tweets", "ugc-photos"...).
     pub source: String,
@@ -29,7 +27,7 @@ pub struct EntityRecord {
 }
 
 /// A merged entity with provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkedEntity {
     /// Canonical name (most common token-normalised form).
     pub name: String,
@@ -44,7 +42,7 @@ pub struct LinkedEntity {
 }
 
 /// Linking thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Maximum distance between records of the same entity, metres.
     pub max_distance_m: f64,

@@ -8,7 +8,6 @@
 //! without a computer-vision stack.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use augur_geo::Enu;
 
@@ -19,7 +18,7 @@ use crate::clock::Timestamp;
 /// AR-at-street-scale registration is dominated by horizontal pose, so
 /// the model fixes pitch/roll at zero; the projection still produces 2-D
 /// pixel coordinates for 3-D anchors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CameraModel {
     /// Horizontal field of view, degrees.
     pub fov_deg: f64,
@@ -72,7 +71,7 @@ impl CameraModel {
 }
 
 /// A pixel observation of a known anchor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnchorObservation {
     /// Observation time.
     pub time: Timestamp,

@@ -5,15 +5,11 @@
 //! stream substrate implement *event time* semantics (the paper's
 //! "Velocity" dimension) independent of processing speed.
 
-use serde::{Deserialize, Serialize};
-
 /// Microseconds since the simulation epoch.
 ///
 /// A newtype (C-NEWTYPE) so event time cannot be confused with counts or
 /// durations in microseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(u64);
 
 impl Timestamp {
@@ -103,7 +99,7 @@ impl std::ops::Sub<Timestamp> for Timestamp {
 /// clock.advance(Duration::from_millis(33));
 /// assert_eq!(clock.now().as_millis(), 33);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimClock {
     now: Timestamp,
 }

@@ -6,8 +6,6 @@
 //! "Variety" dimension of the 3Vs is concrete here: one stream carries
 //! structurally different readings.
 
-use serde::{Deserialize, Serialize};
-
 use crate::camera::AnchorObservation;
 use crate::clock::Timestamp;
 use crate::gps::GpsFix;
@@ -15,9 +13,7 @@ use crate::imu::ImuReading;
 use crate::physio::VitalsSample;
 
 /// Identifies a device (phone, headset, wearable, vehicle).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct DeviceId(pub u64);
 
 impl std::fmt::Display for DeviceId {
@@ -27,7 +23,7 @@ impl std::fmt::Display for DeviceId {
 }
 
 /// A typed sensor reading.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SensorReading {
     /// A GPS fix.
     Gps(GpsFix),
@@ -64,7 +60,7 @@ impl SensorReading {
 }
 
 /// A sensor event: the envelope fed into the stream substrate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorEvent {
     /// Emitting device.
     pub device: DeviceId,

@@ -8,7 +8,6 @@
 //! privacy mechanisms (E11).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use augur_geo::Enu;
 
@@ -16,7 +15,7 @@ use crate::clock::Timestamp;
 use crate::trajectory::MotionState;
 
 /// One GPS fix in the local ENU frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpsFix {
     /// Fix time.
     pub time: Timestamp,
@@ -29,7 +28,7 @@ pub struct GpsFix {
 }
 
 /// GPS noise and availability model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpsParams {
     /// Horizontal error standard deviation under open sky, metres.
     pub sigma_m: f64,

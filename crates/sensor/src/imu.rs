@@ -6,7 +6,6 @@
 //! exactly why the tracking crate fuses IMU with GPS (experiment E6).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::clock::Timestamp;
 use crate::trajectory::MotionState;
@@ -15,7 +14,7 @@ use crate::trajectory::MotionState;
 ///
 /// The simulation is 2-D (east/north plane plus heading), which is the
 /// state the AR registration problem cares about at street scale.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImuReading {
     /// Sample time.
     pub time: Timestamp,
@@ -28,7 +27,7 @@ pub struct ImuReading {
 }
 
 /// IMU noise model parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImuParams {
     /// White-noise standard deviation on acceleration, m/s².
     pub accel_noise: f64,

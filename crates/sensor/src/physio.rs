@@ -9,12 +9,11 @@
 //! detection latency and recall experiment E9 measures.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::clock::Timestamp;
 
 /// The vital signs the generator models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VitalSign {
     /// Heart rate, beats per minute.
     HeartRate,
@@ -72,7 +71,7 @@ impl std::fmt::Display for VitalSign {
 }
 
 /// Kinds of injected anomaly episode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnomalyKind {
     /// Sustained elevated heart rate.
     Tachycardia,
@@ -103,7 +102,7 @@ impl AnomalyKind {
 }
 
 /// One vitals sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VitalsSample {
     /// Sample time.
     pub time: Timestamp,
@@ -118,7 +117,7 @@ pub struct VitalsSample {
 }
 
 /// A labelled anomaly episode in a generated stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Episode {
     /// Patient index.
     pub patient: u32,
@@ -131,7 +130,7 @@ pub struct Episode {
 }
 
 /// Parameters for [`VitalsGenerator`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VitalsParams {
     /// Number of patients in the cohort.
     pub patients: u32,

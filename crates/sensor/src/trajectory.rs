@@ -10,14 +10,13 @@
 //! E11 reproduces).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use augur_geo::{Enu, RoadGrid};
 
 use crate::clock::Timestamp;
 
 /// Instantaneous kinematic ground truth in a local ENU frame.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MotionState {
     /// Time of validity.
     pub time: Timestamp,
@@ -52,7 +51,7 @@ pub trait Trajectory {
 }
 
 /// Shared parameters for the walkers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrajectoryParams {
     /// Half-width of the square roaming area, metres.
     pub half_extent_m: f64,

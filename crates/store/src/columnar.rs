@@ -8,12 +8,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::StoreError;
 
 /// Column data types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
     /// 64-bit float.
     F64,
@@ -24,7 +22,7 @@ pub enum ColumnType {
 }
 
 /// A typed cell value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A float value.
     F64(f64),
@@ -66,7 +64,7 @@ impl From<String> for Value {
 }
 
 /// A table schema: ordered, named, typed columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<(String, ColumnType)>,
 }

@@ -8,14 +8,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::StoreError;
 
 /// Identifies a series.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SeriesId(pub u64);
 
 impl std::fmt::Display for SeriesId {
@@ -25,7 +21,7 @@ impl std::fmt::Display for SeriesId {
 }
 
 /// One sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Sample time, microseconds since the epoch.
     pub t_us: u64,
@@ -34,7 +30,7 @@ pub struct Sample {
 }
 
 /// Downsampling reducer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Downsample {
     /// Arithmetic mean of the bucket.
     Mean,

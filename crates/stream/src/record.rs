@@ -2,12 +2,9 @@
 
 use augur_telemetry::TraceContext;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// Offset of a record within a partition (0-based, dense).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Offset(pub u64);
 
 impl Offset {
@@ -24,9 +21,7 @@ impl std::fmt::Display for Offset {
 }
 
 /// Index of a partition within a topic.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PartitionId(pub u32);
 
 impl std::fmt::Display for PartitionId {

@@ -5,12 +5,8 @@
 //! which is how the engine trades completeness against the AR latency
 //! budget: a larger out-of-orderness bound waits longer but drops less.
 
-use serde::{Deserialize, Serialize};
-
 /// A watermark value (event time in microseconds).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Watermark(pub u64);
 
 impl std::fmt::Display for Watermark {
@@ -43,7 +39,7 @@ pub trait WatermarkGenerator {
 /// wm.observe(3_000);
 /// assert_eq!(wm.current().0, 4_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundedOutOfOrderness {
     bound_us: u64,
     max_seen_us: u64,

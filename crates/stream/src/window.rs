@@ -11,12 +11,10 @@ use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 use crate::watermark::{BoundedOutOfOrderness, Watermark};
 
 /// A half-open event-time window `[start_us, end_us)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Window {
     /// Inclusive start, microseconds.
     pub start_us: u64,
@@ -83,7 +81,7 @@ pub trait WindowAssigner {
 }
 
 /// Fixed, non-overlapping windows of `size_us`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TumblingWindows {
     size_us: u64,
 }
@@ -111,7 +109,7 @@ impl WindowAssigner for TumblingWindows {
 }
 
 /// Overlapping windows of `size_us` sliding every `slide_us`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlidingWindows {
     size_us: u64,
     slide_us: u64,
@@ -156,7 +154,7 @@ impl WindowAssigner for SlidingWindows {
 }
 
 /// Session windows closing after `gap_us` of inactivity per key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionWindows {
     gap_us: u64,
 }
@@ -222,7 +220,7 @@ impl<T> Aggregation<T> for CountAggregation {
 }
 
 /// Accumulates count / sum / min / max / mean of an extracted `f64`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NumericStats {
     /// Item count.
     pub count: u64,

@@ -5,8 +5,6 @@
 //! power-constrained AR devices — the middle point of experiment E6
 //! between raw GPS and full fusion.
 
-use serde::{Deserialize, Serialize};
-
 use augur_geo::Enu;
 use augur_sensor::{GpsFix, ImuReading, Timestamp};
 
@@ -14,7 +12,7 @@ use crate::error::TrackError;
 use crate::pose::{Pose, Tracker};
 
 /// Tuning for [`ComplementaryTracker`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComplementaryParams {
     /// Blend factor towards a GPS fix per update, in `(0, 1]`.
     pub gps_alpha: f64,

@@ -7,8 +7,6 @@
 //! towards the velocity track when the device is moving — a standard
 //! pedestrian-AR arrangement.
 
-use serde::{Deserialize, Serialize};
-
 use augur_geo::Enu;
 use augur_sensor::{GpsFix, ImuReading, Timestamp};
 
@@ -16,7 +14,7 @@ use crate::error::TrackError;
 use crate::pose::{Pose, Tracker};
 
 /// Tuning parameters for [`KalmanTracker`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KalmanParams {
     /// Process noise spectral density (acceleration uncertainty), m/s²·√Hz.
     pub process_noise: f64,

@@ -1,14 +1,12 @@
 //! Pose representation and the tracker abstraction.
 
-use serde::{Deserialize, Serialize};
-
 use augur_geo::Enu;
 use augur_sensor::{GpsFix, ImuReading, Timestamp};
 
 /// An estimated device pose: position in the local ENU frame plus yaw
 /// heading. Pitch/roll are out of scope at street scale (see
 /// [`augur_sensor::CameraModel`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Pose {
     /// Time of validity.
     pub time: Timestamp,

@@ -7,15 +7,13 @@
 //! metric of experiment E6, and the quantity Azuma's "registered in 3-D"
 //! requirement constrains.
 
-use serde::{Deserialize, Serialize};
-
 use augur_geo::Enu;
 use augur_sensor::{CameraModel, MotionState};
 
 use crate::pose::{Pose, Tracker};
 
 /// Per-frame registration measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegistrationReport {
     /// Frame time, seconds since start.
     pub t_s: f64,
@@ -28,7 +26,7 @@ pub struct RegistrationReport {
 }
 
 /// Aggregate of a registration run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RegistrationSummary {
     /// Mean pixel error over all frames with visible anchors.
     pub mean_px: f64,

@@ -16,8 +16,7 @@
 //!   gauge readings, sparse histogram deltas — ring-buffered at tier 0
 //!   and downsampled into coarser tiers via bucket-wise histogram
 //!   merging (quantile-correct because every tier shares the telemetry
-//!   crate's log-linear bucket layout). Windows evicted from the last
-//!   tier persist through an `augur-store` LSM cold sink.
+//!   crate's log-linear bucket layout).
 //! - [`SloEngine`]: declarative [`Objective`]s (latency quantile
 //!   ceilings, bad/total ratio ceilings) graded per window, with error
 //!   budgets and SRE-style multi-window [`BurnRule`]s — an alert fires
@@ -84,7 +83,7 @@
 pub mod dashboard;
 /// Configuration/serve errors.
 pub mod error;
-/// Windowed rollups with tiered downsampling and cold persistence.
+/// Windowed rollups with tiered downsampling.
 pub mod rollup;
 /// The live TCP endpoint (sole sanctioned `std::net` site).
 pub mod serve;

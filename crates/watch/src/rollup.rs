@@ -8,10 +8,8 @@
 //! ring buffer (tier 0); coarser historical tiers are produced by
 //! downsampling — counters sum, gauges keep the last value, histograms
 //! merge bucket-wise, which preserves the crate-wide quantile error bound
-//! because every tier shares one bucket layout. Windows evicted from the
-//! last tier are persisted through an [`LsmStore`] cold sink, so the
-//! store's own flush instrumentation lands back in the registry the
-//! engine is sampling.
+//! because every tier shares one bucket layout. A full ring evicts its
+//! oldest window; retention is bounded by the tier layout.
 //!
 //! Time is whatever the caller's [`TimeSource`](augur_telemetry::TimeSource)
 //! says it is: under `ManualTime` the whole rollup cascade is
@@ -19,7 +17,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use augur_store::LsmStore;
 use augur_telemetry::{bucket_midpoint, Counter, Labels, Registry};
 
 use crate::error::WatchError;
@@ -286,9 +283,7 @@ pub struct RollupEngine {
     prev_counters: BTreeMap<String, u64>,
     prev_hists: BTreeMap<String, WindowHist>,
     series: BTreeMap<String, SeriesRings>,
-    cold: Option<LsmStore>,
     windows_closed: Counter,
-    cold_points: Counter,
 }
 
 impl RollupEngine {
@@ -296,7 +291,6 @@ impl RollupEngine {
     pub fn new(registry: Registry, config: RollupConfig) -> Result<RollupEngine, WatchError> {
         config.validate()?;
         let windows_closed = registry.counter("rollup_windows_closed_total");
-        let cold_points = registry.counter("rollup_cold_points_total");
         Ok(RollupEngine {
             registry,
             tiers: config.tiers,
@@ -304,19 +298,8 @@ impl RollupEngine {
             prev_counters: BTreeMap::new(),
             prev_hists: BTreeMap::new(),
             series: BTreeMap::new(),
-            cold: None,
             windows_closed,
-            cold_points,
         })
-    }
-
-    /// Attaches a cold sink: windows evicted from the last tier are
-    /// persisted into `store`. Instrument the store against the same
-    /// registry first if its flush/compaction activity should be
-    /// observable through the engine itself.
-    pub fn with_cold_store(mut self, store: LsmStore) -> RollupEngine {
-        self.cold = Some(store);
-        self
     }
 
     /// Tier-0 window width in microseconds.
@@ -451,8 +434,8 @@ impl RollupEngine {
         }
     }
 
-    /// Appends a point to one series ring, evicting (and cold-persisting,
-    /// for the last tier) when the ring is full.
+    /// Appends a point to one series ring, evicting the oldest points
+    /// when the ring is full.
     fn push_point(&mut self, key: &str, tier: usize, point: WindowPoint) {
         let tier_count = self.tiers.len();
         let capacity = match self.tiers.get(tier) {
@@ -468,17 +451,7 @@ impl RollupEngine {
             None => return,
         };
         while ring.len() >= capacity {
-            if let Some(evicted) = ring.pop_front() {
-                if tier + 1 == tier_count {
-                    if let Some(store) = self.cold.as_mut() {
-                        store.put(
-                            cold_key(key, evicted.start_us),
-                            encode_point(&evicted.value),
-                        );
-                        self.cold_points.inc();
-                    }
-                }
-            }
+            ring.pop_front();
         }
         ring.push_back(point);
     }
@@ -505,80 +478,6 @@ impl RollupEngine {
             .and_then(|ring| ring.iter().rev().find(|p| p.start_us == start_us))
             .cloned()
     }
-
-    /// Reads back every cold-persisted point of `key`, oldest first.
-    /// Empty when no cold sink is attached or nothing has been evicted.
-    pub fn cold_points(&self, key: &str) -> Vec<WindowPoint> {
-        let store = match self.cold.as_ref() {
-            Some(s) => s,
-            None => return Vec::new(),
-        };
-        let prefix = format!("rollup/{key}/");
-        let start = prefix.clone().into_bytes();
-        let mut end = prefix.clone().into_bytes();
-        end.push(0xff);
-        store
-            .scan(&start, &end)
-            .into_iter()
-            .filter_map(|(k, v)| {
-                let start_us = std::str::from_utf8(&k)
-                    .ok()
-                    .and_then(|s| s.strip_prefix(prefix.as_str()))
-                    .and_then(|s| s.parse::<u64>().ok())?;
-                let value = decode_point(std::str::from_utf8(&v).ok()?)?;
-                Some(WindowPoint { start_us, value })
-            })
-            .collect()
-    }
-}
-
-/// Cold-sink key: `rollup/<series>/<zero-padded start>` so lexicographic
-/// key order equals time order under [`LsmStore::scan`].
-fn cold_key(key: &str, start_us: u64) -> Vec<u8> {
-    format!("rollup/{key}/{start_us:020}").into_bytes()
-}
-
-/// Compact text encoding of a windowed value (`c:`/`g:`/`h:` tagged).
-fn encode_point(value: &PointValue) -> Vec<u8> {
-    match value {
-        PointValue::Counter(n) => format!("c:{n}"),
-        PointValue::Gauge(v) => format!("g:{:016x}", v.to_bits()),
-        PointValue::Hist(h) => {
-            let mut s = format!("h:{},{}", h.count, h.sum);
-            for (idx, n) in &h.buckets {
-                s.push('|');
-                s.push_str(&format!("{idx}:{n}"));
-            }
-            s
-        }
-    }
-    .into_bytes()
-}
-
-/// Inverse of [`encode_point`]; `None` on malformed input.
-fn decode_point(s: &str) -> Option<PointValue> {
-    if let Some(rest) = s.strip_prefix("c:") {
-        return rest.parse().ok().map(PointValue::Counter);
-    }
-    if let Some(rest) = s.strip_prefix("g:") {
-        return u64::from_str_radix(rest, 16)
-            .ok()
-            .map(|bits| PointValue::Gauge(f64::from_bits(bits)));
-    }
-    let rest = s.strip_prefix("h:")?;
-    let mut parts = rest.split('|');
-    let head = parts.next()?;
-    let (count, sum) = head.split_once(',')?;
-    let mut hist = WindowHist {
-        buckets: Vec::new(),
-        count: count.parse().ok()?,
-        sum: sum.parse().ok()?,
-    };
-    for pair in parts {
-        let (idx, n) = pair.split_once(':')?;
-        hist.buckets.push((idx.parse().ok()?, n.parse().ok()?));
-    }
-    Some(PointValue::Hist(hist))
 }
 
 #[cfg(test)]
@@ -694,7 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn last_tier_eviction_persists_to_cold_store() {
+    fn last_tier_eviction_keeps_the_newest_windows() {
         let reg = Registry::new();
         let config = RollupConfig {
             tiers: vec![TierSpec {
@@ -703,27 +602,21 @@ mod tests {
             }],
         };
         let mut eng = RollupEngine::new(reg.clone(), config)
-            .unwrap_or_else(|e| unreachable!("valid config: {e}"))
-            .with_cold_store(LsmStore::new(Default::default()));
+            .unwrap_or_else(|e| unreachable!("valid config: {e}"));
         let c = reg.counter("ticks_total");
         for i in 1..=5u64 {
             c.inc();
             eng.tick(i * 100);
         }
-        // Ring holds the newest 2 of 5 windows; 3 went cold.
-        assert_eq!(eng.series_points("ticks_total", 0).len(), 2);
-        let cold = eng.cold_points("ticks_total");
-        assert_eq!(cold.len(), 3);
+        // Ring holds the newest 2 of 5 windows; the oldest 3 were evicted.
+        let kept = eng.series_points("ticks_total", 0);
         assert_eq!(
-            cold.iter().map(|p| p.start_us).collect::<Vec<_>>(),
-            vec![0, 100, 200]
+            kept.iter().map(|p| p.start_us).collect::<Vec<_>>(),
+            vec![300, 400]
         );
-        assert!(cold
+        assert!(kept
             .iter()
             .all(|p| matches!(p.value, PointValue::Counter(1))));
-        // The engine's own bookkeeping counters are series too (three
-        // series total), and each evicted 3 windows.
-        assert_eq!(reg.counter("rollup_cold_points_total").get(), 9);
     }
 
     #[test]
@@ -742,23 +635,5 @@ mod tests {
         let pts = eng.series_points("depth", 0);
         let vals: Vec<_> = pts.iter().map(|p| p.value.clone()).collect();
         assert_eq!(vals, vec![PointValue::Gauge(3.0), PointValue::Gauge(7.0)]);
-    }
-
-    #[test]
-    fn point_encoding_round_trips() {
-        for v in [
-            PointValue::Counter(42),
-            PointValue::Gauge(-1.25),
-            PointValue::Hist(WindowHist {
-                buckets: vec![(3, 2), (40, 1)],
-                count: 3,
-                sum: 1_403,
-            }),
-        ] {
-            let enc = encode_point(&v);
-            let dec = decode_point(std::str::from_utf8(&enc).unwrap_or(""));
-            assert_eq!(dec.as_ref(), Some(&v), "round trip failed for {v:?}");
-        }
-        assert_eq!(decode_point("x:nope"), None);
     }
 }

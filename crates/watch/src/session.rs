@@ -2,8 +2,7 @@
 //!
 //! A [`WatchSession`] owns four moving parts — a telemetry
 //! [`Registry`], a [`FlightRecorder`], a [`RollupEngine`] sampling the
-//! registry into windowed series (with an instrumented
-//! [`LsmStore`](augur_store::LsmStore) cold sink), and an [`SloEngine`]
+//! registry into windowed series, and an [`SloEngine`]
 //! grading each closed window. A run reporting into
 //! [`WatchSession::obs`] drives it through that `Obs`'s
 //! [`CycleSink`](augur_telemetry::CycleSink)
@@ -23,12 +22,11 @@ use std::collections::VecDeque;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use augur_store::{LsmParams, LsmStore};
 use augur_telemetry::log::{render_jsonl_line, EventLog, Level, LogRecord};
 use augur_telemetry::sample::{ObsCostModel, SelfCost};
 use augur_telemetry::{
-    Clock, Counter, CycleSink, FlightRecorder, Histogram, ManualTime, NameId, Obs, Registry,
-    TimeSource, TraceContext,
+    Counter, CycleSink, FlightRecorder, Histogram, ManualTime, NameId, Obs, Registry, TimeSource,
+    TraceContext,
 };
 use augur_xray::XrayReport;
 use parking_lot::Mutex;
@@ -183,21 +181,11 @@ impl<G: Deref<Target = State>> Deref for RollupView<G> {
 
 impl WatchSession {
     /// Builds a session: fresh registry and flight ring, rollup engine
-    /// with an instrumented LSM cold sink, and the declared SLOs.
+    /// and the declared SLOs.
     pub fn new(config: WatchConfig) -> Result<WatchSession, WatchError> {
         let registry = Registry::new();
         let recorder = FlightRecorder::new(config.flight_capacity);
-        let mut cold = LsmStore::new(LsmParams::default());
-        // The cold sink reports into the registry the engine samples, so
-        // the watcher's own storage activity shows up as series too.
-        // Registry only: with no flight or log sink the clock is never read.
-        let cold_obs = Obs {
-            registry: registry.clone(),
-            ..Obs::default()
-        };
-        let clock: Clock = ManualTime::shared();
-        cold.instrument(&cold_obs, "watch_cold", &clock);
-        let rollup = RollupEngine::new(registry.clone(), config.rollup)?.with_cold_store(cold);
+        let rollup = RollupEngine::new(registry.clone(), config.rollup)?;
         let slo = SloEngine::new(config.slos, rollup.tier0_window_us())?;
         let root = TraceContext::root(config.seed, SESSION_TRACE_KEY);
         let session_span = recorder.intern("watch/session");

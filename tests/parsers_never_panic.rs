@@ -34,6 +34,9 @@ const TOKENS: &[&str] = &[
     "\\u00e9",
     "\\u",
     "\\u+1F",
+    "\\ud83d",
+    "\\ude00",
+    "\u{0001}",
     "é",
     "\u{1F600}",
     "\"id\":",
@@ -115,6 +118,17 @@ fn parse_all(input: &str) {
     let _ = Feature::from_json(input);
     let _ = FeatureCollection::from_json(input);
     let _ = Allowlist::parse(input);
+}
+
+/// Every prefix of a string holding an escaped surrogate pair, a lone
+/// surrogate and raw control characters: the pair's lookahead and the
+/// control-character check meet each possible truncation point.
+#[test]
+fn truncated_escapes_never_panic() {
+    let doc = "{\"name\":\"a\\ud83d\\ude00\\ud83d\\u0041\u{0001}\n\"}";
+    for end in 0..=doc.len() {
+        parse_all(&doc[..end]);
+    }
 }
 
 proptest! {

@@ -52,8 +52,8 @@ fn watched_tourism_is_pinned() {
     assert_eq!(
         watched_tourism(0),
         [
-            0xa92554e873ea0558,
-            0xafac091aeb2b75b8,
+            0x62e7457609261ac6,
+            0x97fb952aa4aca400,
             0x8979e7b6c5e9da7c,
             0x5d1772ac7cbc6ef5,
         ]
@@ -65,8 +65,8 @@ fn watched_tourism_under_injected_delay_is_pinned() {
     assert_eq!(
         watched_tourism(20_000),
         [
-            0x2647f0008eedad43,
-            0x8a8919f4cfbdfc09,
+            0xaf6e960d1804f60d,
+            0x76c1f6e15e1d5b05,
             0x7258785c272e667f,
             0x549907fca243f1a5,
         ]
@@ -89,8 +89,8 @@ fn watched_retail_is_pinned() {
     assert_eq!(
         digests(&session),
         [
-            0x5ac4f5a6f7fce878,
-            0xeee9d38adb581315,
+            0x3b09c33044dc29f4,
+            0x3a71d25e361c0e90,
             0xce0390d2f8e36395,
             0x52e1b428dc224e6e,
         ]
@@ -110,8 +110,8 @@ fn watched_healthcare_is_pinned() {
     assert_eq!(
         digests(&session),
         [
-            0x4947a1783890fc92,
-            0x4347641b15ab6224,
+            0xaa4d4a1925911034,
+            0x0f2a2e524827b159,
             0x42306cf69b825070,
             0x14727a9a886517d0,
         ]
@@ -131,8 +131,8 @@ fn watched_traffic_is_pinned() {
     assert_eq!(
         digests(&session),
         [
-            0x34f8b99fcb7a1440,
-            0x4db314271796b74b,
+            0xba836a29cb5603fc,
+            0x8d400d94a62ba713,
             0x678f681fcbfd2f73,
             0x9fded7e6b7574ec1,
         ]
