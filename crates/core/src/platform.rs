@@ -7,11 +7,13 @@
 //! resulting directives materialise as overlay items in the scene graph,
 //! anchored at the POI they concern.
 
+use std::collections::HashMap;
+
 use augur_geo::{GeoPoint, PoiDatabase, PoiId};
 use augur_render::{OverlayItem, OverlayKind, SceneGraph};
 use augur_semantic::{Directive, Fact, InterpretationEngine, Rule};
-use augur_sensor::{SensorEvent, SensorReading};
-use augur_store::TimeSeriesStore;
+use augur_sensor::{SensorEvent, SensorReading, VitalSign};
+use augur_store::{SeriesId, TimeSeriesStore};
 use augur_stream::{Broker, Record};
 
 use crate::codec::encode_vitals;
@@ -58,6 +60,9 @@ pub struct AugurPlatform {
     config: PlatformConfig,
     broker: Broker,
     timeseries: TimeSeriesStore,
+    /// Each vitals series' id by `(patient, sign)`, so ingest names a
+    /// series only the first time it sees it.
+    series: HashMap<(u32, VitalSign), SeriesId>,
     pois: Option<PoiDatabase>,
     engine: InterpretationEngine,
     context: ContextEngine,
@@ -81,6 +86,7 @@ impl AugurPlatform {
             config,
             broker,
             timeseries: TimeSeriesStore::new(),
+            series: HashMap::new(),
             pois: None,
             engine: InterpretationEngine::new(),
             context: ContextEngine::default(),
@@ -188,9 +194,10 @@ impl AugurPlatform {
             Record::new(event.device.0, payload, event.time.as_micros()),
         )?;
         if let SensorReading::Vitals(v) = &event.reading {
-            let series = self
-                .timeseries
-                .create_series(&format!("patient-{}/{}", v.patient, v.sign));
+            let timeseries = &mut self.timeseries;
+            let series = *self.series.entry((v.patient, v.sign)).or_insert_with(|| {
+                timeseries.create_series(&format!("patient-{}/{}", v.patient, v.sign))
+            });
             self.timeseries
                 .append(series, v.time.as_micros(), v.value)?;
         }

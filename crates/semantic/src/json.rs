@@ -264,13 +264,40 @@ fn parse_lit(
     }
 }
 
+/// Parses a number of RFC 8259's grammar,
+/// `-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?`; anything after
+/// the longest such prefix is left for the caller.
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, SemanticError> {
     let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    if start == *pos {
-        return Err(err(start, "expected a value"));
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while matches!(b.get(*pos), Some(b'0'..=b'9')) {
+            *pos += 1;
+        }
+        *pos > from
+    };
+    let eat = |pos: &mut usize, set: &[u8]| {
+        let hit = b.get(*pos).is_some_and(|c| set.contains(c));
+        *pos += usize::from(hit);
+        hit
+    };
+    let minus = eat(pos, b"-");
+    let int = match b.get(*pos) {
+        Some(b'0') => eat(pos, b"0"),
+        Some(b'1'..=b'9') => digits(pos),
+        _ if minus => false,
+        _ => return Err(err(start, "expected a value")),
+    };
+    // A fraction or exponent, once begun, needs at least one digit.
+    let frac = if eat(pos, b".") { digits(pos) } else { true };
+    let exp = if eat(pos, b"eE") {
+        eat(pos, b"+-");
+        digits(pos)
+    } else {
+        true
+    };
+    if !(int && frac && exp) {
+        return Err(err(start, "invalid number"));
     }
     std::str::from_utf8(&b[start..*pos])
         .ok()
@@ -489,6 +516,30 @@ mod tests {
         }
         // Whitespace between tokens and escaped control characters stay valid.
         assert!(JsonValue::parse("[\n\t\"a\\u0001\\n\"\r\n]").is_ok());
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for (doc, n) in [
+            ("-0", -0.0),
+            ("0", 0.0),
+            ("1.5e-3", 1.5e-3),
+            ("1E+2", 100.0),
+            ("10", 10.0),
+            ("-0.25", -0.25),
+            ("2e0", 2.0),
+        ] {
+            assert_eq!(
+                JsonValue::parse(doc).unwrap(),
+                JsonValue::Number(n),
+                "{doc}"
+            );
+        }
+        for doc in [
+            "+1", ".5", "1.", "01", "-", "1e", "--1", "-01", "1e+", "1.e2", "-.5", "[1.]", "00",
+        ] {
+            assert!(JsonValue::parse(doc).is_err(), "{doc} must not parse");
+        }
     }
 
     #[test]

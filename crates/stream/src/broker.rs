@@ -6,6 +6,14 @@
 //! Everything is behind [`parking_lot`] locks so producers and consumers
 //! on different threads interleave safely — the pipeline executor relies
 //! on this.
+//!
+//! A partition's log is a run of segments, as in Kafka. Each segment
+//! holds [`SEGMENT_SLOTS`](crate::broker::SEGMENT_SLOTS) consecutive
+//! records as a fixed-width index (key, event time, payload position)
+//! over one contiguous payload buffer, so an append copies its payload
+//! into the buffer and allocates nothing of its own. Reads rebuild each [`Record`] on the stack from
+//! its index entry; a payload of up to [`bytes::INLINE_CAP`] bytes is
+//! carried inline, so that costs no allocation either.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -13,14 +21,119 @@ use std::sync::Arc;
 
 use augur_telemetry::log::{EventLog, Level, LogSite, SymId, Value};
 use augur_telemetry::{BlockedSite, Clock, Lane, Obs, Registry, TraceContext};
+use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::error::StreamError;
 use crate::record::{route, Offset, PartitionId, PolledRecord, Record};
 
+/// log2 of [`SEGMENT_SLOTS`].
+const SEGMENT_BITS: u32 = 12;
+
+/// Records per log segment. A power of two, so an offset's segment is
+/// `offset >> 12` and its slot within it `offset & (SEGMENT_SLOTS - 1)`.
+pub const SEGMENT_SLOTS: usize = 1 << SEGMENT_BITS;
+
+/// The longest payload a record may carry (1 MiB, Kafka's default
+/// message limit). A full segment of such records fills exactly the
+/// `u32` range its index addresses payload bytes with.
+pub const MAX_PAYLOAD: usize = 1 << (u32::BITS - SEGMENT_BITS);
+
+/// Where one record sits in its segment: 24 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: u64,
+    event_time_us: u64,
+    /// Payload position in [`Segment::payload`].
+    start: u32,
+    len: u32,
+}
+
+/// Up to [`SEGMENT_SLOTS`] consecutive records of one partition.
+#[derive(Debug, Default)]
+struct Segment {
+    index: Vec<Entry>,
+    /// Every record's payload, back to back in slot order.
+    payload: Vec<u8>,
+    /// Each slot's trace context. It stays empty, unallocated, until a
+    /// traced record arrives, and then runs only to the latest such slot.
+    traces: Vec<Option<TraceContext>>,
+}
+
+impl Segment {
+    /// The record in `slot`, rebuilt from the index.
+    fn record(&self, slot: usize, e: &Entry) -> Record {
+        Record {
+            key: e.key,
+            payload: Bytes::copy_from_prefix(&self.payload[e.start as usize..], e.len as usize),
+            event_time_us: e.event_time_us,
+            trace: self.traces.get(slot).copied().flatten(),
+        }
+    }
+}
+
+/// One partition's log: full (sealed) segments and the one being filled.
 #[derive(Debug, Default)]
 struct Partition {
-    records: Vec<Record>,
+    sealed: Vec<Segment>,
+    head: Segment,
+}
+
+impl Partition {
+    /// The end offset: the offset the next append gets.
+    fn len(&self) -> u64 {
+        (self.sealed.len() * SEGMENT_SLOTS + self.head.index.len()) as u64
+    }
+
+    /// Appends `r`. When the head segment is full it is sealed first,
+    /// its buffers trimmed to what they hold.
+    fn push(&mut self, r: &Record) {
+        if self.head.index.len() == SEGMENT_SLOTS {
+            let mut full = std::mem::take(&mut self.head);
+            full.payload.shrink_to_fit();
+            full.traces.shrink_to_fit();
+            self.sealed.push(full);
+        }
+        let head = &mut self.head;
+        if let Some(ctx) = r.trace {
+            head.traces.resize(head.index.len(), None);
+            head.traces.push(Some(ctx));
+        }
+        head.index.push(Entry {
+            key: r.key,
+            event_time_us: r.event_time_us,
+            start: head.payload.len() as u32,
+            len: r.payload.len() as u32,
+        });
+        head.payload.extend_from_slice(&r.payload);
+    }
+
+    /// Calls `each(offset, record)` on the records at offsets
+    /// `from..to`, which must lie within the log.
+    fn visit(&self, from: u64, to: u64, mut each: impl FnMut(u64, &Record)) {
+        let mut offset = from;
+        while offset < to {
+            let segment = self
+                .sealed
+                .get((offset >> SEGMENT_BITS) as usize)
+                .unwrap_or(&self.head);
+            let first = (offset as usize) & (SEGMENT_SLOTS - 1);
+            let last = first + (to - offset).min((SEGMENT_SLOTS - first) as u64) as usize;
+            for (slot, e) in (first..).zip(&segment.index[first..last]) {
+                each(offset, &segment.record(slot, e));
+                offset += 1;
+            }
+        }
+    }
+
+    /// Payload bytes held.
+    fn payload_bytes(&self) -> u64 {
+        self.sealed
+            .iter()
+            .chain([&self.head])
+            .map(|s| s.payload.len() as u64)
+            .sum()
+    }
 }
 
 /// One topic's partition logs plus the append signal readers park on.
@@ -95,24 +208,31 @@ impl Topic {
         }
     }
 
-    /// Calls `visit(start, records)` on up to `max` records of
-    /// `partition` from offset `from` (`start` is the first one's offset,
-    /// `from` clamped to the partition's end), borrowed straight from the
-    /// log; `None` if the partition does not exist.
+    /// Calls `each(offset, record)` on up to `max` records of
+    /// `partition` from offset `from` (clamped to the partition's end),
+    /// each rebuilt from the log; returns how many it visited, or `None`
+    /// if the partition does not exist.
     ///
-    /// `visit` runs under the partition's read lock: it must not append
+    /// `each` runs under the partition's read lock: it must not append
     /// to this topic, or it deadlocks on the write lock.
-    pub(crate) fn visit<R>(
+    pub(crate) fn visit(
         &self,
         partition: u32,
         from: u64,
         max: usize,
-        visit: impl FnOnce(u64, &[Record]) -> R,
-    ) -> Option<R> {
+        each: impl FnMut(u64, &Record),
+    ) -> Option<usize> {
         let p = self.partitions.get(partition as usize)?.read();
-        let start = (from as usize).min(p.records.len());
-        let end = start.saturating_add(max).min(p.records.len());
-        Some(visit(start as u64, &p.records[start..end]))
+        let end = p.len();
+        let start = from.min(end);
+        let stop = start.saturating_add(max as u64).min(end);
+        p.visit(start, stop, each);
+        Some((stop - start) as usize)
+    }
+
+    /// The end offset of `partition`, or `None` if it does not exist.
+    fn end_offset(&self, partition: u32) -> Option<u64> {
+        Some(self.partitions.get(partition as usize)?.read().len())
     }
 }
 
@@ -192,30 +312,36 @@ impl Broker {
     ///
     /// # Errors
     ///
-    /// [`StreamError::UnknownTopic`] if the topic does not exist.
+    /// [`StreamError::UnknownTopic`] if the topic does not exist,
+    /// [`StreamError::PayloadTooLarge`] if the payload is longer than
+    /// [`MAX_PAYLOAD`].
     pub fn append(
         &self,
         topic: &str,
         record: Record,
     ) -> Result<(PartitionId, Offset), StreamError> {
         let t = self.topic(topic)?;
+        check_payload(&record)?;
         let pid = route(record.key, t.partitions.len() as u32);
         let offset = {
             let mut p = t.partitions[pid as usize].write();
-            let offset = Offset(p.records.len() as u64);
-            p.records.push(record);
+            let offset = Offset(p.len());
+            p.push(&record);
             offset
         };
         t.publish();
         Ok((PartitionId(pid), offset))
     }
 
-    /// Appends a batch of records (single lock acquisition per partition
-    /// group), returning the count appended.
+    /// Appends a batch of records in order, each routed by key, and
+    /// wakes parked readers once; returns the count appended.
     ///
     /// # Errors
     ///
-    /// [`StreamError::UnknownTopic`] if the topic does not exist.
+    /// [`StreamError::UnknownTopic`] if the topic does not exist (nothing
+    /// is appended), [`StreamError::PayloadTooLarge`] at the first record
+    /// whose payload is longer than [`MAX_PAYLOAD`] (the records before
+    /// it stay appended).
     pub fn append_batch(
         &self,
         topic: &str,
@@ -223,24 +349,22 @@ impl Broker {
     ) -> Result<usize, StreamError> {
         let t = self.topic(topic)?;
         let n_parts = t.partitions.len() as u32;
-        let mut grouped: Vec<Vec<Record>> = t.partitions.iter().map(|_| Vec::new()).collect();
         let mut n = 0usize;
+        let mut checked = Ok(());
         for r in records {
-            grouped[route(r.key, n_parts) as usize].push(r);
-            n += 1;
-        }
-        // Partitions are extended in index order, the same in every run;
-        // a hash map's order would change from run to run, and with it
-        // the order the partition logs grow and reallocate in.
-        for (partition, batch) in t.partitions.iter().zip(grouped) {
-            if !batch.is_empty() {
-                partition.write().records.extend(batch);
+            checked = check_payload(&r);
+            if checked.is_err() {
+                break;
             }
+            t.partitions[route(r.key, n_parts) as usize]
+                .write()
+                .push(&r);
+            n += 1;
         }
         if n > 0 {
             t.publish();
         }
-        Ok(n)
+        checked.map(|()| n)
     }
 
     /// Reads up to `max` records from `partition` starting at `from`.
@@ -255,33 +379,28 @@ impl Broker {
         from: u64,
         max: usize,
     ) -> Result<Vec<PolledRecord>, StreamError> {
-        self.visit(topic, partition, from, max, |start, records| {
-            records
-                .iter()
-                .zip(start..)
-                .map(|(r, offset)| PolledRecord {
-                    offset: Offset(offset),
-                    record: r.clone(),
-                })
-                .collect()
-        })
+        let mut out = Vec::new();
+        self.visit(topic, partition, from, max, |offset, record| {
+            out.push(PolledRecord {
+                offset: Offset(offset),
+                record: record.clone(),
+            });
+        })?;
+        Ok(out)
     }
 
-    /// [`Topic::visit`] by topic name: the one partition-slice read path.
-    pub(crate) fn visit<R>(
+    /// [`Topic::visit`] by topic name: the one partition read path.
+    pub(crate) fn visit(
         &self,
         topic: &str,
         partition: PartitionId,
         from: u64,
         max: usize,
-        visit: impl FnOnce(u64, &[Record]) -> R,
-    ) -> Result<R, StreamError> {
+        each: impl FnMut(u64, &Record),
+    ) -> Result<usize, StreamError> {
         self.topic(topic)?
-            .visit(partition.0, from, max, visit)
-            .ok_or_else(|| StreamError::UnknownPartition {
-                topic: topic.to_string(),
-                partition: partition.0,
-            })
+            .visit(partition.0, from, max, each)
+            .ok_or_else(|| unknown_partition(topic, partition))
     }
 
     /// The end offset (next offset to be written) of a partition.
@@ -290,8 +409,9 @@ impl Broker {
     ///
     /// [`StreamError::UnknownTopic`] / [`StreamError::UnknownPartition`].
     pub fn end_offset(&self, topic: &str, partition: PartitionId) -> Result<u64, StreamError> {
-        // An empty visit past the end starts at the end offset.
-        self.visit(topic, partition, u64::MAX, 0, |end, _| end)
+        self.topic(topic)?
+            .end_offset(partition.0)
+            .ok_or_else(|| unknown_partition(topic, partition))
     }
 
     /// Number of partitions in a topic.
@@ -314,12 +434,8 @@ impl Broker {
         let mut bytes = 0u64;
         for p in &t.partitions {
             let p = p.read();
-            records += p.records.len() as u64;
-            bytes += p
-                .records
-                .iter()
-                .map(|r| r.payload.len() as u64)
-                .sum::<u64>();
+            records += p.len();
+            bytes += p.payload_bytes();
         }
         Ok(TopicStats {
             partitions: t.partitions.len() as u32,
@@ -334,6 +450,21 @@ impl Broker {
         names.sort();
         names
     }
+}
+
+fn unknown_partition(topic: &str, partition: PartitionId) -> StreamError {
+    StreamError::UnknownPartition {
+        topic: topic.to_string(),
+        partition: partition.0,
+    }
+}
+
+/// `Ok` if `r`'s payload fits a segment slot.
+fn check_payload(r: &Record) -> Result<(), StreamError> {
+    if r.payload.len() > MAX_PAYLOAD {
+        return Err(StreamError::PayloadTooLarge(r.payload.len()));
+    }
+    Ok(())
 }
 
 /// A consumer group: owns committed offsets per (topic, partition) and
@@ -607,6 +738,61 @@ mod tests {
         let gauges = obs.registry.snapshot().gauges;
         let lag = gauges.iter().find(|g| g.name == "consumer_lag_records");
         assert_eq!(lag.map(|g| g.value), Some(1.0));
+    }
+
+    /// Heap bytes `p` holds, by capacity.
+    fn heap_bytes(p: &Partition) -> usize {
+        let segment = |s: &Segment| {
+            s.index.capacity() * std::mem::size_of::<Entry>()
+                + s.payload.capacity()
+                + s.traces.capacity() * std::mem::size_of::<Option<TraceContext>>()
+        };
+        p.sealed.capacity() * std::mem::size_of::<Segment>()
+            + p.sealed.iter().chain([&p.head]).map(segment).sum::<usize>()
+    }
+
+    #[test]
+    fn partitions_keep_45_bytes_per_small_record() {
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
+        // A 21-byte payload (a vitals sample) plus its index entry.
+        const PER_RECORD: usize = 21 + 24;
+        for n in [
+            1,
+            100,
+            SEGMENT_SLOTS,
+            SEGMENT_SLOTS + 1,
+            10 * SEGMENT_SLOTS + 123,
+        ] {
+            let mut p = Partition::default();
+            for i in 0..n as u64 {
+                p.push(&Record::new(i, vec![i as u8; 21], i));
+            }
+            assert_eq!(p.len(), n as u64);
+            let held = heap_bytes(&p);
+            assert!(
+                held <= (n + SEGMENT_SLOTS) * PER_RECORD,
+                "{n} records hold {held} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_payloads_are_rejected() {
+        let b = Broker::new();
+        b.create_topic("t", 2).unwrap();
+        let big = || Record::new(3, vec![0u8; MAX_PAYLOAD + 1], 0);
+        assert_eq!(
+            b.append("t", big()),
+            Err(StreamError::PayloadTooLarge(MAX_PAYLOAD + 1))
+        );
+        assert_eq!(b.stats("t").unwrap().records, 0);
+        // A batch stops at the oversized record.
+        let batch = vec![rec(1, 0), big(), rec(2, 0)];
+        assert!(b.append_batch("t", batch).is_err());
+        assert_eq!(b.stats("t").unwrap().records, 1);
+        b.append("t", Record::new(3, vec![7u8; MAX_PAYLOAD], 0))
+            .unwrap();
+        assert_eq!(b.stats("t").unwrap().bytes, 2 + MAX_PAYLOAD as u64);
     }
 
     #[test]

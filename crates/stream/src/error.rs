@@ -32,6 +32,9 @@ pub enum StreamError {
     NoCheckpoint,
     /// Operator state failed to round-trip through a checkpoint.
     CorruptCheckpoint(String),
+    /// A record's payload is longer than
+    /// [`MAX_PAYLOAD`](crate::broker::MAX_PAYLOAD) bytes.
+    PayloadTooLarge(usize),
 }
 
 impl fmt::Display for StreamError {
@@ -53,6 +56,11 @@ impl fmt::Display for StreamError {
             }
             StreamError::NoCheckpoint => write!(f, "no checkpoint available"),
             StreamError::CorruptCheckpoint(what) => write!(f, "corrupt checkpoint: {what}"),
+            StreamError::PayloadTooLarge(len) => write!(
+                f,
+                "payload of {len} bytes exceeds the {} byte record limit",
+                crate::broker::MAX_PAYLOAD
+            ),
         }
     }
 }

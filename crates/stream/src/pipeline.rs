@@ -128,7 +128,7 @@ impl<T: Send + 'static> PipelineBuilder<T> {
     /// with `decoder` (records failing to decode are skipped — the
     /// "Variety" reality of mixed-schema topics).
     ///
-    /// Bounded runs call `decoder` on records borrowed from the log while
+    /// Bounded runs call `decoder` on records rebuilt from the log while
     /// holding their partition's read lock, so it must not append to the
     /// topic it reads: that would deadlock on the partition's write lock.
     pub fn new(
@@ -540,77 +540,10 @@ struct Flow<T> {
     value: T,
 }
 
-/// Flows per storage chunk of a bounded read.
-const FLOW_CHUNK: usize = 1024;
-
-/// Decoded flows in arrival (partition-then-offset) order, kept in
-/// chunks of [`FLOW_CHUNK`] instead of one vector sized to the whole
-/// read. One allocation that large is served from memory the process
-/// already holds only when the heap has a single free hole that big, so
-/// a run's peak resident memory would hinge on how earlier work left the
-/// heap fragmented; chunks fit the holes there are.
-struct Flows<T> {
-    chunks: Vec<Vec<Flow<T>>>,
-    len: usize,
-}
-
-impl<T> Flows<T> {
-    /// Room for `n` flows in the chunk table; chunks are made as filled.
-    fn with_capacity(n: usize) -> Self {
-        Flows {
-            chunks: Vec::with_capacity(n.div_ceil(FLOW_CHUNK)),
-            len: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn push(&mut self, flow: Flow<T>) {
-        match self.chunks.last_mut() {
-            Some(chunk) if chunk.len() < FLOW_CHUNK => chunk.push(flow),
-            _ => {
-                let mut chunk = Vec::with_capacity(FLOW_CHUNK);
-                chunk.push(flow);
-                self.chunks.push(chunk);
-            }
-        }
-        self.len += 1;
-    }
-
-    fn get(&self, i: usize) -> &Flow<T> {
-        &self.chunks[i / FLOW_CHUNK][i % FLOW_CHUNK]
-    }
-
-    fn swap(&mut self, a: usize, b: usize) {
-        let (ca, cb) = (a / FLOW_CHUNK, b / FLOW_CHUNK);
-        if ca == cb {
-            self.chunks[ca].swap(a % FLOW_CHUNK, b % FLOW_CHUNK);
-        } else {
-            let (lo, hi) = if ca < cb { (a, b) } else { (b, a) };
-            let (head, tail) = self.chunks.split_at_mut(hi / FLOW_CHUNK);
-            std::mem::swap(
-                &mut head[lo / FLOW_CHUNK][lo % FLOW_CHUNK],
-                &mut tail[0][hi % FLOW_CHUNK],
-            );
-        }
-    }
-}
-
-impl<T> IntoIterator for Flows<T> {
-    type Item = Flow<T>;
-    type IntoIter = std::iter::Flatten<std::vec::IntoIter<Vec<Flow<T>>>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.chunks.into_iter().flatten()
-    }
-}
-
 /// One bounded read of a topic.
 struct Scan<T> {
     /// Decoded items in arrival (partition-then-offset) order.
-    flows: Flows<T>,
+    flows: Vec<Flow<T>>,
     /// Each flow's event time, by arrival index.
     times: Vec<u64>,
     /// Each flow's sampled producer context, by arrival index. It stays
@@ -631,7 +564,7 @@ fn trace_at(traces: &[Option<TraceContext>], i: usize) -> Option<TraceContext> {
 /// Reorders `flows` in place so that the flow at `order[k]` lands at
 /// `k`. Each cycle of the permutation is followed once, so every flow is
 /// swapped into its place directly and no second copy of `flows` exists.
-fn permute<T>(flows: &mut Flows<T>, mut order: Vec<usize>) {
+fn permute<T>(flows: &mut [Flow<T>], mut order: Vec<usize>) {
     const PLACED: usize = usize::MAX;
     for start in 0..order.len() {
         let mut k = start;
@@ -686,7 +619,7 @@ impl<T: Send + 'static> Pipeline<T> {
             .map(|p| b.end_offset(topic, PartitionId(p)))
             .collect::<Result<Vec<u64>, _>>()?;
         let total = ends.iter().sum::<u64>() as usize;
-        let mut flows = Flows::with_capacity(total);
+        let mut flows = Vec::with_capacity(total);
         let mut times = Vec::with_capacity(total);
         let mut traces = Vec::new();
         let mut bytes = 0u64;
@@ -694,25 +627,22 @@ impl<T: Send + 'static> Pipeline<T> {
             let mut from = 0u64;
             while from < end {
                 let max = (end - from).min(self.inner.poll_batch as u64) as usize;
-                let read = b.visit(topic, p, from, max, |_, records| {
-                    for r in records {
-                        bytes += r.payload.len() as u64;
-                        if let Some(v) = (self.inner.decoder)(r) {
-                            if let Some(c) = r.trace {
-                                // Head sampling decides here, once per
-                                // record, so every downstream per-record
-                                // flight event inherits the verdict.
-                                traces.resize(flows.len(), None);
-                                traces.push(Some(self.instruments.sample_ctx(c)));
-                            }
-                            times.push(r.event_time_us);
-                            flows.push(Flow {
-                                key: r.key,
-                                value: v,
-                            });
+                let read = b.visit(topic, p, from, max, |_, r| {
+                    bytes += r.payload.len() as u64;
+                    if let Some(v) = (self.inner.decoder)(r) {
+                        if let Some(c) = r.trace {
+                            // Head sampling decides here, once per
+                            // record, so every downstream per-record
+                            // flight event inherits the verdict.
+                            traces.resize(flows.len(), None);
+                            traces.push(Some(self.instruments.sample_ctx(c)));
                         }
+                        times.push(r.event_time_us);
+                        flows.push(Flow {
+                            key: r.key,
+                            value: v,
+                        });
                     }
-                    records.len()
                 })?;
                 if read == 0 {
                     break;
@@ -908,7 +838,7 @@ impl<T: Send + 'static> Pipeline<T> {
             let _window = self.instruments.tracer.span("pipeline/window");
             let window_t0 = self.instruments.clock.now_micros();
             for (i, &j) in (first..stop).zip(&order[first..stop]) {
-                let (flow, time_us) = (flows.get(j), times[j]);
+                let (flow, time_us) = (&flows[j], times[j]);
                 if let Some((time, costs)) = &self.inner.modeled {
                     time.advance_micros(costs.window_us);
                 }
@@ -1052,10 +982,7 @@ impl<T: Send + 'static> Pipeline<T> {
                     let mut idle = true;
                     for (p, offset) in (0..).zip(&mut offsets) {
                         let read = topic
-                            .visit(p, *offset, poll_batch, |_, records| {
-                                batch.extend(records.iter().filter_map(|r| decoder(r)));
-                                records.len()
-                            })
+                            .visit(p, *offset, poll_batch, |_, r| batch.extend(decoder(r)))
                             .unwrap_or(0);
                         if read == 0 {
                             continue;

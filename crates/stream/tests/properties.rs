@@ -1,11 +1,15 @@
 //! Property-based tests for the stream substrate.
 
+#![allow(clippy::unwrap_used)] // integration tests: a panic here IS the test failure
+
+use augur_stream::broker::SEGMENT_SLOTS;
 use augur_stream::window::{Aggregation, CountAggregation};
 use augur_stream::{
-    BoundedOutOfOrderness, Broker, PartitionId, Record, SessionWindows, SlidingWindows,
-    TumblingWindows, Watermark, WatermarkGenerator, WindowAssigner, WindowResult,
-    WindowedAggregator,
+    BoundedOutOfOrderness, Broker, ConsumerGroup, Offset, PartitionId, PolledRecord, Record,
+    SessionWindows, SlidingWindows, TumblingWindows, Watermark, WatermarkGenerator, WindowAssigner,
+    WindowResult, WindowedAggregator,
 };
+use augur_telemetry::{mix64, TraceContext};
 use proptest::prelude::*;
 
 /// Keeps every value in fold order, so a result pins which records a
@@ -204,7 +208,230 @@ fn check_against_model<W: WindowAssigner + Copy>(assigner: W, shape: Shape, ops:
     prop_assert_eq!(agg.live_windows(), 0);
 }
 
+/// One step against the broker and its model.
+#[derive(Debug, Clone, Copy)]
+enum BrokerOp {
+    /// Append the record made from `seed`.
+    Append { seed: u64 },
+    /// Append `n` records made from `seed`, `seed + 1`, ... in one batch.
+    AppendBatch { seed: u64, n: usize },
+    /// `Broker::poll(partition, from, max)`.
+    Poll {
+        partition: u32,
+        from: u64,
+        max: usize,
+    },
+    /// `end_offset` of every partition, then `stats`.
+    Ends,
+    /// A consumer group member joins.
+    Join { member: u8 },
+    /// A member polls a partition from the committed offset.
+    GroupPoll {
+        member: u8,
+        partition: u32,
+        max: usize,
+    },
+    /// Commit `next` for a partition.
+    Commit { partition: u32, next: u64 },
+    /// The group's total lag.
+    Lag,
+}
+
+/// The record a seed stands for: one of 16 keys, a payload of 0..=64
+/// bytes (both sides of the inline cap), and a trace context on one
+/// record in four.
+fn seeded_record(seed: u64) -> Record {
+    let h = mix64(seed);
+    let len = (h % 65) as usize;
+    let payload: Vec<u8> = (0..len)
+        .map(|i| (h >> (i % 8 * 8)) as u8 ^ i as u8)
+        .collect();
+    let r = Record::new(h >> 60, payload, h >> 20);
+    if (h >> 8).is_multiple_of(4) {
+        r.with_trace(TraceContext::root(seed, h))
+    } else {
+        r
+    }
+}
+
+/// Random interleavings of broker and consumer-group calls. Batches run
+/// up to one and a half segments, so a case's partitions cross segment
+/// boundaries; reads start anywhere up to two segments in.
+fn broker_ops() -> impl Strategy<Value = Vec<BrokerOp>> {
+    let slots = SEGMENT_SLOTS as u64;
+    prop::collection::vec((0u8..20, any::<u64>(), 0u64..2 * slots, 0u32..4), 0..60).prop_map(
+        move |raw| {
+            raw.into_iter()
+                .map(|(kind, seed, n, partition)| match kind {
+                    0..=5 => BrokerOp::Append { seed },
+                    6..=8 => BrokerOp::AppendBatch {
+                        seed,
+                        n: (n * 3 / 4) as usize,
+                    },
+                    9..=11 => BrokerOp::Poll {
+                        partition,
+                        from: seed % (2 * slots),
+                        max: n as usize,
+                    },
+                    12 => BrokerOp::Ends,
+                    13 => BrokerOp::Join {
+                        member: (seed % 3) as u8,
+                    },
+                    14..=16 => BrokerOp::GroupPoll {
+                        member: (seed % 3) as u8,
+                        partition,
+                        max: n as usize,
+                    },
+                    17..=18 => BrokerOp::Commit {
+                        partition,
+                        next: seed % (2 * slots),
+                    },
+                    _ => BrokerOp::Lag,
+                })
+                .collect()
+        },
+    )
+}
+
+/// The broker's contract as plain vectors: each partition a
+/// `Vec<Record>` whose index is the offset, and the group as its member
+/// list (partition `p` belongs to member `p % len`) and committed
+/// offsets that only move forward.
+struct BrokerModel {
+    partitions: Vec<Vec<Record>>,
+    members: Vec<String>,
+    committed: Vec<u64>,
+}
+
+impl BrokerModel {
+    fn poll(&self, partition: u32, from: u64, max: usize) -> Vec<PolledRecord> {
+        let log = &self.partitions[partition as usize];
+        let start = (from as usize).min(log.len());
+        let end = start.saturating_add(max).min(log.len());
+        (start..end)
+            .map(|i| PolledRecord {
+                offset: Offset(i as u64),
+                record: log[i].clone(),
+            })
+            .collect()
+    }
+
+    fn owns(&self, member: &str, partition: u32) -> bool {
+        self.members
+            .iter()
+            .position(|m| m == member)
+            .is_some_and(|i| partition as usize % self.members.len() == i)
+    }
+}
+
+/// Runs `ops` against a fresh broker with a consumer group and against
+/// the model, comparing every result.
+fn check_broker_against_model(partitions: u32, ops: &[BrokerOp]) {
+    let broker = Broker::new();
+    broker.create_topic("t", partitions).unwrap();
+    let group = ConsumerGroup::new("g", broker.clone());
+    let mut model = BrokerModel {
+        partitions: vec![Vec::new(); partitions as usize],
+        members: Vec::new(),
+        committed: vec![0; partitions as usize],
+    };
+    let push = |model: &mut BrokerModel, r: Record| {
+        let p = broker.partition_for("t", r.key).unwrap();
+        model.partitions[p.0 as usize].push(r);
+    };
+    for &op in ops {
+        match op {
+            BrokerOp::Append { seed } => {
+                let r = seeded_record(seed);
+                let p = broker.partition_for("t", r.key).unwrap();
+                let end = model.partitions[p.0 as usize].len() as u64;
+                prop_assert_eq!(broker.append("t", r.clone()).unwrap(), (p, Offset(end)));
+                push(&mut model, r);
+            }
+            BrokerOp::AppendBatch { seed, n } => {
+                let records: Vec<Record> = (0..n as u64)
+                    .map(|i| seeded_record(seed.wrapping_add(i)))
+                    .collect();
+                prop_assert_eq!(broker.append_batch("t", records.clone()).unwrap(), n);
+                for r in records {
+                    push(&mut model, r);
+                }
+            }
+            BrokerOp::Poll {
+                partition,
+                from,
+                max,
+            } => {
+                let got = broker.poll("t", PartitionId(partition), from, max);
+                if partition < partitions {
+                    prop_assert_eq!(got.unwrap(), model.poll(partition, from, max), "{:?}", op);
+                } else {
+                    prop_assert!(got.is_err());
+                }
+            }
+            BrokerOp::Ends => {
+                for (p, log) in (0..).zip(&model.partitions) {
+                    prop_assert_eq!(
+                        broker.end_offset("t", PartitionId(p)).unwrap(),
+                        log.len() as u64
+                    );
+                }
+                let stats = broker.stats("t").unwrap();
+                let all = model.partitions.iter().flatten();
+                prop_assert_eq!(stats.records, all.clone().count() as u64);
+                prop_assert_eq!(
+                    stats.bytes,
+                    all.map(|r| r.payload.len() as u64).sum::<u64>()
+                );
+            }
+            BrokerOp::Join { member } => {
+                let name = format!("m{member}");
+                let id = group.join(&name);
+                if !model.members.contains(&name) {
+                    model.members.push(name.clone());
+                }
+                prop_assert_eq!(model.members[id].as_str(), name.as_str());
+            }
+            BrokerOp::GroupPoll {
+                member,
+                partition,
+                max,
+            } => {
+                let name = format!("m{member}");
+                let got = group.poll("t", &name, PartitionId(partition), max);
+                if partition < partitions && model.owns(&name, partition) {
+                    let from = model.committed[partition as usize];
+                    prop_assert_eq!(got.unwrap(), model.poll(partition, from, max), "{:?}", op);
+                } else {
+                    prop_assert!(got.is_err(), "{:?}", op);
+                }
+            }
+            BrokerOp::Commit { partition, next } => {
+                let partition = partition % partitions;
+                group.commit("t", PartitionId(partition), next);
+                let c = &mut model.committed[partition as usize];
+                *c = (*c).max(next);
+                prop_assert_eq!(group.committed_offset("t", PartitionId(partition)), *c);
+            }
+            BrokerOp::Lag => {
+                let lag: u64 = model
+                    .partitions
+                    .iter()
+                    .zip(&model.committed)
+                    .map(|(log, &c)| (log.len() as u64).saturating_sub(c))
+                    .sum();
+                prop_assert_eq!(group.lag("t").unwrap(), lag);
+            }
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn broker_and_group_match_the_model(ops in broker_ops(), partitions in 1u32..4) {
+        check_broker_against_model(partitions, &ops);
+    }
+
     #[test]
     fn broker_preserves_per_key_order(
         keys in prop::collection::vec(0u64..8, 1..300),
