@@ -41,11 +41,16 @@ fn sign_from(code: u8) -> Option<VitalSign> {
 /// Encodes a vitals sample: `patient:u32 | sign:u8 | value:f64 | t:u64`,
 /// little-endian, 21 bytes.
 pub fn encode_vitals(s: &VitalsSample) -> Vec<u8> {
-    let mut out = Vec::with_capacity(21);
-    out.extend_from_slice(&s.patient.to_le_bytes());
-    out.push(sign_code(s.sign));
-    out.extend_from_slice(&s.value.to_le_bytes());
-    out.extend_from_slice(&s.time.as_micros().to_le_bytes());
+    vitals_bytes(s).to_vec()
+}
+
+/// [`encode_vitals`] into a stack array.
+pub(crate) fn vitals_bytes(s: &VitalsSample) -> [u8; 21] {
+    let mut out = [0u8; 21];
+    out[0..4].copy_from_slice(&s.patient.to_le_bytes());
+    out[4] = sign_code(s.sign);
+    out[5..13].copy_from_slice(&s.value.to_le_bytes());
+    out[13..21].copy_from_slice(&s.time.as_micros().to_le_bytes());
     out
 }
 

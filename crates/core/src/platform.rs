@@ -15,8 +15,9 @@ use augur_semantic::{Directive, Fact, InterpretationEngine, Rule};
 use augur_sensor::{SensorEvent, SensorReading, VitalSign};
 use augur_store::{SeriesId, TimeSeriesStore};
 use augur_stream::{Broker, Record};
+use bytes::Bytes;
 
-use crate::codec::encode_vitals;
+use crate::codec::vitals_bytes;
 use crate::context::ContextEngine;
 use crate::error::CoreError;
 
@@ -154,39 +155,36 @@ impl AugurPlatform {
     /// Propagates broker and store errors.
     pub fn ingest(&mut self, event: &SensorEvent) -> Result<(), CoreError> {
         let topic = event.reading.family();
-        let payload: Vec<u8> = match &event.reading {
-            SensorReading::Vitals(v) => encode_vitals(v),
-            SensorReading::Gps(fix) => {
-                let mut out = Vec::with_capacity(24);
-                out.extend_from_slice(&fix.position.east.to_le_bytes());
-                out.extend_from_slice(&fix.position.north.to_le_bytes());
-                out.extend_from_slice(&fix.accuracy_m.to_le_bytes());
-                out
-            }
-            SensorReading::Imu(r) => {
-                let mut out = Vec::with_capacity(24);
-                out.extend_from_slice(&r.accel_east.to_le_bytes());
-                out.extend_from_slice(&r.accel_north.to_le_bytes());
-                out.extend_from_slice(&r.yaw_rate_dps.to_le_bytes());
-                out
-            }
-            SensorReading::Camera(o) => {
-                let mut out = Vec::with_capacity(24);
-                out.extend_from_slice(&(o.anchor_index as u64).to_le_bytes());
-                out.extend_from_slice(&o.u_px.to_le_bytes());
-                out.extend_from_slice(&o.v_px.to_le_bytes());
-                out
-            }
+        // Fixed-width payloads are built on the stack and copied once,
+        // into the record's inline buffer.
+        let words = |w: [[u8; 8]; 3]| Bytes::copy_from_slice(w.as_flattened());
+        let payload = match &event.reading {
+            SensorReading::Vitals(v) => Bytes::copy_from_slice(&vitals_bytes(v)),
+            SensorReading::Gps(fix) => words([
+                fix.position.east.to_le_bytes(),
+                fix.position.north.to_le_bytes(),
+                fix.accuracy_m.to_le_bytes(),
+            ]),
+            SensorReading::Imu(r) => words([
+                r.accel_east.to_le_bytes(),
+                r.accel_north.to_le_bytes(),
+                r.yaw_rate_dps.to_le_bytes(),
+            ]),
+            SensorReading::Camera(o) => words([
+                (o.anchor_index as u64).to_le_bytes(),
+                o.u_px.to_le_bytes(),
+                o.v_px.to_le_bytes(),
+            ]),
             SensorReading::Interaction {
                 kind,
                 subject,
                 value,
             } => {
-                let mut out = Vec::with_capacity(17 + kind.len());
+                let mut out = Vec::with_capacity(16 + kind.len());
                 out.extend_from_slice(&subject.to_le_bytes());
                 out.extend_from_slice(&value.to_le_bytes());
                 out.extend_from_slice(kind.as_bytes());
-                out
+                Bytes::from(out)
             }
         };
         self.broker.append(
@@ -521,6 +519,95 @@ mod tests {
         }
         for topic in ["gps", "imu", "camera", "interaction"] {
             assert_eq!(p.broker().stats(topic).unwrap().records, 1, "{topic}");
+        }
+    }
+
+    #[test]
+    fn ingested_payloads_keep_their_byte_layout() {
+        use augur_geo::Enu;
+        use augur_sensor::{AnchorObservation, GpsFix, ImuReading};
+        let le = |parts: &[&[u8]]| parts.concat();
+        let t = Timestamp::from_micros(1_234_567);
+        let vitals = VitalsSample {
+            time: t,
+            patient: 0x0102_0304,
+            sign: VitalSign::SpO2,
+            value: 97.25,
+            in_anomaly: true,
+        };
+        let cases = [
+            (
+                SensorReading::Vitals(vitals),
+                le(&[
+                    &0x0102_0304u32.to_le_bytes(),
+                    &[1],
+                    &97.25f64.to_le_bytes(),
+                    &1_234_567u64.to_le_bytes(),
+                ]),
+            ),
+            (
+                SensorReading::Gps(GpsFix {
+                    time: t,
+                    position: Enu::new(-12.5, 7.75, 3.0),
+                    speed_mps: 1.0,
+                    accuracy_m: 4.5,
+                }),
+                le(&[
+                    &(-12.5f64).to_le_bytes(),
+                    &7.75f64.to_le_bytes(),
+                    &4.5f64.to_le_bytes(),
+                ]),
+            ),
+            (
+                SensorReading::Imu(ImuReading {
+                    time: t,
+                    accel_east: 0.5,
+                    accel_north: -0.25,
+                    yaw_rate_dps: 12.0,
+                }),
+                le(&[
+                    &0.5f64.to_le_bytes(),
+                    &(-0.25f64).to_le_bytes(),
+                    &12.0f64.to_le_bytes(),
+                ]),
+            ),
+            (
+                SensorReading::Camera(AnchorObservation {
+                    time: t,
+                    anchor_index: 9,
+                    u_px: 640.5,
+                    v_px: 360.25,
+                }),
+                le(&[
+                    &9u64.to_le_bytes(),
+                    &640.5f64.to_le_bytes(),
+                    &360.25f64.to_le_bytes(),
+                ]),
+            ),
+            (
+                SensorReading::Interaction {
+                    kind: "purchase-with-a-long-name".into(),
+                    subject: 3,
+                    value: 19.9,
+                },
+                le(&[
+                    &3u64.to_le_bytes(),
+                    &19.9f64.to_le_bytes(),
+                    b"purchase-with-a-long-name",
+                ]),
+            ),
+        ];
+        assert_eq!(crate::codec::encode_vitals(&vitals), cases[0].1);
+        let mut p = platform();
+        for (reading, want) in cases {
+            let topic = reading.family();
+            p.ingest(&SensorEvent::new(DeviceId(5), t, reading))
+                .unwrap();
+            let pid = p.broker().partition_for(topic, 5).unwrap();
+            let got = p.broker().poll(topic, pid, 0, 2).unwrap();
+            assert_eq!(got.len(), 1, "{topic}");
+            assert_eq!(got[0].record.payload.as_ref(), want.as_slice(), "{topic}");
+            assert_eq!(got[0].record.event_time_us, 1_234_567, "{topic}");
         }
     }
 }

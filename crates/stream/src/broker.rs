@@ -14,8 +14,17 @@
 //! into the buffer and allocates nothing of its own. Reads rebuild each [`Record`] on the stack from
 //! its index entry; a payload of up to [`bytes::INLINE_CAP`] bytes is
 //! carried inline, so that costs no allocation either.
+//!
+//! Retention works at segment granularity too. A topic keeps a registry
+//! of readers: each running continuous pipeline, and each consumer group
+//! from its first commit on the topic. A sealed segment is released once
+//! every registered reader's position in its partition has passed the
+//! segment's end. A topic with no registered reader keeps everything.
+//! Offsets never move: a partition's log start is its count of released
+//! segments times [`SEGMENT_SLOTS`], and its end offset still counts every
+//! record ever appended.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -72,28 +81,32 @@ impl Segment {
     }
 }
 
-/// One partition's log: full (sealed) segments and the one being filled.
+/// One partition's log: the sealed segments still held, the count
+/// released before them, and the segment being filled.
 #[derive(Debug, Default)]
 struct Partition {
-    sealed: Vec<Segment>,
+    sealed: VecDeque<Segment>,
+    /// Sealed segments released from the front of the log.
+    released: u64,
     head: Segment,
 }
 
 impl Partition {
-    /// The end offset: the offset the next append gets.
-    fn len(&self) -> u64 {
-        (self.sealed.len() * SEGMENT_SLOTS + self.head.index.len()) as u64
+    /// The log start: the offset of the first record still held.
+    fn start(&self) -> u64 {
+        self.released << SEGMENT_BITS
     }
 
-    /// Appends `r`. When the head segment is full it is sealed first,
-    /// its buffers trimmed to what they hold.
+    /// The end offset: the offset the next append gets. It counts every
+    /// record ever appended, released ones included.
+    fn len(&self) -> u64 {
+        self.start() + (self.sealed.len() * SEGMENT_SLOTS + self.head.index.len()) as u64
+    }
+
+    /// Appends `r`. A head segment that fills is sealed at once, its
+    /// buffers trimmed to what they hold, so a reader that has read it
+    /// all can release it.
     fn push(&mut self, r: &Record) {
-        if self.head.index.len() == SEGMENT_SLOTS {
-            let mut full = std::mem::take(&mut self.head);
-            full.payload.shrink_to_fit();
-            full.traces.shrink_to_fit();
-            self.sealed.push(full);
-        }
         let head = &mut self.head;
         if let Some(ctx) = r.trace {
             head.traces.resize(head.index.len(), None);
@@ -106,16 +119,36 @@ impl Partition {
             len: r.payload.len() as u32,
         });
         head.payload.extend_from_slice(&r.payload);
+        if head.index.len() == SEGMENT_SLOTS {
+            let mut full = std::mem::take(head);
+            full.payload.shrink_to_fit();
+            full.traces.shrink_to_fit();
+            self.sealed.push_back(full);
+        }
+    }
+
+    /// How many sealed segments lie wholly below `position`.
+    fn releasable(&self, position: u64) -> u64 {
+        (position >> SEGMENT_BITS)
+            .min(self.released + self.sealed.len() as u64)
+            .saturating_sub(self.released)
+    }
+
+    /// Drops the sealed segments that lie wholly below `position`.
+    fn release_below(&mut self, position: u64) {
+        let n = self.releasable(position);
+        self.sealed.drain(..n as usize);
+        self.released += n;
     }
 
     /// Calls `each(offset, record)` on the records at offsets
-    /// `from..to`, which must lie within the log.
+    /// `from..to`, which must lie within the held log.
     fn visit(&self, from: u64, to: u64, mut each: impl FnMut(u64, &Record)) {
         let mut offset = from;
         while offset < to {
             let segment = self
                 .sealed
-                .get((offset >> SEGMENT_BITS) as usize)
+                .get(((offset >> SEGMENT_BITS) - self.released) as usize)
                 .unwrap_or(&self.head);
             let first = (offset as usize) & (SEGMENT_SLOTS - 1);
             let last = first + (to - offset).min((SEGMENT_SLOTS - first) as u64) as usize;
@@ -126,7 +159,7 @@ impl Partition {
         }
     }
 
-    /// Payload bytes held.
+    /// Payload bytes held (released segments excluded).
     fn payload_bytes(&self) -> u64 {
         self.sealed
             .iter()
@@ -145,6 +178,10 @@ impl Partition {
 /// waiter count are both `SeqCst`: either the appender sees the parked
 /// reader and notifies it under the wake lock, or the reader sees the
 /// new epoch and does not park.
+///
+/// It also holds the registered readers' positions (see [`Reader`]).
+/// Appends never look at them; only a reader's progress releases
+/// segments.
 #[derive(Debug)]
 pub(crate) struct Topic {
     partitions: Vec<RwLock<Partition>>,
@@ -154,7 +191,12 @@ pub(crate) struct Topic {
     waiters: AtomicU64,
     wake: Mutex<()>,
     appended: Condvar,
+    /// Each registered reader's next offset in every partition.
+    readers: Mutex<Vec<Positions>>,
 }
+
+/// A reader's next offset in each partition of its topic.
+type Positions = Arc<[AtomicU64]>;
 
 impl Topic {
     fn new(partitions: u32) -> Topic {
@@ -166,6 +208,7 @@ impl Topic {
             waiters: AtomicU64::new(0),
             wake: Mutex::new(()),
             appended: Condvar::new(),
+            readers: Mutex::new(Vec::new()),
         }
     }
 
@@ -209,9 +252,11 @@ impl Topic {
     }
 
     /// Calls `each(offset, record)` on up to `max` records of
-    /// `partition` from offset `from` (clamped to the partition's end),
-    /// each rebuilt from the log; returns how many it visited, or `None`
-    /// if the partition does not exist.
+    /// `partition`, each rebuilt from the log. The visit begins at
+    /// `from`, or at the log start if `from` lies below it, and stops
+    /// before `until` and before the partition's end. Returns the offset
+    /// after the last record visited (where the visit began, if it
+    /// visited none), or `None` if the partition does not exist.
     ///
     /// `each` runs under the partition's read lock: it must not append
     /// to this topic, or it deadlocks on the write lock.
@@ -220,19 +265,88 @@ impl Topic {
         partition: u32,
         from: u64,
         max: usize,
+        until: u64,
         each: impl FnMut(u64, &Record),
-    ) -> Option<usize> {
+    ) -> Option<u64> {
         let p = self.partitions.get(partition as usize)?.read();
-        let end = p.len();
-        let start = from.min(end);
+        let end = p.len().min(until);
+        let start = from.max(p.start()).min(end);
         let stop = start.saturating_add(max as u64).min(end);
         p.visit(start, stop, each);
-        Some((stop - start) as usize)
+        Some(stop)
     }
 
-    /// The end offset of `partition`, or `None` if it does not exist.
-    fn end_offset(&self, partition: u32) -> Option<u64> {
-        Some(self.partitions.get(partition as usize)?.read().len())
+    /// The log start and end offset of `partition`, or `None` if it does
+    /// not exist.
+    fn bounds(&self, partition: u32) -> Option<(u64, u64)> {
+        let p = self.partitions.get(partition as usize)?.read();
+        Some((p.start(), p.len()))
+    }
+
+    /// Releases the sealed segments of `partition` that every registered
+    /// reader has passed. The registry stays locked throughout, so a
+    /// reader registering meanwhile is either counted or starts at the
+    /// new log start. The write lock is taken only when a segment goes.
+    fn release(&self, partition: usize) {
+        let readers = self.readers.lock();
+        let Some(slowest) = readers
+            .iter()
+            .filter_map(|r| r.get(partition))
+            .map(|at| at.load(Ordering::SeqCst))
+            .min()
+        else {
+            return;
+        };
+        let Some(log) = self.partitions.get(partition) else {
+            return;
+        };
+        if log.read().releasable(slowest) == 0 {
+            return;
+        }
+        log.write().release_below(slowest);
+    }
+}
+
+/// A registered reader of one topic: while it lives, no record at or
+/// above its position in a partition is released. Dropping it
+/// unregisters it.
+#[derive(Debug)]
+pub(crate) struct Reader {
+    topic: Arc<Topic>,
+    positions: Positions,
+}
+
+impl Reader {
+    /// Registers a reader at offset 0 of every partition of `topic`.
+    pub(crate) fn register(topic: Arc<Topic>) -> Reader {
+        let positions: Positions = (0..topic.partitions.len())
+            .map(|_| AtomicU64::new(0))
+            .collect();
+        topic.readers.lock().push(Arc::clone(&positions));
+        Reader { topic, positions }
+    }
+
+    /// Moves this reader's position in `partition` forward to `next`
+    /// (never back). When that crosses a segment boundary, the segments
+    /// every registered reader has passed are released, so a release is
+    /// tried at most once per [`SEGMENT_SLOTS`] records.
+    pub(crate) fn advance(&self, partition: u32, next: u64) {
+        let Some(at) = self.positions.get(partition as usize) else {
+            return;
+        };
+        let before = at.fetch_max(next, Ordering::SeqCst);
+        if next >> SEGMENT_BITS > before >> SEGMENT_BITS {
+            self.topic.release(partition as usize);
+        }
+    }
+}
+
+impl Drop for Reader {
+    fn drop(&mut self) {
+        self.topic
+            .readers
+            .lock()
+            .retain(|r| !Arc::ptr_eq(r, &self.positions));
     }
 }
 
@@ -241,9 +355,12 @@ impl Topic {
 pub struct TopicStats {
     /// Partition count.
     pub partitions: u32,
-    /// Total records across partitions.
+    /// Records ever appended across partitions, released ones included
+    /// (the sum of the end offsets).
     pub records: u64,
-    /// Total payload bytes across partitions.
+    /// Payload bytes the partitions hold now. Released segments no
+    /// longer count, so on a topic with a registered reader this can
+    /// fall.
     pub bytes: u64,
 }
 
@@ -367,7 +484,8 @@ impl Broker {
         checked.map(|()| n)
     }
 
-    /// Reads up to `max` records from `partition` starting at `from`.
+    /// Reads up to `max` records from `partition` starting at `from`,
+    /// or at the log start if `from` lies below it.
     ///
     /// # Errors
     ///
@@ -380,7 +498,7 @@ impl Broker {
         max: usize,
     ) -> Result<Vec<PolledRecord>, StreamError> {
         let mut out = Vec::new();
-        self.visit(topic, partition, from, max, |offset, record| {
+        self.visit(topic, partition, from, max, u64::MAX, |offset, record| {
             out.push(PolledRecord {
                 offset: Offset(offset),
                 record: record.clone(),
@@ -396,22 +514,44 @@ impl Broker {
         partition: PartitionId,
         from: u64,
         max: usize,
+        until: u64,
         each: impl FnMut(u64, &Record),
-    ) -> Result<usize, StreamError> {
+    ) -> Result<u64, StreamError> {
         self.topic(topic)?
-            .visit(partition.0, from, max, each)
+            .visit(partition.0, from, max, until, each)
             .ok_or_else(|| unknown_partition(topic, partition))
     }
 
-    /// The end offset (next offset to be written) of a partition.
+    /// The log start and end offset of a partition.
+    pub(crate) fn bounds(
+        &self,
+        topic: &str,
+        partition: PartitionId,
+    ) -> Result<(u64, u64), StreamError> {
+        self.topic(topic)?
+            .bounds(partition.0)
+            .ok_or_else(|| unknown_partition(topic, partition))
+    }
+
+    /// The log start of a partition: the offset of the first record it
+    /// still holds. It is 0 until a sealed segment is released, then a
+    /// multiple of [`SEGMENT_SLOTS`].
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::UnknownTopic`] / [`StreamError::UnknownPartition`].
+    pub fn start_offset(&self, topic: &str, partition: PartitionId) -> Result<u64, StreamError> {
+        Ok(self.bounds(topic, partition)?.0)
+    }
+
+    /// The end offset (next offset to be written) of a partition. It
+    /// counts every record ever appended, released ones included.
     ///
     /// # Errors
     ///
     /// [`StreamError::UnknownTopic`] / [`StreamError::UnknownPartition`].
     pub fn end_offset(&self, topic: &str, partition: PartitionId) -> Result<u64, StreamError> {
-        self.topic(topic)?
-            .end_offset(partition.0)
-            .ok_or_else(|| unknown_partition(topic, partition))
+        Ok(self.bounds(topic, partition)?.1)
     }
 
     /// Number of partitions in a topic.
@@ -469,13 +609,48 @@ fn check_payload(r: &Record) -> Result<(), StreamError> {
 
 /// A consumer group: owns committed offsets per (topic, partition) and
 /// assigns partitions to members round-robin.
+///
+/// From its first commit on a topic the group is a registered reader of
+/// it, its committed offsets its positions: the topic releases only the
+/// sealed segments the group has committed past. Dropping the group
+/// unregisters it.
 #[derive(Debug)]
 pub struct ConsumerGroup {
     name: String,
     broker: Broker,
-    committed: Mutex<HashMap<(String, u32), u64>>,
+    committed: Mutex<Commits>,
     members: Mutex<Vec<String>>,
     obs: Mutex<Option<GroupObs>>,
+}
+
+/// A group's committed offsets, and the reader it registered on each
+/// topic it committed on.
+#[derive(Debug, Default)]
+struct Commits {
+    offsets: HashMap<(String, u32), u64>,
+    readers: HashMap<String, Reader>,
+}
+
+impl Commits {
+    /// Moves the committed offset of (`topic`, `partition`) forward to
+    /// `next` (never back), registering the group on the topic at its
+    /// first commit there, and advances the group's position.
+    fn commit(&mut self, broker: &Broker, topic: &str, partition: u32, next: u64) {
+        let entry = self
+            .offsets
+            .entry((topic.to_string(), partition))
+            .or_insert(0);
+        *entry = (*entry).max(next);
+        let next = *entry;
+        if !self.readers.contains_key(topic) {
+            if let Ok(t) = broker.topic(topic) {
+                self.readers.insert(topic.to_string(), Reader::register(t));
+            }
+        }
+        if let Some(reader) = self.readers.get(topic) {
+            reader.advance(partition, next);
+        }
+    }
 }
 
 /// Observability wiring (see [`ConsumerGroup::instrument`]).
@@ -504,7 +679,7 @@ impl ConsumerGroup {
         ConsumerGroup {
             name: name.to_string(),
             broker,
-            committed: Mutex::new(HashMap::new()),
+            committed: Mutex::new(Commits::default()),
             members: Mutex::new(Vec::new()),
             obs: Mutex::new(None),
         }
@@ -615,13 +790,12 @@ impl ConsumerGroup {
     ///
     /// Commits are monotonic: a stale commit from a member that lost the
     /// partition in a rebalance can never move the group backwards,
-    /// which would re-deliver already-processed records.
+    /// which would re-deliver already-processed records. A commit that
+    /// carries the group past a segment boundary may release segments.
     pub fn commit(&self, topic: &str, partition: PartitionId, next_offset: u64) {
-        let mut committed = self.committed.lock();
-        let entry = committed
-            .entry((topic.to_string(), partition.0))
-            .or_insert(0);
-        *entry = (*entry).max(next_offset);
+        self.committed
+            .lock()
+            .commit(&self.broker, topic, partition.0, next_offset);
     }
 
     /// Like [`ConsumerGroup::commit`], but charges time spent waiting
@@ -649,10 +823,7 @@ impl ConsumerGroup {
                 guard
             }
         };
-        let entry = committed
-            .entry((topic.to_string(), partition.0))
-            .or_insert(0);
-        *entry = (*entry).max(next_offset);
+        committed.commit(&self.broker, topic, partition.0, next_offset);
     }
 
     /// The committed next-offset for a partition (0 if never committed).
@@ -660,6 +831,7 @@ impl ConsumerGroup {
         *self
             .committed
             .lock()
+            .offsets
             .get(&(topic.to_string(), partition.0))
             .unwrap_or(&0)
     }
@@ -774,6 +946,41 @@ mod tests {
                 "{n} records hold {held} bytes"
             );
         }
+    }
+
+    #[test]
+    fn partitions_tailed_by_a_reader_hold_one_sealed_segment_and_the_head() {
+        const PER_RECORD: usize = 21 + 24;
+        // One trimmed sealed segment, plus a head whose payload buffer may
+        // have grown to twice what it holds, plus the deque's slots.
+        const BOUND: usize =
+            SEGMENT_SLOTS * (PER_RECORD + 24 + 2 * 21) + 4 * std::mem::size_of::<Segment>();
+        let b = Broker::new();
+        b.create_topic("t", 1).unwrap();
+        let topic = b.topic("t").unwrap();
+        let reader = Reader::register(Arc::clone(&topic));
+        let n = 10 * SEGMENT_SLOTS as u64 + 123;
+        let mut next = 0;
+        for i in 0..n {
+            b.append("t", Record::new(i, vec![i as u8; 21], i)).unwrap();
+            // The reader tails in batches of up to 256, every 100 appends.
+            if i % 100 == 99 {
+                next = topic.visit(0, next, 256, u64::MAX, |_, _| {}).unwrap();
+                reader.advance(0, next);
+            }
+            let p = topic.partitions[0].read();
+            assert!(p.sealed.len() <= 1, "{} sealed after {i}", p.sealed.len());
+            let held = heap_bytes(&p);
+            assert!(held <= BOUND, "{held} bytes held after {i}");
+        }
+        let (start, end) = topic.bounds(0).unwrap();
+        assert_eq!(end, n);
+        assert_eq!(start, 10 * SEGMENT_SLOTS as u64);
+        // Once the reader is gone, the topic keeps everything.
+        drop(reader);
+        b.append_batch("t", (0..2 * SEGMENT_SLOTS as u64).map(|i| rec(i, i)))
+            .unwrap();
+        assert_eq!(topic.bounds(0).unwrap().0, start);
     }
 
     #[test]

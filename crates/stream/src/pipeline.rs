@@ -31,7 +31,7 @@ use augur_telemetry::{
     ManualTime, MonotonicTime, NameId, Obs, TraceContext, Tracer,
 };
 
-use crate::broker::{Broker, Topic};
+use crate::broker::{Broker, Reader, Topic};
 use crate::checkpoint::CheckpointStore;
 use crate::error::StreamError;
 use crate::record::{PartitionId, Record};
@@ -606,28 +606,29 @@ fn event_time_order(times: &[u64]) -> Vec<usize> {
 
 impl<T: Send + 'static> Pipeline<T> {
     /// Reads everything the topic holds at the start of the run. Every
-    /// partition's end offset is snapshotted first, so records appended
-    /// during the read are left out. Each partition is then drained to
-    /// its snapshot in `poll_batch` chunks, decoded straight from the log
-    /// under the partition's read lock. The visit order is event time
-    /// (ties in arrival order), or arrival order under
-    /// [`PipelineBuilder::arrival_order`].
+    /// partition's log start and end offset are snapshotted first, so
+    /// records appended during the read are left out. Each partition is
+    /// then drained to its snapshot in `poll_batch` chunks, decoded
+    /// straight from the log under the partition's read lock. The run is
+    /// not a registered reader: segments a registered reader releases
+    /// meanwhile are skipped, each chunk starting at the log start. The
+    /// visit order is event time (ties in arrival order), or arrival
+    /// order under [`PipelineBuilder::arrival_order`].
     fn read_all(&self) -> Result<Scan<T>, StreamError> {
         let b = &self.inner.broker;
         let topic = &self.inner.topic;
-        let ends = (0..b.partition_count(topic)?)
-            .map(|p| b.end_offset(topic, PartitionId(p)))
-            .collect::<Result<Vec<u64>, _>>()?;
-        let total = ends.iter().sum::<u64>() as usize;
+        let bounds = (0..b.partition_count(topic)?)
+            .map(|p| b.bounds(topic, PartitionId(p)))
+            .collect::<Result<Vec<(u64, u64)>, _>>()?;
+        let total = bounds.iter().map(|(start, end)| end - start).sum::<u64>() as usize;
         let mut flows = Vec::with_capacity(total);
         let mut times = Vec::with_capacity(total);
         let mut traces = Vec::new();
         let mut bytes = 0u64;
-        for (p, &end) in (0..).map(PartitionId).zip(&ends) {
-            let mut from = 0u64;
+        for (p, &(start, end)) in (0..).map(PartitionId).zip(&bounds) {
+            let mut from = start;
             while from < end {
-                let max = (end - from).min(self.inner.poll_batch as u64) as usize;
-                let read = b.visit(topic, p, from, max, |_, r| {
+                let next = b.visit(topic, p, from, self.inner.poll_batch, end, |_, r| {
                     bytes += r.payload.len() as u64;
                     if let Some(v) = (self.inner.decoder)(r) {
                         if let Some(c) = r.trace {
@@ -644,10 +645,10 @@ impl<T: Send + 'static> Pipeline<T> {
                         });
                     }
                 })?;
-                if read == 0 {
+                if next == from {
                     break;
                 }
-                from += read as u64;
+                from = next;
             }
         }
         let order = if self.inner.arrival_order {
@@ -937,6 +938,11 @@ impl<T: Send + 'static> Pipeline<T> {
     /// reads nothing parks the thread until an append moves the epoch
     /// or the pipeline is stopped, so an idle pipeline costs no CPU.
     ///
+    /// The pipeline is a registered reader of its topic from this call
+    /// until it is stopped: it starts at each partition's log start, and
+    /// after each batch the sealed segments it and every other
+    /// registered reader have passed are released.
+    ///
     /// The `pipeline_queue_*` and `pipeline_{en,de}queued_total` series
     /// describe the polled batch, the pipeline's only in-flight queue,
     /// and update once per batch.
@@ -949,6 +955,7 @@ impl<T: Send + 'static> Pipeline<T> {
         mut sink: impl FnMut(T) + Send + 'static,
     ) -> Result<StopHandle, StreamError> {
         let topic = self.inner.broker.topic(&self.inner.topic)?;
+        let reader = Reader::register(Arc::clone(&topic));
         let stop = Arc::new(AtomicBool::new(false));
         let processed = Arc::new(AtomicU64::new(0));
         // Registered here, on the spawning thread, so the lane id follows
@@ -981,19 +988,21 @@ impl<T: Send + 'static> Pipeline<T> {
                     let seen = topic.epoch();
                     let mut idle = true;
                     for (p, offset) in (0..).zip(&mut offsets) {
-                        let read = topic
-                            .visit(p, *offset, poll_batch, |_, r| batch.extend(decoder(r)))
-                            .unwrap_or(0);
+                        let mut read = 0u64;
+                        let next = topic.visit(p, *offset, poll_batch, u64::MAX, |_, r| {
+                            read += 1;
+                            batch.extend(decoder(r));
+                        });
                         if read == 0 {
                             continue;
                         }
                         idle = false;
-                        *offset += read as u64;
+                        *offset = next.unwrap_or(*offset);
                         let _work = lane
                             .as_ref()
                             .map(|(l, work)| l.work(&ins.clock, l.root(), *work));
                         let queued = batch.len() as u64;
-                        ins.records_in.add(read as u64);
+                        ins.records_in.add(read);
                         ins.enqueued.add(queued);
                         ins.queue_occupancy.record(queued);
                         ins.queue_depth.set_u64(queued);
@@ -1008,6 +1017,7 @@ impl<T: Send + 'static> Pipeline<T> {
                         ins.queue_depth.set_u64(0);
                         ins.records_out.add(out);
                         processed.fetch_add(out, Ordering::Relaxed);
+                        reader.advance(p, *offset);
                     }
                     if idle {
                         let _parked = lane
@@ -1049,7 +1059,9 @@ impl StopHandle {
     }
 
     /// Signals stop, wakes the thread if it is parked, and joins it. A
-    /// batch already polled is delivered in full first.
+    /// batch already polled is delivered in full first. The pipeline is
+    /// unregistered from its topic when its thread ends, so after `stop`
+    /// returns it holds back no release.
     pub fn stop(self) {
         drop(self);
     }
@@ -1712,6 +1724,88 @@ mod tests {
             );
         }
         handle.stop();
+    }
+
+    #[test]
+    fn continuous_pipeline_spawned_after_a_release_starts_at_the_log_start() {
+        use crate::broker::{ConsumerGroup, SEGMENT_SLOTS};
+        let slots = SEGMENT_SLOTS as u64;
+        let b = setup(2, 7 * slots);
+        // A group commits everything, releasing each partition's sealed
+        // segments, and stays registered.
+        let group = ConsumerGroup::new("g", b.clone());
+        let mut retained = Vec::new();
+        for p in (0..2).map(PartitionId) {
+            let end = b.end_offset("t", p).unwrap();
+            group.commit("t", p, end);
+            let start = b.start_offset("t", p).unwrap();
+            assert_eq!(start, end / slots * slots);
+            assert!(start > 0, "{p}: nothing released");
+            // A poll from 0 begins at the log start.
+            let polled = b.poll("t", p, 0, usize::MAX).unwrap();
+            assert_eq!(polled.first().map(|r| r.offset.0), Some(start));
+            retained.extend(polled.iter().filter_map(|r| decode(&r.record)));
+        }
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let sink_seen = Arc::clone(&seen);
+        let handle = PipelineBuilder::new(b.clone(), "t", decode)
+            .build()
+            .spawn_continuous(move |v| sink_seen.lock().push(v))
+            .unwrap();
+        let later = 7 * slots..7 * slots + 3_000;
+        b.append_batch(
+            "t",
+            later
+                .clone()
+                .map(|i| Record::new(i % 10, i.to_le_bytes().to_vec(), i * 1_000)),
+        )
+        .unwrap();
+        let total = (retained.len() + later.clone().count()) as u64;
+        assert!(wait_until(10, || handle.processed() == total));
+        handle.stop();
+        let mut got = seen.lock().clone();
+        got.sort_unstable();
+        let mut want: Vec<u64> = retained.into_iter().chain(later).collect();
+        want.sort_unstable();
+        assert_eq!(got, want, "each retained record exactly once");
+    }
+
+    #[test]
+    fn continuous_topic_keeps_everything_after_its_only_reader_stops() {
+        use crate::broker::SEGMENT_SLOTS;
+        let slots = SEGMENT_SLOTS as u64;
+        let b = Broker::new();
+        b.create_topic("live", 1).unwrap();
+        let append = |range: std::ops::Range<u64>| {
+            b.append_batch(
+                "live",
+                range.map(|i| Record::new(i, i.to_le_bytes().to_vec(), i)),
+            )
+            .unwrap()
+        };
+        let handle = PipelineBuilder::new(b.clone(), "live", decode)
+            .build()
+            .spawn_continuous(|_| {})
+            .unwrap();
+        let n = 3 * slots + 10;
+        append(0..n);
+        assert!(wait_until(10, || handle.processed() == n));
+        // Stopping joins the thread, so its last release has happened.
+        handle.stop();
+        let p = PartitionId(0);
+        assert_eq!(
+            b.start_offset("live", p).unwrap(),
+            3 * slots,
+            "released behind the reader"
+        );
+        append(n..n + 5 * slots);
+        assert_eq!(b.start_offset("live", p).unwrap(), 3 * slots);
+        let held = b.poll("live", p, 0, usize::MAX).unwrap();
+        let values: Vec<u64> = held.iter().filter_map(|r| decode(&r.record)).collect();
+        assert_eq!(values, (3 * slots..n + 5 * slots).collect::<Vec<u64>>());
+        let stats = b.stats("live").unwrap();
+        assert_eq!(stats.records, n + 5 * slots);
+        assert_eq!(stats.bytes, 8 * (n + 5 * slots - 3 * slots));
     }
 
     #[test]

@@ -235,6 +235,11 @@ enum BrokerOp {
     Commit { partition: u32, next: u64 },
     /// The group's total lag.
     Lag,
+    /// A tailing reader (a second group, started if none runs) polls a
+    /// partition from its committed offset and commits past what it got.
+    Tail { partition: u32, max: usize },
+    /// The tailing reader stops: its group is dropped.
+    StopTail,
 }
 
 /// The record a seed stands for: one of 16 keys, a payload of 0..=64
@@ -254,12 +259,13 @@ fn seeded_record(seed: u64) -> Record {
     }
 }
 
-/// Random interleavings of broker and consumer-group calls. Batches run
-/// up to one and a half segments, so a case's partitions cross segment
-/// boundaries; reads start anywhere up to two segments in.
+/// Random interleavings of broker, consumer-group and tailing-reader
+/// calls. Batches run up to one and a half segments, so a case's
+/// partitions cross segment boundaries and its readers release segments;
+/// reads start anywhere up to two segments in.
 fn broker_ops() -> impl Strategy<Value = Vec<BrokerOp>> {
     let slots = SEGMENT_SLOTS as u64;
-    prop::collection::vec((0u8..20, any::<u64>(), 0u64..2 * slots, 0u32..4), 0..60).prop_map(
+    prop::collection::vec((0u8..23, any::<u64>(), 0u64..2 * slots, 0u32..4), 0..60).prop_map(
         move |raw| {
             raw.into_iter()
                 .map(|(kind, seed, n, partition)| match kind {
@@ -286,7 +292,12 @@ fn broker_ops() -> impl Strategy<Value = Vec<BrokerOp>> {
                         partition,
                         next: seed % (2 * slots),
                     },
-                    _ => BrokerOp::Lag,
+                    19 => BrokerOp::Lag,
+                    20..=21 => BrokerOp::Tail {
+                        partition,
+                        max: n as usize,
+                    },
+                    _ => BrokerOp::StopTail,
                 })
                 .collect()
         },
@@ -294,19 +305,31 @@ fn broker_ops() -> impl Strategy<Value = Vec<BrokerOp>> {
 }
 
 /// The broker's contract as plain vectors: each partition a
-/// `Vec<Record>` whose index is the offset, and the group as its member
-/// list (partition `p` belongs to member `p % len`) and committed
-/// offsets that only move forward.
+/// `Vec<Record>` of every record ever appended, whose index is the
+/// offset, and its log start; the group as its member list (partition
+/// `p` belongs to member `p % len`) and committed offsets that only move
+/// forward; and the tailing reader's committed offsets while it runs.
+///
+/// Retention: a group is a registered reader from its first commit, at
+/// its committed offsets. When a reader's position crosses a segment
+/// boundary, every full segment below the slowest registered position
+/// is released.
 struct BrokerModel {
     partitions: Vec<Vec<Record>>,
+    starts: Vec<u64>,
     members: Vec<String>,
     committed: Vec<u64>,
+    /// Whether the group has committed, and so is registered.
+    group_registered: bool,
+    /// The tailing reader's committed offsets and whether it has
+    /// committed, while it runs.
+    tail: Option<(Vec<u64>, bool)>,
 }
 
 impl BrokerModel {
     fn poll(&self, partition: u32, from: u64, max: usize) -> Vec<PolledRecord> {
         let log = &self.partitions[partition as usize];
-        let start = (from as usize).min(log.len());
+        let start = (from.max(self.starts[partition as usize]) as usize).min(log.len());
         let end = start.saturating_add(max).min(log.len());
         (start..end)
             .map(|i| PolledRecord {
@@ -322,23 +345,66 @@ impl BrokerModel {
             .position(|m| m == member)
             .is_some_and(|i| partition as usize % self.members.len() == i)
     }
+
+    /// The slowest registered reader's position in `partition`, if any
+    /// reader is registered.
+    fn slowest(&self, partition: usize) -> Option<u64> {
+        let group = self.group_registered.then(|| self.committed[partition]);
+        let tail = self
+            .tail
+            .as_ref()
+            .filter(|(_, registered)| *registered)
+            .map(|(c, _)| c[partition]);
+        group.into_iter().chain(tail).min()
+    }
+
+    /// A registered reader moved from `before` to `after` in `partition`.
+    fn advanced(&mut self, partition: usize, before: u64, after: u64) {
+        let slots = SEGMENT_SLOTS as u64;
+        if after / slots > before / slots {
+            let slowest = self.slowest(partition).unwrap();
+            let held_to = slowest.min(self.partitions[partition].len() as u64);
+            let start = &mut self.starts[partition];
+            *start = (*start).max(held_to / slots * slots);
+        }
+    }
+
+    /// Payload bytes at or above the log starts.
+    fn held_bytes(&self) -> u64 {
+        self.partitions
+            .iter()
+            .zip(&self.starts)
+            .flat_map(|(log, &start)| &log[start as usize..])
+            .map(|r| r.payload.len() as u64)
+            .sum()
+    }
 }
 
-/// Runs `ops` against a fresh broker with a consumer group and against
-/// the model, comparing every result.
+/// Runs `ops` against a fresh broker with a consumer group and a tailing
+/// reader, and against the model, comparing every result. After every op
+/// it checks the retention invariants: the log start matches the model,
+/// never moves back, and never passes the slowest registered reader; end
+/// offsets and `records` never move back; `bytes` is the held payload.
 fn check_broker_against_model(partitions: u32, ops: &[BrokerOp]) {
     let broker = Broker::new();
     broker.create_topic("t", partitions).unwrap();
     let group = ConsumerGroup::new("g", broker.clone());
+    let mut tail: Option<ConsumerGroup> = None;
     let mut model = BrokerModel {
         partitions: vec![Vec::new(); partitions as usize],
+        starts: vec![0; partitions as usize],
         members: Vec::new(),
         committed: vec![0; partitions as usize],
+        group_registered: false,
+        tail: None,
     };
     let push = |model: &mut BrokerModel, r: Record| {
         let p = broker.partition_for("t", r.key).unwrap();
         model.partitions[p.0 as usize].push(r);
     };
+    let mut last_ends = vec![0u64; partitions as usize];
+    let mut last_starts = vec![0u64; partitions as usize];
+    let mut last_records = 0u64;
     for &op in ops {
         match op {
             BrokerOp::Append { seed } => {
@@ -378,11 +444,8 @@ fn check_broker_against_model(partitions: u32, ops: &[BrokerOp]) {
                 }
                 let stats = broker.stats("t").unwrap();
                 let all = model.partitions.iter().flatten();
-                prop_assert_eq!(stats.records, all.clone().count() as u64);
-                prop_assert_eq!(
-                    stats.bytes,
-                    all.map(|r| r.payload.len() as u64).sum::<u64>()
-                );
+                prop_assert_eq!(stats.records, all.count() as u64);
+                prop_assert_eq!(stats.bytes, model.held_bytes());
             }
             BrokerOp::Join { member } => {
                 let name = format!("m{member}");
@@ -409,9 +472,15 @@ fn check_broker_against_model(partitions: u32, ops: &[BrokerOp]) {
             BrokerOp::Commit { partition, next } => {
                 let partition = partition % partitions;
                 group.commit("t", PartitionId(partition), next);
-                let c = &mut model.committed[partition as usize];
-                *c = (*c).max(next);
-                prop_assert_eq!(group.committed_offset("t", PartitionId(partition)), *c);
+                model.group_registered = true;
+                let p = partition as usize;
+                let before = model.committed[p];
+                model.committed[p] = before.max(next);
+                prop_assert_eq!(
+                    group.committed_offset("t", PartitionId(partition)),
+                    model.committed[p]
+                );
+                model.advanced(p, before, model.committed[p]);
             }
             BrokerOp::Lag => {
                 let lag: u64 = model
@@ -422,6 +491,67 @@ fn check_broker_against_model(partitions: u32, ops: &[BrokerOp]) {
                     .sum();
                 prop_assert_eq!(group.lag("t").unwrap(), lag);
             }
+            BrokerOp::Tail { partition, max } => {
+                let partition = partition % partitions;
+                let p = partition as usize;
+                let reader = tail.get_or_insert_with(|| {
+                    let g = ConsumerGroup::new("tail", broker.clone());
+                    g.join("tail");
+                    g
+                });
+                let (committed, _) = model
+                    .tail
+                    .get_or_insert_with(|| (vec![0; partitions as usize], false));
+                let from = committed[p];
+                let got = reader
+                    .poll("t", "tail", PartitionId(partition), max)
+                    .unwrap();
+                prop_assert_eq!(&got, &model.poll(partition, from, max), "{:?}", op);
+                if let Some(last) = got.last() {
+                    let next = last.offset.0 + 1;
+                    reader.commit("t", PartitionId(partition), next);
+                    if let Some((committed, registered)) = &mut model.tail {
+                        committed[p] = next;
+                        *registered = true;
+                    }
+                    model.advanced(p, from, next);
+                }
+            }
+            BrokerOp::StopTail => {
+                tail = None;
+                model.tail = None;
+            }
+        }
+        let stats = broker.stats("t").unwrap();
+        prop_assert!(stats.records >= last_records, "{:?}", op);
+        last_records = stats.records;
+        prop_assert_eq!(stats.bytes, model.held_bytes(), "{:?}", op);
+        for p in 0..partitions {
+            let (i, pid) = (p as usize, PartitionId(p));
+            let start = broker.start_offset("t", pid).unwrap();
+            prop_assert_eq!(start, model.starts[i], "{:?}", op);
+            prop_assert!(start >= last_starts[i], "{:?}", op);
+            // What this op released lies below every registered reader. A
+            // reader registered after a release sits below the start and
+            // reads from it.
+            if let Some(slowest) = model.slowest(i) {
+                prop_assert!(
+                    start <= slowest.max(last_starts[i]),
+                    "{:?}: released a record at {}",
+                    op,
+                    slowest
+                );
+            }
+            last_starts[i] = start;
+            let end = broker.end_offset("t", pid).unwrap();
+            prop_assert!(end >= last_ends[i] && end >= start, "{:?}", op);
+            last_ends[i] = end;
+            // A poll from below the log start begins at the start.
+            let first = broker.poll("t", pid, 0, 1).unwrap();
+            prop_assert_eq!(
+                first.first().map(|r| r.offset.0),
+                (start < end).then_some(start)
+            );
         }
     }
 }

@@ -13,6 +13,8 @@
 //! - Registry pins: after a run, every total, bucket, min and max the
 //!   pipeline left in the registry equals what recording each record
 //!   into a fresh `Counter` / `Histogram` leaves.
+//! - Retention: on a topic whose registered reader has released
+//!   segments, a run reads each retained record exactly once.
 //! - Trace alignment: with producer contexts on some records, every
 //!   per-record span of `collect` and every late-drop instant of
 //!   `run_windowed` lands on the chain of the record it is about.
@@ -21,10 +23,11 @@
 
 use std::sync::Arc;
 
+use augur_stream::broker::SEGMENT_SLOTS;
 use augur_stream::window::Aggregation;
 use augur_stream::{
-    BoundedOutOfOrderness, Broker, CheckpointStore, PipelineBuilder, Record, SlidingWindows,
-    WatermarkGenerator, Window, WindowResult, WindowState,
+    BoundedOutOfOrderness, Broker, CheckpointStore, ConsumerGroup, PartitionId, PipelineBuilder,
+    Record, SlidingWindows, WatermarkGenerator, Window, WindowResult, WindowState,
 };
 use augur_telemetry::{
     Counter, FlightEvent, FlightRecorder, Histogram, ManualTime, Obs, Registry, TraceContext,
@@ -310,6 +313,57 @@ fn reads_spanning_many_storage_chunks_match_the_reference() {
     let arrival_recs = arrival_order(&broker, 3, &inputs);
     let event_recs = event_order(&arrival_recs);
     for (arrival, order) in [(false, &event_recs), (true, &arrival_recs)] {
+        let (got, _) = PipelineBuilder::new(broker.clone(), TOPIC, decode)
+            .watermark_bound_us(1_000)
+            .arrival_order(arrival)
+            .build()
+            .run_windowed(SlidingWindows::new(8_000, 4_000), Values, None, None, false)
+            .unwrap();
+        assert_eq!(panes(got), reference_fold(order, 8_000, 4_000, 1_000).0);
+        let (items, _) = PipelineBuilder::new(broker.clone(), TOPIC, decode)
+            .arrival_order(arrival)
+            .build()
+            .collect()
+            .unwrap();
+        let want: Vec<u64> = order.iter().map(|&(_, _, v)| v).collect();
+        assert_eq!(items, want);
+    }
+}
+
+/// A bounded run on a topic whose registered reader has released
+/// segments reads each retained record exactly once, in both orders: it
+/// starts each partition at its log start and moves by offsets, not by
+/// counts of records read.
+#[test]
+fn bounded_reads_after_a_release_see_each_retained_record_once() {
+    let slots = SEGMENT_SLOTS as u64;
+    let inputs: Vec<Input> = (0..9 * slots + 700)
+        .map(|i| {
+            let slot = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 53;
+            (i % 5, slot * 250, Some(i))
+        })
+        .collect();
+    let broker = topic(2, &inputs);
+    // A group commits short of each partition's end: the segments below
+    // its commits are released, and it stays registered.
+    let group = ConsumerGroup::new("g", broker.clone());
+    let mut retained = Vec::new();
+    for p in (0..2).map(PartitionId) {
+        let end = broker.end_offset(TOPIC, p).unwrap();
+        group.commit(TOPIC, p, end - 300);
+        let start = broker.start_offset(TOPIC, p).unwrap();
+        assert_eq!(start, (end - 300) / slots * slots);
+        assert!(start > 0, "{p}: nothing released");
+        let log = inputs
+            .iter()
+            .filter(|&&(key, ..)| broker.partition_for(TOPIC, key).unwrap() == p);
+        retained.extend(
+            log.skip(start as usize)
+                .map(|&(key, t_us, v)| (key, t_us, v.unwrap())),
+        );
+    }
+    let event_recs = event_order(&retained);
+    for (arrival, order) in [(false, &event_recs), (true, &retained)] {
         let (got, _) = PipelineBuilder::new(broker.clone(), TOPIC, decode)
             .watermark_bound_us(1_000)
             .arrival_order(arrival)
