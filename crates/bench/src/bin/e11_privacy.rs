@@ -59,6 +59,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let blog = BenchLog::new("e11_privacy");
     let (train, test) = population(users, 7);
     let attack = ReidentificationAttack::train(&train, 150.0, 5)?;
+    // Users in id order: the seeded noise below lands on the same user
+    // every run, and sums add up in the same order. (The attack already
+    // breaks similarity ties by user id.)
+    let mut users: Vec<u64> = test.keys().copied().collect();
+    users.sort_unstable();
     row(&[
         "ε (1/m)".into(),
         "mean noise m".into(),
@@ -73,10 +78,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &eps in &[0.1f64, 0.02, 0.005, 0.002, 0.001] {
         let mut loc_err = 0.0;
         let mut count = 0usize;
-        let noised: HashMap<u64, Trace> = test
+        let noised: HashMap<u64, Trace> = users
             .iter()
-            .map(|(u, t)| {
-                let pts: Vec<Enu> = t
+            .map(|u| {
+                let pts: Vec<Enu> = test[u]
                     .positions
                     .iter()
                     .map(|p| {
@@ -116,20 +121,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     row(&["cell m".into(), "re-id rate%".into(), "loc error m".into()]);
     for &cell in &[100.0f64, 300.0, 1_000.0, 3_000.0] {
-        let cloaked: HashMap<u64, Trace> = test
+        let cloaked: HashMap<u64, Trace> = users
             .iter()
-            .map(|(u, t)| {
-                let (pts, _, _) = cloak_k_anonymous(&t.positions, 1, &[cell]).unwrap();
+            .map(|u| {
+                let (pts, _, _) = cloak_k_anonymous(&test[u].positions, 1, &[cell]).unwrap();
                 (*u, Trace::new(pts))
             })
             .collect();
         let rate = attack.success_rate(&cloaked)?;
         let cl = format!("{cell}");
         snap.gauge("reid_rate_cloaked", &[("cell_m", cl.as_str())], rate);
-        let err: f64 = test
+        let err: f64 = users
             .iter()
-            .flat_map(|(u, t)| {
-                t.positions
+            .flat_map(|u| {
+                test[u]
+                    .positions
                     .iter()
                     .zip(&cloaked[u].positions)
                     .map(|(a, b)| a.distance(*b))

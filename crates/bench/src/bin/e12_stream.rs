@@ -120,7 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let broker = Broker::new();
     broker.create_topic("cp", 4)?;
     fill(&broker, "cp", cp_n, 3, 99);
-    let store: CheckpointStore<WindowState<u64>> = CheckpointStore::new(4);
+    let store: CheckpointStore<WindowState<u64>> = CheckpointStore::new();
     let log_only = |parent| Obs {
         parent,
         log: Some(blog.handle().clone()),

@@ -16,10 +16,12 @@
 //! carried inline, so that costs no allocation either.
 //!
 //! Retention works at segment granularity too. A topic keeps a registry
-//! of readers: each running continuous pipeline, and each consumer group
-//! from its first commit on the topic. A sealed segment is released once
-//! every registered reader's position in its partition has passed the
-//! segment's end. A topic with no registered reader keeps everything.
+//! of readers, each with a position per partition: a running continuous
+//! pipeline holds one in every partition, and a consumer group holds one
+//! in each partition from its first commit there. A sealed segment is
+//! released once every reader holding a position in its partition has
+//! passed the segment's end. A partition no reader holds a position in
+//! keeps everything.
 //! Offsets never move: a partition's log start is its count of released
 //! segments times [`SEGMENT_SLOTS`], and its end offset still counts every
 //! record ever appended.
@@ -191,12 +193,18 @@ pub(crate) struct Topic {
     waiters: AtomicU64,
     wake: Mutex<()>,
     appended: Condvar,
-    /// Each registered reader's next offset in every partition.
+    /// Each registered reader's positions.
     readers: Mutex<Vec<Positions>>,
 }
 
-/// A reader's next offset in each partition of its topic.
+/// A reader's position in each partition of its topic: its next offset
+/// plus one, or 0 where it holds none.
 type Positions = Arc<[AtomicU64]>;
+
+/// The next offset a stored position stands for, `None` if it is unset.
+fn position(at: &AtomicU64) -> Option<u64> {
+    at.load(Ordering::SeqCst).checked_sub(1)
+}
 
 impl Topic {
     fn new(partitions: u32) -> Topic {
@@ -283,16 +291,16 @@ impl Topic {
         Some((p.start(), p.len()))
     }
 
-    /// Releases the sealed segments of `partition` that every registered
-    /// reader has passed. The registry stays locked throughout, so a
-    /// reader registering meanwhile is either counted or starts at the
-    /// new log start. The write lock is taken only when a segment goes.
+    /// Releases the sealed segments of `partition` that every reader
+    /// holding a position there has passed. The registry stays locked
+    /// throughout, so a reader registering meanwhile is either counted or
+    /// starts at the new log start. The write lock is taken only when a
+    /// segment goes.
     fn release(&self, partition: usize) {
         let readers = self.readers.lock();
         let Some(slowest) = readers
             .iter()
-            .filter_map(|r| r.get(partition))
-            .map(|at| at.load(Ordering::SeqCst))
+            .filter_map(|r| position(r.get(partition)?))
             .min()
         else {
             return;
@@ -307,9 +315,10 @@ impl Topic {
     }
 }
 
-/// A registered reader of one topic: while it lives, no record at or
-/// above its position in a partition is released. Dropping it
-/// unregisters it.
+/// A registered reader of one topic and the one record of its progress:
+/// while it lives, no record at or above its position in a partition is
+/// released. A partition where it holds no position holds back nothing.
+/// Dropping it unregisters it.
 #[derive(Debug)]
 pub(crate) struct Reader {
     topic: Arc<Topic>,
@@ -317,24 +326,35 @@ pub(crate) struct Reader {
 }
 
 impl Reader {
-    /// Registers a reader at offset 0 of every partition of `topic`.
-    pub(crate) fn register(topic: Arc<Topic>) -> Reader {
+    /// Registers a reader of `topic` at offset `at` in every partition,
+    /// or, for `None`, holding a position in none until it advances there.
+    pub(crate) fn register(topic: Arc<Topic>, at: Option<u64>) -> Reader {
+        let stored = at.map_or(0, |next| next.saturating_add(1));
         let positions: Positions = (0..topic.partitions.len())
-            .map(|_| AtomicU64::new(0))
+            .map(|_| AtomicU64::new(stored))
             .collect();
         topic.readers.lock().push(Arc::clone(&positions));
         Reader { topic, positions }
     }
 
+    /// This reader's next offset in `partition`, or `None` if it holds no
+    /// position there.
+    pub(crate) fn position(&self, partition: u32) -> Option<u64> {
+        position(self.positions.get(partition as usize)?)
+    }
+
     /// Moves this reader's position in `partition` forward to `next`
-    /// (never back). When that crosses a segment boundary, the segments
-    /// every registered reader has passed are released, so a release is
-    /// tried at most once per [`SEGMENT_SLOTS`] records.
+    /// (never back), setting it if unset. When that crosses a segment
+    /// boundary, the segments every reader holding a position there has
+    /// passed are released, so a release is tried at most once per
+    /// [`SEGMENT_SLOTS`] records.
     pub(crate) fn advance(&self, partition: u32, next: u64) {
         let Some(at) = self.positions.get(partition as usize) else {
             return;
         };
-        let before = at.fetch_max(next, Ordering::SeqCst);
+        let before = at
+            .fetch_max(next.saturating_add(1), Ordering::SeqCst)
+            .saturating_sub(1);
         if next >> SEGMENT_BITS > before >> SEGMENT_BITS {
             self.topic.release(partition as usize);
         }
@@ -610,46 +630,41 @@ fn check_payload(r: &Record) -> Result<(), StreamError> {
 /// A consumer group: owns committed offsets per (topic, partition) and
 /// assigns partitions to members round-robin.
 ///
-/// From its first commit on a topic the group is a registered reader of
-/// it, its committed offsets its positions: the topic releases only the
-/// sealed segments the group has committed past. Dropping the group
-/// unregisters it.
+/// The group's committed offsets are the positions of a reader it
+/// registers on each topic at its first commit there. It holds a position
+/// in a partition from its first commit to that partition on, so the
+/// topic releases only the sealed segments the group has committed past,
+/// and a partition it never committed holds back nothing. Dropping the
+/// group unregisters it.
 #[derive(Debug)]
 pub struct ConsumerGroup {
     name: String,
     broker: Broker,
-    committed: Mutex<Commits>,
+    /// The group's reader on each topic it committed on.
+    committed: Mutex<HashMap<String, Reader>>,
     members: Mutex<Vec<String>>,
     obs: Mutex<Option<GroupObs>>,
 }
 
-/// A group's committed offsets, and the reader it registered on each
-/// topic it committed on.
-#[derive(Debug, Default)]
-struct Commits {
-    offsets: HashMap<(String, u32), u64>,
-    readers: HashMap<String, Reader>,
-}
-
-impl Commits {
-    /// Moves the committed offset of (`topic`, `partition`) forward to
-    /// `next` (never back), registering the group on the topic at its
-    /// first commit there, and advances the group's position.
-    fn commit(&mut self, broker: &Broker, topic: &str, partition: u32, next: u64) {
-        let entry = self
-            .offsets
-            .entry((topic.to_string(), partition))
-            .or_insert(0);
-        *entry = (*entry).max(next);
-        let next = *entry;
-        if !self.readers.contains_key(topic) {
-            if let Ok(t) = broker.topic(topic) {
-                self.readers.insert(topic.to_string(), Reader::register(t));
-            }
-        }
-        if let Some(reader) = self.readers.get(topic) {
-            reader.advance(partition, next);
-        }
+/// Moves the committed offset of (`topic`, `partition`) in `readers`
+/// forward to `next` (never back), registering the group on the topic at
+/// its first commit there. A topic the broker does not know records
+/// nothing.
+fn commit(
+    readers: &mut HashMap<String, Reader>,
+    broker: &Broker,
+    topic: &str,
+    partition: u32,
+    next: u64,
+) {
+    if !readers.contains_key(topic) {
+        let Ok(t) = broker.topic(topic) else {
+            return;
+        };
+        readers.insert(topic.to_string(), Reader::register(t, None));
+    }
+    if let Some(reader) = readers.get(topic) {
+        reader.advance(partition, next);
     }
 }
 
@@ -679,7 +694,7 @@ impl ConsumerGroup {
         ConsumerGroup {
             name: name.to_string(),
             broker,
-            committed: Mutex::new(Commits::default()),
+            committed: Mutex::new(HashMap::new()),
             members: Mutex::new(Vec::new()),
             obs: Mutex::new(None),
         }
@@ -793,9 +808,13 @@ impl ConsumerGroup {
     /// which would re-deliver already-processed records. A commit that
     /// carries the group past a segment boundary may release segments.
     pub fn commit(&self, topic: &str, partition: PartitionId, next_offset: u64) {
-        self.committed
-            .lock()
-            .commit(&self.broker, topic, partition.0, next_offset);
+        commit(
+            &mut self.committed.lock(),
+            &self.broker,
+            topic,
+            partition.0,
+            next_offset,
+        );
     }
 
     /// Like [`ConsumerGroup::commit`], but charges time spent waiting
@@ -823,17 +842,22 @@ impl ConsumerGroup {
                 guard
             }
         };
-        committed.commit(&self.broker, topic, partition.0, next_offset);
+        commit(
+            &mut committed,
+            &self.broker,
+            topic,
+            partition.0,
+            next_offset,
+        );
     }
 
     /// The committed next-offset for a partition (0 if never committed).
     pub fn committed_offset(&self, topic: &str, partition: PartitionId) -> u64 {
-        *self
-            .committed
+        self.committed
             .lock()
-            .offsets
-            .get(&(topic.to_string(), partition.0))
-            .unwrap_or(&0)
+            .get(topic)
+            .and_then(|reader| reader.position(partition.0))
+            .unwrap_or(0)
     }
 
     /// Total lag (end offset − committed) across a topic's partitions.
@@ -958,7 +982,7 @@ mod tests {
         let b = Broker::new();
         b.create_topic("t", 1).unwrap();
         let topic = b.topic("t").unwrap();
-        let reader = Reader::register(Arc::clone(&topic));
+        let reader = Reader::register(Arc::clone(&topic), Some(0));
         let n = 10 * SEGMENT_SLOTS as u64 + 123;
         let mut next = 0;
         for i in 0..n {

@@ -1,87 +1,71 @@
-//! Checkpointing: consistent snapshots of consumer offsets plus operator
-//! state, and recovery from the latest snapshot.
+//! Checkpointing: the latest snapshot of a bounded run's progress plus
+//! its operator state, and recovery from it.
 //!
-//! The store keeps state snapshots by value (`Clone`) rather than bytes:
-//! the substrate is in-process, so a clone *is* a durable-enough copy for
-//! the semantics the experiments need — after a simulated crash, a
-//! pipeline restored from checkpoint `n` re-reads the log from the saved
-//! offsets and produces exactly the results it would have produced
-//! without the crash (effective exactly-once).
+//! A checkpoint holds the per-partition `(log start, end offset)`
+//! snapshot the run read, the run's cursor in its merged order of that
+//! snapshot, and the operator state after the records before the cursor.
+//! The store keeps state by value (`Clone`) rather than bytes: the
+//! substrate is in-process, so a clone *is* a durable-enough copy for the
+//! semantics the experiments need. A pipeline restored from a checkpoint
+//! replays the interrupted run's snapshot from the cursor on and produces
+//! exactly the results the run would have produced without the crash
+//! (effective exactly-once). If a release has since dropped part of the
+//! snapshot, the resume fails instead of reading a different order (see
+//! [`Pipeline::run_windowed`](crate::Pipeline::run_windowed)).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::error::StreamError;
-use crate::record::PartitionId;
 
-/// One checkpoint: consumer offsets plus opaque operator state.
+/// One checkpoint of a bounded run.
 #[derive(Debug, Clone)]
 pub struct Checkpoint<S> {
-    /// Monotonic checkpoint id.
-    pub id: u64,
-    /// Next-offset per (topic, partition) at snapshot time.
-    pub offsets: HashMap<(String, u32), u64>,
+    /// The `(log start, end offset)` of each partition the run read.
+    pub bounds: Vec<(u64, u64)>,
+    /// How many records of the run's merged order of `bounds` the state
+    /// covers.
+    pub cursor: u64,
     /// Operator state at snapshot time.
     pub state: S,
 }
 
-/// A store of checkpoints for one pipeline. Cheap to clone (shared).
+/// Holds a pipeline's latest checkpoint. Cheap to clone (shared).
 ///
 /// # Example
 ///
 /// ```
-/// use augur_stream::CheckpointStore;
-/// use std::collections::HashMap;
+/// use augur_stream::{Checkpoint, CheckpointStore};
 ///
-/// let store: CheckpointStore<u64> = CheckpointStore::new(3);
-/// store.save(HashMap::new(), 41);
-/// store.save(HashMap::new(), 42);
+/// let store: CheckpointStore<u64> = CheckpointStore::new();
+/// store.save(Checkpoint { bounds: vec![(0, 9)], cursor: 4, state: 41 });
+/// store.save(Checkpoint { bounds: vec![(0, 9)], cursor: 8, state: 42 });
 /// assert_eq!(store.latest()?.state, 42);
 /// # Ok::<(), augur_stream::StreamError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct CheckpointStore<S> {
-    inner: Arc<Mutex<Inner<S>>>,
-    retain: usize,
+    latest: Arc<Mutex<Option<Checkpoint<S>>>>,
 }
 
-#[derive(Debug)]
-struct Inner<S> {
-    next_id: u64,
-    checkpoints: Vec<Checkpoint<S>>,
+impl<S> Default for CheckpointStore<S> {
+    fn default() -> Self {
+        CheckpointStore {
+            latest: Arc::new(Mutex::new(None)),
+        }
+    }
 }
 
 impl<S: Clone> CheckpointStore<S> {
-    /// Creates a store retaining at most `retain` checkpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `retain == 0`.
-    pub fn new(retain: usize) -> Self {
-        assert!(retain > 0, "must retain at least one checkpoint");
-        CheckpointStore {
-            inner: Arc::new(Mutex::new(Inner {
-                next_id: 0,
-                checkpoints: Vec::new(),
-            })),
-            retain,
-        }
+    /// Creates an empty store.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Saves a checkpoint, returning its id. Oldest snapshots beyond the
-    /// retention limit are discarded.
-    pub fn save(&self, offsets: HashMap<(String, u32), u64>, state: S) -> u64 {
-        let mut inner = self.inner.lock();
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.checkpoints.push(Checkpoint { id, offsets, state });
-        let excess = inner.checkpoints.len().saturating_sub(self.retain);
-        if excess > 0 {
-            inner.checkpoints.drain(..excess);
-        }
-        id
+    /// Saves `checkpoint` in place of the previous one.
+    pub fn save(&self, checkpoint: Checkpoint<S>) {
+        *self.latest.lock() = Some(checkpoint);
     }
 
     /// The most recent checkpoint.
@@ -90,47 +74,8 @@ impl<S: Clone> CheckpointStore<S> {
     ///
     /// [`StreamError::NoCheckpoint`] when none has been saved.
     pub fn latest(&self) -> Result<Checkpoint<S>, StreamError> {
-        self.inner
-            .lock()
-            .checkpoints
-            .last()
-            .cloned()
-            .ok_or(StreamError::NoCheckpoint)
+        self.latest.lock().clone().ok_or(StreamError::NoCheckpoint)
     }
-
-    /// A checkpoint by id.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::NoCheckpoint`] when the id is unknown (expired or
-    /// never existed).
-    pub fn get(&self, id: u64) -> Result<Checkpoint<S>, StreamError> {
-        self.inner
-            .lock()
-            .checkpoints
-            .iter()
-            .find(|c| c.id == id)
-            .cloned()
-            .ok_or(StreamError::NoCheckpoint)
-    }
-
-    /// Number of retained checkpoints.
-    pub fn len(&self) -> usize {
-        self.inner.lock().checkpoints.len()
-    }
-
-    /// Whether no checkpoint has been saved.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Helper to build the offsets map for a checkpoint.
-pub fn offsets_map(entries: &[(&str, PartitionId, u64)]) -> HashMap<(String, u32), u64> {
-    entries
-        .iter()
-        .map(|(t, p, o)| ((t.to_string(), p.0), *o))
-        .collect()
 }
 
 #[cfg(test)]
@@ -138,41 +83,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn save_and_latest() {
-        let store: CheckpointStore<String> = CheckpointStore::new(10);
-        assert!(store.latest().is_err());
-        let id0 = store.save(HashMap::new(), "a".into());
-        let id1 = store.save(HashMap::new(), "b".into());
-        assert_eq!(id0, 0);
-        assert_eq!(id1, 1);
-        assert_eq!(store.latest().unwrap().state, "b");
-        assert_eq!(store.get(0).unwrap().state, "a");
-    }
-
-    #[test]
-    fn retention_evicts_oldest() {
-        let store: CheckpointStore<u32> = CheckpointStore::new(2);
-        store.save(HashMap::new(), 1);
-        store.save(HashMap::new(), 2);
-        store.save(HashMap::new(), 3);
-        assert_eq!(store.len(), 2);
-        assert!(store.get(0).is_err());
-        assert_eq!(store.latest().unwrap().state, 3);
-    }
-
-    #[test]
-    fn offsets_are_preserved() {
-        let store: CheckpointStore<()> = CheckpointStore::new(1);
-        let offsets = offsets_map(&[("t", PartitionId(0), 5), ("t", PartitionId(1), 9)]);
-        store.save(offsets, ());
-        let cp = store.latest().unwrap();
-        assert_eq!(cp.offsets[&("t".to_string(), 0)], 5);
-        assert_eq!(cp.offsets[&("t".to_string(), 1)], 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "retain")]
-    fn zero_retention_rejected() {
-        let _: CheckpointStore<()> = CheckpointStore::new(0);
+    fn a_save_replaces_the_latest_checkpoint_in_every_clone() {
+        let store: CheckpointStore<String> = CheckpointStore::new();
+        let shared = store.clone();
+        assert_eq!(shared.latest().unwrap_err(), StreamError::NoCheckpoint);
+        for (cursor, state) in [(2, "a"), (5, "b")] {
+            store.save(Checkpoint {
+                bounds: vec![(0, 7), (4096, 4100)],
+                cursor,
+                state: state.into(),
+            });
+        }
+        let cp = shared.latest().unwrap();
+        assert_eq!(cp.bounds, vec![(0, 7), (4096, 4100)]);
+        assert_eq!((cp.cursor, cp.state.as_str()), (5, "b"));
     }
 }

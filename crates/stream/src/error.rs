@@ -30,8 +30,6 @@ pub enum StreamError {
     InvalidPipelineState(&'static str),
     /// No checkpoint exists to restore from.
     NoCheckpoint,
-    /// Operator state failed to round-trip through a checkpoint.
-    CorruptCheckpoint(String),
     /// A record's payload is longer than
     /// [`MAX_PAYLOAD`](crate::broker::MAX_PAYLOAD) bytes.
     PayloadTooLarge(usize),
@@ -55,7 +53,6 @@ impl fmt::Display for StreamError {
                 write!(f, "invalid pipeline state: {what}")
             }
             StreamError::NoCheckpoint => write!(f, "no checkpoint available"),
-            StreamError::CorruptCheckpoint(what) => write!(f, "corrupt checkpoint: {what}"),
             StreamError::PayloadTooLarge(len) => write!(
                 f,
                 "payload of {len} bytes exceeds the {} byte record limit",

@@ -15,7 +15,8 @@
 //! - [`pipeline`]: a dataflow executor (source → operators → sink):
 //!   bounded runs over a topic's contents, or one continuous thread that
 //!   tails the log and parks on the broker's append signal when idle.
-//! - [`checkpoint`]: offset + operator-state snapshots and recovery.
+//! - [`checkpoint`]: a bounded run's latest read snapshot, merged-order
+//!   cursor and operator state, and recovery from it.
 //!
 //! Absolute throughput differs from a real cluster; the *semantics* —
 //! ordering per partition, event-time windows, exactly-once-style

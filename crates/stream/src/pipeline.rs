@@ -32,7 +32,7 @@ use augur_telemetry::{
 };
 
 use crate::broker::{Broker, Reader, Topic};
-use crate::checkpoint::CheckpointStore;
+use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::error::StreamError;
 use crate::record::{PartitionId, Record};
 use crate::watermark::{BoundedOutOfOrderness, WatermarkGenerator};
@@ -369,13 +369,21 @@ enum Stage {
     Window,
 }
 
-/// Counter readings captured at run start; diffing against them at run
-/// end yields the per-run [`PipelineMetrics`] view.
-struct RunStart {
+/// One bounded run as it begins: counter readings, which diffed against
+/// at run end yield the per-run [`PipelineMetrics`] view, the start time,
+/// and the run's contexts.
+struct Run {
     records_in: u64,
     records_out: u64,
     late_dropped: u64,
     start_nanos: u64,
+    start_us: u64,
+    /// The `pipeline/run` context on the flight ring, after sampling;
+    /// `None` when no recorder is wired.
+    flight: Option<TraceContext>,
+    /// The same context for log records, which are never sampled; `None`
+    /// when no log is wired.
+    log: Option<TraceContext>,
 }
 
 impl Instruments {
@@ -426,22 +434,21 @@ impl Instruments {
         }
     }
 
-    /// Hands out the next bounded-run ordinal; it salts the per-run
-    /// trace context so consecutive runs get distinct span ids.
-    fn next_run(&self) -> u64 {
-        self.runs.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The contexts for bounded run `ordinal`, `(flight, log)`: one
-    /// `pipeline/run` child of the parent, so log records share the run
-    /// span's ids. The flight copy passes through the sampler; the log
-    /// copy does not. Each is `None` when its sink is not wired.
-    fn run_ctx(&self, ordinal: u64) -> (Option<TraceContext>, Option<TraceContext>) {
+    /// Begins a bounded run. Its context is one `pipeline/run` child of
+    /// the parent, salted by the run's ordinal so consecutive runs get
+    /// distinct span ids, and log records share the run span's ids.
+    fn begin_run(&self) -> Run {
+        let ordinal = self.runs.fetch_add(1, Ordering::Relaxed);
         let ctx = self.parent.child(ordinal ^ 0x70_69_70_65); // "pipe" salt
-        (
-            self.flight.as_ref().map(|_| self.sample_ctx(ctx)),
-            self.log.as_ref().map(|_| ctx),
-        )
+        Run {
+            records_in: self.records_in.get(),
+            records_out: self.records_out.get(),
+            late_dropped: self.late_dropped.get(),
+            start_nanos: self.clock.now_nanos(),
+            start_us: self.clock.now_micros(),
+            flight: self.flight.as_ref().map(|_| self.sample_ctx(ctx)),
+            log: self.log.as_ref().map(|_| ctx),
+        }
     }
 
     /// Closes a stage at the current clock: charges the elapsed time to
@@ -493,35 +500,30 @@ impl Instruments {
         }
     }
 
-    fn run_start(&self) -> RunStart {
-        RunStart {
-            records_in: self.records_in.get(),
-            records_out: self.records_out.get(),
-            late_dropped: self.late_dropped.get(),
-            start_nanos: self.clock.now_nanos(),
-        }
-    }
-
-    /// The per-run metrics view: counters diffed against `start`, elapsed
-    /// time from the pipeline clock, latency quantiles from the run-local
-    /// histogram (`None` for windowed runs, which do not time individual
-    /// records).
-    fn per_run(
+    /// Ends `run`: closes its `Run` stage, then returns the per-run
+    /// metrics view and logs it as the run summary. The view is the
+    /// counters diffed against `run`, elapsed time from the pipeline
+    /// clock, and latency quantiles from the run-local histogram (`None`
+    /// for windowed runs, which do not time individual records).
+    fn end_run(
         &self,
-        start: &RunStart,
+        run: &Run,
         bytes_in: u64,
         latency: Option<&LocalHistogram>,
     ) -> PipelineMetrics {
-        let elapsed_ns = self.clock.now_nanos().saturating_sub(start.start_nanos);
-        PipelineMetrics {
-            records_in: self.records_in.get().saturating_sub(start.records_in),
-            records_out: self.records_out.get().saturating_sub(start.records_out),
+        self.flight_stage(run.flight, Stage::Run, run.start_us);
+        let elapsed_ns = self.clock.now_nanos().saturating_sub(run.start_nanos);
+        let metrics = PipelineMetrics {
+            records_in: self.records_in.get().saturating_sub(run.records_in),
+            records_out: self.records_out.get().saturating_sub(run.records_out),
             bytes_in,
-            late_dropped: self.late_dropped.get().saturating_sub(start.late_dropped),
+            late_dropped: self.late_dropped.get().saturating_sub(run.late_dropped),
             elapsed_s: elapsed_ns as f64 / 1e9,
             p50_latency_us: latency.map_or(0.0, |h| h.quantile(0.50) as f64 / 1_000.0),
             p99_latency_us: latency.map_or(0.0, |h| h.quantile(0.99) as f64 / 1_000.0),
-        }
+        };
+        self.log_run_summary(run.log, &metrics);
+        metrics
     }
 }
 
@@ -554,6 +556,8 @@ struct Scan<T> {
     order: Vec<usize>,
     /// Payload bytes of every record read, decoded or not.
     bytes: u64,
+    /// The `(log start, end offset)` snapshot of each partition read.
+    bounds: Vec<(u64, u64)>,
 }
 
 /// The trace context of the flow at arrival index `i`, if it has one.
@@ -605,21 +609,47 @@ fn event_time_order(times: &[u64]) -> Vec<usize> {
 }
 
 impl<T: Send + 'static> Pipeline<T> {
-    /// Reads everything the topic holds at the start of the run. Every
-    /// partition's log start and end offset are snapshotted first, so
-    /// records appended during the read are left out. Each partition is
-    /// then drained to its snapshot in `poll_batch` chunks, decoded
-    /// straight from the log under the partition's read lock. The run is
-    /// not a registered reader: segments a registered reader releases
-    /// meanwhile are skipped, each chunk starting at the log start. The
-    /// visit order is event time (ties in arrival order), or arrival
-    /// order under [`PipelineBuilder::arrival_order`].
-    fn read_all(&self) -> Result<Scan<T>, StreamError> {
+    /// The read stage of a bounded run: [`Pipeline::read_all`] under a
+    /// `pipeline/read` span, then the modeled read cost and the `Read`
+    /// stage.
+    fn read_stage(&self, run: &Run, saved: Option<&[(u64, u64)]>) -> Result<Scan<T>, StreamError> {
+        let scan = {
+            let _read = self.instruments.tracer.span("pipeline/read");
+            self.read_all(saved)?
+        };
+        if let Some((time, costs)) = &self.inner.modeled {
+            time.advance_micros(costs.read_us.saturating_mul(scan.flows.len() as u64));
+        }
+        self.instruments
+            .flight_stage(run.flight, Stage::Read, run.start_us);
+        Ok(scan)
+    }
+
+    /// Reads a snapshot of the topic: the `saved` one of a checkpoint, or
+    /// every partition's log start and end offset at the start of the
+    /// run, so records appended during the read are left out. Each
+    /// partition is drained to its snapshot in `poll_batch` chunks,
+    /// decoded straight from the log under the partition's read lock. The
+    /// run is not a registered reader: segments a registered reader
+    /// releases meanwhile are skipped, each chunk starting at the log
+    /// start, and a read of a `saved` snapshot that a release reached
+    /// fails instead. The visit order is event time (ties in arrival
+    /// order), or arrival order under [`PipelineBuilder::arrival_order`].
+    fn read_all(&self, saved: Option<&[(u64, u64)]>) -> Result<Scan<T>, StreamError> {
         let b = &self.inner.broker;
         let topic = &self.inner.topic;
-        let bounds = (0..b.partition_count(topic)?)
-            .map(|p| b.bounds(topic, PartitionId(p)))
-            .collect::<Result<Vec<(u64, u64)>, _>>()?;
+        let partitions = b.partition_count(topic)?;
+        let bounds = match saved {
+            None => (0..partitions)
+                .map(|p| b.bounds(topic, PartitionId(p)))
+                .collect::<Result<Vec<(u64, u64)>, _>>()?,
+            Some(saved) if saved.len() == partitions as usize => saved.to_vec(),
+            Some(_) => {
+                return Err(StreamError::InvalidPipelineState(
+                    "checkpoint snapshot does not match the topic's partitions",
+                ))
+            }
+        };
         let total = bounds.iter().map(|(start, end)| end - start).sum::<u64>() as usize;
         let mut flows = Vec::with_capacity(total);
         let mut times = Vec::with_capacity(total);
@@ -651,6 +681,17 @@ impl<T: Send + 'static> Pipeline<T> {
                 from = next;
             }
         }
+        // Log starts only move forward, so one at or below the saved start
+        // now was there throughout the read, and no chunk skipped a record.
+        if saved.is_some() {
+            for (p, &(start, _)) in (0..).map(PartitionId).zip(&bounds) {
+                if b.start_offset(topic, p)? > start {
+                    return Err(StreamError::InvalidPipelineState(
+                        "a release dropped records of the checkpoint's snapshot",
+                    ));
+                }
+            }
+        }
         let order = if self.inner.arrival_order {
             (0..flows.len()).collect()
         } else {
@@ -662,6 +703,7 @@ impl<T: Send + 'static> Pipeline<T> {
             traces,
             order,
             bytes,
+            bounds,
         })
     }
 
@@ -673,24 +715,14 @@ impl<T: Send + 'static> Pipeline<T> {
     ///
     /// Propagates broker errors ([`StreamError::UnknownTopic`] etc.).
     pub fn collect(&mut self) -> Result<(Vec<T>, PipelineMetrics), StreamError> {
-        let run = self.instruments.run_start();
-        let ordinal = self.instruments.next_run();
-        let (run_ctx, log_ctx) = self.instruments.run_ctx(ordinal);
-        let run_t0 = self.instruments.clock.now_micros();
+        let run = self.instruments.begin_run();
         let Scan {
             mut flows,
             traces,
             order,
             bytes,
             ..
-        } = {
-            let _read = self.instruments.tracer.span("pipeline/read");
-            self.read_all()?
-        };
-        if let Some((time, costs)) = &self.inner.modeled {
-            time.advance_micros(costs.read_us.saturating_mul(flows.len() as u64));
-        }
-        self.instruments.flight_stage(run_ctx, Stage::Read, run_t0);
+        } = self.read_stage(&run, None)?;
         self.instruments.records_in.add(flows.len() as u64);
         // The contexts follow their flows into visit order.
         let traces: Vec<Option<TraceContext>> = if traces.is_empty() {
@@ -729,28 +761,33 @@ impl<T: Send + 'static> Pipeline<T> {
                 }
             }
             self.instruments
-                .flight_stage(run_ctx, Stage::Transform, transform_t0);
+                .flight_stage(run.flight, Stage::Transform, transform_t0);
         }
         self.instruments.records_out.add(out.len() as u64);
         self.instruments.record_latency_ns.merge_local(&run_latency);
-        self.instruments.flight_stage(run_ctx, Stage::Run, run_t0);
-        let metrics = self.instruments.per_run(&run, bytes, Some(&run_latency));
-        self.instruments.log_run_summary(log_ctx, &metrics);
+        let metrics = self.instruments.end_run(&run, bytes, Some(&run_latency));
         Ok((out, metrics))
     }
 
     /// Runs the full windowed dataflow over everything currently in the
     /// topic: transforms, watermarking, keyed windowed aggregation.
     ///
-    /// `checkpoints` optionally saves (offset, operator-state) snapshots
-    /// every `interval` input records; `crash_after` aborts the run after
-    /// that many records to simulate failure (used by recovery tests —
-    /// resume by calling again with `resume: true`, which restores the
-    /// latest checkpoint and re-reads only unprocessed input).
+    /// `checkpoints` optionally saves a [`Checkpoint`] every `interval`
+    /// input records: the per-partition `(log start, end)` snapshot the
+    /// run read, its cursor in the run's merged order, and the operator
+    /// state. `crash_after` aborts the run after that many records to
+    /// simulate failure (used by recovery tests — resume by calling again
+    /// with `resume: true`, which restores the latest checkpoint and
+    /// replays the interrupted run's snapshot from its cursor). Records
+    /// appended after the snapshot are left for the next run, as with any
+    /// bounded run.
     ///
     /// # Errors
     ///
-    /// Propagates broker and checkpoint errors.
+    /// Propagates broker and checkpoint errors. A resume returns
+    /// [`StreamError::InvalidPipelineState`] without a store, or when a
+    /// release has moved a partition's log start past the snapshot's, so
+    /// the interrupted run's order can no longer be replayed.
     #[allow(clippy::too_many_arguments)]
     pub fn run_windowed<W, A>(
         &mut self,
@@ -765,10 +802,9 @@ impl<T: Send + 'static> Pipeline<T> {
         W: WindowAssigner,
         A: Aggregation<T>,
     {
-        let run = self.instruments.run_start();
         let mut agg = WindowedAggregator::new(assigner, aggregation);
         let mut wm = BoundedOutOfOrderness::new(self.inner.watermark_bound_us);
-        let mut processed_before: u64 = 0;
+        let mut saved = None;
         if resume {
             let store = checkpoints
                 .as_ref()
@@ -780,53 +816,39 @@ impl<T: Send + 'static> Pipeline<T> {
             if let Some(generator) = &cp.state.generator {
                 wm = generator.clone();
             }
-            agg.restore(cp.state.clone());
-            processed_before = *cp
-                .offsets
-                .get(&(self.inner.topic.clone(), u32::MAX))
-                .unwrap_or(&0);
+            agg.restore(cp.state);
+            saved = Some((cp.bounds, cp.cursor));
         }
-        let ordinal = self.instruments.next_run();
-        let (run_ctx, log_ctx) = self.instruments.run_ctx(ordinal);
+        let run = self.instruments.begin_run();
         // Resume is a recovery *decision*: worth a log record saying
         // where the merged cursor restarted.
-        if resume {
-            if let (Some(w), Some(ctx)) = (&self.instruments.log, log_ctx) {
-                w.log.record(
-                    &w.run_site,
-                    Level::Info,
-                    ctx,
-                    w.resume_msg,
-                    self.instruments.clock.now_micros(),
-                    &[
-                        (w.key_topic, Value::Sym(w.topic_sym)),
-                        (w.key_offset, Value::U64(processed_before)),
-                    ],
-                );
-            }
+        if let (Some((_, cursor)), Some(w), Some(ctx)) = (&saved, &self.instruments.log, run.log) {
+            w.log.record(
+                &w.run_site,
+                Level::Info,
+                ctx,
+                w.resume_msg,
+                self.instruments.clock.now_micros(),
+                &[
+                    (w.key_topic, Value::Sym(w.topic_sym)),
+                    (w.key_offset, Value::U64(*cursor)),
+                ],
+            );
         }
-        let run_t0 = self.instruments.clock.now_micros();
         // The bounded run reads a time-ordered merge of all partitions;
-        // the "offset" we checkpoint is the index into that merged order,
-        // stored under partition u32::MAX (single logical cursor).
+        // a checkpoint's cursor is a position in that merged order.
         let Scan {
             flows,
             times,
             traces,
             order,
             bytes,
-        } = {
-            let _read = self.instruments.tracer.span("pipeline/read");
-            self.read_all()?
-        };
-        if let Some((time, costs)) = &self.inner.modeled {
-            time.advance_micros(costs.read_us.saturating_mul(flows.len() as u64));
-        }
-        self.instruments.flight_stage(run_ctx, Stage::Read, run_t0);
+            bounds,
+        } = self.read_stage(&run, saved.as_ref().map(|(bounds, _)| bounds.as_slice()))?;
         // This run visits merged positions `first..stop`: a resume skips
         // what its checkpoint covers, and `crash_after` stops the run at
         // that position.
-        let first = usize::try_from(processed_before)
+        let first = usize::try_from(saved.map_or(0, |(_, cursor)| cursor))
             .unwrap_or(usize::MAX)
             .min(order.len());
         let stop = crash_after.map_or(order.len(), |limit| limit.clamp(first, order.len()));
@@ -874,7 +896,7 @@ impl<T: Send + 'static> Pipeline<T> {
                         if let Some(w) = &self.instruments.log {
                             let ctx = trace
                                 .map(|c| c.child_named("pipeline/late_drop"))
-                                .or(log_ctx);
+                                .or(run.log);
                             if let Some(ctx) = ctx {
                                 w.log.record(
                                     &w.drop_site,
@@ -893,12 +915,14 @@ impl<T: Send + 'static> Pipeline<T> {
                 }
                 if let Some((store, interval)) = &checkpoints {
                     if interval > &0 && (i + 1) % interval == 0 {
-                        let mut offsets = std::collections::HashMap::new();
-                        offsets.insert((self.inner.topic.clone(), u32::MAX), (i + 1) as u64);
                         let mut state = agg.snapshot();
                         state.generator = Some(wm.clone());
-                        store.save(offsets, state);
-                        if let (Some(w), Some(ctx)) = (&self.instruments.log, log_ctx) {
+                        store.save(Checkpoint {
+                            bounds: bounds.clone(),
+                            cursor: (i + 1) as u64,
+                            state,
+                        });
+                        if let (Some(w), Some(ctx)) = (&self.instruments.log, run.log) {
                             w.log.record(
                                 &w.run_site,
                                 Level::Info,
@@ -918,15 +942,13 @@ impl<T: Send + 'static> Pipeline<T> {
                 emitted.extend(agg.flush());
             }
             self.instruments
-                .flight_stage(run_ctx, Stage::Window, window_t0);
+                .flight_stage(run.flight, Stage::Window, window_t0);
         }
         self.instruments.records_in.add((stop - first) as u64);
         self.instruments.lateness_us.merge_local(&run_lateness);
-        self.instruments.flight_stage(run_ctx, Stage::Run, run_t0);
         self.instruments.records_out.add(emitted.len() as u64);
         self.instruments.late_dropped.add(agg.late_dropped());
-        let metrics = self.instruments.per_run(&run, bytes, None);
-        self.instruments.log_run_summary(log_ctx, &metrics);
+        let metrics = self.instruments.end_run(&run, bytes, None);
         Ok((emitted, metrics))
     }
 
@@ -939,9 +961,11 @@ impl<T: Send + 'static> Pipeline<T> {
     /// or the pipeline is stopped, so an idle pipeline costs no CPU.
     ///
     /// The pipeline is a registered reader of its topic from this call
-    /// until it is stopped: it starts at each partition's log start, and
-    /// after each batch the sealed segments it and every other
-    /// registered reader have passed are released.
+    /// until it is stopped, at offset 0 of every partition, and its
+    /// position is the only record of its progress: each batch is read
+    /// from it (so the first from each partition's log start), and after
+    /// each batch the sealed segments it and every other registered
+    /// reader have passed are released.
     ///
     /// The `pipeline_queue_*` and `pipeline_{en,de}queued_total` series
     /// describe the polled batch, the pipeline's only in-flight queue,
@@ -955,7 +979,7 @@ impl<T: Send + 'static> Pipeline<T> {
         mut sink: impl FnMut(T) + Send + 'static,
     ) -> Result<StopHandle, StreamError> {
         let topic = self.inner.broker.topic(&self.inner.topic)?;
-        let reader = Reader::register(Arc::clone(&topic));
+        let reader = Reader::register(Arc::clone(&topic), Some(0));
         let stop = Arc::new(AtomicBool::new(false));
         let processed = Arc::new(AtomicU64::new(0));
         // Registered here, on the spawning thread, so the lane id follows
@@ -982,14 +1006,14 @@ impl<T: Send + 'static> Pipeline<T> {
                 Arc::clone(&processed),
             );
             std::thread::spawn(move || {
-                let mut offsets = vec![0u64; topic.partition_count() as usize];
                 let mut batch: Vec<T> = Vec::with_capacity(poll_batch);
                 while !stop.load(Ordering::SeqCst) {
                     let seen = topic.epoch();
                     let mut idle = true;
-                    for (p, offset) in (0..).zip(&mut offsets) {
+                    for p in 0..topic.partition_count() {
+                        let from = reader.position(p).unwrap_or(0);
                         let mut read = 0u64;
-                        let next = topic.visit(p, *offset, poll_batch, u64::MAX, |_, r| {
+                        let next = topic.visit(p, from, poll_batch, u64::MAX, |_, r| {
                             read += 1;
                             batch.extend(decoder(r));
                         });
@@ -997,7 +1021,6 @@ impl<T: Send + 'static> Pipeline<T> {
                             continue;
                         }
                         idle = false;
-                        *offset = next.unwrap_or(*offset);
                         let _work = lane
                             .as_ref()
                             .map(|(l, work)| l.work(&ins.clock, l.root(), *work));
@@ -1017,7 +1040,7 @@ impl<T: Send + 'static> Pipeline<T> {
                         ins.queue_depth.set_u64(0);
                         ins.records_out.add(out);
                         processed.fetch_add(out, Ordering::Relaxed);
-                        reader.advance(p, *offset);
+                        reader.advance(p, next.unwrap_or(from));
                     }
                     if idle {
                         let _parked = lane
@@ -1384,7 +1407,7 @@ mod tests {
         }
         let log = EventLog::new(64);
         let parent = TraceContext::root(7, u64::MAX);
-        let store: CheckpointStore<WindowState<u64>> = CheckpointStore::new(4);
+        let store: CheckpointStore<WindowState<u64>> = CheckpointStore::new();
         let mut p = PipelineBuilder::new(b.clone(), "t", decode)
             .watermark_bound_us(0)
             .arrival_order(true)
@@ -1488,7 +1511,7 @@ mod tests {
     #[test]
     fn checkpoint_crash_resume_is_exactly_once() {
         let b = setup(2, 200);
-        let store: CheckpointStore<WindowState<u64>> = CheckpointStore::new(4);
+        let store: CheckpointStore<WindowState<u64>> = CheckpointStore::new();
 
         // Reference run without failure.
         let mut p_ref = PipelineBuilder::new(b.clone(), "t", decode)
@@ -1901,7 +1924,7 @@ mod tests {
                 .build()
             };
             let collected = build().collect().unwrap();
-            let store = CheckpointStore::new(4);
+            let store = CheckpointStore::new();
             let windowed = build()
                 .run_windowed(
                     TumblingWindows::new(5_000),

@@ -310,20 +310,17 @@ fn broker_ops() -> impl Strategy<Value = Vec<BrokerOp>> {
 /// `p` belongs to member `p % len`) and committed offsets that only move
 /// forward; and the tailing reader's committed offsets while it runs.
 ///
-/// Retention: a group is a registered reader from its first commit, at
-/// its committed offsets. When a reader's position crosses a segment
-/// boundary, every full segment below the slowest registered position
-/// is released.
+/// Retention: a group holds a position in a partition from its first
+/// commit there, at its committed offset (`None` before). When a
+/// reader's position crosses a segment boundary, every full segment
+/// below the slowest position held in that partition is released.
 struct BrokerModel {
     partitions: Vec<Vec<Record>>,
     starts: Vec<u64>,
     members: Vec<String>,
-    committed: Vec<u64>,
-    /// Whether the group has committed, and so is registered.
-    group_registered: bool,
-    /// The tailing reader's committed offsets and whether it has
-    /// committed, while it runs.
-    tail: Option<(Vec<u64>, bool)>,
+    committed: Vec<Option<u64>>,
+    /// The tailing reader's committed offsets, while it runs.
+    tail: Option<Vec<Option<u64>>>,
 }
 
 impl BrokerModel {
@@ -346,16 +343,10 @@ impl BrokerModel {
             .is_some_and(|i| partition as usize % self.members.len() == i)
     }
 
-    /// The slowest registered reader's position in `partition`, if any
-    /// reader is registered.
+    /// The slowest position a reader holds in `partition`, if any does.
     fn slowest(&self, partition: usize) -> Option<u64> {
-        let group = self.group_registered.then(|| self.committed[partition]);
-        let tail = self
-            .tail
-            .as_ref()
-            .filter(|(_, registered)| *registered)
-            .map(|(c, _)| c[partition]);
-        group.into_iter().chain(tail).min()
+        let tail = self.tail.as_ref().and_then(|c| c[partition]);
+        self.committed[partition].into_iter().chain(tail).min()
     }
 
     /// A registered reader moved from `before` to `after` in `partition`.
@@ -385,7 +376,8 @@ impl BrokerModel {
 /// it checks the retention invariants: the log start matches the model,
 /// never moves back, and never passes the slowest registered reader; end
 /// offsets and `records` never move back; `bytes` is the held payload.
-fn check_broker_against_model(partitions: u32, ops: &[BrokerOp]) {
+/// Returns the final log starts.
+fn check_broker_against_model(partitions: u32, ops: &[BrokerOp]) -> Vec<u64> {
     let broker = Broker::new();
     broker.create_topic("t", partitions).unwrap();
     let group = ConsumerGroup::new("g", broker.clone());
@@ -394,8 +386,7 @@ fn check_broker_against_model(partitions: u32, ops: &[BrokerOp]) {
         partitions: vec![Vec::new(); partitions as usize],
         starts: vec![0; partitions as usize],
         members: Vec::new(),
-        committed: vec![0; partitions as usize],
-        group_registered: false,
+        committed: vec![None; partitions as usize],
         tail: None,
     };
     let push = |model: &mut BrokerModel, r: Record| {
@@ -463,7 +454,7 @@ fn check_broker_against_model(partitions: u32, ops: &[BrokerOp]) {
                 let name = format!("m{member}");
                 let got = group.poll("t", &name, PartitionId(partition), max);
                 if partition < partitions && model.owns(&name, partition) {
-                    let from = model.committed[partition as usize];
+                    let from = model.committed[partition as usize].unwrap_or(0);
                     prop_assert_eq!(got.unwrap(), model.poll(partition, from, max), "{:?}", op);
                 } else {
                     prop_assert!(got.is_err(), "{:?}", op);
@@ -472,22 +463,19 @@ fn check_broker_against_model(partitions: u32, ops: &[BrokerOp]) {
             BrokerOp::Commit { partition, next } => {
                 let partition = partition % partitions;
                 group.commit("t", PartitionId(partition), next);
-                model.group_registered = true;
                 let p = partition as usize;
-                let before = model.committed[p];
-                model.committed[p] = before.max(next);
-                prop_assert_eq!(
-                    group.committed_offset("t", PartitionId(partition)),
-                    model.committed[p]
-                );
-                model.advanced(p, before, model.committed[p]);
+                let before = model.committed[p].unwrap_or(0);
+                let after = before.max(next);
+                model.committed[p] = Some(after);
+                prop_assert_eq!(group.committed_offset("t", PartitionId(partition)), after);
+                model.advanced(p, before, after);
             }
             BrokerOp::Lag => {
                 let lag: u64 = model
                     .partitions
                     .iter()
                     .zip(&model.committed)
-                    .map(|(log, &c)| (log.len() as u64).saturating_sub(c))
+                    .map(|(log, &c)| (log.len() as u64).saturating_sub(c.unwrap_or(0)))
                     .sum();
                 prop_assert_eq!(group.lag("t").unwrap(), lag);
             }
@@ -499,10 +487,10 @@ fn check_broker_against_model(partitions: u32, ops: &[BrokerOp]) {
                     g.join("tail");
                     g
                 });
-                let (committed, _) = model
+                let committed = model
                     .tail
-                    .get_or_insert_with(|| (vec![0; partitions as usize], false));
-                let from = committed[p];
+                    .get_or_insert_with(|| vec![None; partitions as usize]);
+                let from = committed[p].unwrap_or(0);
                 let got = reader
                     .poll("t", "tail", PartitionId(partition), max)
                     .unwrap();
@@ -510,9 +498,8 @@ fn check_broker_against_model(partitions: u32, ops: &[BrokerOp]) {
                 if let Some(last) = got.last() {
                     let next = last.offset.0 + 1;
                     reader.commit("t", PartitionId(partition), next);
-                    if let Some((committed, registered)) = &mut model.tail {
-                        committed[p] = next;
-                        *registered = true;
+                    if let Some(committed) = &mut model.tail {
+                        committed[p] = Some(next);
                     }
                     model.advanced(p, from, next);
                 }
@@ -554,6 +541,35 @@ fn check_broker_against_model(partitions: u32, ops: &[BrokerOp]) {
             );
         }
     }
+    model.starts
+}
+
+/// A group that commits one partition holds back release there only: the
+/// tailing reader's progress still releases segments in the partition the
+/// group never committed.
+#[test]
+fn a_group_holds_back_only_the_partitions_it_committed() {
+    let slots = SEGMENT_SLOTS as u64;
+    let ops = [
+        BrokerOp::AppendBatch {
+            seed: 1,
+            n: 3 * SEGMENT_SLOTS,
+        },
+        BrokerOp::Commit {
+            partition: 0,
+            next: 5,
+        },
+        BrokerOp::Tail {
+            partition: 0,
+            max: 2 * SEGMENT_SLOTS,
+        },
+        BrokerOp::Tail {
+            partition: 1,
+            max: 2 * SEGMENT_SLOTS,
+        },
+        BrokerOp::Ends,
+    ];
+    assert_eq!(check_broker_against_model(2, &ops), vec![0, slots]);
 }
 
 proptest! {

@@ -15,6 +15,8 @@
 //!   into a fresh `Counter` / `Histogram` leaves.
 //! - Retention: on a topic whose registered reader has released
 //!   segments, a run reads each retained record exactly once.
+//! - Replay: a resume reads exactly its checkpoint's snapshot, leaving
+//!   later appends to the next run, and fails if a release cut into it.
 //! - Trace alignment: with producer contexts on some records, every
 //!   per-record span of `collect` and every late-drop instant of
 //!   `run_windowed` lands on the chain of the record it is about.
@@ -27,7 +29,7 @@ use augur_stream::broker::SEGMENT_SLOTS;
 use augur_stream::window::Aggregation;
 use augur_stream::{
     BoundedOutOfOrderness, Broker, CheckpointStore, ConsumerGroup, PartitionId, PipelineBuilder,
-    Record, SlidingWindows, WatermarkGenerator, Window, WindowResult, WindowState,
+    Record, SlidingWindows, StreamError, WatermarkGenerator, Window, WindowResult, WindowState,
 };
 use augur_telemetry::{
     Counter, FlightEvent, FlightRecorder, Histogram, ManualTime, Obs, Registry, TraceContext,
@@ -268,7 +270,7 @@ proptest! {
             .run_windowed(assigner, Values, None, None, false)
             .unwrap();
 
-        let store: CheckpointStore<WindowState<Vec<u64>>> = CheckpointStore::new(4);
+        let store: CheckpointStore<WindowState<Vec<u64>>> = CheckpointStore::new();
         let (partial, m) = build()
             .run_windowed(assigner, Values, Some((&store, interval)), Some(crash_at), false)
             .unwrap();
@@ -381,6 +383,89 @@ fn bounded_reads_after_a_release_see_each_retained_record_once() {
     }
 }
 
+/// `n` records from generation index `from` on, scattered over a 16 ms
+/// span in 250 µs steps with many duplicate times, their values the
+/// generation index.
+fn scattered(from: u64, n: u64) -> Vec<Input> {
+    (from..from + n)
+        .map(|i| {
+            let slot = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58;
+            (i % 5, slot * 250, Some(i))
+        })
+        .collect()
+}
+
+/// A resume replays the snapshot its checkpoint saved. Records appended
+/// between the crash and the resume, at times all over the run's span,
+/// are left for the next run: the committed prefix plus the resumed rest
+/// equal an uninterrupted run over the interrupted snapshot, in both
+/// orders.
+#[test]
+fn a_resume_replays_the_interrupted_snapshot_despite_later_appends() {
+    let assigner = SlidingWindows::new(2_000, 1_000);
+    for arrival in [false, true] {
+        let broker = topic(3, &scattered(0, 600));
+        let build = || {
+            PipelineBuilder::new(broker.clone(), TOPIC, decode)
+                .watermark_bound_us(500)
+                .arrival_order(arrival)
+                .build()
+        };
+        let (whole, _) = build()
+            .run_windowed(assigner, Values, None, None, false)
+            .unwrap();
+        let (committed, _) = build()
+            .run_windowed(assigner, Values, None, Some(200), false)
+            .unwrap();
+        let store = CheckpointStore::new();
+        build()
+            .run_windowed(assigner, Values, Some((&store, 100)), Some(250), false)
+            .unwrap();
+        for (key, t_us, v) in scattered(600, 200) {
+            let payload = v.unwrap().to_le_bytes().to_vec();
+            broker
+                .append(TOPIC, Record::new(key, payload, t_us))
+                .unwrap();
+        }
+        let (rest, m) = build()
+            .run_windowed(assigner, Values, Some((&store, 100)), None, true)
+            .unwrap();
+        assert_eq!(m.records_in, 400, "arrival order: {arrival}");
+        let mut resumed = committed;
+        resumed.extend(rest);
+        assert_eq!(panes(resumed), panes(whole), "arrival order: {arrival}");
+    }
+}
+
+/// A resume cannot replay a snapshot a release has cut into: once a
+/// registered reader has released a segment the checkpoint's snapshot
+/// covered, the resume fails instead of shifting the merged order.
+#[test]
+fn a_resume_after_a_release_into_its_snapshot_fails() {
+    let slots = SEGMENT_SLOTS as u64;
+    let broker = topic(2, &scattered(0, 3 * slots));
+    let build = || PipelineBuilder::new(broker.clone(), TOPIC, decode).build();
+    let store = CheckpointStore::new();
+    let assigner = SlidingWindows::new(2_000, 1_000);
+    build()
+        .run_windowed(assigner, Values, Some((&store, 500)), Some(1_200), false)
+        .unwrap();
+    let group = ConsumerGroup::new("g", broker.clone());
+    for p in (0..2).map(PartitionId) {
+        group.commit(TOPIC, p, broker.end_offset(TOPIC, p).unwrap());
+    }
+    assert!(
+        (0..2).any(|p| broker.start_offset(TOPIC, PartitionId(p)).unwrap() > 0),
+        "nothing released"
+    );
+    let resumed = build().run_windowed(assigner, Values, Some((&store, 500)), None, true);
+    assert!(
+        matches!(resumed, Err(StreamError::InvalidPipelineState(_))),
+        "{:?}",
+        resumed.map(|(panes, _)| panes.len())
+    );
+}
+
 /// A fixed topic on three partitions whose arrivals run backwards far
 /// enough to be dropped as late under arrival order, plus undecodable
 /// records.
@@ -412,7 +497,7 @@ fn windowed_registry_matches_per_record_recording() {
         .filter(|v| v % 4 != 1)
         .obs(&obs)
         .build();
-    let store: CheckpointStore<WindowState<Vec<u64>>> = CheckpointStore::new(2);
+    let store: CheckpointStore<WindowState<Vec<u64>>> = CheckpointStore::new();
     let assigner = SlidingWindows::new(400, 200);
     let (_, crashed) = pipeline
         .run_windowed(assigner, Values, Some((&store, 10)), Some(37), false)

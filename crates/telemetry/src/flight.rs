@@ -30,7 +30,6 @@ use std::sync::Arc;
 
 use crate::lane::LaneId;
 use crate::ring::{Interner, SeqRing};
-use crate::time::Clock;
 use crate::trace::TraceContext;
 
 /// An interned event name: hot paths carry this copyable id instead of a
@@ -177,18 +176,6 @@ impl FlightRecorder {
         self.record(ctx, name, FlightEventKind::Instant, [ts_us, 0, arg]);
     }
 
-    /// Starts a span guard that records `ctx` when dropped, timed on
-    /// `clock`. Convenience for scenario/stage code that holds a clock.
-    pub fn span(&self, clock: &Clock, ctx: TraceContext, name: NameId) -> TraceSpan {
-        TraceSpan {
-            recorder: self.clone(),
-            clock: clock.clone(),
-            ctx,
-            name,
-            start_us: clock.now_micros(),
-        }
-    }
-
     /// Drains every currently-readable entry in ticket (chronological)
     /// order, advancing the read cursor and charging overwritten or torn
     /// tickets to [`FlightRecorder::dropped_events`]. At quiescence
@@ -225,53 +212,9 @@ impl FlightInner {
     }
 }
 
-/// A live span tied to a [`FlightRecorder`] and a clock: records a
-/// [`FlightEventKind::Span`] covering its lifetime when dropped (or via
-/// [`TraceSpan::end`]). Use [`TraceSpan::ctx`] to derive child contexts
-/// for work it causes.
-pub struct TraceSpan {
-    recorder: FlightRecorder,
-    clock: Clock,
-    ctx: TraceContext,
-    name: NameId,
-    start_us: u64,
-}
-
-impl std::fmt::Debug for TraceSpan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceSpan")
-            .field("ctx", &self.ctx)
-            .field("start_us", &self.start_us)
-            .finish_non_exhaustive()
-    }
-}
-
-impl TraceSpan {
-    /// The context this span runs under (derive children from it).
-    pub fn ctx(&self) -> TraceContext {
-        self.ctx
-    }
-
-    /// Ends the span now (equivalent to dropping it).
-    pub fn end(self) {}
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        let end = self.clock.now_micros();
-        self.recorder.record_span(
-            self.ctx,
-            self.name,
-            self.start_us,
-            end.saturating_sub(self.start_us),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::ManualTime;
 
     #[test]
     fn records_and_drains_in_order() {
@@ -341,25 +284,5 @@ mod tests {
         rec.record_span(TraceContext::root(3, 3).unsampled(), n, 0, 1);
         assert_eq!(rec.total_events(), 0);
         assert!(rec.drain().is_empty());
-    }
-
-    #[test]
-    fn span_guard_times_on_the_clock() {
-        let rec = FlightRecorder::new(8);
-        let n = rec.intern("stage");
-        let time = ManualTime::shared();
-        let clock: Clock = time.clone();
-        time.advance_micros(100);
-        let ctx = TraceContext::root(4, 4);
-        {
-            let span = rec.span(&clock, ctx.child_named("stage"), n);
-            time.advance_micros(250);
-            span.end();
-        }
-        let events = rec.drain();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].ts_us, 100);
-        assert_eq!(events[0].dur_us, 250);
-        assert_eq!(events[0].parent_span_id, ctx.span_id);
     }
 }

@@ -95,7 +95,7 @@ pub use export::{
     OPENMETRICS_CONTENT_TYPE,
 };
 /// The flight recorder and its drained event type.
-pub use flight::{FlightEvent, FlightEventKind, FlightRecorder, NameId, TraceSpan};
+pub use flight::{FlightEvent, FlightEventKind, FlightRecorder, NameId};
 /// Worker-lane identity, contention accounting, and merged drains.
 pub use lane::{
     merge_drained, BlockedSite, Lane, LaneBlock, LaneId, LaneSummary, LaneWork, Lanes, MergedDrain,

@@ -84,7 +84,7 @@ fn windowed_stats_match_direct_aggregation() {
 fn crash_recovery_preserves_every_window() {
     let (broker, _) = vitals_broker(4, 240.0, 11);
     let store: CheckpointStore<WindowState<augur::stream::window::NumericStats>> =
-        CheckpointStore::new(8);
+        CheckpointStore::new();
     let window = TumblingWindows::new(30_000_000);
     let agg = || StatsAggregation::new(|r: &augur::core::VitalsRecord| r.value);
 
