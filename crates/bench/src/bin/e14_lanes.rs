@@ -14,7 +14,7 @@
 //! path is genuinely exercised.
 //!
 //! `AUGUR_LANE_STALL=<us>` injects a modeled per-item stall on
-//! producer-2 — the red-gate probe: `augur-doctor --xray` against the
+//! producer-2 — the red-gate probe: `augur-doctor diff` from the
 //! committed baseline must fail naming stage `produce` and lane
 //! `producer-2`.
 //!

@@ -240,8 +240,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     snap.gauge("slowest_trace_us", &[], slowest.dur_us as f64);
 
     // The xray report speaks about the population via inverse scaling;
-    // `sampled` + `effective_rate` tell `augur-doctor --xray` this is
-    // deliberate loss, not ring overflow.
+    // `sampled` + `effective_rate` tell a reader of the report (and
+    // `augur-doctor diff`) this is deliberate loss, not ring overflow.
     let mut report = augur_xray::analyze_merged("e15_sample", &merged);
     if sampler.is_sampling() {
         report = report.with_sampling(sampler.effective_rate());

@@ -14,10 +14,10 @@
 //! `--artifacts <dir>` moves the snapshot to `<dir>/<bench>.json` and
 //! writes the run's artifact bundle ([`augur_xray::artifacts`]: trace,
 //! folded and speedscope profiles, xray report) beside it, through
-//! [`write_artifacts`]. Baselines are (re)generated from such a run:
-//! `cargo run -p augur-bench --bin e3_offload -- --smoke --artifacts <tmp>`,
-//! then copy `<tmp>/e3_offload.json` (and `.xray.json`) into
-//! `results/baseline/`.
+//! [`write_artifacts`]. `results/baseline/` is such a bundle, written by
+//! the CI "Artifact bundles" loop run with `--artifacts
+//! results/baseline`; its snapshots hold only modeled metrics, so a
+//! fresh smoke run reproduces them byte for byte.
 
 use std::io;
 use std::path::PathBuf;

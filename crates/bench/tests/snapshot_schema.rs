@@ -1,8 +1,8 @@
 //! One harness binary end to end in smoke mode: `e2_timeliness --smoke
 //! --artifacts <dir>` must write its telemetry snapshot with the
-//! documented `{bench, params, metrics}` schema, including its
-//! `batch_us` gauge, and its artifact bundle beside it; a bare
-//! `--artifacts` is a usage error.
+//! documented `{bench, params, metrics}` schema, including its modeled
+//! `batch_recompute_modeled_us` gauge, and its artifact bundle beside
+//! it; a bare `--artifacts` is a usage error.
 
 #![allow(clippy::expect_used)] // integration tests: a panic here IS the test failure
 
@@ -73,8 +73,9 @@ fn e2_smoke_snapshot_has_the_documented_schema() {
     assert!(
         gauges
             .iter()
-            .any(|g| g.field("name").and_then(JsonValue::as_str).ok() == Some("batch_us")),
-        "no batch_us gauge among {} gauges",
+            .any(|g| g.field("name").and_then(JsonValue::as_str).ok()
+                == Some("batch_recompute_modeled_us")),
+        "no batch_recompute_modeled_us gauge among {} gauges",
         gauges.len()
     );
 }

@@ -1,20 +1,11 @@
-//! Differential-profile mode (`--profile-diff`): regression
-//! localization.
+//! Folded profiles (`.folded`, collapsed stacks): where the time moved.
 //!
-//! The pairwise and trend gates answer *whether* a bench regressed;
-//! this mode answers *where*. Given two folded-stack profiles (the
-//! `.folded` files of `--artifacts` bundles), it ranks every frame by
-//! exclusive self-time delta and fails — naming the frame — when the
-//! worst movement exceeds the latency tolerance the snapshot gate
-//! already uses. A failing doctor verdict thus comes with the stack
-//! frame that caused it.
+//! Each path's self time is keyed by its leaf frame, and frames are
+//! ranked by self-time delta, worst growth first, so a difference comes
+//! with the stack frame that caused it.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io;
-use std::path::Path;
-
-use crate::Tolerances;
 
 /// One frame's self-time movement between two profiles.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,83 +123,48 @@ fn diff_folded(
     out
 }
 
-/// Outcome of diffing two folded profiles.
-#[derive(Debug, Clone)]
-pub struct ProfileDiffReport {
-    /// Every frame present in either profile, worst regression first.
-    pub deltas: Vec<FrameDelta>,
-    /// Names of frames whose self-time growth exceeds the latency
-    /// tolerance, in delta order (worst first).
-    pub regressed: Vec<String>,
-}
-
-/// Diffs `baseline` against `current` (both folded-stack files),
-/// gating each frame's self-time growth on `tol.latency`.
+/// Explains how folded profile `cur` differs from `base`: every frame
+/// whose self time changed, worst growth first, and the worst frame by
+/// name. Empty when no frame's self time changed.
 ///
 /// # Errors
 ///
-/// I/O errors reading either file; malformed folded input (including a
-/// weight or total above `i64::MAX`) surfaces as
-/// [`io::ErrorKind::InvalidData`] naming the file and line.
-pub fn run_profile_diff(
-    baseline: &Path,
-    current: &Path,
-    tol: &Tolerances,
-) -> io::Result<ProfileDiffReport> {
-    let parse = |path: &Path| -> io::Result<_> {
-        let text = std::fs::read_to_string(path)?;
-        parse_folded(&text)
-            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
-    };
-    let base = parse(baseline)?;
-    let cur = parse(current)?;
-    let deltas = diff_folded(&base, &cur);
-    let regressed = deltas
-        .iter()
-        .filter(|d| d.delta_us > 0 && !tol.latency.allows(d.baseline_us as f64, d.delta_us as f64))
-        .map(|d| d.name.clone())
+/// Malformed folded input (including a weight or total above
+/// `i64::MAX`) as [`io::ErrorKind::InvalidData`] naming the line.
+pub fn explain(base: &str, cur: &str) -> io::Result<Vec<String>> {
+    let deltas: Vec<FrameDelta> = diff_folded(&parse_folded(base)?, &parse_folded(cur)?)
+        .into_iter()
+        .filter(|d| d.delta_us != 0)
         .collect();
-    Ok(ProfileDiffReport { deltas, regressed })
-}
-
-/// True when any frame's growth breaks the tolerance.
-pub fn has_profile_regressions(report: &ProfileDiffReport) -> bool {
-    !report.regressed.is_empty()
-}
-
-/// Renders the localization verdict: the ranked frame table plus a
-/// verdict line naming the worst offender (or declaring the profiles
-/// within tolerance).
-pub fn render_profile_diff_markdown(report: &ProfileDiffReport) -> String {
-    let mut out = String::from("# augur-doctor profile diff\n\n");
-    out.push_str("| frame | baseline µs | current µs | delta µs | delta % |\n");
-    out.push_str("|---|---:|---:|---:|---:|\n");
-    for d in &report.deltas {
+    let Some(first) = deltas.first() else {
+        return Ok(Vec::new());
+    };
+    let worst = if first.delta_us > 0 {
+        format!("worst: `{}` ({:+} µs)", first.name, first.delta_us)
+    } else {
+        "none grew".to_string()
+    };
+    let mut out = vec![
+        "| frame | base µs | current µs | delta µs | delta % |".to_string(),
+        "|---|---:|---:|---:|---:|".to_string(),
+    ];
+    for d in &deltas {
         let pct = if d.ratio().is_infinite() {
             String::from("new")
         } else {
             format!("{:+.1}%", d.ratio() * 100.0)
         };
-        let _ = writeln!(
-            out,
+        out.push(format!(
             "| `{}` | {} | {} | {:+} | {} |",
             d.name, d.baseline_us, d.current_us, d.delta_us, pct
-        );
+        ));
     }
-    out.push('\n');
-    match report.regressed.first() {
-        Some(worst) => {
-            let _ = writeln!(
-                out,
-                "**REGRESSION**: {} frame(s) over latency tolerance; worst: `{worst}`",
-                report.regressed.len()
-            );
-        }
-        None => {
-            out.push_str("No frame exceeds the latency tolerance.\n");
-        }
-    }
-    out
+    out.push(String::new());
+    out.push(format!(
+        "{} frame(s) changed self time; {worst}",
+        deltas.len()
+    ));
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -272,47 +228,32 @@ mod tests {
         assert_eq!(deltas[1].delta_us, -10);
     }
 
-    fn write_tmp(name: &str, text: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("augur-doctor-profile-diff-test");
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join(name);
-        std::fs::write(&path, text).unwrap_or_else(|e| unreachable!("{e}"));
-        path
-    }
-
     #[test]
-    fn flags_only_out_of_tolerance_growth() {
-        let base = write_tmp("base.folded", "run 1000\nrun;slow 500\nrun;noise 500\n");
-        let cur = write_tmp("cur.folded", "run 1000\nrun;slow 800\nrun;noise 510\n");
-        let report = run_profile_diff(&base, &cur, &Tolerances::default())
-            .unwrap_or_else(|e| unreachable!("{e}"));
-        assert!(has_profile_regressions(&report));
-        assert_eq!(report.regressed, vec!["slow"], "2% noise stays inside");
-        assert_eq!(report.deltas[0].name, "slow");
-        let md = render_profile_diff_markdown(&report);
-        assert!(md.contains("worst: `slow`"), "{md}");
-        assert!(
-            md.contains("| `slow` | 500 | 800 | +300 | +60.0% |"),
-            "{md}"
+    fn explain_lists_changed_frames_worst_first() {
+        let base = "run 1000\nrun;slow 500\nrun;same 7\nrun;noise 500\n";
+        let cur = "run 1000\nrun;slow 800\nrun;same 7\nrun;noise 490\n";
+        let lines = explain(base, cur).unwrap_or_else(|e| unreachable!("{e}"));
+        assert_eq!(lines[2], "| `slow` | 500 | 800 | +300 | +60.0% |");
+        assert_eq!(lines[3], "| `noise` | 500 | 490 | -10 | -2.0% |");
+        assert_eq!(lines.len(), 6, "unchanged frames are left out: {lines:?}");
+        assert_eq!(
+            lines[5],
+            "2 frame(s) changed self time; worst: `slow` (+300 µs)"
         );
+        let lines = explain("a 5\n", "a 3\n").unwrap_or_else(|e| unreachable!("{e}"));
+        assert_eq!(lines[4], "1 frame(s) changed self time; none grew");
     }
 
     #[test]
-    fn clean_diff_has_no_regressions() {
-        let base = write_tmp("clean-base.folded", "run 1000\n");
-        let cur = write_tmp("clean-cur.folded", "run 1005\n");
-        let report = run_profile_diff(&base, &cur, &Tolerances::default())
-            .unwrap_or_else(|e| unreachable!("{e}"));
-        assert!(!has_profile_regressions(&report));
-        assert!(render_profile_diff_markdown(&report)
-            .contains("No frame exceeds the latency tolerance."));
+    fn equal_self_times_explain_nothing() {
+        // Reordered lines fold to the same frames.
+        let lines = explain("a 1\nb 2\n", "b 2\na 1\n").unwrap_or_else(|e| unreachable!("{e}"));
+        assert!(lines.is_empty());
     }
 
     #[test]
     fn malformed_input_is_invalid_data() {
-        let bad = write_tmp("bad.folded", "not-a-profile\n");
-        let ok = write_tmp("ok.folded", "run 10\n");
-        let err = run_profile_diff(&bad, &ok, &Tolerances::default())
+        let err = explain("not-a-profile\n", "run 10\n")
             .err()
             .unwrap_or_else(|| unreachable!());
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);

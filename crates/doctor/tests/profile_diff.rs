@@ -1,7 +1,7 @@
 //! Acceptance test for regression localization (ISSUE 5): record a
 //! modeled three-stage pipeline twice — once healthy, once with a
 //! slowdown injected into exactly one stage — fold both runs into
-//! `.folded` profiles, and require `augur-doctor --profile-diff` to
+//! `.folded` profiles, and require `augur-doctor diff` to
 //! (a) exit nonzero and (b) rank the slowed stage's frame first.
 #![allow(clippy::expect_used)]
 
@@ -53,7 +53,7 @@ fn profile_diff_ranks_the_slowed_stage_first() {
     let baseline = write_tmp("baseline.folded", &folded_pipeline(0));
     let current = write_tmp("current.folded", &folded_pipeline(400));
     let output = Command::new(env!("CARGO_BIN_EXE_augur-doctor"))
-        .args(["--profile-diff"])
+        .args(["diff"])
         .arg(&baseline)
         .arg(&current)
         .output()
@@ -86,7 +86,7 @@ fn profile_diff_of_identical_profiles_is_clean() {
     let baseline = write_tmp("same-a.folded", &folded_pipeline(0));
     let current = write_tmp("same-b.folded", &folded_pipeline(0));
     let output = Command::new(env!("CARGO_BIN_EXE_augur-doctor"))
-        .args(["--profile-diff"])
+        .args(["diff"])
         .arg(&baseline)
         .arg(&current)
         .output()
@@ -107,7 +107,7 @@ fn profile_diff_rejects_weights_that_would_read_as_improvements() {
     let baseline = write_tmp("huge-base.folded", "run 10\n");
     let current = write_tmp("huge-cur.folded", "run 10\nrun;hog 9223372036854775808\n");
     let output = Command::new(env!("CARGO_BIN_EXE_augur-doctor"))
-        .args(["--profile-diff"])
+        .args(["diff"])
         .arg(&baseline)
         .arg(&current)
         .output()
@@ -120,16 +120,12 @@ fn profile_diff_rejects_weights_that_would_read_as_improvements() {
 #[test]
 fn profile_diff_usage_errors_exit_2() {
     let output = Command::new(env!("CARGO_BIN_EXE_augur-doctor"))
-        .args(["--profile-diff", "/nonexistent/a.folded"])
+        .args(["diff", "/nonexistent/a.folded"])
         .output()
         .expect("doctor runs");
     assert_eq!(output.status.code(), Some(2), "missing second operand");
     let output = Command::new(env!("CARGO_BIN_EXE_augur-doctor"))
-        .args([
-            "--profile-diff",
-            "/nonexistent/a.folded",
-            "/nonexistent/b.folded",
-        ])
+        .args(["diff", "/nonexistent/a.folded", "/nonexistent/b.folded"])
         .output()
         .expect("doctor runs");
     assert_eq!(output.status.code(), Some(2), "unreadable inputs");

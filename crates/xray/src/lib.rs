@@ -29,8 +29,8 @@
 //! Reports are a pure function of the drained events (BTreeMap
 //! aggregation, fixed tie-breaks, canonical JSON via
 //! [`render_json`]), so two same-seed runs produce byte-identical
-//! artifacts and `augur-doctor --xray` can diff them against committed
-//! baselines in CI.
+//! artifacts: CI requires them to equal the committed baselines byte
+//! for byte, and `augur-doctor diff` explains a difference.
 //!
 //! Lossy drains degrade loudly, never silently: when the ring dropped
 //! events, [`XrayReport::truncated`] is set and consumers (doctor, the
@@ -194,7 +194,7 @@ pub struct XrayReport {
     /// True when the ring dropped events: the critical path has holes
     /// and must not be trusted for gating. **Reserved for real loss** —
     /// intentional sampling reports `sampled` + `effective_rate`
-    /// instead, so the doctor gate can tell the two apart.
+    /// instead, so a reader of the report can tell the two apart.
     pub truncated: bool,
     /// Events the recorder accepted over its lifetime.
     pub total_events: u64,

@@ -9,8 +9,8 @@
 //! same span forest the critical-path and queueing analyses use), and
 //! an occurrence count. The exporters render it as
 //! collapsed/folded stacks ([`Profile::render_folded`], the
-//! `flamegraph.pl`/inferno input format, and what `augur-doctor
-//! --profile-diff` ranks frames from) and speedscope JSON
+//! `flamegraph.pl`/inferno input format, and what `augur-doctor diff`
+//! ranks frames from) and speedscope JSON
 //! ([`Profile::render_speedscope`]). Per-name totals are
 //! [`crate::XrayReport::stages`]: the same self time, summed by frame.
 //!

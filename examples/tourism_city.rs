@@ -10,8 +10,8 @@
 //! across runs: `<dir>/tourism.{trace.json,folded,speedscope.json,
 //! xray.json,log.jsonl}` (see `scenario/mod.rs`). The recorded tour is
 //! denser (k = 64 within 400 m), so the declutterer sheds bubbles and the
-//! log, which `augur-doctor --logs` gates against
-//! `results/baseline/log_fingerprints.json`, exercises its WARN path.
+//! log exercises its WARN path. The bundle is pinned byte for byte by
+//! `results/baseline/`; `augur-doctor diff` explains a difference.
 //!
 //! Pass `--watch` to run the tour under an SLO watch session (rollups +
 //! burn-rate alerting on the tour's manual clock) and print the live

@@ -105,8 +105,9 @@ pub fn log_error_rate() -> SloSpec {
 /// stay below 1% of the busy time it observes
 /// (`augur_obs_busy_ns_total`). Observability that eats the latency
 /// budget it is supposed to protect is an incident in its own right —
-/// `augur-doctor` gates the same share via the exported
-/// `obs_overhead_share` gauge.
+/// `e15_sample`'s committed snapshot pins the same share as the
+/// `obs_overhead_share` gauge, and `augur-doctor diff` names it when it
+/// moves.
 pub fn obs_overhead() -> SloSpec {
     ratio(
         "obs_overhead",

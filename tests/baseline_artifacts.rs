@@ -1,7 +1,7 @@
-//! Every committed JSON artifact under `results/baseline/` (snapshots,
-//! snapshot history, log fingerprints, xray reports) parses and matches
-//! its documented shape: a malformed baseline would silently disarm the
-//! doctor gates that read it.
+//! Every committed JSON artifact under `results/baseline/` parses, and
+//! snapshots and xray reports match their documented shapes: CI requires
+//! a fresh bundle to equal these files byte for byte, so a malformed
+//! baseline would pin a malformed artifact.
 #![allow(clippy::expect_used, clippy::panic)]
 
 use std::collections::BTreeSet;
@@ -226,57 +226,37 @@ fn check_xray(doc: &JsonValue, path: &Path) {
     }
 }
 
-fn check_fingerprints(doc: &JsonValue, path: &Path) {
-    let fps = array(doc, "fingerprints", path);
-    assert!(!fps.is_empty(), "{}: no fingerprints", path.display());
-    for fp in fps {
-        assert_eq!(
-            keys(fp, path),
-            set(&["level", "pattern", "count"]),
-            "{}",
-            path.display()
-        );
-        let level = field(fp, "level", path).as_str().ok();
-        assert!(
-            matches!(level, Some("warn" | "error")),
-            "{}: level {level:?}",
-            path.display()
-        );
-    }
-}
-
-/// Every `*.json` file under `dir`, recursively, in sorted order.
+/// Every JSON (`*.json`) and JSON-lines (`*.jsonl`) file in `dir`, in
+/// sorted order.
 fn json_files(dir: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+    let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
         .expect("baseline directory is readable")
         .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "json" || e == "jsonl"))
         .collect();
-    entries.sort();
-    for path in entries {
-        if path.is_dir() {
-            out.extend(json_files(&path));
-        } else if path.extension().is_some_and(|e| e == "json") {
-            out.push(path);
-        }
-    }
+    out.sort();
     out
 }
 
-/// Checks every JSON artifact under `dir` and returns how many it saw.
+/// Checks every JSON artifact in `dir` and returns how many it saw.
 fn check_baseline_dir(dir: &Path) -> usize {
     let files = json_files(dir);
     for path in &files {
         let text = std::fs::read_to_string(path).expect("baseline file is readable");
-        let doc = JsonValue::parse(&text)
-            .unwrap_or_else(|e| panic!("{}: not JSON: {e:?}", path.display()));
+        let parse = |text: &str| {
+            JsonValue::parse(text).unwrap_or_else(|e| panic!("{}: not JSON: {e:?}", path.display()))
+        };
         let name = path.to_string_lossy();
-        if name.ends_with(".xray.json") {
-            check_xray(&doc, path);
-        } else if name.ends_with("log_fingerprints.json") {
-            check_fingerprints(&doc, path);
+        if name.ends_with(".log.jsonl") {
+            for line in text.lines() {
+                parse(line);
+            }
+        } else if name.ends_with(".trace.json") || name.ends_with(".speedscope.json") {
+            parse(&text);
+        } else if name.ends_with(".xray.json") {
+            check_xray(&parse(&text), path);
         } else {
-            check_snapshot(&doc, path);
+            check_snapshot(&parse(&text), path);
         }
     }
     files.len()
@@ -287,7 +267,7 @@ fn committed_baselines_match_their_schemas() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/baseline");
     let checked = check_baseline_dir(&dir);
     assert!(
-        checked >= 21,
+        checked >= 25,
         "expected the full committed baseline set, saw {checked}"
     );
 }
