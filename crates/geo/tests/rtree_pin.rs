@@ -1,5 +1,6 @@
 //! Pins the R-tree's observable results by digest: the ids and search
-//! cost the POI database's counted kNN returns, and the order in which a
+//! cost the POI database's counted kNN returns, the same over a grid of
+//! duplicated points where most queries tie, and the order in which a
 //! range query yields building footprints. The tourism scenario's modeled
 //! retrieve cost is the kNN work count, and occlusion keeps the first
 //! building hit at equal ray parameter, so both must survive any change
@@ -28,6 +29,7 @@ impl Fnv {
 
 const KNN_DIGEST: u64 = 0x5f55_dae1_37e5_1c28;
 const RANGE_DIGEST: u64 = 0x0d20_4629_a4d4_e540;
+const DUPLICATE_KNN_DIGEST: u64 = 0x2c38_1e00_60d4_2698;
 
 #[test]
 fn poi_knn_ids_and_work_are_pinned() {
@@ -57,6 +59,54 @@ fn poi_knn_ids_and_work_are_pinned() {
         }
     }
     assert_eq!(h.0, KNN_DIGEST, "kNN digest {:#018x}", h.0);
+}
+
+#[test]
+fn duplicate_grid_knn_ids_and_work_are_pinned() {
+    // A 16×16 grid of points, each stored one to six times, queried on
+    // grid points, cell centres and edge midpoints as well as at random:
+    // most queries tie at the k-th place, so this pins which of the tied
+    // entries come back and how much work finding them takes.
+    let mut rng = StdRng::seed_from_u64(33);
+    let mut items = Vec::new();
+    for cell in 0..256u32 {
+        let (x, y) = (f64::from(cell % 16), f64::from(cell / 16));
+        for _ in 0..rng.gen_range(1..=6) {
+            items.push((Rect::point(x, y), items.len()));
+        }
+    }
+    let tree = RTree::bulk_load(items);
+    let mut h = Fnv::new();
+    for q in 0..2_000 {
+        let (x, y) = match q % 4 {
+            0 => (
+                f64::from(rng.gen_range(0..16)),
+                f64::from(rng.gen_range(0..16)),
+            ),
+            1 => (
+                f64::from(rng.gen_range(0..15)) + 0.5,
+                f64::from(rng.gen_range(0..15)) + 0.5,
+            ),
+            2 => (
+                f64::from(rng.gen_range(0..15)) + 0.5,
+                f64::from(rng.gen_range(0..16)),
+            ),
+            _ => (rng.gen_range(-2.0..17.0), rng.gen_range(-2.0..17.0)),
+        };
+        for k in [1, 8, 24, 200] {
+            let (near, work) = tree.nearest_counted(x, y, k);
+            h.word(near.len() as u64);
+            for (_, &i) in near {
+                h.word(i as u64);
+            }
+            h.word(work as u64);
+        }
+    }
+    assert_eq!(
+        h.0, DUPLICATE_KNN_DIGEST,
+        "duplicate kNN digest {:#018x}",
+        h.0
+    );
 }
 
 #[test]
