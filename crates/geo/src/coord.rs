@@ -192,7 +192,13 @@ pub struct Ecef {
 
 impl Ecef {
     /// Converts back to geodetic coordinates (Bowring's iterative method,
-    /// two refinement steps — sub-millimetre for terrestrial altitudes).
+    /// up to four refinement steps — sub-millimetre for terrestrial
+    /// altitudes).
+    ///
+    /// Each step is a function of the latitude alone, so once a step
+    /// returns the latitude it was given, bit for bit, every later step
+    /// would recompute the same `n`, altitude and latitude. The loop stops
+    /// there; the result is the same as running all four steps.
     pub fn to_geodetic(&self) -> GeoPoint {
         let p = (self.x * self.x + self.y * self.y).sqrt();
         let lon = self.y.atan2(self.x);
@@ -206,7 +212,12 @@ impl Ecef {
             } else {
                 self.z.abs() - n * (1.0 - WGS84_E2)
             };
-            lat = (self.z / (p * (1.0 - WGS84_E2 * n / (n + alt)))).atan();
+            let next = (self.z / (p * (1.0 - WGS84_E2 * n / (n + alt)))).atan();
+            let fixed = next.to_bits() == lat.to_bits();
+            lat = next;
+            if fixed {
+                break;
+            }
         }
         GeoPoint {
             lat_deg: lat.to_degrees().clamp(-90.0, 90.0),

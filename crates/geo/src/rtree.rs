@@ -184,51 +184,64 @@ impl<T> RTree<T> {
     /// root plus, for each node searched, one per child. The count is a
     /// deterministic proxy for query latency, usable by simulations that
     /// must not read the wall clock.
+    ///
+    /// The search is best-first over a min-heap of nodes. The k best
+    /// entries so far sit in a max-heap bounded at k, whose top is the
+    /// k-th best key; they are sorted once, at the end. A key packs the
+    /// distance² bits above the node or entry index in one `u128`, so
+    /// keys order by distance, then by index, which gives the tie rules
+    /// above.
     pub fn nearest_counted(&self, x: f64, y: f64, k: usize) -> (Vec<(Rect, &T)>, usize) {
         let Some(root_bounds) = self.bounds.last().filter(|_| k > 0) else {
             return (Vec::new(), 0);
         };
-        // Keys are (distance² bits, index). Distances are never negative
-        // or NaN, so their bit patterns order like the values and stay
-        // below `u64::MAX`.
-        let key = |r: &Rect, i: usize| (r.distance2_to_point(x, y).to_bits(), i);
-        // Best-first over a min-heap of nodes; the k best entries so far
-        // are kept sorted by key.
+        // Distances are never negative or NaN, so their bit patterns order
+        // like the values and stay below `u64::MAX`.
+        let key = |r: &Rect, i: usize| {
+            (u128::from(r.distance2_to_point(x, y).to_bits()) << 64) | i as u128
+        };
+        let dist = |key: u128| key >> 64;
         let mut heap = BinaryHeap::with_capacity(8 * MAX_ENTRIES);
         heap.push(Reverse(key(root_bounds, self.bounds.len() - 1)));
-        let mut best: Vec<(u64, usize)> = Vec::with_capacity(k.min(self.len()) + 1);
+        let mut best = BinaryHeap::with_capacity(k.min(self.len()));
         // The k-th best key, or past every key while fewer than k are kept.
-        let mut kth = (u64::MAX, usize::MAX);
+        let mut kth = u128::MAX;
         let mut work = 1usize;
-        while let Some(Reverse((dist, node))) = heap.pop() {
-            if dist >= kth.0 {
+        while let Some(Reverse(n)) = heap.pop() {
+            if dist(n) >= dist(kth) {
                 break;
             }
+            // The low 64 bits are the node index.
+            let node = n as u64 as usize;
             let span = self.span(node);
             work += span.len();
             if node < self.leaves {
                 for (i, (r, _)) in (span.start..).zip(&self.entries[span]) {
                     let e = key(r, i);
                     if e < kth {
-                        best.insert(best.partition_point(|b| *b < e), e);
-                        best.truncate(k);
+                        if best.len() < k {
+                            best.push(e);
+                        } else if let Some(mut top) = best.peek_mut() {
+                            *top = e;
+                        }
                         if best.len() == k {
-                            kth = best[k - 1];
+                            kth = best.peek().copied().unwrap_or(kth);
                         }
                     }
                 }
             } else {
                 for (c, r) in (span.start..).zip(&self.bounds[span]) {
                     let n = key(r, c);
-                    if n.0 < kth.0 {
+                    if dist(n) < dist(kth) {
                         heap.push(Reverse(n));
                     }
                 }
             }
         }
         let out = best
-            .iter()
-            .filter_map(|&(_, i)| self.entries.get(i))
+            .into_sorted_vec()
+            .into_iter()
+            .filter_map(|e| self.entries.get(e as u64 as usize))
             .map(|(r, v)| (*r, v))
             .collect();
         (out, work)

@@ -153,6 +153,10 @@ fn clamp_to_viewport(center: (f64, f64), l: &LabelBox, vp: Viewport) -> (f64, f6
 /// Greedy declutter: place in priority order, trying the anchor plus a
 /// ring of offsets; labels that cannot be placed without overlap are
 /// dropped.
+///
+/// The 25 candidate centres (the anchor, then 3 rings of 8 directions)
+/// are generated lazily, one at a time, and the first that overlaps no
+/// placed label wins: a label that fits at its anchor computes no ring.
 pub fn greedy_layout(labels: &[LabelBox], viewport: Viewport) -> Vec<PlacedLabel> {
     let mut order: Vec<&LabelBox> = labels.iter().collect();
     order.sort_by(|a, b| {
@@ -163,16 +167,15 @@ pub fn greedy_layout(labels: &[LabelBox], viewport: Viewport) -> Vec<PlacedLabel
     });
     let mut placed: Vec<(PlacedLabel, (f64, f64, f64, f64))> = Vec::new();
     for l in order {
-        let mut candidates = vec![l.anchor_px];
         // Rings of 8 directions at growing radii.
-        for ring in 1..=3 {
+        let rings = (1..=3).flat_map(|ring| {
             let r = ring as f64 * (l.height_px.max(l.width_px / 2.0) + 4.0);
-            for k in 0..8 {
+            (0..8).map(move |k| {
                 let a = std::f64::consts::TAU * k as f64 / 8.0;
-                candidates.push((l.anchor_px.0 + r * a.cos(), l.anchor_px.1 + r * a.sin()));
-            }
-        }
-        let spot = candidates.into_iter().find_map(|c| {
+                (l.anchor_px.0 + r * a.cos(), l.anchor_px.1 + r * a.sin())
+            })
+        });
+        let spot = std::iter::once(l.anchor_px).chain(rings).find_map(|c| {
             let c = clamp_to_viewport(c, l, viewport);
             let p = PlacedLabel {
                 id: l.id,
